@@ -49,12 +49,6 @@ let check_doc what doc =
   let pretty = J.of_string (J.to_string_pretty doc) in
   if not (equal doc pretty) then fail "%s: pretty round-trip mismatch" what
 
-(* Schema assertions for the LP bench artifact: every solver entry must
-   carry its backend/pivots/refactorizations metadata, the tableau engine
-   never refactorizes, and the engines must agree on the optimum. Keeps a
-   bench refactor from silently dropping the fields the perf-trajectory
-   analysis keys on. *)
-
 let field what obj k =
   match obj with
   | J.Obj kvs -> (
@@ -67,78 +61,10 @@ let as_int what = function
   | J.Int i -> i
   | _ -> fail "%s: expected an int" what
 
-let as_num what = function
-  | J.Int i -> float_of_int i
-  | J.Float f -> f
-  | _ -> fail "%s: expected a number" what
-
-let as_str what = function
-  | J.String s -> s
-  | _ -> fail "%s: expected a string" what
-
-(* One solver entry: {backend; seconds; pivots; refactorizations; mlu}. *)
-let check_solver what ~backend j =
-  let name = as_str (what ^ ".backend") (field what j "backend") in
-  if name <> backend then fail "%s: backend %S, expected %S" what name backend;
-  ignore (as_num (what ^ ".seconds") (field what j "seconds"));
-  ignore (as_num (what ^ ".lp_seconds") (field what j "lp_seconds"));
-  let pivots = as_int (what ^ ".pivots") (field what j "pivots") in
-  if pivots < 0 then fail "%s: negative pivots" what;
-  let refac =
-    as_int (what ^ ".refactorizations") (field what j "refactorizations")
-  in
-  if backend <> "revised" && refac <> 0 then
-    fail "%s: %s engine reports %d refactorizations" what backend refac;
-  if backend = "revised" && refac < 1 then
-    fail "%s: revised engine never refactorized" what;
-  as_num (what ^ ".mlu") (field what j "mlu")
-
-let check_lp_scenario sc =
-  let tag = as_str "scenario.topology" (field "scenario" sc "topology") in
-  let w what = Printf.sprintf "%s.%s" tag what in
-  let dual = field tag sc "dualized" in
-  let m_dense = check_solver (w "dualized.dense") ~backend:"dense"
-      (field (w "dualized") dual "dense") in
-  let m_tab = check_solver (w "dualized.tableau") ~backend:"tableau"
-      (field (w "dualized") dual "tableau") in
-  let m_rev = check_solver (w "dualized.revised") ~backend:"revised"
-      (field (w "dualized") dual "revised") in
-  let agree what a b tol =
-    if Float.abs (a -. b) > tol *. (1.0 +. Float.abs b) then
-      fail "%s: optima disagree: %.12g vs %.12g" what a b
-  in
-  agree (w "dualized dense/tableau") m_dense m_tab 1e-6;
-  agree (w "dualized tableau/revised") m_tab m_rev 1e-9;
-  let cg = field tag sc "constraint_gen" in
-  let engine name backend =
-    let e = field (w "constraint_gen") cg name in
-    let cold = check_solver (w ("cg." ^ name ^ ".cold")) ~backend
-        (field (w name) e "cold") in
-    let warm = check_solver (w ("cg." ^ name ^ ".warm")) ~backend
-        (field (w name) e "warm") in
-    agree (w ("cg " ^ name ^ " cold/warm")) cold warm 1e-9;
-    warm
-  in
-  let cg_tab = engine "tableau" "tableau" and cg_rev = engine "revised" "revised" in
-  agree (w "cg tableau/revised") cg_tab cg_rev 1e-9;
-  List.iter
-    (fun name ->
-      let v = as_num (w ("cg." ^ name)) (field (w "constraint_gen") cg name) in
-      if v <= 0.0 then fail "%s: %s is %g, expected > 0" tag name v)
-    [ "revised_speedup"; "cold_speedup"; "lp_speedup" ]
-
 (* Schema assertions for the sweep bench artifact: the executor section
-   must carry the pool's lifetime counters (all non-negative) and both
-   pool-vs-fork/join comparisons with positive timings. Keeps a bench
-   refactor from silently dropping the stats the executor trajectory
-   keys on. *)
-
-let check_pool_compare what j =
-  let fj = as_num (what ^ ".forkjoin_seconds") (field what j "forkjoin_seconds") in
-  let pl = as_num (what ^ ".pool_seconds") (field what j "pool_seconds") in
-  if fj <= 0.0 || pl <= 0.0 then
-    fail "%s: non-positive timing (fork/join %g, pool %g)" what fj pl;
-  ignore (as_num (what ^ ".speedup") (field what j "speedup"))
+   must carry the pool's lifetime counters, all non-negative. Keeps a
+   bench refactor from silently dropping the stats the executor
+   trajectory keys on. *)
 
 let check_sweep what doc =
   match doc with
@@ -148,19 +74,7 @@ let check_sweep what doc =
       (fun k ->
         let v = as_int (what ^ ".pool." ^ k) (field (what ^ ".pool") pool k) in
         if v < 0 then fail "%s: pool.%s is negative (%d)" what k v)
-      [ "workers"; "tasks"; "steals"; "parks"; "max_queue_depth"; "resizes" ];
-    check_pool_compare (what ^ ".pool.abilene_sweep")
-      (field (what ^ ".pool") pool "abilene_sweep");
-    check_pool_compare (what ^ ".pool.pop36_cg_oracle")
-      (field (what ^ ".pool") pool "pop36_cg_oracle")
-  | _ -> ()
-
-let check_lp what doc =
-  match doc with
-  | J.Obj kvs when List.assoc_opt "bench" kvs = Some (J.String "lp") -> (
-    match List.assoc_opt "scenarios" kvs with
-    | Some (J.List scs) -> List.iter check_lp_scenario scs
-    | _ -> fail "%s: lp bench without a scenarios list" what)
+      [ "workers"; "tasks"; "steals"; "parks"; "max_queue_depth"; "resizes" ]
   | _ -> ()
 
 let self_test () =
@@ -189,7 +103,6 @@ let check_file path =
     | Sys_error m -> fail "%s" m
   in
   check_doc path doc;
-  check_lp path doc;
   check_sweep path doc;
   Printf.printf "json_check: %s ok\n" path
 

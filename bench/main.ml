@@ -27,7 +27,6 @@ let experiments =
     ("table2", Experiments.table2);
     ("table3", Experiments.table3);
     ("ablation", Experiments.ablation);
-    ("lp", Lp_bench.run);
     ("sweep", Sweep_bench.run);
     ("reconfig", Reconfig_bench.run);
     ("online", Online_bench.run);

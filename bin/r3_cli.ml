@@ -45,16 +45,6 @@ let routing_backend_arg =
     & info [ "routing-backend" ] ~docv:"dense|sparse|auto"
         ~doc:"Row storage for the extracted protection routing.")
 
-let lp_backend_arg =
-  Arg.(
-    value
-    & opt string "revised"
-    & info [ "lp-backend" ] ~docv:"tableau|revised|dense"
-        ~doc:
-          "Simplex engine for the offline LP: $(b,revised) (LU-factorized \
-           revised simplex), $(b,tableau) (sparse-row tableau) or \
-           $(b,dense) (reference).")
-
 let domains_arg =
   Arg.(
     value
@@ -65,17 +55,15 @@ let domains_arg =
            (sweep fan-out, CG separation oracles, online replay) runs on; \
            $(b,auto) keeps the machine-derived default.")
 
-(* One R3_core.Config.t from --lp-backend/--routing-backend/--seed/
-   --domains; the same record the bench harnesses build
-   programmatically. Applies the domains knob to the shared pool as a
+(* One R3_core.Config.t from --routing-backend/--seed/--domains; the
+   same record the bench harnesses build programmatically. Applies the domains knob to the shared pool as a
    side effect, so every subcommand using this term honors one
    --domains flag. *)
 let core_config_term =
-  let build lp routing seed domains =
+  let build routing seed domains =
     let ( >>= ) r f = Result.bind r f in
     match
       Ok R3_core.Config.(default |> with_seed seed)
-      >>= R3_core.Config.with_lp_backend_string lp
       >>= R3_core.Config.with_routing_backend_string routing
       >>= R3_core.Config.with_domains_string domains
     with
@@ -86,7 +74,7 @@ let core_config_term =
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  Term.(const build $ lp_backend_arg $ routing_backend_arg $ seed_arg $ domains_arg)
+  Term.(const build $ routing_backend_arg $ seed_arg $ domains_arg)
 
 (* ---- metrics export (shared by sweep / precompute / profile) ---- *)
 
@@ -727,11 +715,10 @@ let plan_inspect path =
     Printf.printf "  workload    %d commodities\n" i.commodities;
     Printf.printf "  protection  F = %d, MLU over d+X = %.4f (%s)\n" i.f i.mlu
       (if i.mlu <= 1.0 then "congestion-free" else "best-effort");
-    Printf.printf "  solved via  %s, lp backend %s, seed %d\n"
+    Printf.printf "  solved via  %s, seed %d\n"
       (match i.solve_method with
       | Offline.Dualized -> "dualized LP (7)"
       | Offline.Constraint_gen -> "constraint generation")
-      (R3_lp.Problem.backend_name i.config.Offline.core.R3_core.Config.lp_backend)
       i.config.Offline.core.R3_core.Config.seed;
     Printf.printf "  row storage %s backend; %d/%d sparse rows (base), %d/%d \
                    sparse rows (protection)\n"

@@ -97,48 +97,34 @@ let binom n k =
     !acc
   end
 
-(* ---- 1. LP backend agreement ---- *)
+(* ---- 1. LP formulation agreement ---- *)
 
+(* Constraint generation (cutting planes over the knapsack oracle) and
+   the dualized LP (7) are two formulations of one optimum, solved
+   through different LPs; their MLU* must agree. *)
 let lp_agree =
   let check (case : Case.t) =
     let g = Case.graph case in
     let tm = Case.traffic case in
     let pairs, _ = Case.commodities case in
     let base = ospf_base g pairs in
-    let solve lp =
-      let cfg =
-        Offline.default_config ~f:case.f
-        |> Offline.with_core R3_core.Config.(default |> with_lp_backend lp)
-      in
-      let cfg = { cfg with Offline.solve_method = Offline.Constraint_gen } in
+    let solve solve_method =
+      let cfg = { (Offline.default_config ~f:case.f) with Offline.solve_method } in
       Offline.compute cfg g tm (Offline.Fixed base)
     in
-    match
-      List.map
-        (fun b -> (R3_lp.Problem.backend_name b, solve b))
-        [ `Dense; `Sparse; `Revised ]
-    with
-    | [] -> ()
-    | (ref_name, ref_r) :: rest ->
-      List.iter
-        (fun (name, r) ->
-          match (ref_r, r) with
-          | Ok p0, Ok p ->
-            let m0 = p0.Offline.mlu and m = p.Offline.mlu in
-            let tol = 1e-6 *. Float.max 1.0 (Float.max (Float.abs m0) (Float.abs m)) in
-            if Float.abs (m0 -. m) > tol then
-              failf "backend %s found MLU* %.12g, %s found %.12g" name m
-                ref_name m0
-          | Error _, Error _ -> ()
-          | Ok _, Error e ->
-            failf "backend %s failed (%s) while %s solved" name e ref_name
-          | Error e, Ok _ ->
-            failf "backend %s failed (%s) while %s solved" ref_name e name)
-        rest
+    match (solve Offline.Constraint_gen, solve Offline.Dualized) with
+    | Ok cg, Ok dual ->
+      let m0 = dual.Offline.mlu and m = cg.Offline.mlu in
+      let tol = 1e-6 *. Float.max 1.0 (Float.max (Float.abs m0) (Float.abs m)) in
+      if Float.abs (m0 -. m) > tol then
+        failf "constraint generation found MLU* %.12g, dualized LP %.12g" m m0
+    | Error _, Error _ -> ()
+    | Ok _, Error e -> failf "dualized LP failed (%s) while CG solved" e
+    | Error e, Ok _ -> failf "CG failed (%s) while the dualized LP solved" e
   in
   {
     name = "lp-agree";
-    doc = "dense/tableau/revised simplex agree on constraint-generation plans";
+    doc = "constraint generation and the dualized LP (7) agree on MLU*";
     check;
   }
 

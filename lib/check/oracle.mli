@@ -5,7 +5,7 @@
     oracle-internal randomness) and checks one equivalence or theorem the
     codebase promises:
 
-    - the three LP backends agree on constraint-generation plans;
+    - constraint generation and the dualized LP (7) agree on MLU*;
     - the Dense/Sparse/Auto routing backends stay bit-identical under
       random failure folding;
     - sequential fail/recover folds land on the canonical batch state and

@@ -1,5 +1,4 @@
 type t = {
-  lp_backend : R3_lp.Problem.backend;
   routing_backend : R3_net.Routing.Backend.t;
   seed : int;
   mcf_epsilon : float;
@@ -9,7 +8,6 @@ type t = {
 
 let default =
   {
-    lp_backend = `Revised;
     routing_backend = R3_net.Routing.Backend.Sparse;
     seed = 42;
     mcf_epsilon = 0.06;
@@ -17,7 +15,6 @@ let default =
     domains = None;
   }
 
-let with_lp_backend b t = { t with lp_backend = b }
 let with_routing_backend b t = { t with routing_backend = b }
 let with_seed seed t = { t with seed }
 let with_mcf_epsilon mcf_epsilon t = { t with mcf_epsilon }
@@ -33,12 +30,6 @@ let apply_domains t =
   match t.domains with
   | Some d -> R3_util.Parallel.set_domains d
   | None -> ()
-
-let with_lp_backend_string s t =
-  match R3_lp.Problem.backend_of_string s with
-  | Some b -> Ok (with_lp_backend b t)
-  | None ->
-    Error (Printf.sprintf "unknown LP backend %S (use tableau, revised or dense)" s)
 
 let with_domains_string s t =
   match s with
@@ -60,7 +51,6 @@ let with_routing_backend_string s t =
 let to_json t =
   R3_util.Json.Obj
     [
-      ("lp_backend", R3_util.Json.String (R3_lp.Problem.backend_name t.lp_backend));
       ( "routing_backend",
         R3_util.Json.String (R3_net.Routing.Backend.to_string t.routing_backend) );
       ("seed", R3_util.Json.Int t.seed);

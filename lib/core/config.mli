@@ -2,24 +2,20 @@
 
     One record carries every cross-cutting knob that used to be plumbed
     flag-by-flag through [Offline.config], the [r3] CLI and the bench
-    harnesses: which simplex engine solves the offline LPs, which row
-    storage holds the extracted protection routing, the workload PRNG
-    seed, and the two numeric tolerances shared by the online phase
-    (detour rescaling) and the evaluation normalizer (optimal-MCF
-    accuracy). Build one with {!default} and the builder-style [with_*]
-    functions:
+    harnesses: which row storage holds the extracted protection routing,
+    the workload PRNG seed, and the two numeric tolerances shared by the
+    online phase (detour rescaling) and the evaluation normalizer
+    (optimal-MCF accuracy). Build one with {!default} and the
+    builder-style [with_*] functions:
 
-    {[ Config.(default |> with_lp_backend `Sparse |> with_seed 7) ]}
+    {[ Config.(default |> with_seed 7 |> with_mcf_epsilon 0.01) ]}
 
     [Offline.default_config ?config] embeds the record in the offline
-    configuration; [r3] subcommands build it from [--lp-backend],
-    [--routing-backend], [--seed] and [--domains]; bench harnesses
-    construct per-backend variants with the builders. *)
+    configuration; [r3] subcommands build it from [--routing-backend],
+    [--seed] and [--domains]; bench harnesses construct per-backend
+    variants with the builders. *)
 
 type t = {
-  lp_backend : R3_lp.Problem.backend;
-      (** simplex engine for offline LP solves and warm sessions
-          (default [`Revised]) *)
   routing_backend : R3_net.Routing.Backend.t;
       (** row storage for the extracted protection routing
           (default [Sparse]) *)
@@ -42,7 +38,6 @@ val default : t
 
 (** {2 Builders (pipe style: [Config.(default |> with_seed 7)])} *)
 
-val with_lp_backend : R3_lp.Problem.backend -> t -> t
 val with_routing_backend : R3_net.Routing.Backend.t -> t -> t
 val with_seed : int -> t -> t
 val with_mcf_epsilon : float -> t -> t
@@ -56,11 +51,6 @@ val with_domains : int -> t -> t
 val apply_domains : t -> unit
 
 (** {2 String parsing (CLI flags)} *)
-
-(** [with_lp_backend_string s t]: [s] is one of [tableau], [revised],
-    [dense] (as accepted by {!R3_lp.Problem.backend_of_string});
-    [Error] carries a usable message otherwise. *)
-val with_lp_backend_string : string -> t -> (t, string) result
 
 (** [with_routing_backend_string s t]: [s] is one of [dense], [sparse],
     [auto]. *)

@@ -26,7 +26,6 @@ type config = {
   solve_method : method_;
   max_pivots : int option;
   cg_max_rounds : int;
-  cg_warm_start : bool;
   core : Config.t;
 }
 
@@ -39,7 +38,6 @@ let default_config ~f =
     solve_method = Dualized;
     max_pivots = None;
     cg_max_rounds = 60;
-    cg_warm_start = true;
     core = Config.default;
   }
 
@@ -92,8 +90,7 @@ let status_error = function
   | P.Unbounded -> Error "R3 offline: LP unbounded (internal error)"
   | P.Iteration_limit -> Error "R3 offline: simplex pivot budget exhausted"
 
-let solve_or_error ?backend lp max_pivots =
-  status_error (P.solve ?backend ?max_pivots lp)
+let solve_or_error lp max_pivots = status_error (P.solve ?max_pivots lp)
 
 let add_envelope_rows lp g (cfg : config) r_vars pairs demand_arrays =
   match cfg.envelope with
@@ -250,7 +247,7 @@ let compute_dualized (cfg : config) g tms base_spec =
   done;
   match
     Obs.T.with_span "offline.lp_solve" (fun () ->
-        solve_or_error ~backend:cfg.core.Config.lp_backend lp cfg.max_pivots)
+        solve_or_error lp cfg.max_pivots)
   with
   | Error _ as e -> e
   | Ok sol ->
@@ -307,26 +304,10 @@ let compute_cg (cfg : config) g tms base_spec =
     done
   done;
   (* Warm start: translate the LP once and repair the basis after each
-     batch of cuts; cold mode re-solves from scratch every round. *)
-  let sess =
-    if cfg.cg_warm_start then
-      Some (P.session ~backend:cfg.core.Config.lp_backend ?max_pivots:cfg.max_pivots lp)
-    else None
-  in
-  let cold_pivots = ref 0 in
+     batch of cuts. *)
+  let sess = P.session ?max_pivots:cfg.max_pivots lp in
   let solve_round () =
-    Obs.T.with_span "offline.lp_solve" @@ fun () ->
-    match sess with
-    | Some s -> status_error (P.resolve s)
-    | None -> (
-      match solve_or_error ~backend:cfg.core.Config.lp_backend lp cfg.max_pivots with
-      | Ok sol ->
-        cold_pivots := !cold_pivots + sol.P.pivots;
-        Ok sol
-      | Error _ as e -> e)
-  in
-  let total_pivots () =
-    match sess with Some s -> P.session_pivots s | None -> !cold_pivots
+    Obs.T.with_span "offline.lp_solve" @@ fun () -> status_error (P.resolve sess)
   in
   let seen_cuts = Hashtbl.create 256 in
   let rec iterate round =
@@ -416,7 +397,7 @@ let compute_cg (cfg : config) g tms base_spec =
               mlu = mlu_val;
               lp_vars = P.num_vars lp;
               lp_rows = P.num_constraints lp;
-              lp_pivots = total_pivots ();
+              lp_pivots = P.session_pivots sess;
             }
         end
         else iterate (round + 1)

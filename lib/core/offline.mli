@@ -34,24 +34,21 @@ type config = {
           times its shortest-path delay. Joint base only. *)
   solve_method : method_;
   max_pivots : int option;  (** simplex pivot budget per LP solve *)
-  cg_max_rounds : int;  (** cut-generation rounds cap *)
-  cg_warm_start : bool;
-      (** re-solve each cut-generation round warm via {!R3_lp.Problem.session}
-          (dual-simplex basis repair) instead of a cold two-phase solve.
-          Default [true]; [false] is the benchmark baseline. *)
+  cg_max_rounds : int;
+      (** cut-generation rounds cap. Every round after the first
+          re-solves warm through {!R3_lp.Problem.session}: dual-simplex
+          repair of the previous basis, not a cold two-phase solve. *)
   core : Config.t;
       (** the unified backend/seed/tolerance bundle ({!Config.t}):
-          [lp_backend] selects the simplex engine for cold solves and warm
-          sessions, [routing_backend] the row storage for the extracted
+          [routing_backend] is the row storage for the extracted
           {e protection} routing (the base routing is always extracted
-          dense). Replaces the per-field [lp_backend]/[routing_backend]
-          plumbing. *)
+          dense). *)
 }
 
 val default_config : f:int -> config
 
 (** [with_core core cfg] swaps the backend bundle — builder-style:
-    [Offline.default_config ~f |> Offline.with_core Config.(default |> with_lp_backend `Sparse)]. *)
+    [Offline.default_config ~f |> Offline.with_core Config.(default |> with_seed 7)]. *)
 val with_core : Config.t -> config -> config
 
 type plan = {

@@ -9,7 +9,9 @@ module W = Codec.W
 module R = Codec.R
 
 let magic = "R3PLANSS"
-let version = 1
+(* v2: the config section lost the LP-backend tag and the CG warm-start
+   flag when the simplex went down to one engine. *)
+let version = 2
 
 (* --- graph section ----------------------------------------------------- *)
 
@@ -68,14 +70,6 @@ let method_of_tag = function
   | 1 -> Offline.Constraint_gen
   | n -> raise (R.Corrupt (Printf.sprintf "unknown solve method tag %d" n))
 
-let lp_backend_tag = function `Dense -> 0 | `Sparse -> 1 | `Revised -> 2
-
-let lp_backend_of_tag = function
-  | 0 -> `Dense
-  | 1 -> `Sparse
-  | 2 -> `Revised
-  | n -> raise (R.Corrupt (Printf.sprintf "unknown lp backend tag %d" n))
-
 let routing_backend_tag = function
   | Routing.Backend.Dense -> 0
   | Routing.Backend.Sparse -> 1
@@ -100,8 +94,6 @@ let enc_config (cfg : Offline.config) =
   W.u8 w (method_tag cfg.solve_method);
   enc_option w (W.int w) cfg.max_pivots;
   W.i32 w cfg.cg_max_rounds;
-  W.bool w cfg.cg_warm_start;
-  W.u8 w (lp_backend_tag cfg.core.lp_backend);
   W.u8 w (routing_backend_tag cfg.core.routing_backend);
   W.int w cfg.core.seed;
   W.float w cfg.core.mcf_epsilon;
@@ -122,8 +114,6 @@ let dec_config s : Offline.config =
   let solve_method = method_of_tag (R.u8 r) in
   let max_pivots = dec_option r (fun () -> R.int r) in
   let cg_max_rounds = R.i32 r in
-  let cg_warm_start = R.bool r in
-  let lp_backend = lp_backend_of_tag (R.u8 r) in
   let routing_backend = routing_backend_of_tag (R.u8 r) in
   let seed = R.int r in
   let mcf_epsilon = R.float r in
@@ -137,12 +127,11 @@ let dec_config s : Offline.config =
     solve_method;
     max_pivots;
     cg_max_rounds;
-    cg_warm_start;
     (* [domains] is an execution knob (results are domain-count
        independent), so it is deliberately not part of the snapshot
        format or its fingerprint. *)
     core =
-      { lp_backend; routing_backend; seed; mcf_epsilon; rescale_tol; domains = None };
+      { routing_backend; seed; mcf_epsilon; rescale_tol; domains = None };
   }
 
 (* --- workload section (commodities + demands) -------------------------- *)

@@ -118,31 +118,11 @@ let compute (cfg : Offline.config) g ?srlgs ~classes base_spec =
     per_class_demands;
   let seen = Hashtbl.create 128 in
   (* Warm-started rounds, as in [Offline.compute_cg]. *)
-  let sess =
-    if cfg.Offline.cg_warm_start then
-      Some
-        (P.session ~backend:cfg.Offline.core.Config.lp_backend
-           ?max_pivots:cfg.Offline.max_pivots lp)
-    else None
-  in
-  let cold_pivots = ref 0 in
-  let solve_round () =
-    match sess with
-    | Some s -> P.resolve s
-    | None ->
-      let r = P.solve ~backend:cfg.Offline.core.Config.lp_backend ?max_pivots:cfg.Offline.max_pivots lp in
-      (match r with
-      | P.Optimal sol -> cold_pivots := !cold_pivots + sol.P.pivots
-      | _ -> ());
-      r
-  in
-  let total_pivots () =
-    match sess with Some s -> P.session_pivots s | None -> !cold_pivots
-  in
+  let sess = P.session ?max_pivots:cfg.Offline.max_pivots lp in
   let rec iterate round =
     let budget_left = round <= cfg.Offline.cg_max_rounds in
     begin
-      match solve_round () with
+      match P.resolve sess with
       | P.Infeasible -> Error "prioritized R3: infeasible"
       | P.Unbounded -> Error "prioritized R3: unbounded"
       | P.Iteration_limit -> Error "prioritized R3: pivot budget exhausted"
@@ -228,7 +208,7 @@ let compute (cfg : Offline.config) g ?srlgs ~classes base_spec =
               mlu = mlu_val;
               lp_vars = P.num_vars lp;
               lp_rows = P.num_constraints lp;
-              lp_pivots = total_pivots ();
+              lp_pivots = P.session_pivots sess;
             }
           in
           let class_mlus =

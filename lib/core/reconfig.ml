@@ -19,6 +19,7 @@ module Obs = struct
   let cow_shared_ratio = M.gauge "r3.reconfig.cow_shared_ratio"
   let recoveries = M.counter "r3.reconfig.recoveries"
   let recovery_refolds = M.counter "r3.reconfig.recovery_refolds"
+  let fail_refolds = M.counter "r3.reconfig.fail_refolds"
 end
 
 (* Pre-building the fold indexes here means parallel workers stepping
@@ -104,10 +105,6 @@ let canonical_key g e =
   let rep = match G.reverse_link g e with Some r when r < e -> r | _ -> e in
   (rep * 2) + if e = rep then 0 else 1
 
-let fail st sc =
-  (* Scenario.links is already in canonical order. *)
-  List.fold_left fail_one st (Scenario.links sc)
-
 let pristine st =
   {
     st with
@@ -115,6 +112,46 @@ let pristine st =
     protection = st.pristine_protection;
     failed = G.no_failures st.graph;
   }
+
+(* The canonical state of the failed set [down]: its links folded from
+   the pristine plan routings in canonical order. Returns the state and
+   the number of links folded. *)
+let refold st down =
+  let links = ref [] in
+  for e = G.num_links st.graph - 1 downto 0 do
+    if down.(e) then links := e :: !links
+  done;
+  let links =
+    List.sort
+      (fun a b ->
+        Int.compare (canonical_key st.graph a) (canonical_key st.graph b))
+      !links
+  in
+  (List.fold_left fail_one (pristine st) links, List.length links)
+
+(* Links not yet down fold onto [st] directly when they all sort after
+   every link already down (Scenario.links is in canonical order) - the
+   path of the sweep's prefix tree and the online memo. A link sorting
+   below one already down would fold out of canonical order, so then the
+   union is refolded from the pristine routings, as [recover] does. *)
+let fail st sc =
+  match List.filter (fun e -> not st.failed.(e)) (Scenario.links sc) with
+  | [] -> st
+  | first :: _ as fresh ->
+    let g = st.graph in
+    let k = canonical_key g first in
+    let in_order = ref true in
+    Array.iteri
+      (fun e down -> if down && canonical_key g e > k then in_order := false)
+      st.failed;
+    if !in_order then List.fold_left fail_one st fresh
+    else begin
+      let down = Array.copy st.failed in
+      List.iter (fun e -> down.(e) <- true) fresh;
+      let st, n = refold st down in
+      R3_util.Metrics.add Obs.fail_refolds n;
+      st
+    end
 
 (* Rescaling is lossy (a fold forgets where the folded traffic came
    from), so un-failing replays the remaining failed links from the
@@ -128,18 +165,9 @@ let recover st sc =
     R3_util.Metrics.incr Obs.recoveries;
     let keep = Array.copy st.failed in
     List.iter (fun e -> keep.(e) <- false) up;
-    let remaining = ref [] in
-    for e = G.num_links st.graph - 1 downto 0 do
-      if keep.(e) then remaining := e :: !remaining
-    done;
-    let remaining =
-      List.sort
-        (fun a b ->
-          Int.compare (canonical_key st.graph a) (canonical_key st.graph b))
-        !remaining
-    in
-    R3_util.Metrics.add Obs.recovery_refolds (List.length remaining);
-    List.fold_left fail_one (pristine st) remaining
+    let st, n = refold st keep in
+    R3_util.Metrics.add Obs.recovery_refolds n;
+    st
   end
 
 let apply_failures st links = List.fold_left fail_one st links

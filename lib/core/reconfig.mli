@@ -65,7 +65,12 @@ val detour : state -> R3_net.Graph.link -> float array
 
 (** [fail st sc] fails every link of [sc] not already down: for each
     directed link, rescale the detour (8) and fold it through (9)/(10).
-    O(rows touched); idempotent on already-failed links. *)
+    O(rows touched) when the new links all sort after every link already
+    down - the order a prefix-tree walk or a memoized prefix recursion
+    produces. Otherwise folding onto [st] would break canonical order,
+    so the union is refolded from the pristine routings instead
+    (O(failed links) folds, counted on [r3.reconfig.fail_refolds]).
+    Idempotent on already-failed links. *)
 val fail : state -> Scenario.t -> state
 
 (** [recover st sc] brings the links of [sc] back up. Rescaling is lossy

@@ -235,27 +235,9 @@ let compute (cfg : Offline.config) g tm groups base_spec =
   let quantize y = Array.map (fun v -> int_of_float (Float.round (v *. 1000.0))) y in
   (* Same warm-start discipline as [Offline.compute_cg]: keep the simplex
      basis across rounds and repair it after each batch of cuts. *)
-  let sess =
-    if cfg.Offline.cg_warm_start then
-      Some
-        (P.session ~backend:cfg.Offline.core.Config.lp_backend
-           ?max_pivots:cfg.Offline.max_pivots lp)
-    else None
-  in
-  let cold_pivots = ref 0 in
+  let sess = P.session ?max_pivots:cfg.Offline.max_pivots lp in
   let solve_round () =
-    Obs.T.with_span "offline.lp_solve" @@ fun () ->
-    match sess with
-    | Some s -> P.resolve s
-    | None ->
-      let r = P.solve ~backend:cfg.Offline.core.Config.lp_backend ?max_pivots:cfg.Offline.max_pivots lp in
-      (match r with
-      | P.Optimal sol -> cold_pivots := !cold_pivots + sol.P.pivots
-      | _ -> ());
-      r
-  in
-  let total_pivots () =
-    match sess with Some s -> P.session_pivots s | None -> !cold_pivots
+    Obs.T.with_span "offline.lp_solve" @@ fun () -> P.resolve sess
   in
   let rec iterate round =
     let budget_left = round <= cfg.Offline.cg_max_rounds in
@@ -331,7 +313,7 @@ let compute (cfg : Offline.config) g tm groups base_spec =
               mlu = mlu_val;
               lp_vars = P.num_vars lp;
               lp_rows = P.num_constraints lp;
-              lp_pivots = total_pivots ();
+              lp_pivots = P.session_pivots sess;
             }
           in
           (* audited value when the cut budget ran out *)

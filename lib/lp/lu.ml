@@ -25,8 +25,6 @@
    nothing per column, which matters when the simplex refactorizes every
    few dozen pivots. *)
 
-exception Singular
-
 type t = {
   refactor_every : int;
   mutable m : int;  (* dimension of the factored basis; 0 = empty *)
@@ -228,8 +226,14 @@ let hpop t hn ~sign =
   top
 
 (* Factor the basis whose position-[k] column is [col k] (row indices,
-   values, used length). Raises {!Singular} when no acceptable pivot
-   remains for some column. Clears the eta file. *)
+   values, used length). A column left with no pivot above
+   [Tol.lu_singular] is rank deficient: it gets no elimination step, and
+   once every column is processed each deficient position is paired with
+   a row no column pivoted on, in ascending order of both, and factored
+   as the unit column of that row (an empty L and U column, diagonal 1).
+   Returns those (position, row) pairs - empty on a nonsingular basis -
+   so the factors describe the basis with the pairs swapped in. Clears
+   the eta file. *)
 let refactor t ~m ~col =
   ensure_dim t m;
   t.factored <- false;
@@ -267,9 +271,10 @@ let refactor t ~m ~col =
   let lp = ref 0 and up = ref 0 in
   t.l_ptr.(0) <- 0;
   t.u_ptr.(0) <- 0;
-  for k = 0 to m - 1 do
-    let c = t.order.(k) in
-    t.colorder.(k) <- c;
+  let steps = ref 0 and deficient = ref [] in
+  for oi = 0 to m - 1 do
+    let c = t.order.(oi) in
+    let k = !steps in
     (* load column c; entries on already-pivoted rows queue their step *)
     touched := 0;
     let touch i =
@@ -315,47 +320,51 @@ let refactor t ~m ~col =
         if a > !amax then amax := a
       end
     done;
-    if !amax <= Tol.lu_singular then raise Singular;
-    let cutoff = Tol.lu_threshold *. !amax in
-    let best = ref (-1) and best_rc = ref max_int and best_a = ref 0.0 in
-    for s = 0 to !touched - 1 do
-      let i = wtouch.(s) in
-      if t.rowpos.(i) < 0 then begin
-        let a = Float.abs wx.(i) in
-        if a >= cutoff then begin
-          let rc = t.rcount.(i) in
-          if rc < !best_rc || (rc = !best_rc && a > !best_a) then begin
-            best := i;
-            best_rc := rc;
-            best_a := a
+    if !amax <= Tol.lu_singular then deficient := c :: !deficient
+    else begin
+      let cutoff = Tol.lu_threshold *. !amax in
+      let best = ref (-1) and best_rc = ref max_int and best_a = ref 0.0 in
+      for s = 0 to !touched - 1 do
+        let i = wtouch.(s) in
+        if t.rowpos.(i) < 0 then begin
+          let a = Float.abs wx.(i) in
+          if a >= cutoff then begin
+            let rc = t.rcount.(i) in
+            if rc < !best_rc || (rc = !best_rc && a > !best_a) then begin
+              best := i;
+              best_rc := rc;
+              best_a := a
+            end
           end
         end
-      end
-    done;
-    let p = !best in
-    let d = wx.(p) in
-    t.pivrow.(k) <- p;
-    t.rowpos.(p) <- k;
-    t.u_diag.(k) <- d;
-    (* L column: multipliers on the remaining unpivoted rows *)
-    t.l_idx <- grow_int t.l_idx (!lp + !touched);
-    t.l_v <- grow_float t.l_v (!lp + !touched);
-    for s = 0 to !touched - 1 do
-      let i = wtouch.(s) in
-      if t.rowpos.(i) < 0 && Float.abs wx.(i) > Tol.pivot_drop then begin
-        t.l_idx.(!lp) <- i;
-        t.l_v.(!lp) <- wx.(i) /. d;
-        incr lp
-      end
-    done;
-    t.l_ptr.(k + 1) <- !lp;
-    (* U column (entries at earlier steps, ascending pop order) *)
-    t.u_idx <- grow_int t.u_idx (!up + !u_count);
-    t.u_v <- grow_float t.u_v (!up + !u_count);
-    Array.blit t.u_tt 0 t.u_idx !up !u_count;
-    Array.blit t.u_xv 0 t.u_v !up !u_count;
-    up := !up + !u_count;
-    t.u_ptr.(k + 1) <- !up;
+      done;
+      let p = !best in
+      let d = wx.(p) in
+      t.colorder.(k) <- c;
+      t.pivrow.(k) <- p;
+      t.rowpos.(p) <- k;
+      t.u_diag.(k) <- d;
+      (* L column: multipliers on the remaining unpivoted rows *)
+      t.l_idx <- grow_int t.l_idx (!lp + !touched);
+      t.l_v <- grow_float t.l_v (!lp + !touched);
+      for s = 0 to !touched - 1 do
+        let i = wtouch.(s) in
+        if t.rowpos.(i) < 0 && Float.abs wx.(i) > Tol.pivot_drop then begin
+          t.l_idx.(!lp) <- i;
+          t.l_v.(!lp) <- wx.(i) /. d;
+          incr lp
+        end
+      done;
+      t.l_ptr.(k + 1) <- !lp;
+      (* U column (entries at earlier steps, ascending pop order) *)
+      t.u_idx <- grow_int t.u_idx (!up + !u_count);
+      t.u_v <- grow_float t.u_v (!up + !u_count);
+      Array.blit t.u_tt 0 t.u_idx !up !u_count;
+      Array.blit t.u_xv 0 t.u_v !up !u_count;
+      up := !up + !u_count;
+      t.u_ptr.(k + 1) <- !up;
+      steps := k + 1
+    end;
     (* reset workspace *)
     for s = 0 to !touched - 1 do
       let i = wtouch.(s) in
@@ -363,6 +372,27 @@ let refactor t ~m ~col =
       Bytes.unsafe_set wmark i '\000'
     done
   done;
+  (* Rank-deficiency completion: deficient positions take the unit
+     columns of the unpivoted rows, as trailing steps with empty L and
+     U columns. *)
+  let pairs =
+    let r = ref 0 in
+    List.map
+      (fun c ->
+        while t.rowpos.(!r) >= 0 do
+          incr r
+        done;
+        let k = !steps in
+        t.colorder.(k) <- c;
+        t.pivrow.(k) <- !r;
+        t.rowpos.(!r) <- k;
+        t.u_diag.(k) <- 1.0;
+        t.l_ptr.(k + 1) <- !lp;
+        t.u_ptr.(k + 1) <- !up;
+        steps := k + 1;
+        (c, !r))
+      (List.sort Int.compare !deficient)
+  in
   for k = 0 to m - 1 do
     t.posstep.(t.colorder.(k)) <- k
   done;
@@ -406,7 +436,8 @@ let refactor t ~m ~col =
     done
   done;
   t.refactors <- t.refactors + 1;
-  t.factored <- true
+  t.factored <- true;
+  pairs
 
 (* The heap-ordered sweeps win when the right-hand side touches few
    elimination steps; past this input density the plain dense sweeps
@@ -702,7 +733,8 @@ let btran t x = btran_pat t x t.wpat (scan_out t x t.wpat)
    FTRAN'd entering column [w] ([pat]/[n]: its nonzero positions). *)
 let update_pat t ~r ~w ~pat ~n =
   let piv = w.(r) in
-  if Float.abs piv <= Tol.lu_singular then raise Singular;
+  if Float.abs piv <= Tol.lu_singular then
+    invalid_arg "Lu.update: numerically zero eta pivot";
   if Array.length t.eta_r = t.n_eta then begin
     let cap = 2 * t.n_eta in
     let grow a fill =

@@ -1,5 +1,5 @@
 (** Sparse LU basis factorization with a product-form eta file — the
-    numerical engine of the revised simplex backend in {!Simplex}.
+    numerical engine of the revised simplex in {!Simplex}.
 
     {!refactor} factors the current basis with a left-looking column LU:
     columns in ascending-nonzero order, threshold partial pivoting
@@ -22,17 +22,23 @@
 
 type t
 
-(** Raised when no pivot above {!Tol.lu_singular} remains for a column
-    ({!refactor}), or an eta pivot is below it ({!update}). *)
-exception Singular
-
 val create : ?refactor_every:int -> unit -> t
 
 (** [refactor t ~m ~col] factors the [m]-dimensional basis whose
-    position-[k] column is [col k] = (row indices, values, used length).
-    Clears the eta file. Raises {!Singular} on a numerically singular
-    basis. *)
-val refactor : t -> m:int -> col:(int -> int array * float array * int) -> unit
+    position-[k] column is [col k] = (row indices, values, used length),
+    and clears the eta file.
+
+    A position whose column keeps no pivot above {!Tol.lu_singular} after
+    elimination is rank deficient. The result lists each such position
+    with a row that no column pivoted on, as [(position, row)] pairs
+    (positions and rows both ascending); it is empty exactly when the
+    basis is numerically nonsingular. The factors then describe the
+    basis with each listed position holding the unit column of its row,
+    so the caller repairs its basis by swapping in a column equal to
+    that unit column (a slack or artificial) - no second factorization
+    is needed. *)
+val refactor :
+  t -> m:int -> col:(int -> int array * float array * int) -> (int * int) list
 
 (** [ftran_pat t x pat n] solves [B x = b] in place: on entry [x] holds
     [b] indexed by row with its [n] nonzero rows listed in [pat], on
@@ -54,8 +60,9 @@ val btran : t -> float array -> int
 
 (** [update_pat t ~r ~w ~pat ~n] records the basis change that replaced
     position [r] by the column whose FTRAN result is [w] (dense,
-    basis-position space, nonzeros listed in [pat]). Raises {!Singular}
-    when [|w.(r)|] is below {!Tol.lu_singular}. *)
+    basis-position space, nonzeros listed in [pat]). The caller must
+    refactor instead when [|w.(r)|] is at or below {!Tol.lu_singular};
+    such a pivot raises [Invalid_argument]. *)
 val update_pat : t -> r:int -> w:float array -> pat:int array -> n:int -> unit
 
 (** As {!update_pat}, recovering the pattern with an O(m) scan. *)

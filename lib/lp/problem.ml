@@ -2,20 +2,6 @@ type var = int
 
 type cmp = Le | Ge | Eq
 
-type backend = [ `Dense | `Sparse | `Revised ]
-
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "dense" -> Some `Dense
-  | "tableau" | "sparse" -> Some `Sparse
-  | "revised" -> Some `Revised
-  | _ -> None
-
-let backend_name = function
-  | `Dense -> "dense"
-  | `Sparse -> "tableau"
-  | `Revised -> "revised"
-
 type var_info = { vname : string; lb : float; ub : float }
 
 type row = { rname : string; terms : (float * var) list; cmp : cmp; rhs : float }
@@ -229,10 +215,10 @@ let wrap tr (out : Simplex.outcome) =
     let objective = tr.sense *. (out.Simplex.objective +. tr.obj_const) in
     Optimal { objective; value; pivots = out.Simplex.pivots }
 
-let solve ?backend ?max_pivots t =
+let solve ?max_pivots t =
   let tr = translate t in
   wrap tr
-    (Simplex.solve ?backend ?max_pivots ~obj:tr.obj ~rows:tr.rows ~cmps:tr.cmps
+    (Simplex.solve ?max_pivots ~obj:tr.obj ~rows:tr.rows ~cmps:tr.cmps
        ~rhs:tr.rhs ())
 
 (* ---- incremental solve handle ---- *)
@@ -247,7 +233,6 @@ end
 
 type session = {
   sp : t;
-  sbackend : backend option;
   smax_pivots : int option;
   mutable core : (Simplex.Session.t * translated) option;
   mutable seen_rows : int;  (* rows of [sp] already in [core] *)
@@ -255,9 +240,9 @@ type session = {
   mutable retired_pivots : int;  (* pivots spent in discarded cores *)
 }
 
-let session ?backend ?max_pivots t =
-  { sp = t; sbackend = backend; smax_pivots = max_pivots; core = None;
-    seen_rows = 0; seen_vars = 0; retired_pivots = 0 }
+let session ?max_pivots t =
+  { sp = t; smax_pivots = max_pivots; core = None; seen_rows = 0;
+    seen_vars = 0; retired_pivots = 0 }
 
 let session_pivots s =
   s.retired_pivots
@@ -275,7 +260,7 @@ let cold_start s =
   R3_util.Metrics.incr Obs.cold_starts;
   let tr = translate t in
   let core =
-    Simplex.Session.create ?backend:s.sbackend ?max_pivots:s.smax_pivots
+    Simplex.Session.create ?max_pivots:s.smax_pivots
       ~obj:tr.obj ~rows:tr.rows ~cmps:tr.cmps ~rhs:tr.rhs ()
   in
   s.core <- Some (core, tr);
@@ -288,7 +273,7 @@ let resolve s =
   match s.core with
   | None -> cold_start s
   | Some _ when t.nvars <> s.seen_vars ->
-    (* New variables (or a changed objective shape) need a fresh tableau. *)
+    (* New variables (or a changed objective shape) need a fresh build. *)
     retire s;
     cold_start s
   | Some (core, tr) ->

@@ -17,20 +17,6 @@ type var
 
 type cmp = Le | Ge | Eq
 
-(** Simplex engine: [`Revised] runs the LU-factorized revised simplex
-    (per-pivot work scales with touched nonzeros, the fast path for
-    constraint generation); [`Sparse] (default) is the sparse-row
-    tableau; [`Dense] is the reference full-tableau implementation.
-    Identical statuses, objectives within numerical tolerance. *)
-type backend = [ `Dense | `Sparse | `Revised ]
-
-(** ["dense"], ["tableau"] (alias ["sparse"]) or ["revised"],
-    case-insensitive; [None] on anything else. *)
-val backend_of_string : string -> backend option
-
-(** Inverse of {!backend_of_string} on its canonical spellings. *)
-val backend_name : backend -> string
-
 type solution = {
   objective : float;  (** optimal objective value, in the user's sense *)
   value : var -> float;  (** value of each variable at the optimum *)
@@ -72,9 +58,9 @@ val num_constraints : t -> int
 (** Human-readable variable name (for debugging and error messages). *)
 val var_name : t -> var -> string
 
-(** Solve with the built-in two-phase primal simplex.
+(** Solve with the built-in two-phase revised simplex ({!Simplex}).
     [max_pivots] defaults to a budget proportional to the problem size. *)
-val solve : ?backend:backend -> ?max_pivots:int -> t -> result
+val solve : ?max_pivots:int -> t -> result
 
 (** {2 Incremental solving}
 
@@ -92,10 +78,9 @@ val solve : ?backend:backend -> ?max_pivots:int -> t -> result
 type session
 
 (** [session t] prepares an incremental handle; nothing is solved until
-    the first {!resolve}. [backend] picks the warm engine ([`Dense] maps
-    to the sparse tableau); [max_pivots] bounds each individual
+    the first {!resolve}. [max_pivots] bounds each individual
     (re-)solve. *)
-val session : ?backend:backend -> ?max_pivots:int -> t -> session
+val session : ?max_pivots:int -> t -> session
 
 (** Solve, or re-solve warm after rows were added. Falls back to a cold
     solve automatically when the warm basis is unusable. *)

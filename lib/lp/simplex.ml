@@ -13,8 +13,6 @@ type outcome = {
   pivots : int;
 }
 
-type backend = [ `Dense | `Sparse | `Revised ]
-
 let eps = Tol.eps
 let feas_tol = Tol.feas
 
@@ -46,9 +44,14 @@ module Obs = struct
   let rev_btran_nnz = M.counter "lp.rev.btran_nnz"
   let rev_cand_hits = M.counter "lp.rev.candidate_hits"
   let rev_cand_refreshes = M.counter "lp.rev.candidate_refreshes"
+
+  (* Basis positions repaired: rank-deficient LU columns swapped for the
+     unit column of an unpivoted row (see [Rev.refactor_lu]). The name
+     predates the repair, from when such a basis fell back to a second
+     engine; the bench's [lp.fallbacks] metric reads it. *)
   let rev_fallbacks = M.counter "lp.rev.fallbacks"
 
-  (* Revised-backend factorization and pricing counters, flushed once per
+  (* Revised-engine factorization and pricing counters, flushed once per
      (re-)solve next to {!record_solve}/{!record_resolve}. *)
   let record_rev ~refactors ~eta ~ftran ~btran ~hits ~refreshes =
     M.add rev_refactors refactors;
@@ -141,11 +144,12 @@ let prepare ~n ~rows ~cmps ~rhs =
   (scaled_rows, cmps, b0, !n_slack, needs_art, n_art, col_scale)
 
 (* ==================================================================== *)
-(* Dense backend: full tableau rows, kept as the reference
-   implementation (and for benchmarking the sparse core against).       *)
+(* Reference engine: the original dense full tableau, reachable only
+   through {!reference_solve} as the independent oracle tests compare
+   the revised engine against.                                          *)
 (* ==================================================================== *)
 
-module Dense = struct
+module Reference = struct
   (* Mutable solver state. The tableau stores, for each active row, the full
      dense row over [width] columns (structural + slack + artificial). Two
      reduced-cost rows are maintained simultaneously so that phase 2 can start
@@ -454,516 +458,16 @@ module Dense = struct
 end
 
 (* ==================================================================== *)
-(* Sparse backend: tableau rows are Sparse.t, so pivoting, cost-row
-   elimination and Devex updates all run in O(nnz) instead of O(width).
-   The same state doubles as a warm-startable session - columns and rows
-   may be appended after a solve, and dual-simplex pivots restore primal
-   feasibility without re-running the two-phase method.                 *)
-(* ==================================================================== *)
-
-module Sp = struct
-  type state = {
-    n_struct : int;
-    art_lo : int;  (* initial artificial columns occupy [art_lo, art_hi) *)
-    art_hi : int;
-    budget : int;  (* pivot budget per (re-)solve *)
-    obj : float array;
-    col_scale : float array;  (* structural-column equilibration factors *)
-    scratch : Sparse.scratch;  (* recycled axpy merge buffer *)
-    mutable cand_i : int array;  (* ratio-test candidates, reused per call *)
-    mutable cand_a : float array;
-    mutable col_j : int;  (* column cached in [col_v], or -1 *)
-    mutable col_v : float array;  (* per-row coefficients of column [col_j] *)
-    mutable m : int;
-    mutable width : int;
-    mutable rows : Sparse.t array;  (* capacity-managed, first [m] used *)
-    mutable b : float array;
-    mutable basis : int array;
-    mutable active : bool array;
-    mutable cost1 : float array;  (* capacity-managed, first [width] used *)
-    mutable cost2 : float array;
-    mutable devex : float array;
-    mutable obj1 : float;
-    mutable obj2 : float;
-    mutable pivots : int;
-    mutable degenerate_run : int;
-    mutable degen : int;  (* total degenerate (ratio ~ 0) pivots *)
-    mutable harris_rej : int;  (* rows rejected by the Harris pass-2 window *)
-    mutable devex_resets : int;  (* reference-framework resets *)
-    mutable valid : bool;  (* last solve ended [Optimal]: warm restart ok *)
-  }
-
-  let is_artificial st j = j >= st.art_lo && j < st.art_hi
-
-  let grow_cols st extra =
-    let need = st.width + extra in
-    if Array.length st.cost1 < need then begin
-      let cap = Int.max need (2 * Array.length st.cost1) in
-      let grow a fill =
-        let b = Array.make cap fill in
-        Array.blit a 0 b 0 st.width;
-        b
-      in
-      st.cost1 <- grow st.cost1 0.0;
-      st.cost2 <- grow st.cost2 0.0;
-      st.devex <- grow st.devex 1.0
-    end
-
-  let grow_rows st extra =
-    let need = st.m + extra in
-    if Array.length st.b < need then begin
-      let cap = Int.max need (2 * Array.length st.b) in
-      let rows = Array.make cap (Sparse.create ~cap:1 ()) in
-      Array.blit st.rows 0 rows 0 st.m;
-      let b = Array.make cap 0.0 in
-      Array.blit st.b 0 b 0 st.m;
-      let basis = Array.make cap (-1) in
-      Array.blit st.basis 0 basis 0 st.m;
-      let active = Array.make cap false in
-      Array.blit st.active 0 active 0 st.m;
-      st.rows <- rows;
-      st.b <- b;
-      st.basis <- basis;
-      st.active <- active;
-      st.cand_i <- Array.make cap 0;
-      st.cand_a <- Array.make cap 0.0;
-      st.col_j <- -1;
-      st.col_v <- Array.make cap 0.0
-    end
-
-  (* Pivot on (row [ip], column [jp]); mirrors {!Dense.pivot} but touches
-     only stored nonzeros. When [leaving] just scanned column [jp] its
-     per-row coefficients are in [col_v], saving a second round of binary
-     searches. *)
-  let pivot st ip jp =
-    let prow = st.rows.(ip) in
-    let piv = Sparse.get prow jp in
-    Sparse.scale prow (1.0 /. piv);
-    Sparse.set prow jp 1.0;
-    st.b.(ip) <- st.b.(ip) /. piv;
-    let brow = st.b.(ip) in
-    let cached = st.col_j = jp in
-    for i = 0 to st.m - 1 do
-      if i <> ip && st.active.(i) then begin
-        let row = st.rows.(i) in
-        let factor =
-          if cached then Array.unsafe_get st.col_v i else Sparse.get row jp
-        in
-        if Float.abs factor > Tol.pivot_drop then begin
-          Sparse.axpy ~scratch:st.scratch ~y:row ~x:prow factor;
-          Sparse.clear row jp;
-          st.b.(i) <- st.b.(i) -. (factor *. brow);
-          if st.b.(i) < 0.0 && st.b.(i) > -.Tol.rhs_snap then st.b.(i) <- 0.0
-        end
-      end
-    done;
-    st.col_j <- -1;
-    let pidx, pv, pn = Sparse.raw prow in
-    let eliminate cost =
-      let factor = cost.(jp) in
-      if Float.abs factor > Tol.pivot_drop then begin
-        for s = 0 to pn - 1 do
-          let j = Array.unsafe_get pidx s in
-          Array.unsafe_set cost j
-            (Array.unsafe_get cost j -. (factor *. Array.unsafe_get pv s))
-        done;
-        cost.(jp) <- 0.0
-      end;
-      factor
-    in
-    let f1 = eliminate st.cost1 in
-    st.obj1 <- st.obj1 +. (f1 *. brow);
-    let f2 = eliminate st.cost2 in
-    st.obj2 <- st.obj2 +. (f2 *. brow);
-    (* Devex weight update over the (normalized) pivot row. *)
-    let wq = Float.max st.devex.(jp) 1.0 in
-    for s = 0 to pn - 1 do
-      let a = Array.unsafe_get pv s in
-      let cand = a *. a *. wq in
-      let j = Array.unsafe_get pidx s in
-      if cand > Array.unsafe_get st.devex j then Array.unsafe_set st.devex j cand
-    done;
-    st.devex.(jp) <- Float.max (wq /. (piv *. piv)) 1.0;
-    if st.devex.(jp) > Tol.devex_reset || wq > Tol.devex_reset then begin
-      Array.fill st.devex 0 st.width 1.0;
-      st.devex_resets <- st.devex_resets + 1
-    end;
-    st.basis.(ip) <- jp;
-    st.pivots <- st.pivots + 1
-
-  let entering st cost ~allow =
-    if st.degenerate_run > 100 then begin
-      let rec first j =
-        if j >= st.width then None
-        else if cost.(j) < -.eps && allow j then Some j
-        else first (j + 1)
-      in
-      first 0
-    end
-    else begin
-      let best = ref (-1) and best_score = ref 0.0 in
-      for j = 0 to st.width - 1 do
-        let c = Array.unsafe_get cost j in
-        if c < -.eps && allow j then begin
-          let score = c *. c /. Array.unsafe_get st.devex j in
-          if score > !best_score then begin
-            best := j;
-            best_score := score
-          end
-        end
-      done;
-      if !best < 0 then None else Some !best
-    end
-
-  (* Harris-style two-pass ratio test; see {!Dense.leaving}. The column
-     lookups are binary searches here, so pass 1 records the (usually few)
-     candidate rows and pass 2 revisits only those. The full column is
-     cached in [col_v] for the {!pivot} that typically follows. *)
-  let leaving st jp =
-    let cand_i = st.cand_i and cand_a = st.cand_a in
-    let nc = ref 0 and theta = ref infinity in
-    for i = 0 to st.m - 1 do
-      if st.active.(i) then begin
-        let a = Sparse.get st.rows.(i) jp in
-        st.col_v.(i) <- a;
-        if a > eps then begin
-          cand_i.(!nc) <- i;
-          cand_a.(!nc) <- a;
-          incr nc;
-          let ratio = Float.max st.b.(i) 0.0 /. a in
-          if ratio < !theta then theta := ratio
-        end
-      end
-    done;
-    st.col_j <- jp;
-    if !nc = 0 then None
-    else begin
-      let lim = !theta +. (Tol.harris_rel *. (1.0 +. !theta)) in
-      (* Largest pivot element within the tolerance, ties to the smallest
-         basis index, exactly as in {!Dense.leaving}. (A Markowitz-style
-         sparsest-row tie-break was tried here to curb fill-in: accepting
-         pivots down to half the largest admissible element let feasibility
-         drift below the true optimum on fill-heavy instances. Keeping the
-         pure largest-pivot rule keeps both backends on certified optima.) *)
-      let best = ref (-1) and best_piv = ref 0.0 in
-      for s = 0 to !nc - 1 do
-        let i = cand_i.(s) and a = cand_a.(s) in
-        if Float.max st.b.(i) 0.0 /. a <= lim then begin
-          if
-            a > !best_piv
-            || (a = !best_piv && !best >= 0 && st.basis.(i) < st.basis.(!best))
-          then begin
-            best := i;
-            best_piv := a
-          end
-        end
-        else st.harris_rej <- st.harris_rej + 1
-      done;
-      Some (!best, Float.max st.b.(!best) 0.0 /. !best_piv)
-    end
-
-  let run_phase st cost ~allow ~max_pivots =
-    let rec loop () =
-      if st.pivots >= max_pivots then Phase_limit
-      else begin
-        match entering st cost ~allow with
-        | None -> Phase_optimal
-        | Some jp -> begin
-            match leaving st jp with
-            | None -> Phase_unbounded
-            | Some (ip, ratio) ->
-              if ratio < Tol.degenerate_ratio then begin
-                st.degenerate_run <- st.degenerate_run + 1;
-                st.degen <- st.degen + 1
-              end
-              else st.degenerate_run <- 0;
-              if st.b.(ip) < 0.0 then st.b.(ip) <- 0.0;
-              pivot st ip jp;
-              loop ()
-          end
-      end
-    in
-    loop ()
-
-  let purge_artificials st =
-    for i = 0 to st.m - 1 do
-      if st.active.(i) && is_artificial st st.basis.(i) then begin
-        let row = st.rows.(i) in
-        (* first real (non-artificial) column with a usable coefficient;
-           sparse iteration visits columns in increasing order. *)
-        let jp = ref (-1) in
-        (try
-           Sparse.iter
-             (fun j x ->
-               if (not (is_artificial st j)) && Float.abs x > Tol.purge then begin
-                 jp := j;
-                 raise Exit
-               end)
-             row
-         with Exit -> ());
-        if !jp >= 0 then pivot st i !jp else st.active.(i) <- false
-      end
-    done
-
-  let build ?max_pivots ~obj ~rows ~cmps ~rhs () =
-    let n = Array.length obj in
-    let m = Array.length rows in
-    let scaled_rows, cmps, b0, n_slack, needs_art, n_art, col_scale =
-      prepare ~n ~rows ~cmps ~rhs
-    in
-    let width = n + n_slack + n_art in
-    let cap_w = Int.max width 1 and cap_m = Int.max m 1 in
-    let st =
-      {
-        n_struct = n;
-        art_lo = n + n_slack;
-        art_hi = width;
-        budget = (match max_pivots with Some k -> k | None -> default_budget m n);
-        obj = Array.copy obj;
-        col_scale;
-        scratch = Sparse.scratch ();
-        cand_i = Array.make cap_m 0;
-        cand_a = Array.make cap_m 0.0;
-        col_j = -1;
-        col_v = Array.make cap_m 0.0;
-        m;
-        width;
-        rows = Array.init cap_m (fun _ -> Sparse.create ~cap:1 ());
-        b = (let b = Array.make cap_m 0.0 in Array.blit b0 0 b 0 m; b);
-        basis = Array.make cap_m (-1);
-        active = Array.make cap_m true;
-        cost1 = Array.make cap_w 0.0;
-        cost2 = Array.make cap_w 0.0;
-        devex = Array.make cap_w 1.0;
-        obj1 = 0.0;
-        obj2 = 0.0;
-        pivots = 0;
-        degenerate_run = 0;
-        degen = 0;
-        harris_rej = 0;
-        devex_resets = 0;
-        valid = false;
-      }
-    in
-    for j = 0 to n - 1 do
-      st.cost2.(j) <- obj.(j) *. col_scale.(j)
-    done;
-    let next_slack = ref n and next_art = ref (n + n_slack) in
-    for i = 0 to m - 1 do
-      let idx, coef = scaled_rows.(i) in
-      let row = Sparse.of_pairs idx coef in
-      st.rows.(i) <- row;
-      (match cmps.(i) with
-      | Le ->
-        Sparse.set row !next_slack 1.0;
-        st.basis.(i) <- !next_slack;
-        incr next_slack
-      | Ge ->
-        Sparse.set row !next_slack (-1.0);
-        incr next_slack
-      | Eq -> ());
-      if needs_art.(i) then begin
-        Sparse.set row !next_art 1.0;
-        st.basis.(i) <- !next_art;
-        let own = !next_art in
-        Sparse.iter
-          (fun j x -> if j <> own then st.cost1.(j) <- st.cost1.(j) -. x)
-          row;
-        st.obj1 <- st.obj1 +. st.b.(i);
-        incr next_art
-      end
-    done;
-    st
-
-  let fail st status =
-    { status; x = Array.make st.n_struct 0.0; objective = 0.0; pivots = st.pivots }
-
-  let extract st =
-    let n = st.n_struct in
-    let x = Array.make n 0.0 in
-    for i = 0 to st.m - 1 do
-      if st.active.(i) && st.basis.(i) < n then
-        x.(st.basis.(i)) <- st.b.(i) *. st.col_scale.(st.basis.(i))
-    done;
-    let objective = ref 0.0 in
-    Array.iteri (fun j c -> objective := !objective +. (c *. x.(j))) st.obj;
-    { status = Optimal; x; objective = !objective; pivots = st.pivots }
-
-  let first_solve st =
-    let max_pivots = st.budget in
-    let elapsed = R3_util.Timer.stopwatch () in
-    let p1 = ref 0 in
-    let finish out =
-      Obs.record_solve ~pivots:st.pivots ~p1:!p1 ~degen:st.degen
-        ~harris:st.harris_rej ~resets:st.devex_resets ~dt:(elapsed ());
-      out
-    in
-    let allow_all _ = true in
-    let phase1 =
-      if st.art_hi = st.art_lo then Phase_optimal
-      else run_phase st st.cost1 ~allow:allow_all ~max_pivots
-    in
-    p1 := st.pivots;
-    match phase1 with
-    | Phase_limit -> finish (fail st Iteration_limit)
-    | Phase_unbounded -> finish (fail st Infeasible)
-    | Phase_optimal ->
-      if st.obj1 > feas_tol then finish (fail st Infeasible)
-      else begin
-        purge_artificials st;
-        st.degenerate_run <- 0;
-        let allow j = not (is_artificial st j) in
-        (match run_phase st st.cost2 ~allow ~max_pivots with
-        | Phase_limit -> finish (fail st Iteration_limit)
-        | Phase_unbounded -> finish (fail st Unbounded)
-        | Phase_optimal ->
-          st.valid <- true;
-          finish (extract st))
-      end
-
-  (* Append [lhs <= rhs], expressed over the current basis: basic columns
-     are eliminated against their (unit-column) rows, then the row enters
-     with its own fresh slack variable as basis. The resulting [b] may be
-     negative - {!resolve}'s dual simplex repairs that. *)
-  let append_le st (idx, coef) rhs =
-    st.col_j <- -1;
-    (* Same column equilibration as the initial rows, then row scaling. *)
-    let coef = Array.mapi (fun t c -> c *. st.col_scale.(idx.(t))) coef in
-    let scale = Array.fold_left (fun a c -> Float.max a (Float.abs c)) 0.0 coef in
-    let scale = if scale > 0.0 then scale else 1.0 in
-    let k = 1.0 /. scale in
-    Array.iteri (fun t c -> coef.(t) <- c *. k) coef;
-    let rhs = ref (rhs *. k) in
-    let r = Sparse.of_pairs idx coef in
-    for i = 0 to st.m - 1 do
-      if st.active.(i) then begin
-        let jb = st.basis.(i) in
-        let factor = Sparse.get r jb in
-        if factor <> 0.0 then begin
-          Sparse.axpy ~scratch:st.scratch ~y:r ~x:st.rows.(i) factor;
-          Sparse.clear r jb;
-          rhs := !rhs -. (factor *. st.b.(i))
-        end
-      end
-    done;
-    grow_cols st 1;
-    let s = st.width in
-    st.width <- st.width + 1;
-    st.cost1.(s) <- 0.0;
-    st.cost2.(s) <- 0.0;
-    st.devex.(s) <- 1.0;
-    Sparse.set r s 1.0;
-    grow_rows st 1;
-    let i = st.m in
-    st.m <- st.m + 1;
-    st.rows.(i) <- r;
-    st.b.(i) <- !rhs;
-    st.basis.(i) <- s;
-    st.active.(i) <- true
-
-  let add_row st (idx, coef) cmp rhs =
-    match cmp with
-    | Le -> append_le st (idx, coef) rhs
-    | Ge -> append_le st (idx, Array.map Float.neg coef) (-.rhs)
-    | Eq ->
-      append_le st (idx, coef) rhs;
-      append_le st (idx, Array.map Float.neg coef) (-.rhs)
-
-  (* Dual simplex: while some basic value is negative, leave on the most
-     negative row and enter on the column minimizing the dual ratio
-     [cost2_j / -a_j] over the row's negative entries, which preserves
-     dual feasibility (all reduced costs stay >= 0). *)
-  let dual_restore st =
-    let limit = st.pivots + st.budget in
-    let rec loop () =
-      if st.pivots >= limit then Phase_limit
-      else begin
-        let ip = ref (-1) and bmin = ref (-.Tol.dual_feas) in
-        for i = 0 to st.m - 1 do
-          if st.active.(i) && st.b.(i) < !bmin then begin
-            ip := i;
-            bmin := st.b.(i)
-          end
-        done;
-        if !ip < 0 then Phase_optimal
-        else begin
-          let prow = st.rows.(!ip) in
-          let jp = ref (-1) and best = ref infinity and best_a = ref 0.0 in
-          Sparse.iter
-            (fun j a ->
-              if a < -.eps && not (is_artificial st j) then begin
-                let ratio = st.cost2.(j) /. -.a in
-                if
-                  ratio < !best -. Tol.dual_ratio_tie
-                  || (ratio < !best +. Tol.dual_ratio_tie
-                     && Float.abs a > Float.abs !best_a)
-                then begin
-                  jp := j;
-                  best := ratio;
-                  best_a := a
-                end
-              end)
-            prow;
-          if !jp < 0 then Phase_unbounded (* dual unbounded = primal infeasible *)
-          else begin
-            pivot st !ip !jp;
-            loop ()
-          end
-        end
-      end
-    in
-    loop ()
-
-  let resolve st =
-    (* Session counters accumulate across solves, so report this resolve's
-       contribution as deltas from the entry snapshot. *)
-    let elapsed = R3_util.Timer.stopwatch () in
-    let pivots0 = st.pivots and degen0 = st.degen in
-    let harris0 = st.harris_rej and resets0 = st.devex_resets in
-    let dual = ref 0 in
-    let finish out =
-      Obs.record_resolve ~pivots:(st.pivots - pivots0) ~dual:!dual
-        ~degen:(st.degen - degen0) ~harris:(st.harris_rej - harris0)
-        ~resets:(st.devex_resets - resets0) ~dt:(elapsed ());
-      out
-    in
-    if not st.valid then finish (fail st Iteration_limit)
-    else begin
-      st.degenerate_run <- 0;
-      let dual_outcome = dual_restore st in
-      dual := st.pivots - pivots0;
-      match dual_outcome with
-      | Phase_limit ->
-        st.valid <- false;
-        finish (fail st Iteration_limit)
-      | Phase_unbounded ->
-        st.valid <- false;
-        finish (fail st Infeasible)
-      | Phase_optimal -> begin
-        (* Clean up any residual negative reduced costs (numerical drift). *)
-        let allow j = not (is_artificial st j) in
-        match run_phase st st.cost2 ~allow ~max_pivots:(st.pivots + st.budget) with
-        | Phase_limit ->
-          st.valid <- false;
-          finish (fail st Iteration_limit)
-        | Phase_unbounded ->
-          st.valid <- false;
-          finish (fail st Unbounded)
-        | Phase_optimal -> finish (extract st)
-      end
-    end
-end
-
-(* ==================================================================== *)
-(* Revised backend: the basis is held as a sparse LU factorization (see
-   {!Lu}) instead of an explicitly pivoted tableau. Each iteration costs
-   one BTRAN (pivot row), one FTRAN (entering column) and an eta append,
-   all O(touched nonzeros) - per-pivot work no longer scales with the
-   total column count. Pricing is Devex over a cached candidate list;
-   the Harris ratio test runs on the FTRAN result. The same state is a
-   warm-startable session: appended rows keep the factorization, and
-   [resolve] repairs primal feasibility with dual-simplex pivots through
-   the carried-over LU.                                                 *)
+(* The revised simplex engine: the basis is held as a sparse LU
+   factorization (see {!Lu}) instead of an explicitly pivoted tableau.
+   Each iteration costs one BTRAN (pivot row), one FTRAN (entering
+   column) and an eta append, all O(touched nonzeros) - per-pivot work
+   does not scale with the total column count. Pricing is Devex over a
+   cached candidate list; the Harris ratio test runs on the FTRAN
+   result. The same state is a warm-startable session: appended rows
+   keep the factorization, and [resolve] repairs primal feasibility
+   with dual-simplex pivots through the carried-over LU. A numerically
+   singular basis is repaired in place (see {!refactor_lu}).           *)
 (* ==================================================================== *)
 
 module Rev = struct
@@ -977,6 +481,7 @@ module Rev = struct
     n_struct : int;
     art_lo : int;  (* artificial columns occupy [art_lo, art_hi) *)
     art_hi : int;
+    mutable repair_arts : int list;  (* artificials added by basis repair *)
     budget : int;  (* pivot budget per (re-)solve *)
     obj : float array;
     col_scale : float array;
@@ -988,6 +493,8 @@ module Rev = struct
     mutable b0 : float array;  (* scaled rhs *)
     mutable basis : int array;  (* basis position -> column *)
     mutable pos_of : int array;  (* column -> basis position, or -1 *)
+    mutable logical : int array;  (* row -> its +1 unit column *)
+    mutable barred : int list;  (* displaced by a repair, see [run_phase] *)
     mutable xb : float array;  (* basic values by position *)
     mutable dj : float array;  (* reduced costs of the current phase *)
     mutable cost2 : float array;  (* scaled phase-2 objective per column *)
@@ -1024,7 +531,9 @@ module Rev = struct
     mutable valid : bool;  (* last solve ended [Optimal]: warm restart ok *)
   }
 
-  let is_artificial st j = j >= st.art_lo && j < st.art_hi
+  let is_artificial st j =
+    (j >= st.art_lo && j < st.art_hi)
+    || (st.repair_arts <> [] && List.mem j st.repair_arts)
 
   let clear_alpha st =
     for s = 0 to st.alpha_n - 1 do
@@ -1085,14 +594,44 @@ module Rev = struct
       let basis = Array.make cap (-1) in
       Array.blit st.basis 0 basis 0 st.m;
       st.basis <- basis;
+      let logical = Array.make cap (-1) in
+      Array.blit st.logical 0 logical 0 st.m;
+      st.logical <- logical;
       let arows = Array.init cap (fun _ -> R.create ~cap:1 ()) in
       Array.blit st.arows 0 arows 0 st.m;
       st.arows <- arows
     end
 
+  (* Raised by a refactorization that had to repair the basis: the basic
+     solution changed under the running loop, so the caller that catches
+     it restores a feasible start ({!restore_feasibility}) and reruns the
+     phases. *)
+  exception Repaired
+
+  (* Factor the basis. Each position the LU reports rank deficient takes
+     the +1 unit column (slack or artificial) of the unpivoted row it is
+     paired with - the returned factors already describe that repaired
+     basis - and the displaced column turns nonbasic at its bound 0,
+     barred from re-entering until the phase's optimum. The standard
+     LU-code remedy for a numerically singular basis; every swap counts
+     on [lp.rev.fallbacks]. Raises {!Repaired} after one. *)
   let refactor_lu st =
-    Lu.refactor st.lu ~m:st.m ~col:(fun k -> R.raw st.cols.(st.basis.(k)));
-    st.refactors <- st.refactors + 1
+    let deficient =
+      Lu.refactor st.lu ~m:st.m ~col:(fun k -> R.raw st.cols.(st.basis.(k)))
+    in
+    st.refactors <- st.refactors + 1;
+    if deficient <> [] then begin
+      List.iter
+        (fun (k, r) ->
+          let j = st.logical.(r) in
+          st.barred <- st.basis.(k) :: st.barred;
+          st.pos_of.(st.basis.(k)) <- -1;
+          st.basis.(k) <- j;
+          st.pos_of.(j) <- k)
+        deficient;
+      R3_util.Metrics.add Obs.rev_fallbacks (List.length deficient);
+      raise Repaired
+    end
 
   (* Pattern-aware solves: callers stage the right-hand side's support
      in [w_pat]/[rho_pat]; the LU solve leaves the result's support
@@ -1170,7 +709,7 @@ module Rev = struct
     done
 
   (* Refactorize and rebuild xb and dj from scratch; also the recovery
-     path after an unstable pivot. Raises {!Lu.Singular}. *)
+     path after an unstable pivot. Raises {!Repaired}. *)
   let refresh st =
     refactor_lu st;
     compute_xb st;
@@ -1247,7 +786,9 @@ module Rev = struct
     end
 
   (* Commit the basis change: step the basic values along the FTRAN'd
-     column, append the eta, swap the basis bookkeeping. *)
+     column, append the eta, swap the basis bookkeeping. An eta pivot
+     too small to record means the new basis is numerically singular:
+     refactor it instead, which repairs it. *)
   let commit st ip jq theta =
     for s = 0 to st.w_n - 1 do
       let i = Array.unsafe_get st.w_pat s in
@@ -1261,18 +802,24 @@ module Rev = struct
       end
     done;
     st.xb.(ip) <- theta;
-    let e0 = Lu.eta_entries st.lu in
-    Lu.update_pat st.lu ~r:ip ~w:st.w ~pat:st.w_pat ~n:st.w_n;
-    st.eta_app <- st.eta_app + (Lu.eta_entries st.lu - e0);
     let jl = st.basis.(ip) in
     st.basis.(ip) <- jq;
     st.pos_of.(jq) <- ip;
     st.pos_of.(jl) <- -1;
-    st.pivots <- st.pivots + 1
+    st.pivots <- st.pivots + 1;
+    if Float.abs st.w.(ip) > Tol.lu_singular then begin
+      let e0 = Lu.eta_entries st.lu in
+      Lu.update_pat st.lu ~r:ip ~w:st.w ~pat:st.w_pat ~n:st.w_n;
+      st.eta_app <- st.eta_app + (Lu.eta_entries st.lu - e0)
+    end
+    else refresh st
 
   (* Artificials never (re-)enter: once nonbasic they are fixed at 0. *)
   let eligible st j =
-    st.dj.(j) < -.eps && st.pos_of.(j) < 0 && not (is_artificial st j)
+    st.dj.(j) < -.eps
+    && st.pos_of.(j) < 0
+    && (not (is_artificial st j))
+    && (st.barred = [] || not (List.mem j st.barred))
 
   let score st j =
     let d = st.dj.(j) in
@@ -1352,7 +899,7 @@ module Rev = struct
     end
 
   (* Harris two-pass ratio test on the FTRAN'd column; see
-     {!Dense.leaving} for the rationale. One extra rule: a row holding a
+     {!Reference.leaving} for the rationale. One extra rule: a row holding a
      basic artificial at (numerical) zero whose coefficient is negative
      is eligible at ratio 0 - the exchange drives the artificial out
      nonbasic instead of letting its value grow. *)
@@ -1413,6 +960,15 @@ module Rev = struct
       if st.pivots >= max_pivots then Phase_limit
       else begin
         match entering st with
+        | None when st.barred <> [] ->
+          (* Optimal without the columns a basis repair displaced: let
+             them compete again before claiming the optimum. Barring
+             them until here keeps the next pivot from re-entering the
+             column the repair just removed. *)
+          st.barred <- [];
+          price st;
+          st.cand_n <- 0;
+          loop true
         | None ->
           if certified then Phase_optimal
           else begin
@@ -1505,6 +1061,7 @@ module Rev = struct
         n_struct = n;
         art_lo = n + n_slack;
         art_hi = width;
+        repair_arts = [];
         budget = (match max_pivots with Some k -> k | None -> default_budget m n);
         obj = Array.copy obj;
         col_scale;
@@ -1516,6 +1073,8 @@ module Rev = struct
         b0 = (let b = Array.make cap_m 0.0 in Array.blit b0 0 b 0 m; b);
         basis = Array.make cap_m (-1);
         pos_of = Array.make cap_w (-1);
+        logical = Array.make cap_m (-1);
+        barred = [];
         xb = Array.make cap_m 0.0;
         dj = Array.make cap_w 0.0;
         cost2 = Array.make cap_w 0.0;
@@ -1563,6 +1122,7 @@ module Rev = struct
         R.set st.cols.(!next_slack) i 1.0;
         st.basis.(i) <- !next_slack;
         st.pos_of.(!next_slack) <- i;
+        st.logical.(i) <- !next_slack;
         incr next_slack
       | Ge ->
         R.set arow !next_slack (-1.0);
@@ -1574,6 +1134,7 @@ module Rev = struct
         R.set st.cols.(!next_art) i 1.0;
         st.basis.(i) <- !next_art;
         st.pos_of.(!next_art) <- i;
+        st.logical.(i) <- !next_art;
         incr next_art
       end;
       st.arows.(i) <- arow
@@ -1593,6 +1154,83 @@ module Rev = struct
     let objective = ref 0.0 in
     Array.iteri (fun j c -> objective := !objective +. (c *. x.(j))) st.obj;
     { status = Optimal; x; objective = !objective; pivots = st.pivots }
+
+  (* After a repair the displaced columns sit at 0, so the basic values
+     may have gone negative, and the logicals swapped in may hold an
+     artificial above 0. Rebuild a phase-1 start from the repaired basis:
+     negative rows [u] are lifted by one pivot on a fresh artificial
+     column [-B u] (it enters on the most negative row, raising every
+     marked value by the same step), and phase 1 resumes whenever an
+     artificial is above zero. *)
+  let restore_feasibility st =
+    compute_xb st;
+    let neg = ref [] and p = ref (-1) in
+    for i = 0 to st.m - 1 do
+      if st.xb.(i) < -.feas_tol then begin
+        neg := i :: !neg;
+        if !p < 0 || st.xb.(i) < st.xb.(!p) then p := i
+      end
+    done;
+    if !p >= 0 then begin
+      let a = Array.make st.m 0.0 in
+      List.iter
+        (fun i -> R.iter (fun r v -> a.(r) <- a.(r) -. v) st.cols.(st.basis.(i)))
+        !neg;
+      grow_cols st 1;
+      let j = st.width in
+      st.width <- j + 1;
+      let col = R.of_dense a in
+      st.cols.(j) <- col;
+      R.iter (fun r v -> R.set st.arows.(r) j v) col;
+      st.cost2.(j) <- 0.0;
+      st.devex.(j) <- 1.0;
+      st.repair_arts <- j :: st.repair_arts;
+      ftran_col st j;
+      commit st !p j (-.st.xb.(!p))
+    end;
+    if art_residual st > feas_tol then st.in_phase1 <- true;
+    st.degenerate_run <- 0;
+    st.cand_n <- 0;
+    price st
+
+  (* Phase 1 (while [in_phase1]) then phase 2, from the current basis;
+     [p1] receives the pivot count at the end of phase 1. *)
+  let phases st ~max_pivots ~p1 =
+    let phase1 =
+      if not st.in_phase1 then Phase_optimal else run_phase st ~max_pivots ()
+    in
+    p1 := st.pivots;
+    match phase1 with
+    | Phase_limit -> fail st Iteration_limit
+    | Phase_unbounded -> fail st Infeasible
+    | Phase_optimal ->
+      if st.in_phase1 && art_residual st > feas_tol then fail st Infeasible
+      else begin
+        st.in_phase1 <- false;
+        purge_artificials st;
+        st.degenerate_run <- 0;
+        st.cand_n <- 0;
+        price st;
+        match run_phase st ~max_pivots () with
+        | Phase_limit -> fail st Iteration_limit
+        | Phase_unbounded -> fail st Unbounded
+        | Phase_optimal ->
+          st.valid <- true;
+          extract st
+      end
+
+  (* Resume after a basis repair: restore a feasible start and rerun the
+     phases, as often as repairs recur. A repair needs a pivot since the
+     previous refactorization, so the pivot budget bounds the recursion. *)
+  let rec after_repair st ~max_pivots ~p1 =
+    if st.pivots >= max_pivots then fail st Iteration_limit
+    else
+      match restore_feasibility st with
+      | exception Repaired -> after_repair st ~max_pivots ~p1
+      | () -> (
+        match phases st ~max_pivots ~p1 with
+        | out -> out
+        | exception Repaired -> after_repair st ~max_pivots ~p1)
 
   let record_rev_delta st ~refac0 ~eta0 ~ft0 ~bt0 ~hits0 ~refr0 =
     Obs.record_rev ~refactors:(st.refactors - refac0)
@@ -1617,34 +1255,15 @@ module Rev = struct
     in
     (* Initial basis is slacks + artificials: B = I, trivially factored. *)
     refresh st;
-    let phase1 =
-      if not st.in_phase1 then Phase_optimal else run_phase st ~max_pivots ()
-    in
-    p1 := st.pivots;
-    match phase1 with
-    | Phase_limit -> finish (fail st Iteration_limit)
-    | Phase_unbounded -> finish (fail st Infeasible)
-    | Phase_optimal ->
-      if st.in_phase1 && art_residual st > feas_tol then
-        finish (fail st Infeasible)
-      else begin
-        st.in_phase1 <- false;
-        purge_artificials st;
-        st.degenerate_run <- 0;
-        st.cand_n <- 0;
-        price st;
-        match run_phase st ~max_pivots () with
-        | Phase_limit -> finish (fail st Iteration_limit)
-        | Phase_unbounded -> finish (fail st Unbounded)
-        | Phase_optimal ->
-          st.valid <- true;
-          finish (extract st)
-      end
+    finish
+      (match phases st ~max_pivots ~p1 with
+      | out -> out
+      | exception Repaired -> after_repair st ~max_pivots ~p1)
 
-  (* Append [lhs <= rhs] with a fresh basic slack. Unlike the tableau
-     backend nothing is eliminated against the basis: the revised method
-     works off original rows, so appending is O(nnz row). The
-     factorization is stale afterwards; {!resolve} refactorizes first. *)
+  (* Append [lhs <= rhs] with a fresh basic slack. Nothing is eliminated
+     against the basis: the revised method works off original rows, so
+     appending is O(nnz row). The factorization is stale afterwards;
+     {!resolve} refactorizes first. *)
   let append_le st (idx, coef) rhs =
     let coef = Array.mapi (fun t c -> c *. st.col_scale.(idx.(t))) coef in
     let scale = Array.fold_left (fun a c -> Float.max a (Float.abs c)) 0.0 coef in
@@ -1667,6 +1286,7 @@ module Rev = struct
     st.b0.(i) <- rhs *. k;
     st.basis.(i) <- s;
     st.pos_of.(s) <- i;
+    st.logical.(i) <- s;
     st.xb.(i) <- 0.0
 
   let add_row st (idx, coef) cmp rhs =
@@ -1705,10 +1325,10 @@ module Rev = struct
       st.valid <- false;
       st.in_phase1 <- false;
       st.degenerate_run <- 0;
-      let result =
+      let limit = st.pivots + st.budget in
+      let out =
         try
           refresh_keep_dj st;
-          let limit = st.pivots + st.budget in
           let rec dual_loop () =
             if st.pivots >= limit then Phase_limit
             else begin
@@ -1787,85 +1407,50 @@ module Rev = struct
           in
           let out = dual_loop () in
           dual := st.pivots - pivots0;
-          (match out with
-          | Phase_limit -> `Fail Iteration_limit
-          | Phase_unbounded -> `Fail Infeasible
-          | Phase_optimal -> begin
+          match out with
+          | Phase_limit -> fail st Iteration_limit
+          | Phase_unbounded -> fail st Infeasible
+          | Phase_optimal -> (
             (* Primal cleanup: repair residual negative reduced costs. *)
             st.cand_n <- 0;
-            match run_phase st ~max_pivots:(st.pivots + st.budget)
-                    ~certify:true ()
+            match
+              run_phase st ~max_pivots:(st.pivots + st.budget) ~certify:true ()
             with
-            | Phase_limit -> `Fail Iteration_limit
-            | Phase_unbounded -> `Fail Unbounded
-            | Phase_optimal -> `Ok
-          end)
-        with Lu.Singular -> `Fail Iteration_limit
+            | Phase_limit -> fail st Iteration_limit
+            | Phase_unbounded -> fail st Unbounded
+            | Phase_optimal ->
+              st.valid <- true;
+              extract st)
+        with Repaired ->
+          (* The repair may have cost the dual feasibility the dual loop
+             relies on: finish with the primal phases instead. *)
+          after_repair st ~max_pivots:(st.pivots + st.budget) ~p1:(ref 0)
       in
-      match result with
-      | `Ok ->
-        st.valid <- true;
-        finish (extract st)
-      | `Fail status -> finish (fail st status)
+      finish out
     end
 end
 
-let solve ?(backend = `Sparse) ?max_pivots ~obj ~rows ~cmps ~rhs () =
-  match backend with
-  | `Dense -> Dense.solve ?max_pivots ~obj ~rows ~cmps ~rhs ()
-  | `Sparse ->
-    let st = Sp.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
-    Sp.first_solve st
-  | `Revised -> (
-    try
-      let st = Rev.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
-      Rev.first_solve st
-    with Lu.Singular ->
-      (* Numerically singular basis mid-solve: the tableau backend
-         pivots through such bases, so retry there. *)
-      R3_util.Metrics.incr Obs.rev_fallbacks;
-      let st = Sp.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
-      Sp.first_solve st)
+let solve ?max_pivots ~obj ~rows ~cmps ~rhs () =
+  Rev.first_solve (Rev.build ?max_pivots ~obj ~rows ~cmps ~rhs ())
+
+let reference_solve = Reference.solve
 
 module Session = struct
-  type engine = Tab of Sp.state | Rev of Rev.state
-  type t = { eng : engine; mutable last : outcome }
+  type t = { st : Rev.state; mutable last : outcome }
 
-  let create ?(backend = `Sparse) ?max_pivots ~obj ~rows ~cmps ~rhs () =
-    match backend with
-    | `Dense | `Sparse ->
-      let st = Sp.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
-      { eng = Tab st; last = Sp.first_solve st }
-    | `Revised -> (
-      try
-        let st = Rev.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
-        let last = Rev.first_solve st in
-        { eng = Rev st; last }
-      with Lu.Singular ->
-        R3_util.Metrics.incr Obs.rev_fallbacks;
-        let st = Sp.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
-        { eng = Tab st; last = Sp.first_solve st })
+  let create ?max_pivots ~obj ~rows ~cmps ~rhs () =
+    let st = Rev.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
+    { st; last = Rev.first_solve st }
 
   let outcome s = s.last
-
-  let add_row s row cmp rhs =
-    match s.eng with
-    | Tab st -> Sp.add_row st row cmp rhs
-    | Rev st -> Rev.add_row st row cmp rhs
+  let add_row s row cmp rhs = Rev.add_row s.st row cmp rhs
 
   let resolve s =
-    let o =
-      match s.eng with Tab st -> Sp.resolve st | Rev st -> Rev.resolve st
-    in
+    let o = Rev.resolve s.st in
     s.last <- o;
     o
 
-  let pivots s =
-    match s.eng with Tab st -> st.Sp.pivots | Rev st -> st.Rev.pivots
-
-  let warm_ok s =
-    match s.eng with Tab st -> st.Sp.valid | Rev st -> st.Rev.valid
-
-  let refactorizations s =
-    match s.eng with Tab _ -> 0 | Rev st -> st.Rev.refactors
+  let pivots s = s.st.Rev.pivots
+  let warm_ok s = s.st.Rev.valid
+  let refactorizations s = s.st.Rev.refactors
 end

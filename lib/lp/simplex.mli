@@ -10,22 +10,18 @@
     equilibrated (scaled by their max absolute coefficient) for numerical
     robustness.
 
-    Three interchangeable backends share this pivoting discipline:
+    The basis is held as a sparse LU factorization ({!Lu}) instead of a
+    pivoted tableau: each iteration is one BTRAN (pivot row), one FTRAN
+    (entering column) and an eta-file append, so per-pivot work scales
+    with the touched nonzeros, not the total column count. Pricing is
+    Devex over a cached candidate list. A numerically singular basis is
+    repaired in place: each rank-deficient column is swapped for the
+    slack or artificial of a row the LU left unpivoted, the displaced
+    column turns nonbasic at 0, and the solve resumes from a restored
+    phase-1 start. Each swap counts on the [lp.rev.fallbacks] metric.
 
-    - [`Revised] holds the basis as a sparse LU factorization ({!Lu})
-      instead of a pivoted tableau: each iteration is one BTRAN (pivot
-      row), one FTRAN (entering column) and an eta-file append, so
-      per-pivot work scales with the touched nonzeros, not the total
-      column count. Pricing is Devex over a cached candidate list. This
-      is the fast path for large constraint-generation workloads.
-    - [`Sparse] (default) keeps every tableau row as a {!Sparse.t}; pivots,
-      cost-row eliminations and Devex updates run in O(nnz) rather than
-      O(columns), but every pivot still rewrites all rows.
-    - [`Dense] is the original full-tableau implementation, kept as the
-      reference oracle for tests and benchmarks.
-
-    All backends return the same statuses and (within numerical tolerance)
-    the same objectives. *)
+    {!reference_solve} is the original dense full tableau, kept only as
+    the independent oracle tests compare this engine against. *)
 
 type cmp = Le | Ge | Eq
 
@@ -42,14 +38,23 @@ type outcome = {
   pivots : int;  (** total pivot count across both phases *)
 }
 
-type backend = [ `Dense | `Sparse | `Revised ]
-
 (** [solve ~obj ~rows ~cmps ~rhs] where [rows.(i)] is the sparse row
     [(indices, coefficients)] of constraint [i]. All variable indices must
-    be in [0, Array.length obj). [max_pivots] caps total pivots.
-    [backend] selects the tableau representation (default [`Sparse]). *)
+    be in [0, Array.length obj). [max_pivots] caps total pivots. *)
 val solve :
-  ?backend:backend ->
+  ?max_pivots:int ->
+  obj:float array ->
+  rows:(int array * float array) array ->
+  cmps:cmp array ->
+  rhs:float array ->
+  unit ->
+  outcome
+
+(** Same contract as {!solve}, on the dense full-tableau reference
+    engine. For tests only: it is the oracle the revised engine is
+    checked against, O(rows x columns) per pivot, and no production
+    code path calls it. *)
+val reference_solve :
   ?max_pivots:int ->
   obj:float array ->
   rows:(int array * float array) array ->
@@ -62,26 +67,19 @@ val solve :
 
     {!Session.create} runs the full two-phase solve once; {!Session.add_row}
     then appends constraints, and {!Session.resolve} restores primal
-    feasibility with dual-simplex pivots instead of re-solving from
-    scratch - the classic cutting-plane work-loop. On the [`Sparse]
-    tableau engine each new row is expressed over the current basis and
-    given its own slack; on [`Revised] the appended row keeps its
-    original coefficients and the carried-over LU factorization is
-    refreshed at the next {!resolve}. Pivot counts accumulate across the
-    session, so [pivots (resolve s)] is the total effort since
-    [create]. *)
+    feasibility with dual-simplex pivots instead of a cold two-phase
+    solve - the classic cutting-plane work-loop. An appended row keeps
+    its original coefficients and gets its own basic slack; the
+    carried-over LU factorization is refreshed at the next {!resolve}.
+    Pivot counts accumulate across the session, so [pivots (resolve s)]
+    is the total effort since [create]. *)
 module Session : sig
   type t
 
   (** Build the solver state and run the initial two-phase solve; the
-      result is available via {!outcome}. [backend] picks the engine
-      ([`Dense] maps to the [`Sparse] tableau; default [`Sparse]) - a
-      [`Revised] session whose basis turns out numerically singular
-      falls back to the tableau engine transparently. [max_pivots] is
-      the pivot budget for the initial solve and for each subsequent
-      {!resolve}. *)
+      result is available via {!outcome}. [max_pivots] is the pivot
+      budget for the initial solve and for each subsequent {!resolve}. *)
   val create :
-    ?backend:backend ->
     ?max_pivots:int ->
     obj:float array ->
     rows:(int array * float array) array ->
@@ -110,6 +108,6 @@ module Session : sig
   (** Whether the session can warm-restart (last solve ended [Optimal]). *)
   val warm_ok : t -> bool
 
-  (** Basis refactorizations so far; 0 on the tableau engine. *)
+  (** Basis refactorizations so far. *)
   val refactorizations : t -> int
 end

@@ -1,9 +1,9 @@
-(* Single home for every numeric tolerance in the LP stack. The dense
-   reference, the sparse-tableau backend, the revised-simplex backend and
-   the Sparse row kernel all read from here, so the thresholds cannot
-   silently diverge between implementations (they used to be scattered
-   magic literals). A root-dune grep guard forbids new bare negative-
-   exponent float literals anywhere else under lib/lp/. *)
+(* Single home for every numeric tolerance in the LP stack. The revised
+   engine, its LU factorization and the dense reference tableau all read
+   from here, so the thresholds cannot silently diverge between them
+   (they used to be scattered magic literals). A root-dune grep guard
+   forbids new bare negative-exponent float literals anywhere else under
+   lib/lp/. *)
 
 (* Reduced-cost / pivot-element significance: entries smaller than this
    are treated as zero by pricing and the ratio test. *)
@@ -39,12 +39,10 @@ let dual_feas = 1e-9
 
 let dual_ratio_tie = 1e-12
 
-(* Drop tolerance of the simplex sparse-row kernel (fill-in control);
-   the routing substrate uses the same kernels with drop 0.0. *)
-let sparse_drop = 1e-14
-
-(* LU factorization: a column whose remaining entries are all below
-   [lu_singular] makes the basis numerically singular. *)
+(* LU factorization: a column whose remaining entries are all at or
+   below [lu_singular] is rank deficient, and the simplex repairs the
+   basis by swapping it for a slack or artificial; an eta pivot this
+   small forces a refactorization instead of an update. *)
 let lu_singular = 1e-11
 
 (* Threshold partial pivoting: rows within [lu_threshold * amax] of the

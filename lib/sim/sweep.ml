@@ -29,8 +29,8 @@ module Obs = struct
   let cow_steps = M.counter "sweep.cow_steps"
 
   (* Incremented in the executing domain, one per executor task: a tree
-     node on the pool path, a depth-1 subtree on the serial and fork/join
-     paths. The per-shard breakdown is the per-domain task count. *)
+     node on the pool path, a depth-1 subtree on the serial path. The
+     per-shard breakdown is the per-domain task count. *)
   let tasks = M.counter "sweep.tasks"
   let cache_hits = M.counter "sweep.cache.hits"
   let cache_misses = M.counter "sweep.cache.misses"
@@ -129,9 +129,8 @@ let advance_states env node states =
   R3_util.Metrics.add Obs.cow_steps !cow;
   states
 
-(* Serial DFS of one subtree; the cache is read-only here — executors
-   run concurrently. Used when one domain does everything, and by the
-   fork/join reference arm the bench measures the pool against. *)
+(* Serial DFS of one subtree, used when one domain does everything; the
+   cache is read-only here. *)
 let eval_subtree env algs metric cache root_states subtree =
   R3_util.Metrics.incr Obs.tasks;
   let out = ref [] in
@@ -171,8 +170,7 @@ let rec eval_node env algs metric cache states node =
 
 (* ---- the sweep ---- *)
 
-let run ?cache ?(metric = `Ratio) ?domains
-    ?(fanout : [ `Tasks | `Forkjoin ] = `Tasks) env ~algorithms scenarios =
+let run ?cache ?(metric = `Ratio) ?domains env ~algorithms scenarios =
   R3_util.Metrics.incr Obs.runs;
   R3_util.Metrics.time Obs.run_seconds @@ fun () ->
   R3_util.Trace.with_span "sweep.run" @@ fun () ->
@@ -185,16 +183,11 @@ let run ?cache ?(metric = `Ratio) ?domains
     | None -> R3_util.Parallel.domains ()
   in
   let subtree_cells =
-    match fanout with
-    | _ when d = 1 ->
+    if d = 1 then
       Array.map
         (eval_subtree env algs metric cache root_states)
         (Array.of_list forest.children)
-    | `Forkjoin ->
-      R3_util.Pool.Forkjoin.map ~domains:d
-        (eval_subtree env algs metric cache root_states)
-        (Array.of_list forest.children)
-    | `Tasks ->
+    else begin
       let futs =
         List.map
           (fun c ->
@@ -203,6 +196,7 @@ let run ?cache ?(metric = `Ratio) ?domains
           forest.children
       in
       Array.of_list (List.map R3_util.Pool.await futs)
+    end
   in
   let empty_cells =
     match forest.terminal with

@@ -51,16 +51,13 @@ type summary = {
     scenario set. [metric] defaults to [`Ratio] (which is what solves the
     MCF normalizer; [`Bottleneck] never does). [cache] memoizes those
     solves across runs. [domains = 1] forces the serial walk; any larger
-    value (default: the pool size) fans out. [fanout] selects the
-    parallel arm: [`Tasks] (default) submits one pool task per tree
-    node; [`Forkjoin] is the retired per-call spawn/join fan-out over
-    depth-1 subtrees, kept as the bench baseline. All paths are
-    bit-identical. Duplicate scenarios are evaluated once. *)
+    value (default: the pool size) fans out, one pool task per tree
+    node. Both paths are bit-identical. Duplicate scenarios are
+    evaluated once. *)
 val run :
   ?cache:Mcf_cache.t ->
   ?metric:metric ->
   ?domains:int ->
-  ?fanout:[ `Tasks | `Forkjoin ] ->
   Eval.env ->
   algorithms:Eval.algorithm list ->
   Scenario.t list ->

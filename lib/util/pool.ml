@@ -459,47 +459,3 @@ let stats () =
   Metrics.set_gauge Obs.max_queue_depth (float_of_int s.max_queue_depth);
   Metrics.set_gauge Obs.workers (float_of_int s.workers);
   s
-
-(* ---------- retired fork/join executor (bench baseline) ---------- *)
-
-module Forkjoin = struct
-  (* The pre-pool implementation, verbatim: spawn fresh domains per
-     call, claim indices one at a time, join. Lives here (and only
-     here) because the root-dune guard bans Domain.spawn outside this
-     file; the sweep bench runs it as the baseline the pool is measured
-     against. *)
-  let run_indexed ~domains:d n (task : int -> 'a) : 'a array =
-    if n = 0 then [||]
-    else begin
-      let results : 'a option array = Array.make n None in
-      let errors : (exn * Printexc.raw_backtrace) option array = Array.make n None in
-      let next = Atomic.make 0 in
-      let worker () =
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else
-            match task i with
-            | v -> results.(i) <- Some v
-            | exception e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-        done
-      in
-      let spawned =
-        Array.init (Int.min (d - 1) (n - 1)) (fun _ -> Domain.spawn worker)
-      in
-      worker ();
-      Array.iter Domain.join spawned;
-      Array.iter
-        (function
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> ())
-        errors;
-      Array.map (function Some v -> v | None -> assert false) results
-    end
-
-  let map ~domains f a =
-    let n = Array.length a in
-    if domains = 1 || n <= 1 then Array.map f a
-    else run_indexed ~domains n (fun i -> f a.(i))
-end

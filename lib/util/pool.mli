@@ -83,15 +83,3 @@ type stats = {
     metrics; these cells stay live even when {!Metrics.set_enabled} is
     off, so bench overhead runs do not lose them). *)
 val stats : unit -> stats
-
-(** {1 Reference executor} *)
-
-(** The retired per-call fork/join executor: spawns [domains - 1] fresh
-    domains for every batch and joins them before returning. Kept only
-    as the bench baseline the pool is measured against; everything else
-    must go through the pool (a root-dune guard bans spawning domains
-    outside this file). Same contract as {!run_indexed}. *)
-module Forkjoin : sig
-  val run_indexed : domains:int -> int -> (int -> 'a) -> 'a array
-  val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-end

@@ -27,7 +27,7 @@ let copy r =
     n = r.n;
   }
 
-let of_pairs ?(drop = 0.0) idx v =
+let of_pairs idx v =
   let k = Array.length idx in
   if Array.length v <> k then invalid_arg "Rowvec.of_pairs: length mismatch";
   let order = Array.init k Fun.id in
@@ -43,10 +43,10 @@ let of_pairs ?(drop = 0.0) idx v =
         r.n <- r.n + 1
       end)
     order;
-  (* squeeze out entries that summed to (near) zero *)
+  (* squeeze out entries that summed to zero *)
   let w = ref 0 in
   for s = 0 to r.n - 1 do
-    if Float.abs r.v.(s) > drop then begin
+    if Float.abs r.v.(s) > 0.0 then begin
       r.idx.(!w) <- r.idx.(s);
       r.v.(!w) <- r.v.(s);
       incr w
@@ -55,16 +55,16 @@ let of_pairs ?(drop = 0.0) idx v =
   r.n <- !w;
   r
 
-let of_dense ?(drop = 0.0) a =
+let of_dense a =
   let width = Array.length a in
   let count = ref 0 in
   for j = 0 to width - 1 do
-    if Float.abs (Array.unsafe_get a j) > drop then incr count
+    if Float.abs (Array.unsafe_get a j) > 0.0 then incr count
   done;
   let r = create ~cap:(Int.max !count 1) () in
   for j = 0 to width - 1 do
     let x = Array.unsafe_get a j in
-    if Float.abs x > drop then begin
+    if Float.abs x > 0.0 then begin
       r.idx.(r.n) <- j;
       r.v.(r.n) <- x;
       r.n <- r.n + 1
@@ -77,7 +77,7 @@ let of_sorted idx v n =
 
 (* Position of index [j] in [r.idx], or [-1]. Routing rows average a
    handful of entries, where a forward scan beats binary search (fewer
-   mispredicted branches); long simplex rows take the log path. *)
+   mispredicted branches); long rows take the log path. *)
 let find r j =
   if r.n <= 16 then begin
     let i = ref 0 in
@@ -114,12 +114,12 @@ let clear r j =
   let s = find r j in
   if s >= 0 then remove_at r s
 
-let set ?(drop = 0.0) r j x =
+let set r j x =
   let s = find r j in
   if s >= 0 then begin
-    if Float.abs x <= drop then remove_at r s else r.v.(s) <- x
+    if Float.abs x <= 0.0 then remove_at r s else r.v.(s) <- x
   end
-  else if Float.abs x > drop then begin
+  else if Float.abs x > 0.0 then begin
     ensure r (r.n + 1);
     (* insertion point: first entry with index > j *)
     let p = ref r.n in
@@ -133,11 +133,11 @@ let set ?(drop = 0.0) r j x =
     r.n <- r.n + 1
   end
 
-let scale ?(drop = 0.0) r k =
+let scale r k =
   let w = ref 0 in
   for s = 0 to r.n - 1 do
     let x = r.v.(s) *. k in
-    if Float.abs x > drop then begin
+    if Float.abs x > 0.0 then begin
       r.idx.(!w) <- r.idx.(s);
       r.v.(!w) <- x;
       incr w
@@ -145,105 +145,11 @@ let scale ?(drop = 0.0) r k =
   done;
   r.n <- !w
 
-type scratch = { mutable sidx : int array; mutable sv : float array }
-
-let scratch () = { sidx = Array.make 16 0; sv = Array.make 16 0.0 }
-
-let axpy ?(drop = 0.0) ?scratch:sc ~y ~x factor =
-  if x.n <> 0 && factor <> 0.0 then begin
-    (* Merge into a spare buffer (worst case y.n + x.n entries), then
-       install. With [?scratch] the buffer persists call-to-call and the
-       merged buffer is swapped against [y]'s old storage, so the steady
-       state allocates nothing — on the simplex pivot hot path this merge
-       runs once per (active row x pivot) and per-call allocation
-       dominated the whole solve before. *)
-    let cap = Int.max (y.n + x.n) 1 in
-    let idx, v =
-      match sc with
-      | None -> (Array.make cap 0, Array.make cap 0.0)
-      | Some sc ->
-        if Array.length sc.sidx < cap then begin
-          let cap' = Int.max cap (2 * Array.length sc.sidx) in
-          sc.sidx <- Array.make cap' 0;
-          sc.sv <- Array.make cap' 0.0
-        end;
-        (sc.sidx, sc.sv)
-    in
-    (* The merge body is written out branch by branch: routing the values
-       through a local [push] closure boxes every float crossing the call,
-       and that allocation dominated the whole solve. *)
-    let w = ref 0 and a = ref 0 and b = ref 0 in
-    let yi = y.idx and yv = y.v and xi = x.idx and xv = x.v in
-    let yn = y.n and xn = x.n in
-    (* Entries surviving the drop test are committed by bumping [w]
-       (branchless: the stores are unconditional, [w] advances 0 or 1), which
-       avoids a hard-to-predict branch per merged element. *)
-    while !a < yn && !b < xn do
-      let ja = Array.unsafe_get yi !a and jb = Array.unsafe_get xi !b in
-      if ja < jb then begin
-        let value = Array.unsafe_get yv !a in
-        Array.unsafe_set idx !w ja;
-        Array.unsafe_set v !w value;
-        w := !w + Bool.to_int (Float.abs value > drop);
-        incr a
-      end
-      else if jb < ja then begin
-        let value = -.factor *. Array.unsafe_get xv !b in
-        Array.unsafe_set idx !w jb;
-        Array.unsafe_set v !w value;
-        w := !w + Bool.to_int (Float.abs value > drop);
-        incr b
-      end
-      else begin
-        let value =
-          Array.unsafe_get yv !a -. (factor *. Array.unsafe_get xv !b)
-        in
-        Array.unsafe_set idx !w ja;
-        Array.unsafe_set v !w value;
-        w := !w + Bool.to_int (Float.abs value > drop);
-        incr a;
-        incr b
-      end
-    done;
-    while !a < yn do
-      let value = Array.unsafe_get yv !a in
-      if Float.abs value > drop then begin
-        Array.unsafe_set idx !w (Array.unsafe_get yi !a);
-        Array.unsafe_set v !w value;
-        incr w
-      end;
-      incr a
-    done;
-    while !b < xn do
-      let value = -.factor *. Array.unsafe_get xv !b in
-      if Float.abs value > drop then begin
-        Array.unsafe_set idx !w (Array.unsafe_get xi !b);
-        Array.unsafe_set v !w value;
-        incr w
-      end;
-      incr b
-    done;
-    (match sc with
-    | None ->
-      y.idx <- idx;
-      y.v <- v
-    | Some sc ->
-      (* Swap: [y] keeps the merged buffer, the scratch inherits [y]'s old
-         storage for the next call (which grows it on demand). Cheaper than
-         blitting the merge result back into [y]. *)
-      sc.sidx <- y.idx;
-      sc.sv <- y.v;
-      y.idx <- idx;
-      y.v <- v);
-    y.n <- !w
-  end
-
-let merged ?(drop = 0.0) ~skip ~y ~x factor =
+let merged ~skip ~y ~x factor =
   (* Fresh row [y + factor * x] with index [skip] removed, built in one
-     merge pass into one exactly-sized buffer. This is the copy-on-write
-     companion to {!axpy} (which mutates [y] in place): the failure-fold
-     hot path builds hundreds of small result rows per step, so the
-     whole kernel lives here with direct field access — routing a raw
+     merge pass into one exactly-sized buffer. The failure-fold hot path
+     builds hundreds of small result rows per step, so the whole kernel
+     lives here with direct field access — routing a raw
      view out through an accessor costs a tuple allocation per row,
      which showed up as ~15% of the fold. Bit-identity with a dense
      update: [y]-only entries are copied verbatim, [x]-only entries are
@@ -267,7 +173,7 @@ let merged ?(drop = 0.0) ~skip ~y ~x factor =
     end
     else if jb < ja then begin
       let value = factor *. Array.unsafe_get xv !b in
-      if jb <> skip && Float.abs value > drop then begin
+      if jb <> skip && Float.abs value > 0.0 then begin
         Array.unsafe_set idx !w jb;
         Array.unsafe_set v !w value;
         incr w
@@ -276,7 +182,7 @@ let merged ?(drop = 0.0) ~skip ~y ~x factor =
     end
     else begin
       let value = Array.unsafe_get yv !a +. (factor *. Array.unsafe_get xv !b) in
-      if ja <> skip && Float.abs value > drop then begin
+      if ja <> skip && Float.abs value > 0.0 then begin
         Array.unsafe_set idx !w ja;
         Array.unsafe_set v !w value;
         incr w
@@ -297,7 +203,7 @@ let merged ?(drop = 0.0) ~skip ~y ~x factor =
   while !b < xn do
     let jb = Array.unsafe_get xi !b in
     let value = factor *. Array.unsafe_get xv !b in
-    if jb <> skip && Float.abs value > drop then begin
+    if jb <> skip && Float.abs value > 0.0 then begin
       Array.unsafe_set idx !w jb;
       Array.unsafe_set v !w value;
       incr w
@@ -319,13 +225,6 @@ let iter f r =
   for s = 0 to r.n - 1 do
     f (Array.unsafe_get r.idx s) (Array.unsafe_get r.v s)
   done
-
-let fold f r acc =
-  let acc = ref acc in
-  for s = 0 to r.n - 1 do
-    acc := f r.idx.(s) r.v.(s) !acc
-  done;
-  !acc
 
 let dot r dense =
   let acc = ref 0.0 in

@@ -497,11 +497,11 @@ let test_parallel_oracle_deterministic () =
     (Routing.to_dense_matrix par.Offline.base
     = Routing.to_dense_matrix seq.Offline.base)
 
-(* The revised (LU) and sparse-tableau LP engines must drive constraint
-   generation to the same protected MLU: identical oracle, identical cut
-   policy, only the pivoting engine differs. Checked on the two bench
-   topologies (Abilene and the synthetic 36-link PoP). *)
-let test_cg_backend_agreement () =
+(* Constraint generation and the dualized LP (7) are two formulations of
+   one optimum, solved through different LPs on the one simplex engine:
+   their protected MLU must agree. Checked on Abilene and a 16-node,
+   36-link synthetic PoP graph. *)
+let test_cg_equals_dualized_larger () =
   let check_topo name g seed =
     let rng = R3_util.Prng.create seed in
     let tm = Traffic.gravity rng g ~load_factor:0.3 () in
@@ -509,31 +509,70 @@ let test_cg_backend_agreement () =
     let base =
       R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs ()
     in
-    let run backend =
-      let cfg =
-        {
-          (Offline.default_config ~f:1) with
-          solve_method = Offline.Constraint_gen;
-          core = R3_core.Config.(default |> with_lp_backend backend);
-        }
-      in
+    let run solve_method =
+      let cfg = { (Offline.default_config ~f:1) with solve_method } in
       plan_exn (Offline.compute cfg g tm (Offline.Fixed base))
     in
-    let tab = run `Sparse and rev = run `Revised in
+    let cg = run Offline.Constraint_gen and dual = run Offline.Dualized in
     if
-      Float.abs (tab.Offline.mlu -. rev.Offline.mlu)
-      > 1e-9 *. (1.0 +. Float.abs tab.Offline.mlu)
+      Float.abs (cg.Offline.mlu -. dual.Offline.mlu)
+      > 1e-6 *. Float.abs dual.Offline.mlu
     then
-      Alcotest.failf "%s: tableau MLU %.12g vs revised MLU %.12g" name
-        tab.Offline.mlu rev.Offline.mlu;
-    if rev.Offline.lp_pivots <= 0 then
-      Alcotest.failf "%s: revised engine reports no pivots" name
+      Alcotest.failf "%s: CG MLU %.12g vs dualized MLU %.12g" name
+        cg.Offline.mlu dual.Offline.mlu;
+    if cg.Offline.lp_pivots <= 0 || dual.Offline.lp_pivots <= 0 then
+      Alcotest.failf "%s: an LP reports no pivots" name
   in
   check_topo "abilene" (Topology.abilene ()) 7;
-  check_topo "pop36"
+  check_topo "16-node"
     (Topology.random ~seed:3 ~nodes:16 ~undirected_links:18
        ~capacities:[ (100.0, 2.0); (400.0, 1.0) ] ())
     21
+
+(* [Reconfig.fail] keeps canonical order whatever order failures arrive
+   in: failing the higher link first and the lower one second must land
+   on the bits of failing both at once, for every pair of Abilene's 14
+   physical links, on CG plans for F = 1 and F = 2 (the F = 2 plan is
+   best-effort; only the fold order matters here). *)
+let test_fail_out_of_order_canonical () =
+  let g = Topology.abilene () in
+  let rng = R3_util.Prng.create 7 in
+  let tm = Traffic.gravity rng g ~load_factor:0.3 () in
+  let pairs, _ = Traffic.commodities tm in
+  let base =
+    R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs ()
+  in
+  let phys = R3_sim.Scenarios.physical_links g in
+  let sc links = R3_core.Scenario.of_physical g links in
+  List.iter
+    (fun f ->
+      let cfg =
+        { (Offline.default_config ~f) with solve_method = Offline.Constraint_gen }
+      in
+      let root =
+        Reconfig.of_plan (plan_exn (Offline.compute cfg g tm (Offline.Fixed base)))
+      in
+      let bad = ref [] in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              if i < j then begin
+                let stepped = Reconfig.fail (Reconfig.fail root (sc [ b ])) (sc [ a ]) in
+                let batch = Reconfig.fail root (sc [ a; b ]) in
+                if not (Reconfig.states_bit_identical stepped batch) then
+                  bad := (a, b) :: !bad
+              end)
+            phys)
+        phys;
+      if !bad <> [] then
+        Alcotest.failf "F=%d: %d of %d link pairs fold out of canonical order, e.g. %s"
+          f (List.length !bad)
+          (Array.length phys * (Array.length phys - 1) / 2)
+          (String.concat ", "
+             (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b)
+                (List.filteri (fun k _ -> k < 3) (List.rev !bad)))))
+    [ 1; 2 ]
 
 let suite =
   [
@@ -556,8 +595,10 @@ let suite =
     Alcotest.test_case "delay envelope tightness" `Quick test_delay_envelope_tightness;
     Alcotest.test_case "parallel oracle deterministic" `Quick
       test_parallel_oracle_deterministic;
-    Alcotest.test_case "CG backends agree (abilene, pop36)" `Quick
-      test_cg_backend_agreement;
+    Alcotest.test_case "CG = dualized (abilene, 16-node)" `Quick
+      test_cg_equals_dualized_larger;
     QCheck_alcotest.to_alcotest theorem1_prop;
     QCheck_alcotest.to_alcotest order_independence_prop;
+    Alcotest.test_case "fail order is canonical (abilene)" `Quick
+      test_fail_out_of_order_canonical;
   ]

@@ -1,8 +1,11 @@
-(* Tests for the LP substrate: the two-phase simplex and the problem
-   builder. Includes hand-checked instances and randomized property tests
-   against a brute-force vertex enumerator for tiny LPs. *)
+(* Tests for the LP substrate: the two-phase revised simplex, its LU
+   factorization and the problem builder. Includes hand-checked
+   instances and randomized property tests against the dense reference
+   tableau ({!R3_lp.Simplex.reference_solve}) and a dense Gaussian
+   solver. *)
 
 module P = R3_lp.Problem
+module S = R3_lp.Simplex
 
 let close ?(tol = 1e-6) a b = Float.abs (a -. b) <= tol *. (1.0 +. Float.abs b)
 
@@ -94,25 +97,31 @@ let test_bounds () =
   check_close "objective" 12.0 s.P.objective;
   check_close "x" 5.0 (s.P.value x)
 
-let test_degenerate () =
-  (* Classic Beale-style degeneracy trigger; must terminate and find 0.05. *)
-  let p = P.create () in
-  let x1 = P.var p "x1" and x2 = P.var p "x2" and x3 = P.var p "x3" in
-  P.constr p [ (0.25, x1); (-8.0, x2); (-1.0, x3) ] P.Le 0.0;
-  P.constr p [ (0.5, x1); (-12.0, x2); (-0.5, x3) ] P.Le 0.0;
-  P.constr p [ (1.0, x3) ] P.Le 1.0;
-  P.maximize p [ (0.75, x1); (-150.0, x2); (0.02, x3) ];
-  (* With x2 = 0 the rows force x1 <= x3 <= 1, so the optimum is
-     0.75 + 0.02 = 0.77 at (1, 0, 1); buying slack via x2 never pays
-     (18 extra objective per 150 of cost). *)
-  match P.solve p with
-  | P.Optimal s -> check_close "objective" 0.77 s.P.objective
-  | P.Unbounded -> Alcotest.fail "beale: reported unbounded"
-  | P.Infeasible -> Alcotest.fail "beale: reported infeasible"
-  | P.Iteration_limit -> Alcotest.fail "beale: cycled to iteration limit"
+(* Classic Beale-style degeneracy trigger: with x2 = 0 the rows force
+   x1 <= x3 <= 1, so the optimum of max 0.75 x1 - 150 x2 + 0.02 x3 is
+   0.77 at (1, 0, 1); buying slack via x2 never pays (18 extra objective
+   per 150 of cost). Harris ratio test + Devex with the Bland fallback
+   must terminate. *)
+let beale_rows =
+  [|
+    ([| 0; 1; 2 |], [| 0.25; -8.0; -1.0 |]);
+    ([| 0; 1; 2 |], [| 0.5; -12.0; -0.5 |]);
+    ([| 2 |], [| 1.0 |]);
+  |]
 
-(* The revised (LU-factorized) backend must survive the same degeneracy
-   trap: Harris ratio test + Devex with the Bland fallback terminate. *)
+(* The reference tableau must survive the trap too: it is the oracle the
+   revised engine is checked against. *)
+let test_degenerate () =
+  let out =
+    S.reference_solve ~obj:[| -0.75; 150.0; -0.02 |] ~rows:beale_rows
+      ~cmps:[| S.Le; S.Le; S.Le |] ~rhs:[| 0.0; 0.0; 1.0 |] ()
+  in
+  match out.S.status with
+  | S.Optimal -> check_close "objective" (-0.77) out.S.objective
+  | S.Unbounded -> Alcotest.fail "beale/reference: reported unbounded"
+  | S.Infeasible -> Alcotest.fail "beale/reference: reported infeasible"
+  | S.Iteration_limit -> Alcotest.fail "beale/reference: cycled to iteration limit"
+
 let test_degenerate_revised () =
   let p = P.create () in
   let x1 = P.var p "x1" and x2 = P.var p "x2" and x3 = P.var p "x3" in
@@ -120,7 +129,7 @@ let test_degenerate_revised () =
   P.constr p [ (0.5, x1); (-12.0, x2); (-0.5, x3) ] P.Le 0.0;
   P.constr p [ (1.0, x3) ] P.Le 1.0;
   P.maximize p [ (0.75, x1); (-150.0, x2); (0.02, x3) ];
-  match P.solve ~backend:`Revised p with
+  match P.solve p with
   | P.Optimal s -> check_close "objective" 0.77 s.P.objective
   | P.Unbounded -> Alcotest.fail "beale/revised: reported unbounded"
   | P.Infeasible -> Alcotest.fail "beale/revised: reported infeasible"
@@ -308,6 +317,12 @@ let random_matrix rng m =
           else if Prng.uniform rng 0.0 1.0 < 0.3 then Prng.uniform rng (-2.0) 2.0
           else 0.0))
 
+(* Factor a basis expected to be nonsingular. *)
+let refactor_full lu m a =
+  match Lu.refactor lu ~m ~col:(fun k -> mat_col a k) with
+  | [] -> ()
+  | (k, _) :: _ -> Alcotest.failf "m=%d: position %d reported deficient" m k
+
 let check_vec label tol x y =
   let err = ref 0.0 in
   Array.iteri (fun i xi -> err := Float.max !err (Float.abs (xi -. y.(i)))) x;
@@ -323,7 +338,7 @@ let test_lu_solves () =
     let m = 1 + Prng.int rng 28 in
     let a = random_matrix rng m in
     let lu = Lu.create () in
-    Lu.refactor lu ~m ~col:(fun k -> mat_col a k);
+    refactor_full lu m a;
     let b = Array.init m (fun _ -> Prng.uniform rng (-1.0) 1.0) in
     let w = Array.copy b in
     ignore (Lu.ftran lu w);
@@ -372,7 +387,7 @@ let test_lu_reuse_growth () =
   List.iter
     (fun m ->
       let a = random_matrix rng m in
-      Lu.refactor lu ~m ~col:(fun k -> mat_col a k);
+      refactor_full lu m a;
       let b = Array.init m (fun _ -> Prng.uniform rng (-1.0) 1.0) in
       let w = Array.copy b in
       ignore (Lu.ftran lu w);
@@ -386,72 +401,131 @@ let test_lu_reuse_growth () =
         (gauss_solve (mat_transpose a) c))
     [ 4; 31; 12; 50; 3 ]
 
-(* Backend agreement: on random LPs the dense reference and the sparse
-   production backend must report the same status, and at [Optimal] the
-   same objective (within tolerance) with a primal-feasible sparse point. *)
-let backends_agree_prop =
-  QCheck.Test.make ~count:100 ~name:"dense, sparse and revised backends agree"
+(* Rank-deficient bases: [refactor] must report exactly the dependent
+   positions, each paired with a distinct row, and its factors must
+   then solve the basis with those positions replaced by the unit
+   columns of their rows. Dependent columns sit at higher positions
+   with no fewer nonzeros than the columns they depend on, so the
+   nnz-ordered elimination meets them last and they are the ones left
+   without a pivot (a zero column is met first and never pivots). *)
+let test_lu_rank_deficient () =
+  let rng = Prng.create 23 in
+  let check_case label m a ~expect =
+    let lu = Lu.create () in
+    let pairs = Lu.refactor lu ~m ~col:(fun k -> mat_col a k) in
+    Alcotest.(check (list int))
+      (label ^ ": deficient positions") expect (List.map fst pairs);
+    let rows = List.sort_uniq Int.compare (List.map snd pairs) in
+    Alcotest.(check int) (label ^ ": distinct rows") (List.length pairs)
+      (List.length rows);
+    List.iter
+      (fun (k, r) ->
+        for i = 0 to m - 1 do
+          a.(i).(k) <- (if i = r then 1.0 else 0.0)
+        done)
+      pairs;
+    for t = 1 to 3 do
+      let b = Array.init m (fun _ -> Prng.uniform rng (-1.0) 1.0) in
+      let w = Array.copy b in
+      ignore (Lu.ftran lu w);
+      check_vec (Printf.sprintf "%s: ftran %d" label t) 1e-9 w (gauss_solve a b);
+      let c = Array.init m (fun _ -> Prng.uniform rng (-1.0) 1.0) in
+      let y = Array.copy c in
+      ignore (Lu.btran lu y);
+      check_vec
+        (Printf.sprintf "%s: btran %d" label t)
+        1e-9 y
+        (gauss_solve (mat_transpose a) c)
+    done
+  in
+  let set_col a k f = Array.iteri (fun i row -> row.(k) <- f i) a in
+  for trial = 0 to 19 do
+    let m = 6 + Prng.int rng 20 in
+    let tag what = Printf.sprintf "%s m=%d trial=%d" what m trial in
+    (* a zero column *)
+    let a = random_matrix rng m in
+    let z = Prng.int rng m in
+    set_col a z (fun _ -> 0.0);
+    check_case (tag "zero column") m a ~expect:[ z ];
+    (* a duplicated column *)
+    let a = random_matrix rng m in
+    let p = Prng.int rng (m - 1) in
+    let q = p + 1 + Prng.int rng (m - 1 - p) in
+    set_col a q (fun i -> a.(i).(p));
+    check_case (tag "duplicated column") m a ~expect:[ q ];
+    (* a column equal to the sum of two others *)
+    let a = random_matrix rng m in
+    let c = 2 + Prng.int rng (m - 2) in
+    let i1 = Prng.int rng c in
+    let i2 = (i1 + 1 + Prng.int rng (c - 1)) mod c in
+    set_col a c (fun i -> a.(i).(i1) +. a.(i).(i2));
+    check_case (tag "sum column") m a ~expect:[ c ];
+    (* all three at once *)
+    let a = random_matrix rng m in
+    set_col a 0 (fun _ -> 0.0);
+    set_col a (m - 2) (fun i -> a.(i).(1));
+    set_col a (m - 1) (fun i -> a.(i).(2) +. a.(i).(3));
+    check_case (tag "three deficiencies") m a ~expect:[ 0; m - 2; m - 1 ]
+  done
+
+(* Engine agreement: on random LPs the revised engine and the dense
+   reference tableau must report the same status, and at [Optimal] the
+   same objective (within tolerance) at primal-feasible points. The LPs
+   are max c.x over x >= 0; the engines minimize, so the objective is
+   negated. *)
+let reference_agree_prop =
+  QCheck.Test.make ~count:100 ~name:"reference and revised agree"
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = R3_util.Prng.create (seed + 31) in
       let nv = 2 + R3_util.Prng.int rng 5 and nc = 2 + R3_util.Prng.int rng 6 in
-      let p = P.create () in
-      let vars = Array.init nv (fun i -> P.var p (Printf.sprintf "v%d" i)) in
       let rows =
         Array.init nc (fun _ ->
-            let terms =
-              Array.to_list vars
-              |> List.map (fun v -> (R3_util.Prng.uniform rng (-2.0) 3.0, v))
-            in
+            let coef = Array.init nv (fun _ -> R3_util.Prng.uniform rng (-2.0) 3.0) in
             (* x = 0 satisfies every row, so the LP is always feasible:
                Le rows get a positive rhs, Ge rows a negative one. *)
             let cmp, rhs =
               if R3_util.Prng.int rng 4 = 0 then
-                (P.Ge, R3_util.Prng.uniform rng (-8.0) (-0.5))
-              else (P.Le, R3_util.Prng.uniform rng 0.5 10.0)
+                (S.Ge, R3_util.Prng.uniform rng (-8.0) (-0.5))
+              else (S.Le, R3_util.Prng.uniform rng 0.5 10.0)
             in
-            P.constr p terms cmp rhs;
-            (terms, cmp, rhs))
+            (coef, cmp, rhs))
       in
-      P.maximize p
-        (Array.to_list vars
-        |> List.map (fun v -> (R3_util.Prng.uniform rng 0.1 2.0, v)));
-      let feasible s =
+      let obj = Array.init nv (fun _ -> -.R3_util.Prng.uniform rng 0.1 2.0) in
+      let feasible (o : S.outcome) =
         Array.for_all
-          (fun (terms, cmp, rhs) ->
-            let lhs =
-              List.fold_left (fun a (c, v) -> a +. (c *. s.P.value v)) 0.0 terms
-            in
+          (fun (coef, cmp, rhs) ->
+            let lhs = ref 0.0 in
+            Array.iteri (fun j c -> lhs := !lhs +. (c *. o.S.x.(j))) coef;
             let tol = 1e-6 *. (1.0 +. Float.abs rhs) in
             match cmp with
-            | P.Le -> lhs <= rhs +. tol
-            | P.Ge -> lhs >= rhs -. tol
-            | P.Eq -> Float.abs (lhs -. rhs) <= tol)
+            | S.Le -> !lhs <= rhs +. tol
+            | S.Ge -> !lhs >= rhs -. tol
+            | S.Eq -> Float.abs (!lhs -. rhs) <= tol)
           rows
+        && Array.for_all (fun v -> v >= -1e-9) o.S.x
       in
-      match
-        ( P.solve ~backend:`Dense p,
-          P.solve ~backend:`Sparse p,
-          P.solve ~backend:`Revised p )
-      with
-      | P.Optimal d, P.Optimal s, P.Optimal r ->
-        close ~tol:1e-6 d.P.objective s.P.objective
-        (* the two sparse engines run the same pivoting discipline and
-           must land much closer than the generic cross-backend bound *)
-        && close ~tol:1e-9 s.P.objective r.P.objective
-        && feasible s && feasible r
-      | P.Unbounded, P.Unbounded, P.Unbounded -> true
-      | P.Infeasible, P.Infeasible, P.Infeasible -> true
-      | P.Iteration_limit, P.Iteration_limit, P.Iteration_limit -> true
-      | _ -> false (* statuses disagree *))
+      let solve f =
+        f ~obj
+          ~rows:(Array.map (fun (c, _, _) -> (Array.init nv Fun.id, c)) rows)
+          ~cmps:(Array.map (fun (_, c, _) -> c) rows)
+          ~rhs:(Array.map (fun (_, _, b) -> b) rows)
+          ()
+      in
+      let reference = solve (S.reference_solve ?max_pivots:None) in
+      let revised = solve (S.solve ?max_pivots:None) in
+      match (reference.S.status, revised.S.status) with
+      | S.Optimal, S.Optimal ->
+        close ~tol:1e-6 reference.S.objective revised.S.objective
+        && feasible reference && feasible revised
+      | a, b -> a = b)
 
 (* Warm-started sessions: after any number of added cut rows, a warm
    [resolve] must agree (status and objective) with a cold solve of the
    same augmented system. Exercises the dual-simplex repair path of
    {!R3_lp.Simplex.Session} exactly as constraint generation uses it. *)
-let warm_equals_cold_prop backend name =
-  let module S = R3_lp.Simplex in
-  QCheck.Test.make ~count:60 ~name
+let warm_equals_cold_prop =
+  QCheck.Test.make ~count:60 ~name:"warm session = cold solve (revised)"
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = R3_util.Prng.create (seed + 77) in
@@ -479,7 +553,7 @@ let warm_equals_cold_prop backend name =
       let cmps l = Array.of_list (List.map (fun (_, c, _) -> c) l) in
       let rhs l = Array.of_list (List.map (fun (_, _, b) -> b) l) in
       let sess =
-        S.Session.create ~backend ~obj ~rows:(rows base) ~cmps:(cmps base)
+        S.Session.create ~obj ~rows:(rows base) ~cmps:(cmps base)
           ~rhs:(rhs base) ()
       in
       let acc = ref (List.rev base) in
@@ -495,7 +569,7 @@ let warm_equals_cold_prop backend name =
         let warm = S.Session.resolve sess in
         let l = List.rev !acc in
         let cold =
-          S.solve ~backend ~obj ~rows:(rows l) ~cmps:(cmps l) ~rhs:(rhs l) ()
+          S.solve ~obj ~rows:(rows l) ~cmps:(cmps l) ~rhs:(rhs l) ()
         in
         (match (warm.S.status, cold.S.status) with
         | S.Optimal, S.Optimal ->
@@ -515,7 +589,6 @@ let warm_equals_cold_prop backend name =
    the augmented LP from a slack basis — this is the whole point of
    carrying the factorization across [resolve] for constraint generation. *)
 let test_warm_fewer_pivots_revised () =
-  let module S = R3_lp.Simplex in
   let rng = Prng.create 5 in
   let nv = 40 in
   let obj = Array.init nv (fun _ -> Prng.uniform rng 0.5 2.0) in
@@ -533,7 +606,7 @@ let test_warm_fewer_pivots_revised () =
   let cmps l = Array.of_list (List.map (fun (_, c, _) -> c) l) in
   let rhs l = Array.of_list (List.map (fun (_, _, b) -> b) l) in
   let sess =
-    S.Session.create ~backend:`Revised ~obj ~rows:(rows base)
+    S.Session.create ~obj ~rows:(rows base)
       ~cmps:(cmps base) ~rhs:(rhs base) ()
   in
   (match (S.Session.outcome sess).S.status with
@@ -551,8 +624,7 @@ let test_warm_fewer_pivots_revised () =
   let warm_extra = S.Session.pivots sess - cold_pivots_base in
   let l = base @ cuts in
   let cold =
-    S.solve ~backend:`Revised ~obj ~rows:(rows l) ~cmps:(cmps l) ~rhs:(rhs l)
-      ()
+    S.solve ~obj ~rows:(rows l) ~cmps:(cmps l) ~rhs:(rhs l) ()
   in
   (match cold.S.status with
   | S.Optimal -> ()
@@ -607,6 +679,8 @@ let suite =
     Alcotest.test_case "LU ftran/btran vs dense oracle" `Quick test_lu_solves;
     Alcotest.test_case "LU reuse across dimensions" `Quick
       test_lu_reuse_growth;
+    Alcotest.test_case "LU rank-deficient bases" `Quick
+      test_lu_rank_deficient;
     Alcotest.test_case "warm revised session beats cold" `Quick
       test_warm_fewer_pivots_revised;
     Alcotest.test_case "duplicate terms summed" `Quick test_duplicate_terms;
@@ -616,9 +690,6 @@ let suite =
       test_problem_session;
     QCheck_alcotest.to_alcotest feasibility_prop;
     QCheck_alcotest.to_alcotest duality_prop;
-    QCheck_alcotest.to_alcotest backends_agree_prop;
-    QCheck_alcotest.to_alcotest
-      (warm_equals_cold_prop `Sparse "warm session = cold solve (tableau)");
-    QCheck_alcotest.to_alcotest
-      (warm_equals_cold_prop `Revised "warm session = cold solve (revised)");
+    QCheck_alcotest.to_alcotest reference_agree_prop;
+    QCheck_alcotest.to_alcotest warm_equals_cold_prop;
   ]

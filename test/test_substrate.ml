@@ -57,24 +57,7 @@ let test_rowvec_dense_round_trip () =
   let full = Array.init 16 (fun i -> float_of_int (i + 1)) in
   let rf = Rowvec.of_dense full in
   Alcotest.(check int) "full row nnz" 16 (Rowvec.nnz rf);
-  Alcotest.(check bool) "full round trip" true (Rowvec.to_dense 16 rf = full);
-  (* nonzero drop tolerance is strict: |x| > drop keeps *)
-  let rd = Rowvec.of_dense ~drop:1e-9 [| 1e-9; 2e-9; -1e-9 |] in
-  Alcotest.(check int) "drop strict inequality" 1 (Rowvec.nnz rd)
-
-let test_rowvec_axpy_aliasing () =
-  (* y := y - factor * x with y == x must behave as scaling. *)
-  let y = Rowvec.of_pairs [| 0; 3; 7 |] [| 1.0; 2.0; 4.0 |] in
-  Rowvec.axpy ~y ~x:y 0.5;
-  check_f "aliased axpy 0" 0.5 (Rowvec.get y 0);
-  check_f "aliased axpy 3" 1.0 (Rowvec.get y 3);
-  check_f "aliased axpy 7" 2.0 (Rowvec.get y 7);
-  (* exact cancellation drops entries *)
-  let y = Rowvec.of_pairs [| 1; 2 |] [| 3.0; 5.0 |] in
-  let x = Rowvec.of_pairs [| 1 |] [| 3.0 |] in
-  Rowvec.axpy ~y ~x 1.0;
-  Alcotest.(check int) "cancelled entry dropped" 1 (Rowvec.nnz y);
-  check_f "surviving entry" 5.0 (Rowvec.get y 2)
+  Alcotest.(check bool) "full round trip" true (Rowvec.to_dense 16 rf = full)
 
 let test_rowvec_scatter_and_dot () =
   let r = Rowvec.of_pairs [| 1; 4 |] [| 2.0; -1.0 |] in
@@ -295,7 +278,6 @@ let suite =
     Alcotest.test_case "rowvec basics" `Quick test_rowvec_basics;
     Alcotest.test_case "rowvec dense round trip" `Quick
       test_rowvec_dense_round_trip;
-    Alcotest.test_case "rowvec axpy aliasing" `Quick test_rowvec_axpy_aliasing;
     Alcotest.test_case "rowvec scatter and dot" `Quick
       test_rowvec_scatter_and_dot;
     Alcotest.test_case "rowvec merged matches dense" `Quick

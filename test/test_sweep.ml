@@ -113,18 +113,14 @@ let test_domains_agree () =
       one.Sweep.worst
   in
   Alcotest.(check int) "scenario count" (List.length scenarios) one.Sweep.scenario_count;
-  (* dynamic pool fan-out across the issue's domain ladder... *)
+  (* dynamic pool fan-out across the domain ladder *)
   List.iter
     (fun d ->
       check_against
         (Printf.sprintf "1 vs %d domains" d)
         (Sweep.run ~metric:`Bottleneck ~domains:d env ~algorithms:r3_algorithms
            scenarios))
-    [ 2; 4; 8 ];
-  (* ...and the retired fork/join baseline arm must match too *)
-  check_against "1 vs fork/join baseline"
-    (Sweep.run ~metric:`Bottleneck ~domains:4 ~fanout:`Forkjoin env
-       ~algorithms:r3_algorithms scenarios)
+    [ 2; 4; 8 ]
 
 let test_cache_warm_identical () =
   let g, env = Lazy.force env in
