@@ -25,17 +25,14 @@ let output_path = "BENCH_plan.json"
 
 let check name ok = if not ok then failwith ("plan bench: " ^ name ^ " MISMATCH")
 
-let routing_bits r =
-  Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix r)
-
 let plans_bit_identical (a : Offline.plan) (b : Offline.plan) =
   a.Offline.f = b.Offline.f
   && Int64.bits_of_float a.Offline.mlu = Int64.bits_of_float b.Offline.mlu
   && a.Offline.pairs = b.Offline.pairs
   && Array.map Int64.bits_of_float a.Offline.demands
      = Array.map Int64.bits_of_float b.Offline.demands
-  && routing_bits a.Offline.base = routing_bits b.Offline.base
-  && routing_bits a.Offline.protection = routing_bits b.Offline.protection
+  && Routing.bits_equal a.Offline.base b.Offline.base
+  && Routing.bits_equal a.Offline.protection b.Offline.protection
 
 (* The same structured CG solve the experiment harness runs: OSPF base on
    unit weights, one SRLG per bidirectional pair, k = 1. *)

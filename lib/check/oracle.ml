@@ -320,20 +320,8 @@ let plan_store =
         (match R3_core.Plan_store.load ~expect_graph:g path with
         | Error e -> failf "snapshot reload failed: %s" e
         | Ok (p, _cfg) ->
-          let bits_equal a b =
-            let da = Routing.to_dense_matrix a
-            and db = Routing.to_dense_matrix b in
-            Array.length da = Array.length db
-            && Array.for_all2
-                 (fun ra rb ->
-                   Array.length ra = Array.length rb
-                   && Array.for_all2
-                        (fun x y ->
-                          Int64.equal (Int64.bits_of_float x)
-                            (Int64.bits_of_float y))
-                        ra rb)
-                 da db
-          in
+          (* Reloaded rows are freshly decoded, so no row is shared with
+             the saved plan and every one is compared in full. *)
           if p.Offline.pairs <> pairs then failf "commodities changed";
           if
             not
@@ -342,9 +330,9 @@ let plan_store =
                    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
                  p.Offline.demands demands)
           then failf "demands not bit-identical after reload";
-          if not (bits_equal p.Offline.base base) then
+          if not (Routing.bits_equal p.Offline.base base) then
             failf "base routing not bit-identical after reload";
-          if not (bits_equal p.Offline.protection protection) then
+          if not (Routing.bits_equal p.Offline.protection protection) then
             failf "protection routing not bit-identical after reload";
           if
             not

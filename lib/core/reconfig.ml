@@ -173,15 +173,9 @@ let recover st sc =
 let apply_failures st links = List.fold_left fail_one st links
 
 let states_bit_identical a b =
-  let matrix_eq x y =
-    let bits m =
-      Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix m)
-    in
-    bits x = bits y
-  in
   a.failed = b.failed
-  && matrix_eq a.base b.base
-  && matrix_eq a.protection b.protection
+  && Routing.bits_equal a.base b.base
+  && Routing.bits_equal a.protection b.protection
 
 let loads st = Routing.loads st.graph ~demands:st.demands st.base
 

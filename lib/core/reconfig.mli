@@ -88,7 +88,11 @@ val apply_failures : state -> R3_net.Graph.link list -> state
 (** True iff the two states have the same failure set and bit-identical
     base and protection routings (compared via [Int64.bits_of_float] on
     the dense image, so [-0.0] differs from [+0.0] and storage backend
-    does not matter). The equivalence check used by the tests for
+    does not matter). Built on {!R3_net.Routing.bits_equal}: rows the two
+    states share copy-on-write are skipped, every other row is read in
+    full, and nothing is allocated — comparing two states folded from
+    one root costs the rows their failures touched. The equivalence
+    check behind [Online.run]'s terminal check and the tests for
     [fail]-vs-replay folds and dense-vs-sparse backends. *)
 val states_bit_identical : state -> state -> bool
 

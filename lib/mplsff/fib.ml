@@ -11,6 +11,7 @@ type t = {
   graph : G.t;
   fibs : router_fib array;
   protected_links : G.link array;
+  sources : Routing.t array;
 }
 
 let label_base = 100
@@ -19,33 +20,33 @@ let label_of_link e = label_base + e
 
 let link_of_label l = l - label_base
 
-(* One router's whole ILM from (that router's view of) the protection
-   routing — the unit of work a router redoes locally when a failure or
-   recovery notification arrives. Shared by the full rebuild and the
-   per-router incremental update so the two can never drift. *)
+(* Label [l]'s entry at [router], from row [l] of (that router's view of)
+   the protection routing; [None] when the router forwards none of it.
+   The one derivation behind the full build and the incremental update,
+   so the two can never drift. *)
+let label_fwd g p router l =
+  (* Ratios over outgoing links; at the protected link's head the link
+     itself is excluded (it is the one being bypassed). *)
+  let candidates =
+    Array.to_list (G.out_links g router)
+    |> List.filter (fun e -> e <> l && Routing.get p l e > 1e-12)
+  in
+  let total = List.fold_left (fun a e -> a +. Routing.get p l e) 0.0 candidates in
+  if total > 1e-12 then
+    let nhlfes =
+      candidates
+      |> List.map (fun e -> { out_link = e; ratio = Routing.get p l e /. total })
+      |> Array.of_list
+    in
+    Some { label = label_of_link l; nhlfes }
+  else None
+
 let router_ilm g p router =
   let ilm = Hashtbl.create 16 in
-  let out = G.out_links g router in
-  let m = G.num_links g in
-  for l = 0 to m - 1 do
-    (* Ratios over outgoing links; at the protected link's head the link
-       itself is excluded (it is the one being bypassed). *)
-    let candidates =
-      Array.to_list out
-      |> List.filter (fun e -> e <> l && Routing.get p l e > 1e-12)
-    in
-    let total =
-      List.fold_left (fun a e -> a +. Routing.get p l e) 0.0 candidates
-    in
-    if total > 1e-12 then begin
-      let label = label_of_link l in
-      let nhlfes =
-        candidates
-        |> List.map (fun e -> { out_link = e; ratio = Routing.get p l e /. total })
-        |> Array.of_list
-      in
-      Hashtbl.replace ilm label { label; nhlfes }
-    end
+  for l = 0 to G.num_links g - 1 do
+    match label_fwd g p router l with
+    | Some fwd -> Hashtbl.replace ilm fwd.label fwd
+    | None -> ()
   done;
   ilm
 
@@ -54,16 +55,41 @@ let of_protection g p =
     invalid_arg "Fib.of_protection: protection must cover every link";
   let n = G.num_nodes g in
   let fibs = Array.init n (fun router -> { router; ilm = router_ilm g p router }) in
-  { graph = g; fibs; protected_links = Array.init (G.num_links g) (fun e -> e) }
+  {
+    graph = g;
+    fibs;
+    protected_links = Array.init (G.num_links g) (fun e -> e);
+    sources = Array.make n (Routing.copy p);
+  }
 
 let update t p = of_protection t.graph p
 
+(* Only the labels whose protection row is not the payload the router's
+   table was built from can have changed: a shared payload holds the
+   same bits (the rule of Routing's bit-level comparison), and the
+   source is a copy, which seals [p] against later in-place writes. *)
 let update_router t ~router p =
   if Routing.num_commodities p <> G.num_links t.graph then
     invalid_arg "Fib.update_router: protection must cover every link";
-  let fibs = Array.copy t.fibs in
-  fibs.(router) <- { router; ilm = router_ilm t.graph p router };
-  { t with fibs }
+  let src = t.sources.(router) in
+  let changed = ref [] in
+  for l = G.num_links t.graph - 1 downto 0 do
+    if not (Routing.shares_row src p l) then changed := l :: !changed
+  done;
+  match !changed with
+  | [] -> t
+  | changed ->
+    let ilm = Hashtbl.copy t.fibs.(router).ilm in
+    List.iter
+      (fun l ->
+        match label_fwd t.graph p router l with
+        | Some fwd -> Hashtbl.replace ilm fwd.label fwd
+        | None -> Hashtbl.remove ilm (label_of_link l))
+      changed;
+    let fibs = Array.copy t.fibs and sources = Array.copy t.sources in
+    fibs.(router) <- { router; ilm };
+    sources.(router) <- Routing.copy p;
+    { t with fibs; sources }
 
 let fwd_equal a b =
   a.label = b.label

@@ -23,6 +23,11 @@ type t = {
   graph : R3_net.Graph.t;
   fibs : router_fib array;  (** indexed by router id *)
   protected_links : R3_net.Graph.link array;
+  sources : R3_net.Routing.t array;
+      (** indexed by router id: a {!R3_net.Routing.copy} of the
+          protection routing that router's table was derived from, what
+          {!update_router} compares a new routing with. Not part of
+          {!equal}. *)
 }
 
 (** Protection label of a link (stable, network-wide). *)
@@ -42,13 +47,23 @@ val of_protection : R3_net.Graph.t -> R3_net.Routing.t -> t
     (what routers do locally after each notification). *)
 val update : t -> R3_net.Routing.t -> t
 
-(** [update_router t ~router p] re-derives {e one} router's ILM from that
+(** [update_router t ~router p] brings {e one} router's ILM up to that
     router's (possibly stale) view [p] of the protection routing — the
     local FIB step the online runtime applies when a notification reaches
-    [router]. Other routers' tables are shared with [t] untouched, so
-    applying per-router updates in {e any} order, once every router has
-    seen the final protection routing, lands on the same FIB as a full
-    {!update} (tested in [test/test_online.ml]). *)
+    [router]. Label [l]'s entry depends on row [l] of [p] alone, and a
+    row payload [p] shares with the routing the table was derived from
+    holds the same bits ({!R3_net.Routing.shares_row}), so only the labels
+    of the other rows are re-derived, by the same per-label function the
+    full build uses; [t] itself comes back when every row is shared. The
+    result equals (by {!equal}) the router's table in
+    [of_protection g p]. The new source is stored as a
+    {!R3_net.Routing.copy} of [p], which seals [p]: a later
+    {!R3_net.Routing.set} on [p] copies the row instead of writing the
+    payload the table was compared with. Other routers' tables are shared
+    with [t] untouched, so applying per-router updates in {e any} order,
+    once every router has seen the final protection routing, lands on
+    the same FIB as a full {!update} (tested in [test/test_online.ml]).
+    Cost: O(links) pointer comparisons plus the changed labels' work. *)
 val update_router : t -> router:R3_net.Graph.node -> R3_net.Routing.t -> t
 
 (** Structural equality of the forwarding state: same routers, same ILM

@@ -274,6 +274,52 @@ let set_row_storage t k storage =
 
 let to_dense_matrix t = Array.init (num_commodities t) (row_dense t)
 
+(* ---- bit-level comparison ----
+
+   A payload handed to a second routing ([copy], [fold_failure]) is
+   frozen: every holder sees the row as shared, and [own] copies a shared
+   row before any write. So one payload object holds the same bits for
+   every routing that holds it, for as long as either does. Nothing
+   here allocates: no closures, no boxed floats. *)
+
+let dense_bits_equal a b =
+  let n = Array.length a in
+  Array.length b = n
+  &&
+  let e = ref 0 in
+  while
+    !e < n
+    && Int64.bits_of_float (Array.unsafe_get a !e)
+       = Int64.bits_of_float (Array.unsafe_get b !e)
+  do
+    incr e
+  done;
+  !e = n
+
+let payload_bits_equal pa pb =
+  pa == pb
+  ||
+  match (pa, pb) with
+  | D a, D b -> a == b || dense_bits_equal a b
+  | S ra, S rb -> ra == rb || Rowvec.bits_equal ra rb
+  | D a, S r | S r, D a -> Rowvec.bits_equal_dense a r
+
+let bits_equal a b =
+  let nk = num_commodities a in
+  nk = num_commodities b
+  && (nk = 0 || a.m = b.m)
+  &&
+  let k = ref 0 in
+  while !k < nk && payload_bits_equal (rget a.rows !k) (rget b.rows !k) do
+    incr k
+  done;
+  !k = nk
+
+let shares_row a b k =
+  if k < 0 || k >= num_commodities a || k >= num_commodities b then
+    invalid_arg "Routing.shares_row: bad row";
+  rget a.rows k == rget b.rows k
+
 let sparse_rows t =
   let acc = ref 0 in
   for k = 0 to num_commodities t - 1 do

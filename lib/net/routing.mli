@@ -112,8 +112,36 @@ val set_row_storage :
   t -> int -> [ `Dense of float array | `Sparse of R3_util.Rowvec.t ] -> unit
 
 (** [to_dense_matrix t] is every row as a fresh dense array — the
-    representation-independent image used by equality checks and tests. *)
+    representation-independent image {!bits_equal} is defined on, and
+    the reference the tests compare against. *)
 val to_dense_matrix : t -> float array array
+
+(** {2 Bit-level comparison}
+
+    A row payload shared between routings ({!copy}, {!fold_failure})
+    holds the same bits for every routing that holds it: once handed to
+    a second routing a payload is never written again, because {!set}
+    and the other mutators un-share a row before writing it. (The one
+    way around this is to keep and write an array or vector given to
+    {!set_row_storage}, whose ownership passed to the routing.)
+    {!bits_equal} and the incremental FIB update
+    ([R3_mplsff.Fib.update_router]) rely on this rule to skip shared
+    rows. *)
+
+(** [bits_equal a b] is true iff the dense images of [a] and [b] (as
+    {!to_dense_matrix}) have the same shape and the same float bits
+    ([Int64.bits_of_float], so [-0.0] differs from [+0.0] and storage
+    backend does not matter). Row by row: a payload both routings share
+    is skipped, dense/dense and sparse/sparse rows are compared on their
+    stored arrays, mixed rows through the dense image. Allocates
+    nothing; O(rows) plus the stored size of the rows not shared. *)
+val bits_equal : t -> t -> bool
+
+(** [shares_row a b k] is true iff [a] and [b] hold row [k] as one
+    shared payload, which by the rule above implies bit-identical rows
+    (the converse does not hold). O(1). Raises [Invalid_argument] when
+    either routing has no row [k]. *)
+val shares_row : t -> t -> int -> bool
 
 (** {2 Storage statistics} *)
 

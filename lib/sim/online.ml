@@ -235,7 +235,10 @@ module Checkpoint = struct
         let cursor = R.int r in
         let stale = R.int r in
         let n = R.i32 r in
-        if n < 0 then raise (R.Corrupt "negative router count");
+        (* Each router's two rows carry a 4-byte length prefix apiece, so
+           the count is bounded by the bytes left before anything is
+           allocated for it. *)
+        if n < 0 || n > R.remaining r / 8 then raise (R.Corrupt "bad router count");
         let seen = Array.init n (fun _ -> R.int_array r) in
         let belief = Array.init n (fun _ -> bools_of_string (R.string r)) in
         let dp_belief = bools_of_string (R.string r) in
@@ -312,25 +315,12 @@ let run_digest ~channel ~seed ~mlu_bound ~fibs root events =
   W.bool w fibs;
   Digest.to_hex (Digest.string (W.contents w))
 
-let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
-    ?(fibs = false) ?resume ?stop_after root events =
-  Trace.with_span "online.run" @@ fun () ->
-  let g = root.Reconfig.graph in
+(* The run's delivery schedule, a pure function of (events, channel,
+   seed): the true failed set after each event, every notification copy
+   in arrival order, and the number of copies the channel lost. *)
+let schedule ~channel ~seed g events =
   let n = G.num_nodes g in
-  let m = G.num_links g in
-  let events =
-    Array.of_list (List.stable_sort (fun a b -> Float.compare a.at_ms b.at_ms) events)
-  in
   let ne = Array.length events in
-  Array.iteri
-    (fun i ev ->
-      if ev.link < 0 || ev.link >= m then invalid_arg "Online.run: bad link";
-      if ev.link <> phys_rep g ev.link then
-        invalid_arg "Online.run: event links must be physical representatives";
-      ignore i)
-    events;
-  (* On resume the pre-pause portion already counted its events. *)
-  (match resume with None -> Metrics.add c_events ne | Some _ -> ());
   (* True failed set after each event, for notification flooding. The
      down-set fold is stateful and cheap; the per-event SPF flood times
      are pure given the failed set, so they fan out over the pool in
@@ -408,13 +398,12 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
         done;
         (List.rev !copies, !drops))
   in
-  let stat_drops = ref 0 and stat_retries = ref 0 in
+  let stat_drops = ref 0 in
   let deliveries = ref [] in
   let n_copies = ref 0 in
   Array.iteri
     (fun i (copies, drops) ->
       stat_drops := !stat_drops + drops;
-      stat_retries := !stat_retries + drops;
       List.iter
         (fun (at, router) ->
           deliveries := { at; seq = !n_copies; ev = i; router } :: !deliveries;
@@ -426,6 +415,32 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
     (fun a b ->
       match Float.compare a.at b.at with 0 -> compare a.seq b.seq | c -> c)
     deliveries;
+  (scenario_after, deliveries, !stat_drops)
+
+let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
+    ?(fibs = false) ?resume ?stop_after root events =
+  Trace.with_span "online.run" @@ fun () ->
+  let g = root.Reconfig.graph in
+  let n = G.num_nodes g in
+  let m = G.num_links g in
+  let events =
+    Array.of_list (List.stable_sort (fun a b -> Float.compare a.at_ms b.at_ms) events)
+  in
+  let ne = Array.length events in
+  Array.iteri
+    (fun i ev ->
+      if ev.link < 0 || ev.link >= m then invalid_arg "Online.run: bad link";
+      if ev.link <> phys_rep g ev.link then
+        invalid_arg "Online.run: event links must be physical representatives";
+      ignore i)
+    events;
+  (* On resume the pre-pause portion already counted its events. *)
+  (match resume with None -> Metrics.add c_events ne | Some _ -> ());
+  let scenario_after, deliveries, stat_drops =
+    Trace.with_span "online.schedule" (fun () -> schedule ~channel ~seed g events)
+  in
+  (* Every lost copy is retransmitted. *)
+  let stat_retries = stat_drops in
   (* Memoized canonical states: every believed failed set maps to the
      batch application of that set in canonical scenario order, built by
      prefix recursion — so a router view's float bits depend only on its
@@ -447,6 +462,14 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
       Scenario.Tbl.add memo sc st;
       st
   in
+  (* The failed set a belief vector over physical representatives names. *)
+  let believed beliefs =
+    let reps = ref [] in
+    for e = m - 1 downto 0 do
+      if beliefs.(e) then reps := e :: !reps
+    done;
+    Scenario.of_physical g !reps
+  in
   (* Per-router protocol state. *)
   let seen = Array.make_matrix n m 0 in
   let belief = Array.make_matrix n m false in
@@ -461,17 +484,26 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
   let pending = Array.make ne n in
   let convergence = Array.make ne nan in
   (* Data-plane state: a physical event takes effect on traffic when the
-     canonical direction's head router accepts it. *)
+     canonical direction's head router accepts it. Its MLU and delivered
+     fraction depend on the failed set alone, so they are memoized per
+     set beside the canonical states: the data plane revisits few sets. *)
   let dp_belief = Array.make m false in
   let dp_state = ref root in
+  let dp_memo = Scenario.Tbl.create 64 in
   let peak = ref (Reconfig.mlu root) in
   let min_delivered = ref (Reconfig.delivered_fraction root) in
   let violation_start = ref (if !peak > mlu_bound then Some 0.0 else None) in
   let violations = ref [] in
-  let observe_dp now =
-    let u = Reconfig.mlu !dp_state in
+  let observe_dp now sc =
+    let u, d =
+      match Scenario.Tbl.find_opt dp_memo sc with
+      | Some ud -> ud
+      | None ->
+        let ud = (Reconfig.mlu !dp_state, Reconfig.delivered_fraction !dp_state) in
+        Scenario.Tbl.add dp_memo sc ud;
+        ud
+    in
     if u > !peak then peak := u;
-    let d = Reconfig.delivered_fraction !dp_state in
     if d < !min_delivered then min_delivered := d;
     match (!violation_start, u > mlu_bound) with
     | None, true -> violation_start := Some now
@@ -495,6 +527,18 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
            (plan, events, channel or seed differ)";
       if ck.Checkpoint.cursor < 0 || ck.Checkpoint.cursor > nd then
         invalid_arg "Online.run_to: checkpoint cursor out of range";
+      let rows_fit a = Array.length a = n && Array.for_all (fun r -> Array.length r = m) a in
+      if
+        not
+          (rows_fit ck.Checkpoint.seen
+          && rows_fit ck.Checkpoint.belief
+          && Array.length ck.Checkpoint.dp_belief = m
+          && Array.length ck.Checkpoint.pending = ne
+          && Array.length ck.Checkpoint.convergence = ne)
+      then
+        invalid_arg
+          "Online.run_to: checkpoint state does not fit the run (router, \
+           link or event count differs)";
       (* Restore the protocol state, then rebuild everything derived from
          it: router views re-fold through [canonical] (memo repopulates
          from the believed sets), the data-plane state from [dp_belief],
@@ -505,11 +549,7 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
       for v = 0 to n - 1 do
         Array.blit ck.Checkpoint.seen.(v) 0 seen.(v) 0 m;
         Array.blit ck.Checkpoint.belief.(v) 0 belief.(v) 0 m;
-        let reps = ref [] in
-        for e = m - 1 downto 0 do
-          if belief.(v).(e) then reps := e :: !reps
-        done;
-        view.(v) <- canonical (Scenario.of_physical g !reps)
+        view.(v) <- canonical (believed belief.(v))
       done;
       (match !fib with
       | None -> ()
@@ -520,11 +560,7 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
         done;
         fib := Some !f);
       Array.blit ck.Checkpoint.dp_belief 0 dp_belief 0 m;
-      let dreps = ref [] in
-      for e = m - 1 downto 0 do
-        if dp_belief.(e) then dreps := e :: !dreps
-      done;
-      dp_state := canonical (Scenario.of_physical g !dreps);
+      dp_state := canonical (believed dp_belief);
       Array.blit ck.Checkpoint.pending 0 pending 0 ne;
       Array.blit ck.Checkpoint.convergence 0 convergence 0 ne;
       peak := ck.Checkpoint.peak;
@@ -542,53 +578,47 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
       if k < 0 then invalid_arg "Online.run_to: negative stop_after";
       Int.min nd (start + k)
   in
-  for di = start to stop - 1 do
-    let d = deliveries.(di) in
-      Metrics.incr c_deliveries;
-      last_at := d.at;
-      let ev = events.(d.ev) in
-      let ver = d.ev + 1 in
-      let v = d.router in
-      let rep = ev.link in
-      let prev = seen.(v).(rep) in
-      if ver <= prev then incr stat_stale
-      else begin
-        seen.(v).(rep) <- ver;
-        belief.(v).(rep) <- (ev.kind = Fail);
-        (* Credit every event on this link whose version the acceptance
-           covers (a newer notification subsumes the older ones a lossy
-           channel may never deliver to this router). *)
-        List.iter
-          (fun j ->
-            let vj = j + 1 in
-            if vj > prev && vj <= ver && pending.(j) > 0 then begin
-              pending.(j) <- pending.(j) - 1;
-              if pending.(j) = 0 then begin
-                convergence.(j) <- d.at -. events.(j).at_ms;
-                Metrics.observe h_convergence convergence.(j)
-              end
-            end)
-          events_by_link.(rep);
-        let reps = ref [] in
-        for e = m - 1 downto 0 do
-          if belief.(v).(e) then reps := e :: !reps
-        done;
-        view.(v) <- canonical (Scenario.of_physical g !reps);
-        (match !fib with
-        | Some f ->
-          fib := Some (Fib.update_router f ~router:v view.(v).Reconfig.protection)
-        | None -> ());
-        if v = G.src g rep then begin
-          dp_belief.(rep) <- (ev.kind = Fail);
-          let dreps = ref [] in
-          for e = m - 1 downto 0 do
-            if dp_belief.(e) then dreps := e :: !dreps
-          done;
-          dp_state := canonical (Scenario.of_physical g !dreps);
-          observe_dp d.at
+  Trace.with_span "online.deliver" (fun () ->
+      for di = start to stop - 1 do
+        let d = deliveries.(di) in
+        Metrics.incr c_deliveries;
+        last_at := d.at;
+        let ev = events.(d.ev) in
+        let ver = d.ev + 1 in
+        let v = d.router in
+        let rep = ev.link in
+        let prev = seen.(v).(rep) in
+        if ver <= prev then incr stat_stale
+        else begin
+          seen.(v).(rep) <- ver;
+          belief.(v).(rep) <- (ev.kind = Fail);
+          (* Credit every event on this link whose version the acceptance
+             covers (a newer notification subsumes the older ones a lossy
+             channel may never deliver to this router). *)
+          List.iter
+            (fun j ->
+              let vj = j + 1 in
+              if vj > prev && vj <= ver && pending.(j) > 0 then begin
+                pending.(j) <- pending.(j) - 1;
+                if pending.(j) = 0 then begin
+                  convergence.(j) <- d.at -. events.(j).at_ms;
+                  Metrics.observe h_convergence convergence.(j)
+                end
+              end)
+            events_by_link.(rep);
+          view.(v) <- canonical (believed belief.(v));
+          (match !fib with
+          | Some f ->
+            fib := Some (Fib.update_router f ~router:v view.(v).Reconfig.protection)
+          | None -> ());
+          if v = G.src g rep then begin
+            dp_belief.(rep) <- (ev.kind = Fail);
+            let sc = believed dp_belief in
+            dp_state := canonical sc;
+            observe_dp d.at sc
+          end
         end
-      end
-  done;
+      done);
   if stop < nd then
     `Paused
       Checkpoint.
@@ -614,22 +644,26 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
     Metrics.observe h_violation (!last_at -. t0)
   | _ -> ());
   Metrics.add c_stale !stat_stale;
-  Metrics.add c_drops !stat_drops;
-  Metrics.add c_retries !stat_retries;
-  (* Quiescence: the terminal scenario is the true final failed set; the
-     reference is an independent one-shot batch application from the root,
-     so the memoized prefix recursion is itself under test. *)
+  Metrics.add c_drops stat_drops;
+  Metrics.add c_retries stat_retries;
   let final_sc = if ne = 0 then Scenario.of_physical g [] else scenario_after.(ne - 1) in
   let terminal = canonical final_sc in
-  let batch = Reconfig.fail root final_sc in
-  let order_independent =
-    Reconfig.states_bit_identical terminal batch
-    && Array.for_all (fun v -> Reconfig.states_bit_identical v batch) view
-  in
-  let fib_consistent =
-    match !fib with
-    | None -> true
-    | Some f -> Fib.equal f (Fib.of_protection g batch.Reconfig.protection)
+  let order_independent, fib_consistent =
+    Trace.with_span "online.verify" @@ fun () ->
+    (* Quiescence: the terminal scenario is the true final failed set; the
+       reference is an independent one-shot batch application from the root,
+       so the memoized prefix recursion is itself under test. *)
+    let batch = Reconfig.fail root final_sc in
+    let order_independent =
+      Reconfig.states_bit_identical terminal batch
+      && Array.for_all (fun v -> Reconfig.states_bit_identical v batch) view
+    in
+    let fib_consistent =
+      match !fib with
+      | None -> true
+      | Some f -> Fib.equal f (Fib.of_protection g batch.Reconfig.protection)
+    in
+    (order_independent, fib_consistent)
   in
   let quiescent_mlu = Reconfig.mlu terminal in
   Metrics.set_gauge g_quiescent quiescent_mlu;
@@ -649,8 +683,8 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
           events = ne;
           deliveries = Array.length deliveries;
           stale = !stat_stale;
-          drops = !stat_drops;
-          retries = !stat_retries;
+          drops = stat_drops;
+          retries = stat_retries;
           distinct_states;
           convergence_ms = convergence;
           transient_mlu_peak = !peak;

@@ -143,7 +143,10 @@ end
     streams; [mlu_bound] (default [infinity]) is the plan's congestion
     bound MLU* for transient-violation accounting; [fibs] (default
     [false]) also maintains per-router MPLS-ff FIBs. Deterministic in
-    ([root], [events], [channel], [seed]). *)
+    ([root], [events], [channel], [seed]). Traced as an [online.run] span
+    with three children: [online.schedule] (flood times, fault expansion,
+    sort), [online.deliver] (the delivery loop) and [online.verify] (the
+    batch fold and the order-independence and FIB checks). *)
 val run :
   ?channel:Channel.t ->
   ?seed:int ->

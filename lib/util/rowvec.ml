@@ -233,6 +233,42 @@ let dot r dense =
   done;
   !acc
 
+let[@inline] same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* Loops over refs and fields only: no closure, no boxed float. *)
+let bits_equal a b =
+  let i = ref 0 and j = ref 0 and ok = ref true in
+  while !ok && (!i < a.n || !j < b.n) do
+    let ka = if !i < a.n then a.idx.(!i) else max_int
+    and kb = if !j < b.n then b.idx.(!j) else max_int in
+    if ka = kb then begin
+      ok := same_bits a.v.(!i) b.v.(!j);
+      incr i;
+      incr j
+    end
+    else if ka < kb then begin
+      ok := same_bits a.v.(!i) 0.0;
+      incr i
+    end
+    else begin
+      ok := same_bits b.v.(!j) 0.0;
+      incr j
+    end
+  done;
+  !ok
+
+let bits_equal_dense dense r =
+  let s = ref 0 and e = ref 0 and ok = ref true in
+  while !ok && !e < Array.length dense do
+    if !s < r.n && r.idx.(!s) = !e then begin
+      ok := same_bits dense.(!e) r.v.(!s);
+      incr s
+    end
+    else ok := same_bits dense.(!e) 0.0;
+    incr e
+  done;
+  !ok && !s = r.n
+
 let to_dense width r =
   let out = Array.make width 0.0 in
   iter (fun j x -> out.(j) <- x) r;

@@ -66,6 +66,17 @@ val scale : t -> float -> unit
     [-0.0]). Single allocation, exactly sized. *)
 val merged : skip:int -> y:t -> x:t -> float -> t
 
+(** [bits_equal a b] is true iff [a] and [b] have the same dense image
+    bit for bit ([Int64.bits_of_float]): an index stored on one side only
+    must hold [+0.0] there, so a stored [-0.0] differs from an absent
+    entry. One merge pass over both supports; allocates nothing. *)
+val bits_equal : t -> t -> bool
+
+(** [bits_equal_dense a r] is true iff [a] and the dense image of [r]
+    over [Array.length a] indices agree bit for bit (false when [r]
+    stores an index past the end of [a]). Allocates nothing. *)
+val bits_equal_dense : float array -> t -> bool
+
 (** [scatter_add ?scale r ~into] adds [scale *. x] (default [scale = 1.0])
     into [into.(j)] for every stored entry, in increasing index order. *)
 val scatter_add : ?scale:float -> t -> into:float array -> unit

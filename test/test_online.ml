@@ -218,7 +218,70 @@ let test_fib_maintenance () =
     backward := Fib.update_router !backward ~router:v st.Reconfig.protection
   done;
   Alcotest.(check bool) "ascending order = rebuild" true (Fib.equal !forward full);
-  Alcotest.(check bool) "descending order = rebuild" true (Fib.equal !backward full)
+  Alcotest.(check bool) "descending order = rebuild" true (Fib.equal !backward full);
+  let router_table f v = { f with Fib.fibs = [| f.Fib.fibs.(v) |] } in
+  (* A routing written in place after a FIB was derived from it: the
+     FIB's source copy sealed it, so the write un-shares the row and the
+     update sees it. Built fresh, so the routing owns its rows. *)
+  let p = synthetic_protection g ~backend:Routing.Backend.Sparse in
+  let fib0 = Fib.of_protection g p in
+  Alcotest.(check bool) "no row changed: the same FIB back" true
+    (Fib.update_router fib0 ~router:0 p == fib0);
+  let e =
+    Routing.fold_row p 0 ~init:(-1) ~f:(fun acc e _ -> if e <> 0 && acc < 0 then e else acc)
+  in
+  let v = G.src g e in
+  (* Link 0's detour leaves [v] over [e] alone: dropping it removes the
+     label from [v]'s table. *)
+  Routing.set p 0 e 0.0;
+  Alcotest.(check bool) "in-place write seen by the update" true
+    (Fib.equal
+       (router_table (Fib.update_router fib0 ~router:v p) v)
+       (router_table (Fib.of_protection g p) v));
+  (* Step by step over seeded fail/recover sequences: at every step each
+     router catches up with probability 3/4, in a seeded order, so some
+     update across several steps at once. After every step, every
+     router's table equals its table in the full rebuild of the state it
+     last caught up to. *)
+  List.iter
+    (fun g ->
+      let root = make_state g in
+      let n = G.num_nodes g in
+      for seed = 0 to 3 do
+        let rng = R3_util.Prng.create (100 + seed) in
+        let fib = ref (Fib.of_protection g root.Reconfig.protection) in
+        let rebuilt = Array.make n (Fib.of_protection g root.Reconfig.protection) in
+        let st = ref root in
+        let order = Array.init n Fun.id in
+        let step ~all =
+          let full = Fib.of_protection g !st.Reconfig.protection in
+          R3_util.Prng.shuffle rng order;
+          Array.iter
+            (fun v ->
+              if all || R3_util.Prng.bool rng 0.75 then begin
+                fib := Fib.update_router !fib ~router:v !st.Reconfig.protection;
+                rebuilt.(v) <- full
+              end)
+            order;
+          for v = 0 to n - 1 do
+            if not (Fib.equal (router_table !fib v) (router_table rebuilt.(v) v)) then
+              Alcotest.failf "seed %d: router %d's table differs from the rebuild" seed v
+          done
+        in
+        List.iter
+          (fun ev ->
+            let s = sc g [ ev.Online.link ] in
+            (st :=
+               match ev.Online.kind with
+               | Online.Fail -> Reconfig.fail !st s
+               | Online.Recover -> Reconfig.recover !st s);
+            step ~all:false)
+          (Online.generate g ~seed ~events:12 ~max_concurrent:3 ());
+        step ~all:true;
+        Alcotest.(check bool) "caught-up FIB = rebuild" true
+          (Fib.equal !fib (Fib.of_protection g !st.Reconfig.protection))
+      done)
+    [ g; gen20 () ]
 
 (* With an LP-computed plan whose MLU* <= 1, the quiescent MLU after any
    generated schedule (within the f=1 physical budget) obeys Theorem 2.
@@ -288,6 +351,197 @@ let test_stats_and_metrics () =
   Alcotest.(check bool) "r3.online.deliveries counted" true
     (M.counter_value "r3.online.deliveries" > 0)
 
+(* ---- fast paths of the bit-level state comparison ---- *)
+
+let test_bit_identity_fast_paths () =
+  let g = Topology.abilene () in
+  let st = make_state g in
+  let s27 = sc g [ 2; 7 ] in
+  Alcotest.(check bool) "fail then recover = pristine" true
+    (bit_identical st (Reconfig.recover (Reconfig.fail st s27) s27));
+  Alcotest.(check bool) "different failed sets differ" false
+    (bit_identical (Reconfig.fail st (sc g [ 2 ])) (Reconfig.fail st (sc g [ 7 ])));
+  Alcotest.(check bool) "failed flags alone differ" false
+    (bit_identical st { st with Reconfig.failed = (Reconfig.fail st s27).Reconfig.failed });
+  (* The last row, so a comparison that stops early is caught. *)
+  let k = Routing.num_commodities st.Reconfig.base - 1 in
+  let row = Routing.row_dense st.Reconfig.base k in
+  let nz = ref (-1) and z = ref (-1) in
+  Array.iteri
+    (fun e x ->
+      if x <> 0.0 then (if !nz < 0 then nz := e) else if !z < 0 then z := e)
+    row;
+  let nudged r e =
+    let r' = Routing.copy r in
+    Routing.set r' k e (Float.succ (Routing.get r' k e));
+    r'
+  in
+  Alcotest.(check bool) "nudged stored entry differs" false
+    (bit_identical st { st with Reconfig.base = nudged st.Reconfig.base !nz });
+  Alcotest.(check bool) "nudged zero entry differs" false
+    (bit_identical st { st with Reconfig.base = nudged st.Reconfig.base !z });
+  let p = Routing.copy st.Reconfig.protection in
+  Routing.set p 0 0 (Float.succ (Routing.get p 0 0));
+  Alcotest.(check bool) "nudged protection differs" false
+    (bit_identical st { st with Reconfig.protection = p });
+  Alcotest.(check bool) "the copies left the original's shared rows alone" true
+    (bit_identical st (make_state g));
+  let with_row storage =
+    let r = Routing.copy st.Reconfig.base in
+    Routing.set_row_storage r k storage;
+    { st with Reconfig.base = r }
+  in
+  let sparse_with extra =
+    (* row [k] as a sparse vector, plus an explicitly stored entry at [z] *)
+    let entries = ref [] in
+    Array.iteri
+      (fun e x ->
+        if e = !z then entries := (e, extra) :: !entries
+        else if x <> 0.0 then entries := (e, x) :: !entries)
+      row;
+    let entries = Array.of_list (List.rev !entries) in
+    `Sparse
+      (R3_util.Rowvec.of_sorted (Array.map fst entries) (Array.map snd entries)
+         (Array.length entries))
+  in
+  let neg = Array.copy row in
+  neg.(!z) <- -0.0;
+  Alcotest.(check bool) "dense -0.0 vs +0.0 differs" false
+    (bit_identical st (with_row (`Dense neg)));
+  Alcotest.(check bool) "stored sparse -0.0 vs absent differs" false
+    (bit_identical st (with_row (sparse_with (-0.0))));
+  Alcotest.(check bool) "stored sparse -0.0 = dense -0.0" true
+    (bit_identical (with_row (sparse_with (-0.0))) (with_row (`Dense neg)));
+  Alcotest.(check bool) "stored sparse +0.0 = absent" true
+    (bit_identical st (with_row (sparse_with 0.0)));
+  Alcotest.(check bool) "dense row = equal sparse row" true
+    (bit_identical st (with_row (`Dense (Array.copy row))));
+  Alcotest.(check bool) "dense state = sparse state" true
+    (bit_identical (make_state ~backend:Routing.Backend.Dense g) st);
+  (* Against the dense-image reference on every pair of a few states
+     per backend, equal and unequal, shared and unshared rows alike. *)
+  let reference a b =
+    let bits r = Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix r) in
+    a.Reconfig.failed = b.Reconfig.failed
+    && bits a.Reconfig.base = bits b.Reconfig.base
+    && bits a.Reconfig.protection = bits b.Reconfig.protection
+  in
+  let states =
+    List.concat_map
+      (fun backend ->
+        let root = make_state ~backend g in
+        let f2 = Reconfig.fail root (sc g [ 2 ]) in
+        [ root; f2; Reconfig.fail f2 (sc g [ 7 ]); Reconfig.fail root s27;
+          Reconfig.recover (Reconfig.fail root s27) (sc g [ 7 ]) ])
+      backends
+  in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if bit_identical a b <> reference a b then
+            Alcotest.failf "states %d and %d: comparison disagrees with the dense image" i j)
+        states)
+    states
+
+let pop36 () =
+  Topology.random ~seed:36 ~nodes:36 ~undirected_links:80
+    ~capacities:[ (10.0, 0.5); (40.0, 0.3); (100.0, 0.2) ]
+    ()
+
+(* The terminal check compares states folded from one root: rows both
+   share are skipped and the rest are read without allocating. *)
+let test_bit_identity_allocation () =
+  let g = pop36 () in
+  List.iter
+    (fun backend ->
+      let root = make_state ~backend g in
+      let busiest = Routing.bottleneck g ~loads:(Reconfig.loads root) in
+      let rep =
+        match G.reverse_link g busiest with Some r when r < busiest -> r | _ -> busiest
+      in
+      let fail () = Reconfig.fail root (sc g [ rep ]) in
+      let child = fail () and twin = fail () in
+      let unshared = ref 0 in
+      for k = 0 to Routing.num_commodities child.Reconfig.base - 1 do
+        if not (Routing.shares_row child.Reconfig.base twin.Reconfig.base k) then incr unshared
+      done;
+      Alcotest.(check bool) "the failure touched base rows" true (!unshared > 0);
+      let words f =
+        let before = Gc.minor_words () in
+        let r = f () in
+        (r, Gc.minor_words () -. before)
+      in
+      let same, w = words (fun () -> Reconfig.states_bit_identical child twin) in
+      Alcotest.(check bool) "twin folds are bit-identical" true same;
+      if w >= 1e4 then Alcotest.failf "comparing twins allocated %.0f minor words" w;
+      let differ, w =
+        words (fun () ->
+            Reconfig.states_bit_identical root { child with Reconfig.failed = root.Reconfig.failed })
+      in
+      Alcotest.(check bool) "root and child differ" false differ;
+      if w >= 1e4 then Alcotest.failf "comparing root and child allocated %.0f minor words" w)
+    [ Routing.Backend.Sparse; Routing.Backend.Dense ]
+
+(* On the ideal channel every head router hears its own link's events in
+   event order, so the data plane steps through the schedule's failed
+   sets one by one. *)
+let test_ideal_channel_data_plane () =
+  List.iter
+    (fun g ->
+      let root = make_state g in
+      for seed = 0 to 4 do
+        let events = Online.generate g ~seed ~events:20 ~max_concurrent:3 () in
+        let s = (Online.run ~seed root events).Online.stats in
+        let peak = ref (Reconfig.mlu root) and low = ref (Reconfig.delivered_fraction root) in
+        let down = Hashtbl.create 8 in
+        List.iter
+          (fun ev ->
+            (match ev.Online.kind with
+            | Online.Fail -> Hashtbl.replace down ev.Online.link ()
+            | Online.Recover -> Hashtbl.remove down ev.Online.link);
+            let st = Reconfig.fail root (sc g (Hashtbl.fold (fun e () acc -> e :: acc) down [])) in
+            let u = Reconfig.mlu st and d = Reconfig.delivered_fraction st in
+            if u > !peak then peak := u;
+            if d < !low then low := d)
+          events;
+        Alcotest.(check int64) "transient MLU peak bits"
+          (Int64.bits_of_float !peak)
+          (Int64.bits_of_float s.Online.transient_mlu_peak);
+        Alcotest.(check int64) "min delivered bits"
+          (Int64.bits_of_float !low)
+          (Int64.bits_of_float s.Online.min_delivered)
+      done)
+    [ Topology.abilene (); gen20 () ]
+
+let test_run_spans () =
+  let module T = R3_util.Trace in
+  let g = Topology.abilene () in
+  let root = make_state g in
+  let events = Online.generate g ~seed:3 ~events:10 () in
+  let was = T.enabled () in
+  T.set_enabled true;
+  T.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled was;
+      T.reset ())
+    (fun () ->
+      ignore (Online.run ~channel:faulty ~seed:3 ~fibs:true root events);
+      let spans = T.spans () in
+      List.iter
+        (fun name ->
+          match List.filter (fun sp -> sp.T.name = name) spans with
+          | [ sp ] ->
+            Alcotest.(check (option string)) (name ^ " parent") (Some "online.run") sp.T.parent
+          | l -> Alcotest.failf "%s recorded %d times" name (List.length l))
+        [ "online.schedule"; "online.deliver"; "online.verify" ];
+      match List.filter (fun sp -> sp.T.name = "online.run") spans with
+      | [ run ] ->
+        Alcotest.(check bool) "run attributes stay on online.run" true
+          (List.mem_assoc "events" run.T.attrs && List.mem_assoc "states" run.T.attrs)
+      | l -> Alcotest.failf "online.run recorded %d times" (List.length l))
+
 let suite =
   [
     Alcotest.test_case "fail matches directed folds" `Quick
@@ -312,4 +566,12 @@ let suite =
       test_quiescent_mlu_bound;
     Alcotest.test_case "fault stats and r3.online.* metrics" `Quick
       test_stats_and_metrics;
+    Alcotest.test_case "state comparison fast paths" `Quick
+      test_bit_identity_fast_paths;
+    Alcotest.test_case "state comparison allocates nothing (pop36)" `Quick
+      test_bit_identity_allocation;
+    Alcotest.test_case "ideal channel: data plane = batch states" `Quick
+      test_ideal_channel_data_plane;
+    Alcotest.test_case "run records schedule, deliver, verify spans" `Quick
+      test_run_spans;
   ]

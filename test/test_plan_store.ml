@@ -417,6 +417,105 @@ let test_checkpoint_wrong_run_rejected () =
     Alcotest.fail "expected Invalid_argument on mismatched seed"
   with Invalid_argument _ -> ()
 
+(* ---- hand-built checkpoint frames ---- *)
+
+(* A checkpoint payload in the documented field order (DESIGN.md §16),
+   with no delivery processed yet. *)
+let checkpoint_payload ~digest ~seen ~belief ~dp ~pending ~convergence =
+  let w = Codec.W.create () in
+  Codec.W.string w digest;
+  Codec.W.int w 0 (* cursor *);
+  Codec.W.int w 0 (* stale *);
+  Codec.W.i32 w (Array.length seen);
+  Array.iter (Codec.W.int_array w) seen;
+  Array.iter (Codec.W.string w) belief;
+  Codec.W.string w dp;
+  Codec.W.int_array w pending;
+  Codec.W.float_array w convergence;
+  Codec.W.float w 0.0 (* peak *);
+  Codec.W.float w 1.0 (* min delivered *);
+  Codec.W.bool w false (* no open violation window *);
+  Codec.W.i32 w 0 (* closed windows *);
+  Codec.W.float w 0.0 (* last delivery time *);
+  Codec.W.contents w
+
+let write_checkpoint path payload =
+  Codec.write_framed path ~magic:"R3ONLNCK" ~version:1 payload
+
+let test_checkpoint_router_count_bounded () =
+  (* A CRC-valid frame claiming 2^22 routers but holding one empty row:
+     the count must be rejected before 2^22 words (32 MB) are allocated
+     for it. *)
+  with_tmp ".ck" (fun path ->
+      let w = Codec.W.create () in
+      Codec.W.string w (String.make 32 '0');
+      Codec.W.int w 0;
+      Codec.W.int w 0;
+      Codec.W.i32 w (1 lsl 22);
+      Codec.W.int_array w [||];
+      write_checkpoint path (Codec.W.contents w);
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      let msg = err_exn "huge router count" (Online.Checkpoint.load path) in
+      let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+      if grown > 1e5 then
+        Alcotest.failf "rejecting the frame allocated %.0f major-heap words" grown;
+      check_mentions "huge router count" "router count" msg)
+
+let test_checkpoint_shapes_checked () =
+  let g, root = online_root () in
+  let n = G.num_nodes g and m = G.num_links g in
+  let events = Online.generate g ~seed:7 ~events:16 ~max_concurrent:2 () in
+  let ne = List.length events in
+  let channel = Online.Channel.faulty Online.Channel.default_faults in
+  let run ?resume () = Online.run_to ~channel ~seed:7 ~fibs:true ?resume root events in
+  with_tmp ".ck" (fun path ->
+      let digest =
+        match Online.run_to ~channel ~seed:7 ~fibs:true ~stop_after:10 root events with
+        | `Paused ck ->
+          Online.Checkpoint.save path ck;
+          let payload =
+            ok_exn "read frame" (Codec.read_framed path ~magic:"R3ONLNCK" ~version:1)
+          in
+          Codec.R.string (Codec.R.of_string payload)
+        | `Done _ -> Alcotest.fail "expected a pause"
+      in
+      let resume ?(seen = Array.make_matrix n m 0)
+          ?(belief = Array.make n (String.make m '\000'))
+          ?(dp = String.make m '\000') ?(pending = Array.make ne n)
+          ?(convergence = Array.make ne nan) () =
+        write_checkpoint path
+          (checkpoint_payload ~digest ~seen ~belief ~dp ~pending ~convergence);
+        let ck = ok_exn "checkpoint load" (Online.Checkpoint.load path) in
+        run ~resume:ck ()
+      in
+      (* Well-shaped: resuming from "nothing delivered yet" is the whole run. *)
+      (match (resume (), run ()) with
+      | `Done a, `Done b ->
+        Alcotest.(check bool) "hand-built frame resumes to the same terminal" true
+          (Reconfig.states_bit_identical a.Online.terminal b.Online.terminal
+          && stats_equal_modulo_distinct a.Online.stats b.Online.stats)
+      | _ -> Alcotest.fail "expected both runs to finish");
+      let rejected what f =
+        match f () with
+        | exception Invalid_argument msg ->
+          if not (mentions "checkpoint state does not fit" msg) then
+            Alcotest.failf "%s: unnamed error %S" what msg
+        | _ -> Alcotest.failf "%s: resumed a checkpoint of the wrong shape" what
+      in
+      rejected "one router short" (fun () -> resume ~seen:(Array.make_matrix (n - 1) m 0)
+                                        ~belief:(Array.make (n - 1) (String.make m '\000')) ());
+      rejected "seen row too long" (fun () ->
+          let seen = Array.make_matrix n m 0 in
+          seen.(n - 1) <- Array.make (m + 1) 0;
+          resume ~seen ());
+      rejected "belief row too short" (fun () ->
+          let belief = Array.make n (String.make m '\000') in
+          belief.(0) <- String.make (m - 1) '\000';
+          resume ~belief ());
+      rejected "data-plane beliefs too long" (fun () -> resume ~dp:(String.make (m + 1) '\000') ());
+      rejected "pending too short" (fun () -> resume ~pending:(Array.make (ne - 1) n) ());
+      rejected "convergence too long" (fun () -> resume ~convergence:(Array.make (ne + 1) nan) ()))
+
 (* ---- bugfix regressions (Scenario.hash) ---- *)
 
 let test_scenario_hash_mixes_whole_set () =
@@ -475,4 +574,8 @@ let suite =
       test_checkpoint_wrong_run_rejected;
     Alcotest.test_case "scenario hash mixes whole set" `Quick
       test_scenario_hash_mixes_whole_set;
+    Alcotest.test_case "checkpoint router count bounded" `Quick
+      test_checkpoint_router_count_bounded;
+    Alcotest.test_case "checkpoint shapes checked on resume" `Quick
+      test_checkpoint_shapes_checked;
   ]
