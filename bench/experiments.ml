@@ -269,7 +269,7 @@ let fig8 () =
           ~base:plan.Offline.base ~protection:plan.Offline.protection
       in
       let st = R3_core.Reconfig.apply_failures st (Scenario.links scenario) in
-      let r' = st.R3_core.Reconfig.base in
+      let r' = R3_core.Reconfig.base st in
       let loads_of tm = Routing.loads g ~demands:(class_demands tm plan.Offline.pairs) r' in
       let l_tprt = loads_of tprt and l_tpp = loads_of tpp and l_ip = loads_of ip in
       let bottleneck loads =

@@ -501,7 +501,7 @@ let profile tag ks count seed load core out trace_out =
         "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
         "offline.cg.cuts"; "mcf.runs"; "mcf.phases"; "sweep.scenarios";
         "sweep.tree_nodes"; "sweep.cow_steps"; "sweep.cache.hits";
-        "sweep.cache.misses";
+        "sweep.cache.misses"; "r3.reconfig.base_forces";
       ];
     Printf.eprintf "spans (heaviest first):\n";
     List.iter

@@ -486,13 +486,30 @@ let theorems =
     with
     | Error _ -> () (* envelope infeasible: the theorems claim nothing *)
     | Ok plan ->
-      if plan.Offline.mlu <= 1.0 then begin
-        let root = Reconfig.of_plan plan in
-        Scenarios.enumerate g ~k:1
-        |> List.iter (fun sc ->
-               let st = Reconfig.fail root sc in
-               let failed = G.fail_links g (Scenario.links sc) in
-               let mlu = Reconfig.mlu st in
+      let root = Reconfig.of_plan plan in
+      let congestion_free = plan.Offline.mlu <= 1.0 in
+      Scenarios.enumerate g ~k:1
+      |> List.iter (fun sc ->
+             let st = Reconfig.fail root sc in
+             let failed = G.fail_links g (Scenario.links sc) in
+             let r = Reconfig.base st in
+             (* The folded load vector (9) = the loads of the folded
+                base, on every state, congestion-free or not. *)
+             let want = Routing.loads g ~demands:st.Reconfig.demands r in
+             let got = Reconfig.loads st in
+             let scale = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0.0 want in
+             Array.iteri
+               (fun e x ->
+                 if Float.abs (x -. want.(e)) > 1e-12 *. scale then
+                   failf "scenario %s: folded load %.17g on link %d, base gives %.17g"
+                     (Scenario.describe g sc) x e want.(e))
+               got;
+             let mlu = Reconfig.mlu st in
+             let want_mlu = Routing.mlu g ~loads:want in
+             if Float.abs (mlu -. want_mlu) > 1e-12 *. want_mlu then
+               failf "scenario %s: folded MLU %.17g, base gives %.17g"
+                 (Scenario.describe g sc) mlu want_mlu;
+             if congestion_free then begin
                (* Theorem 2: reconfiguration keeps MLU within the plan's
                   congestion-free bound. *)
                if mlu > 1.0 +. 1e-6 then
@@ -503,8 +520,8 @@ let theorems =
                   may route a detour through another commodity's source,
                   which is the loop the paper's loop_penalty discounts —
                   so the oracle checks exactly what the theorem claims.) *)
-               for kc = 0 to Routing.num_commodities st.Reconfig.base - 1 do
-                 Routing.iter_row st.Reconfig.base kc (fun e x ->
+               for kc = 0 to Routing.num_commodities r - 1 do
+                 Routing.iter_row r kc (fun e x ->
                      if failed.(e) && x > 1e-9 then
                        failf
                          "scenario %s: commodity %d keeps %g on failed link \
@@ -518,12 +535,14 @@ let theorems =
                      "scenario %s: delivered fraction %.9f < 1 on a \
                       connected survivor (Theorem 1)"
                      (Scenario.describe g sc) df
-               end)
-      end
+               end
+             end)
   in
   {
     name = "theorem-congestion-free";
-    doc = "congestion-free plans stay congestion-free after failures (Thm 1-2)";
+    doc =
+      "congestion-free plans stay congestion-free after failures (Thm 1-2); \
+       folded link loads match the folded base";
     check;
   }
 

@@ -109,7 +109,7 @@ let check_order_independence ?(tol = 1e-7) (plan : Offline.plan) links =
       | [] -> Ok ()
       | order :: tl ->
         let st = final order in
-        let db = routing_distance ref_state.Reconfig.base st.Reconfig.base in
+        let db = routing_distance (Reconfig.base ref_state) (Reconfig.base st) in
         let dp = routing_distance ref_state.Reconfig.protection st.Reconfig.protection in
         if db > tol || dp > tol then
           Error

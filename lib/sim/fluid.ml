@@ -77,7 +77,7 @@ let run ?(config = default_config) g ~pairs ~demands ~scheme ~events () =
       done;
       if !fresh <> [] then
         st := R3_core.Reconfig.fail !st (Scenario.of_links g !fresh);
-      ((!st).R3_core.Reconfig.base, (!st).R3_core.Reconfig.failed)
+      (R3_core.Reconfig.base !st, (!st).R3_core.Reconfig.failed)
     | Ospf { weights; reconvergence_s } ->
       (* OSPF only sees failures older than its reconvergence delay;
          younger ones blackhole the traffic crossing them (we zero those

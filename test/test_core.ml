@@ -108,11 +108,12 @@ let test_paper_example_rescaling () =
   check_f "p'_e2(e3)" (0.3 +. (0.1 *. 3.0 /. 9.0)) p'.(e3);
   check_f "p'_e2(e4)" (0.4 +. (0.1 *. 4.0 /. 9.0)) p'.(e4);
   (* Base traffic of e1 is detoured the same way. *)
-  let r' = Routing.row_dense st'.Reconfig.base 0 in
+  let base' = Reconfig.base st' in
+  let r' = Routing.row_dense base' 0 in
   check_f "r'(e2)" (2.0 /. 9.0) r'.(e2);
   check_f "r'(e1)" 0.0 r'.(e1);
   (* The updated base routing remains valid. *)
-  (match Routing.validate g ~failed:st'.Reconfig.failed st'.Reconfig.base with
+  (match Routing.validate g ~failed:st'.Reconfig.failed base' with
   | Ok () -> ()
   | Error m -> Alcotest.fail m)
 

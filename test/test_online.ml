@@ -364,33 +364,33 @@ let test_bit_identity_fast_paths () =
   Alcotest.(check bool) "failed flags alone differ" false
     (bit_identical st { st with Reconfig.failed = (Reconfig.fail st s27).Reconfig.failed });
   (* The last row, so a comparison that stops early is caught. *)
-  let k = Routing.num_commodities st.Reconfig.base - 1 in
-  let row = Routing.row_dense st.Reconfig.base k in
+  let base = Reconfig.base st in
+  let k = Routing.num_commodities base - 1 in
+  let row = Routing.row_dense base k in
   let nz = ref (-1) and z = ref (-1) in
   Array.iteri
     (fun e x ->
       if x <> 0.0 then (if !nz < 0 then nz := e) else if !z < 0 then z := e)
     row;
-  let nudged r e =
-    let r' = Routing.copy r in
-    Routing.set r' k e (Float.succ (Routing.get r' k e));
-    r'
+  (* A root state over an edited copy of [st]'s base. *)
+  let with_base edit =
+    let r = Reconfig.base st in
+    edit r;
+    Reconfig.make g ~pairs:st.Reconfig.pairs ~demands:st.Reconfig.demands ~base:r
+      ~protection:st.Reconfig.protection
   in
+  let nudged e r = Routing.set r k e (Float.succ (Routing.get r k e)) in
   Alcotest.(check bool) "nudged stored entry differs" false
-    (bit_identical st { st with Reconfig.base = nudged st.Reconfig.base !nz });
+    (bit_identical st (with_base (nudged !nz)));
   Alcotest.(check bool) "nudged zero entry differs" false
-    (bit_identical st { st with Reconfig.base = nudged st.Reconfig.base !z });
+    (bit_identical st (with_base (nudged !z)));
   let p = Routing.copy st.Reconfig.protection in
   Routing.set p 0 0 (Float.succ (Routing.get p 0 0));
   Alcotest.(check bool) "nudged protection differs" false
     (bit_identical st { st with Reconfig.protection = p });
   Alcotest.(check bool) "the copies left the original's shared rows alone" true
     (bit_identical st (make_state g));
-  let with_row storage =
-    let r = Routing.copy st.Reconfig.base in
-    Routing.set_row_storage r k storage;
-    { st with Reconfig.base = r }
-  in
+  let with_row storage = with_base (fun r -> Routing.set_row_storage r k storage) in
   let sparse_with extra =
     (* row [k] as a sparse vector, plus an explicitly stored entry at [z] *)
     let entries = ref [] in
@@ -423,7 +423,7 @@ let test_bit_identity_fast_paths () =
   let reference a b =
     let bits r = Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix r) in
     a.Reconfig.failed = b.Reconfig.failed
-    && bits a.Reconfig.base = bits b.Reconfig.base
+    && bits (Reconfig.base a) = bits (Reconfig.base b)
     && bits a.Reconfig.protection = bits b.Reconfig.protection
   in
   let states =
@@ -463,8 +463,9 @@ let test_bit_identity_allocation () =
       let fail () = Reconfig.fail root (sc g [ rep ]) in
       let child = fail () and twin = fail () in
       let unshared = ref 0 in
-      for k = 0 to Routing.num_commodities child.Reconfig.base - 1 do
-        if not (Routing.shares_row child.Reconfig.base twin.Reconfig.base k) then incr unshared
+      let cb = Reconfig.base child and tb = Reconfig.base twin in
+      for k = 0 to Routing.num_commodities cb - 1 do
+        if not (Routing.shares_row cb tb k) then incr unshared
       done;
       Alcotest.(check bool) "the failure touched base rows" true (!unshared > 0);
       let words f =
@@ -542,6 +543,199 @@ let test_run_spans () =
           (List.mem_assoc "events" run.T.attrs && List.mem_assoc "states" run.T.attrs)
       | l -> Alcotest.failf "online.run recorded %d times" (List.length l))
 
+(* ---- the folded load vector and the lazily folded base ---- *)
+
+(* Largest per-link gap between two load vectors, relative to the
+   largest load of the reference. *)
+let rel_gap a b =
+  let scale = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 b in
+  let gap = ref 0.0 in
+  Array.iteri (fun l x -> gap := Float.max !gap (Float.abs (x -. b.(l)))) a;
+  if scale > 0.0 then !gap /. scale else !gap
+
+let loads_of_base st =
+  Routing.loads st.Reconfig.graph ~demands:st.Reconfig.demands (Reconfig.base st)
+
+(* A Garg-Koenemann base spreads each row over many paths: at epsilon
+   0.2 about 32 of pop36's 160 links per row (the benchmark's GK base, at
+   0.1, stores 42.9; an OSPF base 5.2). *)
+let gk_state g =
+  let rng = R3_util.Prng.create 41 in
+  let tm = Traffic.gravity rng g ~load_factor:0.3 () in
+  let pairs, demands = Traffic.commodities tm in
+  let _, base = R3_mcf.Concurrent_flow.min_mlu_routing g ~epsilon:0.2 ~pairs ~demands () in
+  Reconfig.make g ~pairs ~demands ~base
+    ~protection:(synthetic_protection g ~backend:Routing.Backend.Sparse)
+
+let phys_links g = R3_sim.Scenarios.physical_links g
+
+(* Seeded fail/recover walks: after every step the folded vector and the
+   MLU read from it match the loads of the (forced) base within 1e-12;
+   at the root they are the same bits. *)
+let test_loads_agree_with_base () =
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun (name, root) ->
+      let g = root.Reconfig.graph in
+      Alcotest.(check (array int64)) (name ^ ": root loads bits")
+        (bits (loads_of_base root)) (bits (Reconfig.loads root));
+      Alcotest.(check int64) (name ^ ": root MLU bits")
+        (Int64.bits_of_float (Routing.mlu g ~loads:(loads_of_base root)))
+        (Int64.bits_of_float (Reconfig.mlu root));
+      let phys = phys_links g in
+      let rng = R3_util.Prng.create 7 in
+      let st = ref root and down = ref [] in
+      for step = 1 to 40 do
+        (if !down <> [] && (List.length !down >= 3 || R3_util.Prng.bool rng 0.35) then begin
+           let l = List.nth !down (R3_util.Prng.int rng (List.length !down)) in
+           down := List.filter (( <> ) l) !down;
+           st := Reconfig.recover !st (sc g [ l ])
+         end
+         else begin
+           let l = phys.(R3_util.Prng.int rng (Array.length phys)) in
+           if not (List.mem l !down) then down := l :: !down;
+           st := Reconfig.fail !st (sc g [ l ])
+         end);
+        let want = loads_of_base !st in
+        let gap = rel_gap (Reconfig.loads !st) want in
+        if gap > 1e-12 then Alcotest.failf "%s step %d: loads off by %.3g relative" name step gap;
+        let u = Reconfig.mlu !st and u' = Routing.mlu g ~loads:want in
+        if Float.abs (u -. u') > 1e-12 *. u' then
+          Alcotest.failf "%s step %d: MLU %.17g, base gives %.17g" name step u u'
+      done)
+    [
+      ("abilene", make_state (Topology.abilene ()));
+      ("gen20", make_state ~backend:Routing.Backend.Dense (gen20 ()));
+      ("pop36 GK base", gk_state (pop36 ()));
+    ]
+
+(* Every path to one failed set folds the vector in canonical order. *)
+let test_loads_path_independent () =
+  let g = gen20 () in
+  let root = make_state g in
+  let phys = phys_links g in
+  let a = phys.(3) and b = phys.(9) and c = phys.(17) and d = phys.(25) in
+  let bits st = Array.map Int64.bits_of_float (Reconfig.loads st) in
+  let batch = Reconfig.fail root (sc g [ a; b; c ]) in
+  let fail_each st links = List.fold_left (fun st l -> Reconfig.fail st (sc g [ l ])) st links in
+  List.iter
+    (fun (what, st) -> Alcotest.(check (array int64)) what (bits batch) (bits st))
+    [
+      ("prefix-order fail", fail_each root [ a; b; c ]);
+      ("out-of-order fail (refold)", fail_each root [ c; a; b ]);
+      ("recover", Reconfig.recover (Reconfig.fail root (sc g [ a; b; c; d ])) (sc g [ d ]));
+    ];
+  for seed = 0 to 4 do
+    let events = Online.generate g ~seed ~events:20 ~max_concurrent:3 () in
+    let o = Online.run ~channel:faulty ~seed root events in
+    let down = Hashtbl.create 8 in
+    List.iter
+      (fun ev ->
+        match ev.Online.kind with
+        | Online.Fail -> Hashtbl.replace down ev.Online.link ()
+        | Online.Recover -> Hashtbl.remove down ev.Online.link)
+      events;
+    let final = Reconfig.fail root (sc g (Hashtbl.fold (fun e () acc -> e :: acc) down [])) in
+    Alcotest.(check (array int64)) "Online.run terminal" (bits final) (bits o.Online.terminal)
+  done
+
+let base_forces () = R3_util.Metrics.counter_value "r3.reconfig.base_forces"
+
+(* A one-physical-failure fail from the root folds about 18 protection
+   rows and one vector, never the 1,260 base rows. *)
+let test_fail_leaves_base_pending () =
+  let g = pop36 () in
+  let phys = phys_links g in
+  List.iter
+    (fun (backend, bound) ->
+      let root = make_state ~backend g in
+      let forces = base_forces () in
+      let words = ref 0.0 in
+      Array.iter
+        (fun l ->
+          let before = Gc.minor_words () in
+          ignore (Sys.opaque_identity (Reconfig.fail root (sc g [ l ])));
+          words := !words +. (Gc.minor_words () -. before))
+        phys;
+      let mean = !words /. float_of_int (Array.length phys) in
+      if mean >= bound then
+        Alcotest.failf "%s: a one-failure fail allocated %.0f minor words on average"
+          (Routing.Backend.to_string backend) mean;
+      Alcotest.(check int) "no base was folded" forces (base_forces ()))
+    [ (Routing.Backend.Dense, 1e4); (Routing.Backend.Sparse, 4e3) ]
+
+let test_late_force_chain () =
+  let g = pop36 () in
+  let root = make_state g in
+  let phys = phys_links g in
+  let links = [ phys.(4); phys.(30); phys.(61) ] in
+  let eager =
+    List.fold_left
+      (fun st l ->
+        let st = Reconfig.fail st (sc g [ l ]) in
+        ignore (Reconfig.base st);
+        st)
+      root links
+  in
+  let late = List.fold_left (fun st l -> Reconfig.fail st (sc g [ l ])) root links in
+  let forces = base_forces () in
+  let r = Reconfig.base late in
+  Alcotest.(check bool) "late force = forcing at every step" true
+    (Routing.bits_equal r (Reconfig.base eager));
+  Alcotest.(check int) "the chain's six directed folds ran on the late read" 6
+    (base_forces () - forces);
+  let forces = base_forces () in
+  ignore (Reconfig.base late);
+  Alcotest.(check int) "a forced base is not folded again" forces (base_forces ())
+
+let test_concurrent_force () =
+  let g = pop36 () in
+  let root = make_state ~backend:Routing.Backend.Dense g in
+  let phys = phys_links g in
+  for trial = 0 to 7 do
+    let links = [ phys.(trial); phys.(20 + trial); phys.(50 + trial) ] in
+    let reference = Reconfig.base (Reconfig.fail root (sc g links)) in
+    let st = List.fold_left (fun st l -> Reconfig.fail st (sc g [ l ])) root links in
+    match R3_util.Parallel.map ~domains:2 ~chunk:1 Reconfig.base [| st; st |] with
+    | [| a; b |] ->
+      if not (Routing.bits_equal a b && Routing.bits_equal a reference) then
+        Alcotest.failf "trial %d: concurrently forced bases differ" trial
+    | _ -> assert false
+  done
+
+let test_make_checks_shapes () =
+  let g = Topology.abilene () in
+  let st = make_state g in
+  let pairs = st.Reconfig.pairs and demands = st.Reconfig.demands in
+  let base = Reconfig.base st and protection = st.Reconfig.protection in
+  let other = gen20 () in
+  let rejects what f =
+    match f () with
+    | (_ : Reconfig.state) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix:"Reconfig.make: " msg) then
+        Alcotest.failf "%s raised %S" what msg
+  in
+  let make ?(pairs = pairs) ?(demands = demands) ?(base = base) ?(protection = protection) () =
+    Reconfig.make g ~pairs ~demands ~base ~protection
+  in
+  rejects "10 demands" (fun () -> make ~demands:(Array.sub demands 0 10) ());
+  rejects "one demand too many" (fun () -> make ~demands:(Array.append demands [| 1.0 |]) ());
+  rejects "pairs without a base row" (fun () ->
+      make ~pairs:(Array.append pairs [| (0, 1) |]) ~demands:(Array.append demands [| 1.0 |]) ());
+  rejects "base over another graph" (fun () ->
+      let pairs = [| (0, 1) |] in
+      make ~pairs ~demands:[| 1.0 |] ~base:(Routing.create other ~pairs) ());
+  rejects "protection without a row per link" (fun () ->
+      make ~protection:(Routing.create g ~pairs:[| (0, 1) |]) ());
+  rejects "protection over another graph" (fun () ->
+      make
+        ~protection:
+          (Routing.create other ~pairs:(Array.init (G.num_links g) (fun _ -> (0, 1))))
+        ());
+  Alcotest.(check bool) "well-shaped inputs are accepted" true
+    (Reconfig.states_bit_identical st (make ()))
+
 let suite =
   [
     Alcotest.test_case "fail matches directed folds" `Quick
@@ -574,4 +768,14 @@ let suite =
       test_ideal_channel_data_plane;
     Alcotest.test_case "run records schedule, deliver, verify spans" `Quick
       test_run_spans;
+    Alcotest.test_case "load vector = loads of the base" `Quick
+      test_loads_agree_with_base;
+    Alcotest.test_case "load vector depends on the failed set alone" `Quick
+      test_loads_path_independent;
+    Alcotest.test_case "fail leaves the base pending (pop36)" `Quick
+      test_fail_leaves_base_pending;
+    Alcotest.test_case "late force of a pending chain" `Quick test_late_force_chain;
+    Alcotest.test_case "two domains force one pending base" `Quick
+      test_concurrent_force;
+    Alcotest.test_case "make checks shapes" `Quick test_make_checks_shapes;
   ]

@@ -289,6 +289,19 @@ let test_legacy_wrappers_agree () =
     (Sweep.curves ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios)
     legacy
 
+(* A bottleneck sweep reads each scenario's MLU from the folded load
+   vector: no per-commodity base routing is folded. *)
+let test_bottleneck_sweep_forces_no_base () =
+  let g, env = Lazy.force env in
+  let scenarios = S.enumerate g ~k:1 @ S.enumerate g ~k:2 in
+  let forces () = R3_util.Metrics.counter_value "r3.reconfig.base_forces" in
+  let before = forces () in
+  ignore (Sweep.run ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios);
+  Alcotest.(check int) "no base folded" before (forces ());
+  let root = Option.get (E.r3_root env E.Ospf_r3) in
+  ignore (R3_core.Reconfig.base (R3_core.Reconfig.fail root (List.hd scenarios)));
+  Alcotest.(check bool) "reading a base folds it" true (forces () > before)
+
 let suite =
   [
     Alcotest.test_case "scenario canonical form" `Quick test_scenario_canonical;
@@ -302,4 +315,6 @@ let suite =
       test_cache_nan_dirty_regression;
     Alcotest.test_case "undefined ratios counted" `Quick test_undefined_ratios_counted;
     Alcotest.test_case "legacy wrappers agree" `Quick test_legacy_wrappers_agree;
+    Alcotest.test_case "bottleneck sweep forces no base" `Quick
+      test_bottleneck_sweep_forces_no_base;
   ]
