@@ -32,7 +32,7 @@ let quantile p arr = R3_util.Stats.percentile p arr
 
 let one_case ~repeats ~events name g channel =
   let root =
-    Reconfig_bench.make_state g ~backend:R3_net.Routing.Backend.Sparse ~seed:11
+    Reconfig_bench.make_state g ~seed:11
   in
   let schedule = Online.generate g ~seed:23 ~events ~max_concurrent:2 () in
   let n_events = List.length schedule in
@@ -79,8 +79,7 @@ let run () =
        with per-router FIB maintenance switched on. *)
     let g = Topology.abilene () in
     let root =
-      Reconfig_bench.make_state g ~backend:R3_net.Routing.Backend.Sparse
-        ~seed:11
+      Reconfig_bench.make_state g ~seed:11
     in
     let schedule = Online.generate g ~seed:5 ~events:10 ~max_concurrent:2 () in
     List.iter

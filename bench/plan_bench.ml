@@ -5,9 +5,9 @@
    One pop36 case: solve the structured offline plan from scratch (timed),
    persist it through R3_core.Plan_store (timed), reload it (timed,
    best-of), and assert the reload is bit-identical to the original.
-   The headline ratio recompute/load goes to BENCH_plan.json; the >10x
-   expectation is a warning unless R3_BENCH_ENFORCE_SPEEDUP is set (wall
-   clocks on shared CI are too noisy for a hard gate by default).
+   The headline ratio recompute/load goes to BENCH_plan.json; falling
+   short of the >10x expectation prints a warning (wall clocks on shared
+   CI are too noisy for a hard gate).
 
    Run as:  dune exec bench/main.exe -- plan
             dune exec bench/main.exe -- --smoke plan   (abilene, no JSON) *)
@@ -85,14 +85,9 @@ let one_case ~load_repeats name g ~seed =
         "  %-6s: recompute %7.3fs | save %7.4fs | load %8.5fs | %7d bytes | \
          load speedup %8.1fx\n%!"
         name recompute_s save_s load_s bytes speedup;
-      if speedup <= 10.0 then begin
-        let msg =
-          Printf.sprintf "%s: load speedup %.1fx <= 10x (recompute %.3fs, load %.5fs)"
-            name speedup recompute_s load_s
-        in
-        if Sys.getenv_opt "R3_BENCH_ENFORCE_SPEEDUP" <> None then failwith msg
-        else H.note "%s — not enforced without R3_BENCH_ENFORCE_SPEEDUP" msg
-      end;
+      if speedup <= 10.0 then
+        H.note "WARNING: %s: load speedup %.1fx <= 10x (recompute %.3fs, load %.5fs)"
+          name speedup recompute_s load_s;
       J.Obj
         [
           ("topology", J.String name);

@@ -1,15 +1,12 @@
 (* Scenario-sweep benchmark: the prefix-sharing engine (Sweep.run) against
-   the naive per-scenario path it replaces (the deprecated
-   Eval.sorted_curves, which rebuilds every R3 state from the pristine plan
-   and re-solves every optimal MCF from scratch). The two must agree
-   bit-for-bit; the engine must be decisively faster. Results go to stdout
-   and to BENCH_sweep.json so the perf trajectory is tracked in-repo.
+   the naive per-scenario path it replaces ([naive_curves] below, which
+   rebuilds every R3 state from the pristine plan and re-solves every
+   optimal MCF from scratch). The two must agree bit-for-bit; the engine
+   must be decisively faster. Results go to stdout and to BENCH_sweep.json
+   so the perf trajectory is tracked in-repo.
 
    Run as:  dune exec bench/main.exe -- sweep
             dune exec bench/main.exe -- --smoke sweep   (tiny, no JSON) *)
-
-[@@@ocaml.alert "-deprecated"]
-(* the naive reference side IS the deprecated API *)
 
 module G = R3_net.Graph
 module Topology = R3_net.Topology
@@ -63,6 +60,34 @@ let bits_equal (a : float array array) (b : float array array) =
 
 let check name ok = if not ok then failwith ("sweep bench: " ^ name ^ " MISMATCH")
 
+(* The naive reference: one optimal MCF per scenario (for ratios) and one
+   [Eval.scenario_bottleneck] per algorithm, each evaluated from scratch;
+   per algorithm the defined values sorted ascending — what [Sweep.curves]
+   must reproduce bit for bit. *)
+let naive_curves env ~algorithms ~metric scenarios =
+  let values = List.map (fun _ -> ref []) algorithms in
+  List.iter
+    (fun sc ->
+      let opt = match metric with `Ratio -> Eval.optimal env sc | `Bottleneck -> 1.0 in
+      List.iter2
+        (fun alg acc ->
+          let v = Eval.scenario_bottleneck env alg sc in
+          let v =
+            match metric with
+            | `Ratio -> if opt > 0.0 then v /. opt else nan
+            | `Bottleneck -> v
+          in
+          if not (Float.is_nan v) then acc := v :: !acc)
+        algorithms values)
+    scenarios;
+  Array.of_list
+    (List.map
+       (fun acc ->
+         let arr = Array.of_list !acc in
+         Array.sort Float.compare arr;
+         arr)
+       values)
+
 (* ---- headline: full enumeration, R3 algorithms, bottleneck metric ----
 
    The R3 rows are where the naive path pays per scenario (full plan
@@ -71,10 +96,7 @@ let check name ok = if not ok then failwith ("sweep bench: " ^ name ^ " MISMATCH
    comparison. *)
 let headline_case ~repeats ~iters g env scenarios =
   let algorithms = Eval.[ Ospf_r3; Mplsff_r3 ] in
-  let raw = List.map Scenario.links scenarios in
-  let naive () =
-    Eval.sorted_curves env ~algorithms ~scenarios:raw ~metric:`Bottleneck ()
-  in
+  let naive () = naive_curves env ~algorithms ~metric:`Bottleneck scenarios in
   let sweep d () =
     Sweep.curves ~metric:`Bottleneck ~domains:d env ~algorithms scenarios
   in
@@ -129,10 +151,8 @@ let headline_case ~repeats ~iters g env scenarios =
 (* ---- ratio metric: the MCF memo cache, cold vs warm ---- *)
 let ratio_case g env scenarios =
   let algorithms = Eval.[ Ospf_r3; Ospf_opt ] in
-  let raw = List.map Scenario.links scenarios in
   let naive, t_naive =
-    R3_util.Timer.time (fun () ->
-        Eval.sorted_curves env ~algorithms ~scenarios:raw ())
+    R3_util.Timer.time (fun () -> naive_curves env ~algorithms ~metric:`Ratio scenarios)
   in
   let cache = Eval.mcf_cache env in
   let cold, t_cold =

@@ -36,14 +36,7 @@ let seed_arg =
 let load_arg =
   Arg.(value & opt float 0.3 & info [ "load" ] ~docv:"F" ~doc:"Gravity-model load factor.")
 
-(* ---- unified backend configuration (shared across subcommands) ---- *)
-
-let routing_backend_arg =
-  Arg.(
-    value
-    & opt string "sparse"
-    & info [ "routing-backend" ] ~docv:"dense|sparse|auto"
-        ~doc:"Row storage for the extracted protection routing.")
+(* ---- unified configuration (shared across subcommands) ---- *)
 
 let domains_arg =
   Arg.(
@@ -55,17 +48,14 @@ let domains_arg =
            (sweep fan-out, CG separation oracles, online replay) runs on; \
            $(b,auto) keeps the machine-derived default.")
 
-(* One R3_core.Config.t from --routing-backend/--seed/--domains; the
-   same record the bench harnesses build programmatically. Applies the domains knob to the shared pool as a
-   side effect, so every subcommand using this term honors one
-   --domains flag. *)
+(* One R3_core.Config.t from --seed/--domains; the same record the bench
+   harnesses build programmatically. Applies the domains knob to the
+   shared pool as a side effect, so every subcommand using this term
+   honors one --domains flag. *)
 let core_config_term =
-  let build routing seed domains =
-    let ( >>= ) r f = Result.bind r f in
+  let build seed domains =
     match
-      Ok R3_core.Config.(default |> with_seed seed)
-      >>= R3_core.Config.with_routing_backend_string routing
-      >>= R3_core.Config.with_domains_string domains
+      R3_core.Config.(with_domains_string domains (default |> with_seed seed))
     with
     | Ok c ->
       R3_core.Config.apply_domains c;
@@ -74,7 +64,7 @@ let core_config_term =
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  Term.(const build $ routing_backend_arg $ seed_arg $ domains_arg)
+  Term.(const build $ seed_arg $ domains_arg)
 
 (* ---- metrics export (shared by sweep / precompute / profile) ---- *)
 
@@ -720,11 +710,13 @@ let plan_inspect path =
       | Offline.Dualized -> "dualized LP (7)"
       | Offline.Constraint_gen -> "constraint generation")
       i.config.Offline.core.R3_core.Config.seed;
-    Printf.printf "  row storage %s backend; %d/%d sparse rows (base), %d/%d \
-                   sparse rows (protection)\n"
-      (R3_net.Routing.Backend.to_string
-         i.config.Offline.core.R3_core.Config.routing_backend)
-      i.base_sparse_rows i.commodities i.protection_sparse_rows i.links
+    let per_row nnz rows = float_of_int nnz /. float_of_int (Int.max rows 1) in
+    Printf.printf
+      "  row storage  base %d entries (%.1f/row), protection %d entries (%.1f/row)\n"
+      i.base_nnz
+      (per_row i.base_nnz i.commodities)
+      i.protection_nnz
+      (per_row i.protection_nnz i.links)
 
 let plan_cmd =
   let path_arg =

@@ -25,19 +25,16 @@ let run o case =
 
 (* ---- shared fixtures ---- *)
 
-let ospf_base ?(backend = Routing.Backend.Dense) g pairs =
-  R3_net.Ospf.routing g ~backend ~weights:(R3_net.Ospf.unit_weights g) ~pairs ()
+let ospf_base g pairs =
+  R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs ()
 
 (* The SPF detour around each link, or the self row when the failure
    disconnects — the same synthetic protection shape as the reconfig
    bench and the substrate tests. Cheap (no LP), valid for (8)-(10). *)
-let synthetic_protection g ~backend =
+let synthetic_protection g =
   let weights = R3_net.Ospf.unit_weights g in
   let m = G.num_links g in
-  let p =
-    Routing.create ~backend g
-      ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e)))
-  in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
   for l = 0 to m - 1 do
     let failed = G.fail_links g [ l ] in
     match
@@ -48,13 +45,12 @@ let synthetic_protection g ~backend =
   done;
   p
 
-let make_root ?(backend = Routing.Backend.Dense) case =
+let make_root case =
   let g = Case.graph case in
   let pairs, demands = Case.commodities case in
   ( g,
-    Reconfig.make g ~pairs ~demands
-      ~base:(ospf_base ~backend g pairs)
-      ~protection:(synthetic_protection g ~backend) )
+    Reconfig.make g ~pairs ~demands ~base:(ospf_base g pairs)
+      ~protection:(synthetic_protection g) )
 
 (* Net effect of a schedule: the physical links still down at the end. *)
 let final_physical sched =
@@ -128,45 +124,33 @@ let lp_agree =
     check;
   }
 
-(* ---- 2. routing storage backend bit-identity ---- *)
+(* ---- 2. the fold against a naive dense reference ---- *)
 
-let routing_identity =
+(* Random fail/recover rounds; after each, the state's base and
+   protection bits must equal Dense_ref's fold of its failed set from
+   the pristine matrices in canonical order: a second, independent
+   implementation of (8)-(10) with none of the sparse rows, support
+   index or copy-on-write sharing. *)
+let routing_dense_reference =
   let check (case : Case.t) =
-    let g = Case.graph case in
-    let pairs, demands = Case.commodities case in
-    let make b =
-      Reconfig.make g ~pairs ~demands
-        ~base:(ospf_base ~backend:b g pairs)
-        ~protection:(synthetic_protection g ~backend:b)
-    in
-    let states =
-      ref (List.map make Routing.Backend.[ Dense; Sparse; Auto ])
-    in
+    let g, root = make_root case in
+    let st = ref root in
     let rng = Prng.create case.sub_seed in
     let phys = Scenarios.physical_links g in
     for round = 1 to 8 do
       let n = Int.min (1 + Prng.int rng 2) (Array.length phys) in
       let picks = Array.to_list (Prng.sample rng n phys) in
       let sc = Scenario.of_links g picks in
-      let op = Prng.bool rng 0.6 in
-      states :=
-        List.map
-          (fun st -> if op then Reconfig.fail st sc else Reconfig.recover st sc)
-          !states;
-      match !states with
-      | dense :: others ->
-        List.iteri
-          (fun i st ->
-            if not (Reconfig.states_bit_identical dense st) then
-              failf "round %d: %s backend diverged from Dense" round
-                (if i = 0 then "Sparse" else "Auto"))
-          others
-      | [] -> ()
+      st :=
+        if Prng.bool rng 0.6 then Reconfig.fail !st sc else Reconfig.recover !st sc;
+      match Dense_ref.mismatch !st (Dense_ref.of_state !st) with
+      | Some d -> failf "round %d: %s" round d
+      | None -> ()
     done
   in
   {
-    name = "routing-backend-identity";
-    doc = "Dense/Sparse/Auto routing storage is bit-identical under folding";
+    name = "routing-dense-reference";
+    doc = "fail/recover folds equal a naive dense fold of (8)-(10) bit for bit";
     check;
   }
 
@@ -297,9 +281,7 @@ let plan_store =
     let g = Case.graph case in
     let pairs, demands = Case.commodities case in
     let base = ospf_base g pairs in
-    let protection =
-      synthetic_protection g ~backend:Routing.Backend.Sparse
-    in
+    let protection = synthetic_protection g in
     let loads = Routing.loads g ~demands base in
     let plan =
       {
@@ -679,7 +661,7 @@ let stats_prng =
 let all =
   [
     lp_agree;
-    routing_identity;
+    routing_dense_reference;
     reorder_independence;
     online_vs_batch;
     checkpoint_resume;

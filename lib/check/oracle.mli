@@ -6,8 +6,8 @@
     codebase promises:
 
     - constraint generation and the dualized LP (7) agree on MLU*;
-    - the Dense/Sparse/Auto routing backends stay bit-identical under
-      random failure folding;
+    - random fail/recover folds equal a naive dense fold of (8)–(10)
+      ({!Dense_ref}) bit for bit;
     - sequential fail/recover folds land on the canonical batch state and
       recovery restores the pristine plan (Theorem 3);
     - the online runtime over a fault-injected channel reaches the same

@@ -1,5 +1,4 @@
 type t = {
-  routing_backend : R3_net.Routing.Backend.t;
   seed : int;
   mcf_epsilon : float;
   rescale_tol : float;
@@ -8,14 +7,12 @@ type t = {
 
 let default =
   {
-    routing_backend = R3_net.Routing.Backend.Sparse;
     seed = 42;
     mcf_epsilon = 0.06;
     rescale_tol = 1e-9;
     domains = None;
   }
 
-let with_routing_backend b t = { t with routing_backend = b }
 let with_seed seed t = { t with seed }
 let with_mcf_epsilon mcf_epsilon t = { t with mcf_epsilon }
 let with_rescale_tol rescale_tol t = { t with rescale_tol }
@@ -41,18 +38,9 @@ let with_domains_string s t =
       Error
         (Printf.sprintf "bad domain count %S (use a positive integer or auto)" s))
 
-let with_routing_backend_string s t =
-  match R3_net.Routing.Backend.of_string s with
-  | Some b -> Ok (with_routing_backend b t)
-  | None ->
-    Error
-      (Printf.sprintf "unknown routing backend %S (use dense, sparse or auto)" s)
-
 let to_json t =
   R3_util.Json.Obj
     [
-      ( "routing_backend",
-        R3_util.Json.String (R3_net.Routing.Backend.to_string t.routing_backend) );
       ("seed", R3_util.Json.Int t.seed);
       ("mcf_epsilon", R3_util.Json.Float t.mcf_epsilon);
       ("rescale_tol", R3_util.Json.Float t.rescale_tol);

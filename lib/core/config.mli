@@ -1,24 +1,18 @@
-(** Unified backend/workload configuration.
+(** Unified workload configuration.
 
     One record carries every cross-cutting knob that used to be plumbed
     flag-by-flag through [Offline.config], the [r3] CLI and the bench
-    harnesses: which row storage holds the extracted protection routing,
-    the workload PRNG seed, and the two numeric tolerances shared by the
-    online phase (detour rescaling) and the evaluation normalizer
-    (optimal-MCF accuracy). Build one with {!default} and the
-    builder-style [with_*] functions:
+    harnesses: the workload PRNG seed, the two numeric tolerances shared
+    by the online phase (detour rescaling) and the evaluation normalizer
+    (optimal-MCF accuracy), and the pool size. Build one with {!default}
+    and the builder-style [with_*] functions:
 
     {[ Config.(default |> with_seed 7 |> with_mcf_epsilon 0.01) ]}
 
-    [Offline.default_config ?config] embeds the record in the offline
-    configuration; [r3] subcommands build it from [--routing-backend],
-    [--seed] and [--domains]; bench harnesses construct per-backend
-    variants with the builders. *)
+    [Offline.with_core] embeds the record in the offline configuration;
+    [r3] subcommands build it from [--seed] and [--domains]. *)
 
 type t = {
-  routing_backend : R3_net.Routing.Backend.t;
-      (** row storage for the extracted protection routing
-          (default [Sparse]) *)
   seed : int;  (** workload PRNG seed (default 42) *)
   mcf_epsilon : float;
       (** accuracy of the optimal-MCF evaluation normalizer
@@ -38,7 +32,6 @@ val default : t
 
 (** {2 Builders (pipe style: [Config.(default |> with_seed 7)])} *)
 
-val with_routing_backend : R3_net.Routing.Backend.t -> t -> t
 val with_seed : int -> t -> t
 val with_mcf_epsilon : float -> t -> t
 val with_rescale_tol : float -> t -> t
@@ -52,10 +45,6 @@ val apply_domains : t -> unit
 
 (** {2 String parsing (CLI flags)} *)
 
-(** [with_routing_backend_string s t]: [s] is one of [dense], [sparse],
-    [auto]. *)
-val with_routing_backend_string : string -> t -> (t, string) result
-
 (** [with_domains_string s t]: a positive integer, or [auto] to keep the
     machine-derived pool size. *)
 val with_domains_string : string -> t -> (t, string) result
@@ -63,5 +52,5 @@ val with_domains_string : string -> t -> (t, string) result
 (** {2 Export} *)
 
 (** The record as a JSON object — bench artifacts embed it so every
-    BENCH_*.json names the exact backends it measured. *)
+    BENCH_*.json names the exact configuration it measured. *)
 val to_json : t -> R3_util.Json.t

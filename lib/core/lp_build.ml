@@ -35,19 +35,21 @@ let routing_constraints lp g ~pairs vars =
       done)
     pairs
 
-let extract_routing ?backend sol g ~pairs vars =
-  let t = R3_net.Routing.create ?backend g ~pairs in
+let extract_routing sol g ~pairs vars =
+  let t = R3_net.Routing.create g ~pairs in
+  let row = Array.make (G.num_links g) 0.0 in
   Array.iteri
-    (fun k row ->
+    (fun k vs ->
       Array.iteri
         (fun e v ->
-          match v with
-          | None -> ()
-          | Some var ->
-            (* Clamp solver noise into [0, 1]. *)
-            let x = sol.P.value var in
-            R3_net.Routing.set t k e (Float.max 0.0 (Float.min 1.0 x)))
-        row)
+          row.(e) <-
+            (match v with
+            | None -> 0.0
+            | Some var ->
+              (* Clamp solver noise into [0, 1]. *)
+              Float.max 0.0 (Float.min 1.0 (sol.P.value var))))
+        vs;
+      R3_net.Routing.set_row_dense t k row)
     vars;
   t
 

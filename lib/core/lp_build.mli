@@ -24,12 +24,9 @@ val routing_constraints :
   routing_vars ->
   unit
 
-(** Read a solved routing back into the flow representation, stored under
-    [backend] (default dense). Protection routings should pass
-    [Routing.Backend.Sparse]: their rows have support the size of one
-    detour path. *)
+(** Read a solved routing back into the flow representation: each value
+    clamped into [\[0, 1\]], each row filled once. *)
 val extract_routing :
-  ?backend:R3_net.Routing.Backend.t ->
   R3_lp.Problem.solution ->
   R3_net.Graph.t ->
   pairs:(R3_net.Graph.node * R3_net.Graph.node) array ->

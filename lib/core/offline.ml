@@ -187,12 +187,9 @@ let base_terms base_load (demand_arrs : float array array) h e =
   | Terms f -> (f demand_arrs.(h) e, 0.0)
   | Const loads -> ([], loads.(h).(e))
 
-let finish ~(cfg : config) lp sol g pairs p_vars r_vars base_spec mlu_var =
-  (* Protection rows have support the size of one detour path; the base
-     routing spreads over much of the network and stays dense. *)
+let finish lp sol g pairs p_vars r_vars base_spec mlu_var =
   let protection =
-    Lp_build.extract_routing ~backend:cfg.core.Config.routing_backend sol g
-      ~pairs:(Lp_build.link_pairs g) p_vars
+    Lp_build.extract_routing sol g ~pairs:(Lp_build.link_pairs g) p_vars
   in
   let base =
     match (base_spec, r_vars) with
@@ -251,7 +248,7 @@ let compute_dualized (cfg : config) g tms base_spec =
   with
   | Error _ as e -> e
   | Ok sol ->
-    let base, protection, mlu_val = finish ~cfg lp sol g pairs p_vars r_vars base_spec mlu in
+    let base, protection, mlu_val = finish lp sol g pairs p_vars r_vars base_spec mlu in
     Ok
       {
         graph = g;
@@ -273,12 +270,10 @@ let compute_dualized (cfg : config) g tms base_spec =
 let audit_worst_mlu g ~f ~base_loads ~protection =
   Obs.T.with_span "offline.audit" @@ fun () ->
   let m = G.num_links g in
+  let weights = Virtual_demand.weight_columns g protection in
   let utils =
     Parallel.init ~chunk:(Parallel.chunk_hint m) m (fun e ->
-        let weights =
-          Array.init m (fun l -> G.capacity g l *. Routing.get protection l e)
-        in
-        let ml = Virtual_demand.worst_virtual_load ~f weights in
+        let ml = Virtual_demand.worst_virtual_load ~f weights.(e) in
         (base_loads.(e) +. ml) /. G.capacity g e)
   in
   Array.fold_left Float.max 0.0 utils
@@ -339,12 +334,12 @@ let compute_cg (cfg : config) g tms base_spec =
            added below appear in exactly the sequential (h, e) order. *)
         let oracle =
           Obs.T.with_span "offline.oracle" @@ fun () ->
+          let weights = Virtual_demand.weight_columns g p in
           Parallel.init ~chunk:(Parallel.chunk_hint (nh * m)) (nh * m) (fun i ->
               let h = i / m and e = i mod m in
-              let weights =
-                Array.init m (fun l -> G.capacity g l *. Routing.get p l e)
+              let ml, set =
+                Virtual_demand.worst_virtual_load_set ~f:cfg.f weights.(e)
               in
-              let ml, set = Virtual_demand.worst_virtual_load_set ~f:cfg.f weights in
               (h, e, ml, set))
         in
         let violated = ref 0 in
@@ -373,7 +368,7 @@ let compute_cg (cfg : config) g tms base_spec =
         R3_util.Metrics.add Obs.cg_cuts !violated;
         if !violated = 0 || not budget_left then begin
           Obs.T.add_attr "cg_rounds" (Obs.T.Int round);
-          let base, protection, mlu_val = finish ~cfg lp sol g pairs p_vars r_vars base_spec mlu in
+          let base, protection, mlu_val = finish lp sol g pairs p_vars r_vars base_spec mlu in
           let mlu_val =
             if !violated = 0 then mlu_val
             else begin

@@ -39,15 +39,12 @@ type config = {
           re-solves warm through {!R3_lp.Problem.session}: dual-simplex
           repair of the previous basis, not a cold two-phase solve. *)
   core : Config.t;
-      (** the unified backend/seed/tolerance bundle ({!Config.t}):
-          [routing_backend] is the row storage for the extracted
-          {e protection} routing (the base routing is always extracted
-          dense). *)
+      (** the unified seed/tolerance/pool bundle ({!Config.t}) *)
 }
 
 val default_config : f:int -> config
 
-(** [with_core core cfg] swaps the backend bundle — builder-style:
+(** [with_core core cfg] swaps the {!Config.t} bundle — builder-style:
     [Offline.default_config ~f |> Offline.with_core Config.(default |> with_seed 7)]. *)
 val with_core : Config.t -> config -> config
 

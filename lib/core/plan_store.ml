@@ -10,8 +10,19 @@ module R = Codec.R
 
 let magic = "R3PLANSS"
 (* v2: the config section lost the LP-backend tag and the CG warm-start
-   flag when the simplex went down to one engine. *)
-let version = 2
+   flag when the simplex went down to one engine. v3: routing storage
+   went down to sparse rows only, so the config section lost its storage
+   byte and each routing its storage and row-payload tags. *)
+let version = 3
+
+(* [count r what ~min_bytes] reads an element count and rejects it unless
+   that many elements, each at least [min_bytes] long, fit in the bytes
+   left — before anything is allocated from it. *)
+let count r what ~min_bytes =
+  let n = R.i32 r in
+  if n < 0 || n > R.remaining r / min_bytes then
+    raise (R.Corrupt (Printf.sprintf "bad %s count %d" what n));
+  n
 
 (* --- graph section ----------------------------------------------------- *)
 
@@ -33,11 +44,10 @@ let enc_graph g =
 
 let dec_graph s =
   let r = R.of_string s in
-  let n = R.i32 r in
-  if n < 0 then raise (R.Corrupt "negative node count");
+  (* a name is a u32 length prefix; a link two i32s and two floats *)
+  let n = count r "node" ~min_bytes:4 in
   let node_names = Array.init n (fun _ -> R.string r) in
-  let m = R.i32 r in
-  if m < 0 then raise (R.Corrupt "negative link count");
+  let m = count r "link" ~min_bytes:24 in
   let links =
     Array.init m (fun _ ->
         let a = R.i32 r in
@@ -70,17 +80,6 @@ let method_of_tag = function
   | 1 -> Offline.Constraint_gen
   | n -> raise (R.Corrupt (Printf.sprintf "unknown solve method tag %d" n))
 
-let routing_backend_tag = function
-  | Routing.Backend.Dense -> 0
-  | Routing.Backend.Sparse -> 1
-  | Routing.Backend.Auto -> 2
-
-let routing_backend_of_tag = function
-  | 0 -> Routing.Backend.Dense
-  | 1 -> Routing.Backend.Sparse
-  | 2 -> Routing.Backend.Auto
-  | n -> raise (R.Corrupt (Printf.sprintf "unknown routing backend tag %d" n))
-
 let enc_config (cfg : Offline.config) =
   let w = W.create () in
   W.i32 w cfg.f;
@@ -94,7 +93,6 @@ let enc_config (cfg : Offline.config) =
   W.u8 w (method_tag cfg.solve_method);
   enc_option w (W.int w) cfg.max_pivots;
   W.i32 w cfg.cg_max_rounds;
-  W.u8 w (routing_backend_tag cfg.core.routing_backend);
   W.int w cfg.core.seed;
   W.float w cfg.core.mcf_epsilon;
   W.float w cfg.core.rescale_tol;
@@ -114,7 +112,6 @@ let dec_config s : Offline.config =
   let solve_method = method_of_tag (R.u8 r) in
   let max_pivots = dec_option r (fun () -> R.int r) in
   let cg_max_rounds = R.i32 r in
-  let routing_backend = routing_backend_of_tag (R.u8 r) in
   let seed = R.int r in
   let mcf_epsilon = R.float r in
   let rescale_tol = R.float r in
@@ -131,7 +128,7 @@ let dec_config s : Offline.config =
        independent), so it is deliberately not part of the snapshot
        format or its fingerprint. *)
     core =
-      { routing_backend; seed; mcf_epsilon; rescale_tol; domains = None };
+      { seed; mcf_epsilon; rescale_tol; domains = None };
   }
 
 (* --- workload section (commodities + demands) -------------------------- *)
@@ -149,8 +146,7 @@ let enc_workload ~pairs ~demands =
 
 let dec_workload s =
   let r = R.of_string s in
-  let nk = R.i32 r in
-  if nk < 0 then raise (R.Corrupt "negative commodity count");
+  let nk = count r "commodity" ~min_bytes:8 in
   let pairs =
     Array.init nk (fun _ ->
         let a = R.i32 r in
@@ -165,12 +161,9 @@ let dec_workload s =
 
 (* --- routings ---------------------------------------------------------- *)
 
-(* Rows are written in their exact stored representation (dense payloads
-   dense, sparse payloads sparse) so a reload reproduces not just the
-   values but the storage mix — an [Auto] routing keeps whatever
-   densification decisions the solve made. *)
+(* A routing is its commodities, then each row's stored entries as an
+   ascending index array and a value array. *)
 let enc_routing w rt =
-  W.u8 w (routing_backend_tag (Routing.backend rt));
   let nk = Routing.num_commodities rt in
   W.i32 w nk;
   Array.iter
@@ -179,46 +172,32 @@ let enc_routing w rt =
       W.i32 w b)
     (Routing.pairs rt);
   for k = 0 to nk - 1 do
-    match Routing.row_storage rt k with
-    | `Dense a ->
-      W.u8 w 0;
-      W.float_array w a
-    | `Sparse v ->
-      W.u8 w 1;
-      let idx, vals, n = Rowvec.raw v in
-      W.int_array w (Array.sub idx 0 n);
-      W.float_array w (Array.sub vals 0 n)
+    let idx, vals, n = Rowvec.raw (Routing.row_vec rt k) in
+    W.int_array w (Array.sub idx 0 n);
+    W.float_array w (Array.sub vals 0 n)
   done
 
 let dec_routing r g =
-  let backend = routing_backend_of_tag (R.u8 r) in
-  let nk = R.i32 r in
-  if nk < 0 then raise (R.Corrupt "negative routing row count");
+  (* a commodity is two i32s, its row two array length prefixes *)
+  let nk = count r "routing row" ~min_bytes:16 in
   let pairs =
     Array.init nk (fun _ ->
         let a = R.i32 r in
         let b = R.i32 r in
         (a, b))
   in
-  let rt = Routing.create ~backend g ~pairs in
+  let rt = Routing.create g ~pairs in
   for k = 0 to nk - 1 do
-    let storage =
-      match R.u8 r with
-      | 0 -> `Dense (R.float_array r)
-      | 1 ->
-        let idx = R.int_array r in
-        let vals = R.float_array r in
-        let n = Array.length idx in
-        if Array.length vals <> n then
-          raise (R.Corrupt "sparse row index/value length mismatch");
-        for i = 1 to n - 1 do
-          if idx.(i - 1) >= idx.(i) then
-            raise (R.Corrupt "sparse row indices not strictly ascending")
-        done;
-        `Sparse (Rowvec.of_sorted idx vals n)
-      | t -> raise (R.Corrupt (Printf.sprintf "unknown row payload tag %d" t))
-    in
-    try Routing.set_row_storage rt k storage
+    let idx = R.int_array r in
+    let vals = R.float_array r in
+    let n = Array.length idx in
+    if Array.length vals <> n then
+      raise (R.Corrupt "row index/value length mismatch");
+    for i = 1 to n - 1 do
+      if idx.(i - 1) >= idx.(i) then
+        raise (R.Corrupt "row indices not strictly ascending")
+    done;
+    try Routing.set_row_vec rt k (Rowvec.of_sorted idx vals n)
     with Invalid_argument msg -> raise (R.Corrupt msg)
   done;
   rt
@@ -327,8 +306,8 @@ type info = {
   mlu : float;
   solve_method : Offline.method_;
   config : Offline.config;
-  base_sparse_rows : int;
-  protection_sparse_rows : int;
+  base_nnz : int;
+  protection_nnz : int;
 }
 
 let inspect path =
@@ -352,8 +331,8 @@ let inspect path =
           mlu = plan.mlu;
           solve_method = config.solve_method;
           config;
-          base_sparse_rows = Routing.sparse_rows plan.base;
-          protection_sparse_rows = Routing.sparse_rows plan.protection;
+          base_nnz = Routing.nnz plan.base;
+          protection_nnz = Routing.nnz plan.protection;
         })
 
 (* --- traffic snapshots ------------------------------------------------- *)
@@ -374,8 +353,8 @@ let load_traffic path =
   | Ok payload -> (
     try
       let r = R.of_string payload in
-      let n = R.i32 r in
-      if n < 0 then raise (R.Corrupt "negative matrix dimension");
+      (* a row is at least its u32 length prefix *)
+      let n = count r "matrix row" ~min_bytes:4 in
       let tm =
         Array.init n (fun _ ->
             let row = R.float_array r in

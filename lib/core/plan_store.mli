@@ -3,8 +3,8 @@
     The expensive half of R3 — solving the offline LP for the protection
     routing [p] — happens once; the artifact it produces {e is} the
     deployable object. This module writes a complete {!Offline.plan}
-    (graph, commodities, demands, base and protection routings with their
-    exact dense/sparse row payloads, optimum MLU, LP statistics, and the
+    (graph, commodities, demands, base and protection routings row by
+    row as their stored entries, optimum MLU, LP statistics, and the
     {!Offline.config} it was solved under) as a versioned, CRC-checked
     binary snapshot via {!R3_util.Codec}, and reads it back bit-identically:
     a reloaded plan steps through {!Reconfig} to exactly the states the
@@ -41,7 +41,9 @@ val save : string -> ?config:Offline.config -> Offline.plan -> unit
 (** [load ?expect_graph ?expect_config path] decodes and validates a
     snapshot. Errors (all as [Error msg], never an exception) name the
     failing check: missing/truncated file, wrong magic, version mismatch,
-    CRC mismatch, malformed payload, fingerprint mismatch, or — when the
+    CRC mismatch, malformed payload (including an element count larger
+    than the bytes left could hold, rejected before anything is allocated
+    from it), fingerprint mismatch, or — when the
     respective argument is given — a topology/config that differs from
     the one the plan was solved for. *)
 val load :
@@ -63,8 +65,8 @@ type info = {
   mlu : float;
   solve_method : Offline.method_;
   config : Offline.config;
-  base_sparse_rows : int;
-  protection_sparse_rows : int;
+  base_nnz : int;  (** stored entries of the base routing ({!R3_net.Routing.nnz}) *)
+  protection_nnz : int;  (** stored entries of the protection routing *)
 }
 
 val inspect : string -> (info, string) result

@@ -21,17 +21,13 @@ let audit_class_mlus ?srlgs ~classes (plan : Offline.plan) =
            Verify.offline_worst_mlu g ~f:spec.f ~base_loads
              ~protection:plan.Offline.protection
          | Some groups ->
+           let weights = Virtual_demand.weight_columns g plan.Offline.protection in
            let worst = ref 0.0 in
            for e = 0 to m - 1 do
-             let weights =
-               Array.init m (fun l ->
-                   R3_net.Graph.capacity g l
-                   *. Routing.get plan.Offline.protection l e)
-             in
              let value, _ =
                Structured.worst_structured_load
                  { Structured.srlgs = groups; mlgs = []; k = spec.f }
-                 weights
+                 weights.(e)
              in
              let u = (base_loads.(e) +. value) /. R3_net.Graph.capacity g e in
              if u > !worst then worst := u
@@ -139,13 +135,12 @@ let compute (cfg : Offline.config) g ?srlgs ~classes base_spec =
             Routing.loads g ~demands:(List.nth per_class_demands ci) r
         in
         let violated = ref 0 in
+        let weights_by_link = Virtual_demand.weight_columns g p in
         List.iteri
           (fun ci fi ->
             let loads = base_loads_for ci in
             for e = 0 to m - 1 do
-              let weights =
-                Array.init m (fun l -> G.capacity g l *. Routing.get p l e)
-              in
+              let weights = weights_by_link.(e) in
               (* Oracle: plain knapsack for arbitrary failures, or the
                  structured LP restricted to fi concurrent SRLG events.
                  Both yield cut coefficients y_l * c_l per link. *)

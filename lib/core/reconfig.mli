@@ -123,15 +123,14 @@ val base : state -> R3_net.Routing.t
 
 (** True iff the two states have the same failure set and bit-identical
     base and protection routings (compared via [Int64.bits_of_float] on
-    the dense image, so [-0.0] differs from [+0.0] and storage backend
-    does not matter). Forces both bases; does not compare load vectors.
-    Built on {!R3_net.Routing.bits_equal}: rows the two
-    states share copy-on-write are skipped, every other row is read in
-    full, and nothing is allocated once the bases are forced — comparing
-    two states folded from one root costs the rows their failures
-    touched. The equivalence check behind [Online.run]'s terminal check
-    and the tests for [fail]-vs-replay folds and dense-vs-sparse
-    backends. *)
+    the dense image, so a stored [-0.0] differs from an absent entry).
+    Forces both bases; does not compare load vectors. Built on
+    {!R3_net.Routing.bits_equal}: rows the two states share
+    copy-on-write are skipped, every other row is read in full, and
+    nothing is allocated once the bases are forced — comparing two
+    states folded from one root costs the rows their failures touched.
+    The equivalence check behind [Online.run]'s terminal check and the
+    tests for [fail]-vs-replay folds. *)
 val states_bit_identical : state -> state -> bool
 
 (** Per-link load of the real traffic under the current base routing: a

@@ -121,13 +121,10 @@ let audit_mlu (plan : Offline.plan) groups =
   let g = plan.Offline.graph in
   let m = G.num_links g in
   let base_loads = Routing.loads g ~demands:plan.Offline.demands plan.Offline.base in
+  let weights = Virtual_demand.weight_columns g plan.Offline.protection in
   let utils =
     R3_util.Parallel.init ~chunk:(R3_util.Parallel.chunk_hint m) m (fun e ->
-        let weights =
-          Array.init m (fun l ->
-              G.capacity g l *. Routing.get plan.Offline.protection l e)
-        in
-        let value, _ = worst_structured_load groups weights in
+        let value, _ = worst_structured_load groups weights.(e) in
         (base_loads.(e) +. value) /. G.capacity g e)
   in
   Array.fold_left Float.max 0.0 utils
@@ -262,11 +259,9 @@ let compute (cfg : Offline.config) g tm groups base_spec =
            order identical to a sequential loop. *)
         let oracle =
           Obs.T.with_span "offline.oracle" @@ fun () ->
+          let weights = Virtual_demand.weight_columns g p in
           R3_util.Parallel.init ~chunk:(R3_util.Parallel.chunk_hint m) m (fun e ->
-              let weights =
-                Array.init m (fun l -> G.capacity g l *. Routing.get p l e)
-              in
-              worst_structured_load groups weights)
+              worst_structured_load groups weights.(e))
         in
         let violated = ref 0 in
         for e = 0 to m - 1 do

@@ -2,13 +2,10 @@ module G = R3_net.Graph
 module Routing = R3_net.Routing
 
 let offline_worst_mlu g ~f ~base_loads ~protection =
-  let m = G.num_links g in
+  let weights = Virtual_demand.weight_columns g protection in
   let worst = ref 0.0 in
-  for e = 0 to m - 1 do
-    let weights =
-      Array.init m (fun l -> G.capacity g l *. Routing.get protection l e)
-    in
-    let ml = Virtual_demand.worst_virtual_load ~f weights in
+  for e = 0 to G.num_links g - 1 do
+    let ml = Virtual_demand.worst_virtual_load ~f weights.(e) in
     let u = (base_loads.(e) +. ml) /. G.capacity g e in
     if u > !worst then worst := u
   done;

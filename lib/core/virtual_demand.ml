@@ -35,6 +35,15 @@ let extreme_points ?(limit = 200_000) g ~f =
   enumerate 0 f;
   !acc
 
+let weight_columns g p =
+  let m = R3_net.Graph.num_links g in
+  let cols = Array.init m (fun _ -> Array.make m 0.0) in
+  for l = 0 to m - 1 do
+    let c = R3_net.Graph.capacity g l in
+    R3_net.Routing.iter_row p l (fun e x -> cols.(e).(l) <- c *. x)
+  done;
+  cols
+
 let worst_virtual_load ~f weights =
   let sorted = Array.copy weights in
   Array.sort (fun a b -> Float.compare b a) sorted;

@@ -17,6 +17,15 @@ val member : R3_net.Graph.t -> f:int -> float array -> bool
     200_000) points. *)
 val extreme_points : ?limit:int -> R3_net.Graph.t -> f:int -> float array list
 
+(** [weight_columns g p] is the knapsack weights of every link at once:
+    [(weight_columns g p).(e).(l) = c_l * p_l(e)], with [+0.0] where row
+    [l] of the protection routing [p] stores nothing at [e]. Built in one
+    pass over the rows of [p] (a per-entry [Routing.get] loop would
+    search every row for every link). The oracles below, and the
+    structured one, only read their weights, so one matrix serves every
+    separation task of a round. *)
+val weight_columns : R3_net.Graph.t -> R3_net.Routing.t -> float array array
+
 (** [worst_virtual_load g ~f ~weights] where [weights.(l) = c_l * p_l(e)]
     for a fixed link [e]: the optimal objective of (5), i.e. the sum of the
     [f] largest weights. *)

@@ -177,10 +177,10 @@ let run_gk_body g ?failed ~epsilon ~track ~pairs ~demands () =
           (fun i (orig_k, _, _) ->
             if dem.(i) > 0.0 then begin
               let denom = t *. dem.(i) in
-              for e = 0 to m - 1 do
-                R3_net.Routing.set routing orig_k e
-                  (Float.max 0.0 (Float.min 1.0 (kflows.(i).(e) /. denom)))
-              done
+              R3_net.Routing.set_row_dense routing orig_k
+                (Array.map
+                   (fun f -> Float.max 0.0 (Float.min 1.0 (f /. denom)))
+                   kflows.(i))
             end)
           live
       end;

@@ -23,38 +23,47 @@ let link_of_label l = l - label_base
 (* Label [l]'s entry at [router], from row [l] of (that router's view of)
    the protection routing; [None] when the router forwards none of it.
    The one derivation behind the full build and the incremental update,
-   so the two can never drift. *)
+   so the two can never drift. Ratios are over the router's outgoing
+   links; at the protected link's head the link itself is excluded (it
+   is the one being bypassed). One pass over the row collects the
+   candidates: the row visits links in ascending id, which is
+   [G.out_links]'s order, so [total] adds the same terms in the same
+   order as a per-out-link lookup would. *)
 let label_fwd g p router l =
-  (* Ratios over outgoing links; at the protected link's head the link
-     itself is excluded (it is the one being bypassed). *)
-  let candidates =
-    Array.to_list (G.out_links g router)
-    |> List.filter (fun e -> e <> l && Routing.get p l e > 1e-12)
-  in
-  let total = List.fold_left (fun a e -> a +. Routing.get p l e) 0.0 candidates in
+  let total = ref 0.0 and picked = ref [] in
+  Routing.iter_row p l (fun e x ->
+      if e <> l && G.src g e = router && x > 1e-12 then begin
+        total := !total +. x;
+        picked := (e, x) :: !picked
+      end);
+  let total = !total in
   if total > 1e-12 then
     let nhlfes =
-      candidates
-      |> List.map (fun e -> { out_link = e; ratio = Routing.get p l e /. total })
+      List.rev_map (fun (e, x) -> { out_link = e; ratio = x /. total }) !picked
       |> Array.of_list
     in
     Some { label = label_of_link l; nhlfes }
   else None
 
-let router_ilm g p router =
-  let ilm = Hashtbl.create 16 in
-  for l = 0 to G.num_links g - 1 do
-    match label_fwd g p router l with
-    | Some fwd -> Hashtbl.replace ilm fwd.label fwd
-    | None -> ()
-  done;
-  ilm
-
 let of_protection g p =
   if Routing.num_commodities p <> G.num_links g then
     invalid_arg "Fib.of_protection: protection must cover every link";
   let n = G.num_nodes g in
-  let fibs = Array.init n (fun router -> { router; ilm = router_ilm g p router }) in
+  let fibs = Array.init n (fun router -> { router; ilm = Hashtbl.create 16 }) in
+  (* Only a router some entry of row [l] leaves from can forward label
+     [l]: derive the label at each such router once, in ascending label
+     order per router as a per-router loop over every label would. *)
+  let last_label = Array.make n (-1) in
+  for l = 0 to G.num_links g - 1 do
+    Routing.iter_row p l (fun e _ ->
+        let router = G.src g e in
+        if last_label.(router) <> l then begin
+          last_label.(router) <- l;
+          match label_fwd g p router l with
+          | Some fwd -> Hashtbl.replace fibs.(router).ilm fwd.label fwd
+          | None -> ()
+        end)
+  done;
   {
     graph = g;
     fibs;

@@ -56,9 +56,9 @@ let ecmp_fractions g failed weights dist_to ~a ~dst row =
       end)
     order
 
-let routing g ?backend ?failed ~weights ~pairs () =
+let routing g ?failed ~weights ~pairs () =
   let failed = match failed with Some f -> f | None -> Graph.no_failures g in
-  let t = Routing.create ?backend g ~pairs in
+  let t = Routing.create g ~pairs in
   let row = Array.make (Graph.num_links g) 0.0 in
   (* Group commodities by destination so each destination needs exactly one
      reverse-Dijkstra pass. *)

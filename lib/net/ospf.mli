@@ -7,15 +7,12 @@ val unit_weights : Graph.t -> float array
 (** Cisco-default weights: inversely proportional to capacity. *)
 val inv_cap_weights : Graph.t -> float array
 
-(** [routing g ?backend ?failed ~weights ~pairs] builds the ECMP flow
-    routing for the given commodities on the surviving topology, stored
-    under [backend] (default dense — base-routing rows touch most of the
-    network). Commodities whose destination is unreachable get an
-    all-zero row (traffic is lost), matching OSPF behaviour under
-    partition. *)
+(** [routing g ?failed ~weights ~pairs] builds the ECMP flow routing for
+    the given commodities on the surviving topology. Commodities whose
+    destination is unreachable get an all-zero row (traffic is lost),
+    matching OSPF behaviour under partition. *)
 val routing :
   Graph.t ->
-  ?backend:Routing.Backend.t ->
   ?failed:Graph.link_set ->
   weights:float array ->
   pairs:(Graph.node * Graph.node) array ->

@@ -1,32 +1,12 @@
 module Rowvec = R3_util.Rowvec
 
-module Backend = struct
-  type t = Dense | Sparse | Auto
-
-  let to_string = function
-    | Dense -> "dense"
-    | Sparse -> "sparse"
-    | Auto -> "auto"
-
-  let of_string = function
-    | "dense" -> Some Dense
-    | "sparse" -> Some Sparse
-    | "auto" -> Some Auto
-    | _ -> None
-end
-
-let auto_nnz_ratio = 0.25
-
-(* New-row materializations per representation; row *sharing* (copy,
-   untouched fold_failure rows) deliberately does not count. *)
+(* New-row materializations; row *sharing* (copy, untouched fold_failure
+   rows) deliberately does not count. *)
 module Obs = struct
   module M = R3_util.Metrics
 
-  let dense_rows = M.counter "r3.routing.dense_rows"
-  let sparse_rows = M.counter "r3.routing.sparse_rows"
+  let rows = M.counter "r3.routing.rows"
 end
-
-type payload = D of float array | S of Rowvec.t
 
 (* Row payloads are shared between routings (copy-on-write). Sharing is
    tracked by generations: row [k] is exclusively owned iff
@@ -65,14 +45,14 @@ type colidx = {
 
 let max_overlays = 8
 
-(* Rows live in chunks of 128 payload pointers, not one flat array: a
-   folded child needs its own row table, and a flat [nk]-entry pointer
-   array is a major-heap allocation (beyond the minor limit) whose copy
-   pays a write-barrier per element and whose garbage drives major GC
-   slices — a per-fold tax both backends paid equally. Chunks stay in
-   the minor heap: copying is plain memcpy and dead children vanish in
-   the next minor collection. Chunks are always exclusively owned by
-   their routing (only payloads are copy-on-write shared). *)
+(* Rows live in chunks of 128 row pointers, not one flat array: a folded
+   child needs its own row table, and a flat [nk]-entry pointer array is
+   a major-heap allocation (beyond the minor limit) whose copy pays a
+   write-barrier per element and whose garbage drives major GC slices —
+   a per-fold tax. Chunks stay in the minor heap: copying is plain
+   memcpy and dead children vanish in the next minor collection. Chunks
+   are always exclusively owned by their routing (only rows are
+   copy-on-write shared). *)
 let chunk_bits = 7
 
 let chunk_size = 1 lsl chunk_bits
@@ -80,8 +60,7 @@ let chunk_size = 1 lsl chunk_bits
 type t = {
   prs : (Graph.node * Graph.node) array;
   m : int;
-  bk : Backend.t;
-  rows : payload array array;
+  rows : Rowvec.t array array;
   own_gen : int array;  (* row [k] owned iff own_gen.(k) >= share_gen *)
   share_gen : int Atomic.t;
   cols : colidx option Atomic.t;
@@ -107,36 +86,17 @@ let rows_init nk f =
 
 let rows_copy rows = Array.map Array.copy rows
 
-let count_payload = function
-  | D _ -> R3_util.Metrics.incr Obs.dense_rows
-  | S _ -> R3_util.Metrics.incr Obs.sparse_rows
-
-let copy_payload = function
-  | D a -> D (Array.copy a)
-  | S r -> S (Rowvec.copy r)
-
-let create ?(backend = Backend.Dense) g ~pairs =
-  let m = Graph.num_links g in
+let create g ~pairs =
   let nk = Array.length pairs in
-  let mk _ =
-    match backend with
-    | Backend.Dense -> D (Array.make m 0.0)
-    | Backend.Sparse | Backend.Auto -> S (Rowvec.create ~cap:4 ())
-  in
-  (match backend with
-  | Backend.Dense -> R3_util.Metrics.add Obs.dense_rows nk
-  | Backend.Sparse | Backend.Auto -> R3_util.Metrics.add Obs.sparse_rows nk);
+  R3_util.Metrics.add Obs.rows nk;
   {
     prs = pairs;
-    m;
-    bk = backend;
-    rows = rows_init nk mk;
+    m = Graph.num_links g;
+    rows = rows_init nk (fun _ -> Rowvec.create ~cap:4 ());
     own_gen = Array.make nk 0;
     share_gen = Atomic.make 0;
     cols = Atomic.make None;
   }
-
-let backend t = t.bk
 
 let num_commodities t = Array.length t.prs
 
@@ -159,150 +119,65 @@ let copy t =
     cols = Atomic.make (Atomic.get t.cols);
   }
 
-let payload_get data e =
-  match data with D a -> a.(e) | S r -> Rowvec.get r e
-
-let get t k e = payload_get (rget t.rows k) e
+let get t k e = Rowvec.get (rget t.rows k) e
 
 (* Un-share a row before mutating it in place. Mutators require exclusive
    access to [t], so the plain [own_gen] read/write cannot race. *)
 let own t k =
   let gen = Atomic.get t.share_gen in
   if t.own_gen.(k) < gen then begin
-    let data = copy_payload (rget t.rows k) in
-    count_payload data;
-    rset t.rows k data;
+    rset t.rows k (Rowvec.copy (rget t.rows k));
+    R3_util.Metrics.incr Obs.rows;
     t.own_gen.(k) <- gen
   end
 
-(* Under [Auto], a sparse row that outgrew the ratio flips to dense. *)
-let maybe_densify t data =
-  match (t.bk, data) with
-  | Backend.Auto, S r
-    when float_of_int (Rowvec.nnz r) > auto_nnz_ratio *. float_of_int t.m ->
-    let d = D (Rowvec.to_dense t.m r) in
-    count_payload d;
-    d
-  | _ -> data
-
 let set t k e x =
-  (* Normalize -0.0 to +0.0 so dense storage cannot diverge (by sign bit
-     alone) from sparse storage, which drops exact zeros structurally. *)
-  let x = x +. 0.0 in
   own t k;
-  (match rget t.rows k with
-  | D a -> a.(e) <- x
-  | S r ->
-    Rowvec.set r e x;
-    rset t.rows k (maybe_densify t (S r)));
+  (* Exact zeros of either sign are structural: a written [-0.0] is
+     dropped like [+0.0], so no stored entry is ever a zero. *)
+  Rowvec.set (rget t.rows k) e x;
   Atomic.set t.cols None
 
-let iter_row t k f =
-  match rget t.rows k with
-  | D a ->
-    for e = 0 to Array.length a - 1 do
-      let x = Array.unsafe_get a e in
-      if x <> 0.0 then f e x
-    done
-  | S r -> Rowvec.iter f r
+let iter_row t k f = Rowvec.iter f (rget t.rows k)
 
 let fold_row t k ~init ~f =
   let acc = ref init in
   iter_row t k (fun e x -> acc := f !acc e x);
   !acc
 
-let row_nnz t k =
-  match rget t.rows k with
-  | D a ->
-    let c = ref 0 in
-    Array.iter (fun x -> if x <> 0.0 then incr c) a;
-    !c
-  | S r -> Rowvec.nnz r
+let row_nnz t k = Rowvec.nnz (rget t.rows k)
 
-let row_dense t k =
-  match rget t.rows k with
-  | D a -> Array.copy a
-  | S r -> Rowvec.to_dense t.m r
+let row_dense t k = Rowvec.to_dense t.m (rget t.rows k)
 
-let row_vec t k =
-  match rget t.rows k with D a -> Rowvec.of_dense a | S r -> Rowvec.copy r
+let row_vec t k = Rowvec.copy (rget t.rows k)
+
+(* Install [row] as row [k], owned by [t]. *)
+let install_row t k row =
+  R3_util.Metrics.incr Obs.rows;
+  rset t.rows k row;
+  t.own_gen.(k) <- Atomic.get t.share_gen;
+  Atomic.set t.cols None
 
 let set_row_dense t k row =
   if Array.length row <> t.m then invalid_arg "Routing.set_row_dense: bad length";
-  let data =
-    match t.bk with
-    | Backend.Dense -> D (Array.map (fun x -> x +. 0.0) row)
-    | Backend.Sparse -> S (Rowvec.of_dense row)
-    | Backend.Auto ->
-      let r = Rowvec.of_dense row in
-      if float_of_int (Rowvec.nnz r) > auto_nnz_ratio *. float_of_int t.m then
-        D (Array.map (fun x -> x +. 0.0) row)
-      else S r
-  in
-  count_payload data;
-  rset t.rows k data;
-  t.own_gen.(k) <- Atomic.get t.share_gen;
-  Atomic.set t.cols None
+  install_row t k (Rowvec.of_dense row)
 
-(* Exact-representation accessors for the plan store: a snapshot must
-   round-trip the payload kind itself (not just the values), so a reloaded
-   plan keeps its dense/sparse row mix bit-for-bit. *)
-let row_storage t k =
-  match rget t.rows k with
-  | D a -> `Dense (Array.copy a)
-  | S r -> `Sparse (Rowvec.copy r)
-
-let set_row_storage t k storage =
-  let data =
-    match storage with
-    | `Dense a ->
-      if Array.length a <> t.m then
-        invalid_arg "Routing.set_row_storage: bad dense length";
-      D a
-    | `Sparse r ->
-      Rowvec.iter
-        (fun e _ ->
-          if e < 0 || e >= t.m then
-            invalid_arg "Routing.set_row_storage: sparse index out of range")
-        r;
-      S r
-  in
-  count_payload data;
-  rset t.rows k data;
-  t.own_gen.(k) <- Atomic.get t.share_gen;
-  Atomic.set t.cols None
+let set_row_vec t k row =
+  Rowvec.iter
+    (fun e _ ->
+      if e < 0 || e >= t.m then
+        invalid_arg "Routing.set_row_vec: index out of range")
+    row;
+  install_row t k row
 
 let to_dense_matrix t = Array.init (num_commodities t) (row_dense t)
 
 (* ---- bit-level comparison ----
 
-   A payload handed to a second routing ([copy], [fold_failure]) is
-   frozen: every holder sees the row as shared, and [own] copies a shared
-   row before any write. So one payload object holds the same bits for
-   every routing that holds it, for as long as either does. Nothing
-   here allocates: no closures, no boxed floats. *)
-
-let dense_bits_equal a b =
-  let n = Array.length a in
-  Array.length b = n
-  &&
-  let e = ref 0 in
-  while
-    !e < n
-    && Int64.bits_of_float (Array.unsafe_get a !e)
-       = Int64.bits_of_float (Array.unsafe_get b !e)
-  do
-    incr e
-  done;
-  !e = n
-
-let payload_bits_equal pa pb =
-  pa == pb
-  ||
-  match (pa, pb) with
-  | D a, D b -> a == b || dense_bits_equal a b
-  | S ra, S rb -> ra == rb || Rowvec.bits_equal ra rb
-  | D a, S r | S r, D a -> Rowvec.bits_equal_dense a r
+   A row handed to a second routing ([copy], [fold_failure]) is frozen:
+   every holder sees it as shared, and [own] copies a shared row before
+   any write. So one row object holds the same bits for every routing
+   that holds it, for as long as either does. Nothing here allocates. *)
 
 let bits_equal a b =
   let nk = num_commodities a in
@@ -310,7 +185,12 @@ let bits_equal a b =
   && (nk = 0 || a.m = b.m)
   &&
   let k = ref 0 in
-  while !k < nk && payload_bits_equal (rget a.rows !k) (rget b.rows !k) do
+  while
+    !k < nk
+    &&
+    let ra = rget a.rows !k and rb = rget b.rows !k in
+    ra == rb || Rowvec.bits_equal ra rb
+  do
     incr k
   done;
   !k = nk
@@ -319,20 +199,6 @@ let shares_row a b k =
   if k < 0 || k >= num_commodities a || k >= num_commodities b then
     invalid_arg "Routing.shares_row: bad row";
   rget a.rows k == rget b.rows k
-
-let sparse_rows t =
-  let acc = ref 0 in
-  for k = 0 to num_commodities t - 1 do
-    match rget t.rows k with S _ -> incr acc | D _ -> ()
-  done;
-  !acc
-
-let dense_rows t =
-  let acc = ref 0 in
-  for k = 0 to num_commodities t - 1 do
-    match rget t.rows k with D _ -> incr acc | S _ -> ()
-  done;
-  !acc
 
 let nnz t =
   let acc = ref 0 in
@@ -349,12 +215,7 @@ let ensure_cols t =
   | None ->
     let c = Array.make t.m [] in
     for k = num_commodities t - 1 downto 0 do
-      match rget t.rows k with
-      | D a ->
-        for e = t.m - 1 downto 0 do
-          if Array.unsafe_get a e <> 0.0 then c.(e) <- k :: c.(e)
-        done
-      | S r -> Rowvec.iter (fun e _ -> c.(e) <- k :: c.(e)) r
+      Rowvec.iter (fun e _ -> c.(e) <- k :: c.(e)) (rget t.rows k)
     done;
     let ci = { cbase = c; overlays = [] } in
     (* Published only once fully built: a reader that observes [Some ci]
@@ -363,10 +224,7 @@ let ensure_cols t =
     Atomic.set t.cols (Some ci);
     ci
 
-let prepare t =
-  match t.bk with
-  | Backend.Dense -> ()
-  | Backend.Sparse | Backend.Auto -> ignore (ensure_cols t : colidx)
+let prepare t = ignore (ensure_cols t : colidx)
 
 (* Visit every row that may have support at [e]: the base column plus any
    overlay whose detour support contains [e]. Duplicates are possible and
@@ -380,71 +238,30 @@ let iter_candidates ci e f =
 (* ---- failure folding (equations (8)-(10)) ---- *)
 
 let rescale_detour ?(tol = 1e-9) t e =
-  let data = rget t.rows e in
-  let self = payload_get data e in
+  let row = rget t.rows e in
+  let self = Rowvec.get row e in
   if self >= 1.0 -. tol then Rowvec.create ~cap:1 ()
   else begin
-    let scale = 1.0 /. (1.0 -. self) in
-    match data with
-    | D a ->
-      let r = Rowvec.create ~cap:8 () in
-      for l = 0 to t.m - 1 do
-        if l <> e then begin
-          let x = Array.unsafe_get a l *. scale in
-          (* ascending indices: Rowvec.set appends in O(1) *)
-          if Float.abs x > 0.0 then Rowvec.set r l x
-        end
-      done;
-      r
-    | S row ->
-      let r = Rowvec.copy row in
-      Rowvec.clear r e;
-      Rowvec.scale r scale;
-      r
+    let r = Rowvec.copy row in
+    Rowvec.clear r e;
+    Rowvec.scale r (1.0 /. (1.0 -. self));
+    r
   end
-
-(* (9)/(10) on one row: [row + on_e * xi], entry [e] zeroed. The dense
-   branch updates only xi's support — identical arithmetic to a full
-   [for l] loop because adding [on_e *. 0.0 = +0.0] to a non-negative
-   entry is the identity. The sparse branch is [Rowvec.merged]: one
-   ascending merge pass, [r]-only entries verbatim, [xi]-only entries
-   [on_e *. x] (same bits as dense's [0.0 +. (on_e *. x)] since [xi]
-   never stores [-0.0]), collisions [rv +. (on_e *. x)], exact zeros
-   dropped (the dense image is unchanged either way). *)
-let fold_payload ~e ~xi data on_e =
-  match data with
-  | D a ->
-    let a' = Array.copy a in
-    if on_e > 0.0 then
-      Rowvec.iter
-        (fun l x ->
-          Array.unsafe_set a' l (Array.unsafe_get a' l +. (on_e *. x)))
-        xi;
-    (* Unconditional, as in the paper kernel: also normalizes a stray
-       [-0.0] (negative solver noise gets zeroed, not detoured). *)
-    a'.(e) <- 0.0;
-    D a'
-  | S r -> S (Rowvec.merged ~skip:e ~y:r ~x:xi on_e)
 
 let fold_failure t ~e ~xi ~replace_with_detour =
   let nk = num_commodities t in
   (* Seal the parent: one atomic generation bump marks every parent row
      "possibly shared". This is the only write to [t] on the fold path,
      so concurrent folds from the same parent are race-free. The child
-     starts as a full payload share ([own_gen] all behind its
-     generation); only candidate rows (support possibly containing [e])
-     are re-read, everything else is untouched by construction. *)
+     starts as a full row share ([own_gen] all behind its generation);
+     only candidate rows (support possibly containing [e]) are re-read,
+     everything else is untouched by construction. *)
   Atomic.incr t.share_gen;
   let rows = rows_copy t.rows in
   let own_gen = Array.make nk 0 in
   let touched = ref [] and copied = ref 0 in
-  (* Counter deltas are batched and published once per fold: a per-row
-     atomic increment costs as much as the row copy it is counting. *)
-  let new_dense = ref 0 and new_sparse = ref 0 in
-  let install k data =
-    let data = maybe_densify t data in
-    (match data with D _ -> incr new_dense | S _ -> incr new_sparse);
-    rset rows k data;
+  let install k row =
+    rset rows k row;
     own_gen.(k) <- 1;
     incr copied;
     touched := k :: !touched
@@ -453,47 +270,25 @@ let fold_failure t ~e ~xi ~replace_with_detour =
     if not (replace_with_detour && k = e) then begin
       (* Read through [rows]: superset indices can list a row twice, and
          after the first fold its [e] entry is gone. *)
-      let on_e = payload_get (rget rows k) e in
-      if on_e > 0.0 then install k (fold_payload ~e ~xi (rget rows k) on_e)
-      else if on_e <> 0.0 || Float.sign_bit on_e then
-        (* -0.0 or negative solver noise: only entry [e] is zeroed. *)
-        install k
-          (match rget rows k with
-          | D a ->
-            let a' = Array.copy a in
-            a'.(e) <- 0.0;
-            D a'
-          | S r ->
-            let r' = Rowvec.copy r in
-            Rowvec.clear r' e;
-            S r')
-      (* on_e = +0.0: a stored zero; the row stays shared. *)
+      let r = rget rows k in
+      let on_e = Rowvec.get r e in
+      (* (9)/(10) on one row: [row + on_e * xi] with entry [e] dropped,
+         in one ascending merge (see [Rowvec.merged]). A stored [-0.0]
+         or negative solver noise only loses entry [e]; an absent entry
+         or a stored [+0.0] leaves the row shared. *)
+      if on_e > 0.0 then install k (Rowvec.merged ~skip:e ~y:r ~x:xi on_e)
+      else if on_e <> 0.0 || Float.sign_bit on_e then begin
+        let r' = Rowvec.copy r in
+        Rowvec.clear r' e;
+        install k r'
+      end
     end
   in
-  (* The support index is the sparse substrate's fold strategy: candidate
-     rows come from column [e]'s support. The pure-dense backend keeps
-     the historical semantics — scan every commodity row — both because
-     a dense matrix has no support structure to index without paying the
-     O(nk * m) scan the index exists to avoid, and so the benchmark
-     compares substrate-on against substrate-off. Either way every row
-     with a nonzero at [e] is visited, so results are bit-identical. *)
-  let cols' =
-    match t.bk with
-    | Backend.Dense ->
-      for k = 0 to nk - 1 do
-        visit k
-      done;
-      None
-    | Backend.Sparse | Backend.Auto ->
-      let ci = ensure_cols t in
-      iter_candidates ci e visit;
-      Some ci
-  in
-  if replace_with_detour then
-    install e
-      (match t.bk with
-      | Backend.Dense -> D (Rowvec.to_dense t.m xi)
-      | Backend.Sparse | Backend.Auto -> S (Rowvec.copy xi));
+  (* Candidate rows come from column [e] of the support index: every row
+     with an entry at [e] is visited, and only those. *)
+  let ci = ensure_cols t in
+  iter_candidates ci e visit;
+  if replace_with_detour then install e (Rowvec.copy xi);
   (* Inherit the support index: touched rows' supports grew by at most
      xi's support, recorded as one overlay. Stale entries (column [e],
      rows that shrank) are harmless supersets. A chain of folds would
@@ -503,15 +298,15 @@ let fold_failure t ~e ~xi ~replace_with_detour =
      from its own rows on its next fold (O(nnz), amortized over the
      chain). *)
   let cols' =
-    match (cols', !touched) with
-    | None, _ -> None
-    | Some ci, [] -> Some ci
-    | Some ci, tch ->
+    match !touched with
+    | [] -> Some ci
+    | tch ->
       if List.length ci.overlays >= max_overlays then None
       else Some { ci with overlays = (Rowvec.copy xi, tch) :: ci.overlays }
   in
-  if !new_dense > 0 then R3_util.Metrics.add Obs.dense_rows !new_dense;
-  if !new_sparse > 0 then R3_util.Metrics.add Obs.sparse_rows !new_sparse;
+  (* Counted once per fold: a per-row atomic increment costs as much as
+     the row copy it is counting. *)
+  if !copied > 0 then R3_util.Metrics.add Obs.rows !copied;
   ( { t with rows; own_gen; share_gen = Atomic.make 1; cols = Atomic.make cols' },
     (nk - !copied, !copied) )
 
@@ -576,21 +371,12 @@ let validate g ?(tol = 1e-6) ?failed ?(partial = false) t =
   check 0
 
 let add_loads g ~demands t ~into =
-  let m = Graph.num_links g in
-  if Array.length into <> m then invalid_arg "Routing.add_loads: bad accumulator";
+  if Array.length into <> Graph.num_links g then
+    invalid_arg "Routing.add_loads: bad accumulator";
   if Array.length demands <> num_commodities t then
     invalid_arg "Routing.add_loads: demands length mismatch";
   Array.iteri
-    (fun k d ->
-      if d <> 0.0 then begin
-        match rget t.rows k with
-        | D row ->
-          for e = 0 to m - 1 do
-            Array.unsafe_set into e
-              (Array.unsafe_get into e +. (d *. Array.unsafe_get row e))
-          done
-        | S row -> Rowvec.scatter_add ~scale:d row ~into
-      end)
+    (fun k d -> if d <> 0.0 then Rowvec.scatter_add ~scale:d (rget t.rows k) ~into)
     demands
 
 let loads g ~demands t =
@@ -622,9 +408,13 @@ let mean_delay g t k =
   iter_row t k (fun e x -> acc := !acc +. (x *. Graph.delay g e));
   !acc
 
+(* One pass over the row: [Graph.in_links]/[out_links] list links in
+   ascending id, the order [iter_row] visits them, so each sum adds the
+   same terms in the same order as a per-link [get] loop would. *)
 let delivered g t k =
   let _, b = t.prs.(k) in
   let inflow = ref 0.0 and outflow = ref 0.0 in
-  Array.iter (fun e -> inflow := !inflow +. get t k e) (Graph.in_links g b);
-  Array.iter (fun e -> outflow := !outflow +. get t k e) (Graph.out_links g b);
+  iter_row t k (fun e x ->
+      if Graph.dst g e = b then inflow := !inflow +. x
+      else if Graph.src g e = b then outflow := !outflow +. x);
   !inflow -. !outflow

@@ -5,51 +5,31 @@
     fraction [get t k e] of the commodity's traffic crossing each directed
     link [e]. Validity is conditions [R1]–[R4] of equation (1).
 
-    Storage is abstract: each row is held either {e dense} (a
-    [float array] over all [m] links) or {e sparse} (an
-    {!R3_util.Rowvec.t} over its support). Protection and detour rows have
-    support the size of a short path, so sparse rows turn the online
-    reconfiguration kernels ({!fold_failure}, {!add_loads}) from O(m) into
-    O(nnz) per row. The two representations are {b bit-identical}: sparse
-    rows use an exact-zero drop tolerance, every kernel iterates in
-    increasing link order, and {!set} normalizes [-0.0] to [+0.0], so any
-    sequence of builder calls and failure folds yields the same float
-    bits under every backend (property-tested in [test/test_substrate.ml]).
+    Every row is an {!R3_util.Rowvec.t} over its support: exact zeros of
+    either sign are structural (never stored by {!set} or
+    {!set_row_dense}), and every kernel visits a row in increasing link
+    order. Rows are short — a protection or detour row is about one path
+    (8 of pop36's 160 links), an OSPF base row 5, a Garg–Könemann base
+    row 43 — so the online reconfiguration kernels ({!fold_failure},
+    {!add_loads}) cost O(nnz) per row, not O(m). Read whole rows with
+    {!iter_row} (or a helper built on it), not with a loop of {!get}:
+    [get] is a search of the row.
 
     Rows are copy-on-write: {!copy} and {!fold_failure} share untouched
-    row payloads between states, and {!set} un-shares a row before
-    mutating it, so holding many stepped states costs O(changed rows).
+    rows between states, and {!set} un-shares a row before mutating it,
+    so holding many stepped states costs O(changed rows).
 
     Concurrency: {!fold_failure} (and the read-only consumers) may be
     called on the same routing from any number of domains at once — all
     sharing metadata it updates is atomic, and the column support index
     is published atomically only once fully built. Mutators ({!set},
-    {!set_row_dense}) still require exclusive access to the routing. *)
-
-module Backend : sig
-  type t =
-    | Dense  (** every row a [float array] of length [m] *)
-    | Sparse  (** every row an [R3_util.Rowvec.t] *)
-    | Auto
-        (** per-row: sparse while the row's support stays under
-            {!auto_nnz_ratio} of [m], dense otherwise *)
-
-  val to_string : t -> string
-  val of_string : string -> t option
-end
-
-(** Rows under [Auto] switch to dense storage when
-    [nnz > auto_nnz_ratio *. m]. *)
-val auto_nnz_ratio : float
+    {!set_row_dense}, {!set_row_vec}) still require exclusive access to
+    the routing. *)
 
 type t
 
-(** All-zero routing for the given commodities (default backend
-    [Backend.Dense]). *)
-val create :
-  ?backend:Backend.t -> Graph.t -> pairs:(Graph.node * Graph.node) array -> t
-
-val backend : t -> Backend.t
+(** All-zero routing for the given commodities. *)
+val create : Graph.t -> pairs:(Graph.node * Graph.node) array -> t
 
 val num_commodities : t -> int
 
@@ -62,102 +42,84 @@ val pairs : t -> (Graph.node * Graph.node) array
 (** [pair t k] is commodity [k]'s (origin, destination). *)
 val pair : t -> int -> Graph.node * Graph.node
 
-(** O(rows) copy-on-write copy: row payloads are shared until either side
+(** O(rows) copy-on-write copy: rows are shared until either side
     mutates them through {!set} or {!set_row_dense}. *)
 val copy : t -> t
 
 (** {2 Row access}
 
-    All iteration visits stored nonzeros in increasing link order; dense
-    rows skip exact zeros. *)
+    All iteration visits stored entries in increasing link order. *)
 
-(** [get t k e] is the fraction of commodity [k] on link [e]. O(1) dense,
-    O(log nnz) sparse. *)
+(** [get t k e] is the fraction of commodity [k] on link [e]; O(log nnz)
+    (a search of the row). *)
 val get : t -> int -> Graph.link -> float
 
-(** [set t k e x] writes one entry ([-0.0] is normalized to [+0.0];
-    exact zeros are structural in sparse rows). Un-shares the row first. *)
+(** [set t k e x] writes one entry (an exact zero of either sign removes
+    it). Un-shares the row first. *)
 val set : t -> int -> Graph.link -> float -> unit
 
-(** Apply [f e x] to commodity [k]'s nonzero entries, ascending [e]. *)
+(** Apply [f e x] to commodity [k]'s stored entries, ascending [e]. *)
 val iter_row : t -> int -> (Graph.link -> float -> unit) -> unit
 
 val fold_row : t -> int -> init:'a -> f:('a -> Graph.link -> float -> 'a) -> 'a
 
-(** Stored nonzeros of row [k] (dense rows are scanned). *)
+(** Stored entries of row [k]. *)
 val row_nnz : t -> int -> int
 
 (** Fresh dense copy of row [k]. *)
 val row_dense : t -> int -> float array
 
-(** Fresh sparse copy of row [k] (exact-zero drop tolerance). *)
+(** Fresh copy of row [k]. *)
 val row_vec : t -> int -> R3_util.Rowvec.t
 
-(** [set_row_dense t k row] replaces row [k] with the given dense values
-    (converted to the row's backend representation; [row] not retained). *)
+(** [set_row_dense t k row] replaces row [k] with the nonzero entries of
+    [row] ([row] is not retained). *)
 val set_row_dense : t -> int -> float array -> unit
 
-(** [row_storage t k] is the exact stored representation of row [k] —
-    dense rows come back dense, sparse rows sparse (fresh copies). The
-    plan store uses this so a snapshot preserves the payload mix, not
-    just the values. *)
-val row_storage : t -> int -> [ `Dense of float array | `Sparse of R3_util.Rowvec.t ]
+(** [set_row_vec t k v] installs [v] as row [k], taking ownership of it
+    (the caller must not mutate [v] afterwards) — the inverse of
+    {!row_vec}. Entries are installed as given, an explicitly stored
+    zero included. Raises [Invalid_argument] on an index outside the
+    link space. *)
+val set_row_vec : t -> int -> R3_util.Rowvec.t -> unit
 
-(** [set_row_storage t k s] installs exactly the given representation as
-    row [k] (taking ownership of the array/vector), bypassing the
-    backend's usual conversion — the inverse of {!row_storage}. Raises
-    [Invalid_argument] on a dense length or sparse index that does not
-    fit the link space. *)
-val set_row_storage :
-  t -> int -> [ `Dense of float array | `Sparse of R3_util.Rowvec.t ] -> unit
-
-(** [to_dense_matrix t] is every row as a fresh dense array — the
-    representation-independent image {!bits_equal} is defined on, and
-    the reference the tests compare against. *)
+(** [to_dense_matrix t] is every row as a fresh dense array — the image
+    {!bits_equal} is defined on, and the reference the tests compare
+    against. *)
 val to_dense_matrix : t -> float array array
 
 (** {2 Bit-level comparison}
 
-    A row payload shared between routings ({!copy}, {!fold_failure})
-    holds the same bits for every routing that holds it: once handed to
-    a second routing a payload is never written again, because {!set}
-    and the other mutators un-share a row before writing it. (The one
-    way around this is to keep and write an array or vector given to
-    {!set_row_storage}, whose ownership passed to the routing.)
-    {!bits_equal} and the incremental FIB update
-    ([R3_mplsff.Fib.update_router]) rely on this rule to skip shared
-    rows. *)
+    A row shared between routings ({!copy}, {!fold_failure}) holds the
+    same bits for every routing that holds it: once handed to a second
+    routing a row is never written again, because {!set} and the other
+    mutators un-share a row before writing it. (The one way around this
+    is to keep and write a vector given to {!set_row_vec}, whose
+    ownership passed to the routing.) {!bits_equal} and the incremental
+    FIB update ([R3_mplsff.Fib.update_router]) rely on this rule to skip
+    shared rows. *)
 
 (** [bits_equal a b] is true iff the dense images of [a] and [b] (as
     {!to_dense_matrix}) have the same shape and the same float bits
-    ([Int64.bits_of_float], so [-0.0] differs from [+0.0] and storage
-    backend does not matter). Row by row: a payload both routings share
-    is skipped, dense/dense and sparse/sparse rows are compared on their
-    stored arrays, mixed rows through the dense image. Allocates
+    ([Int64.bits_of_float], so a stored [-0.0] differs from an absent
+    entry). Row by row: a row both routings share is skipped, the others
+    are compared in one merge pass over both supports. Allocates
     nothing; O(rows) plus the stored size of the rows not shared. *)
 val bits_equal : t -> t -> bool
 
 (** [shares_row a b k] is true iff [a] and [b] hold row [k] as one
-    shared payload, which by the rule above implies bit-identical rows
-    (the converse does not hold). O(1). Raises [Invalid_argument] when
-    either routing has no row [k]. *)
+    shared row, which by the rule above implies bit-identical rows (the
+    converse does not hold). O(1). Raises [Invalid_argument] when either
+    routing has no row [k]. *)
 val shares_row : t -> t -> int -> bool
 
-(** {2 Storage statistics} *)
-
-(** Rows currently held sparse / dense. *)
-val sparse_rows : t -> int
-
-val dense_rows : t -> int
-
-(** Total stored nonzeros across all rows. *)
+(** Total stored entries across all rows. *)
 val nnz : t -> int
 
 (** {2 Failure folding (the R3 online kernels)} *)
 
 (** Pre-build the column support index {!fold_failure} uses to find
-    candidate rows (no-op for the [Dense] backend, or when already
-    built). [Reconfig.make] calls this so parallel workers stepping a
+    candidate rows (no-op when already built). [Reconfig.make] calls this so parallel workers stepping a
     shared root state find the index ready instead of each building it
     on their first fold. *)
 val prepare : t -> unit
@@ -170,9 +132,11 @@ val rescale_detour : ?tol:float -> t -> Graph.link -> R3_util.Rowvec.t
 
 (** [fold_failure t ~e ~xi ~replace_with_detour] applies equations
     (9)/(10): every row [k] with [on_e = get t k e > 0.0] becomes
-    [row + on_e * xi] with entry [e] zeroed; rows with [on_e = +0.0] (or
-    structurally absent) are {b shared} with [t] unchanged; negative or
-    [-0.0] solver noise only zeroes entry [e]. When [replace_with_detour]
+    [row + on_e * xi] with entry [e] dropped; rows without an entry at
+    [e] (or with a stored [+0.0]) are {b shared} with [t] unchanged;
+    negative or [-0.0] solver noise only drops entry [e]. Only the rows
+    with an entry at [e] are visited, found through the column support
+    index. When [replace_with_detour]
     is true (the protection routing), row [e] itself becomes [xi].
     Returns the new routing plus [(shared, copied)] row counts. [t]'s
     rows are not touched (the only update to [t] is an atomic
@@ -206,8 +170,7 @@ val validate :
     [demands] must be parallel to the commodity array. *)
 val loads : Graph.t -> demands:float array -> t -> float array
 
-(** Add [loads] of this routing into an accumulator array. Sparse rows
-    contribute O(nnz) work. *)
+(** Add [loads] of this routing into an accumulator array; O(nnz). *)
 val add_loads : Graph.t -> demands:float array -> t -> into:float array -> unit
 
 (** Maximum link utilization given per-link loads. *)
@@ -222,5 +185,5 @@ val mean_delay : Graph.t -> t -> int -> float
 
 (** Per-commodity delivered fraction at the destination: 1 for a valid
     total routing, less when the commodity is partially dropped. Computed
-    as net flow into the destination. *)
+    as net flow into the destination, in one pass over the row. *)
 val delivered : Graph.t -> t -> int -> float

@@ -130,10 +130,8 @@ let outcome_links env alg scenario =
     let st = R3_core.Reconfig.apply_failures st scenario in
     (R3_core.Reconfig.mlu st, R3_core.Reconfig.delivered_fraction st)
 
-let bottleneck_links env alg scenario = fst (outcome_links env alg scenario)
-
 let scenario_bottleneck env alg scenario =
-  bottleneck_links env alg (Scenario.links scenario)
+  fst (outcome_links env alg (Scenario.links scenario))
 
 let solve_optimal env scenario =
   let failed = G.fail_links env.graph (Scenario.links scenario) in
@@ -174,40 +172,3 @@ let evaluate ?cache ?(with_optimal = true) env alg scenario =
     }
   end
   else { bottleneck = b; optimal = nan; ratio = None; delivered = d }
-
-(* ---- legacy entry point (deprecated in the mli) ---- *)
-
-(* The serial reference the sweep bench compares the prefix-sharing
-   engine against; the removed [bottleneck]/[optimal_bottleneck]/
-   [performance_ratio] wrappers collapsed into {!evaluate}. *)
-let sorted_curves env ~algorithms ~scenarios ?(metric = `Ratio) () =
-  let raw_optimal links =
-    let failed = G.fail_links env.graph links in
-    let r =
-      R3_mcf.Concurrent_flow.min_mlu env.graph ~failed ~epsilon:env.mcf_epsilon
-        ~pairs:env.pairs ~demands:env.demands ()
-    in
-    r.R3_mcf.Concurrent_flow.mlu
-  in
-  let algs = Array.of_list algorithms in
-  let values = Array.map (fun _ -> ref []) algs in
-  List.iter
-    (fun scenario ->
-      let opt =
-        match metric with
-        | `Ratio -> raw_optimal scenario
-        | `Bottleneck -> 1.0
-      in
-      Array.iteri
-        (fun i alg ->
-          let v = bottleneck_links env alg scenario in
-          let v = match metric with `Ratio -> if opt > 0.0 then v /. opt else nan | `Bottleneck -> v in
-          if not (Float.is_nan v) then values.(i) := v :: !(values.(i)))
-        algs)
-    scenarios;
-  Array.map
-    (fun l ->
-      let arr = Array.of_list !l in
-      Array.sort Float.compare arr;
-      arr)
-    values

@@ -5,8 +5,7 @@
 
     Single scenarios go through {!evaluate}; bulk sweeps (thousands of
     scenarios) go through [Sweep], which shares reconfiguration prefixes
-    and memoizes the MCF normalizer. The raw-link-list entry points at the
-    bottom are deprecated compatibility wrappers. *)
+    and memoizes the MCF normalizer. *)
 
 type algorithm =
   | Ospf_cspf_detour  (** OSPF base + CSPF fast-reroute bypasses *)
@@ -85,21 +84,3 @@ val scenario_bottleneck : env -> algorithm -> Scenario.t -> float
     engine steps through the scenario tree. [None] for the per-scenario
     algorithms; raises [Invalid_argument] if the required plan is missing. *)
 val r3_root : env -> algorithm -> R3_core.Reconfig.state option
-
-(** {2 Deprecated raw-list interface}
-
-    The [bottleneck]/[optimal_bottleneck]/[performance_ratio] wrappers
-    deprecated in PR 2 are gone — use {!evaluate}/{!optimal}. Only the
-    serial curve builder remains (the sweep bench's naive reference). *)
-
-(** Evaluate several algorithms over many scenarios; result.(i) lists, for
-    algorithm i, the per-scenario values sorted ascending. Undefined ratios
-    are silently dropped — [Sweep] reports their count. *)
-val sorted_curves :
-  env ->
-  algorithms:algorithm list ->
-  scenarios:R3_net.Graph.link list list ->
-  ?metric:[ `Ratio | `Bottleneck ] ->
-  unit ->
-  float array array
-[@@ocaml.deprecated "use Sweep.curves"]

@@ -10,12 +10,6 @@ let physical_links g =
   done;
   Array.of_list !keep
 
-let expand g links =
-  List.concat_map
-    (fun e ->
-      match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-    links
-
 let enumerate g ~k =
   let phys = physical_links g in
   let n = Array.length phys in
@@ -89,18 +83,4 @@ let connected g scenarios =
   List.filter
     (fun s ->
       G.strongly_connected g ~failed:(G.fail_links g (Scenario.links s)) ())
-    scenarios
-
-(* ---- legacy raw-list entry points (deprecated in the mli) ---- *)
-
-let all_k g ~k = List.map Scenario.links (enumerate g ~k)
-
-let sample_k g ~k ~count ~seed =
-  List.map Scenario.links (sample g ~k ~count ~seed)
-
-let group_events groups = groups
-
-let connected_only g scenarios =
-  List.filter
-    (fun s -> G.strongly_connected g ~failed:(G.fail_links g s) ())
     scenarios

@@ -3,8 +3,7 @@
     The paper enumerates all single- and two-link failures and randomly
     samples ~1100 three- and four-link scenarios. Failures are {e physical}:
     a failed link takes its reverse direction down with it. Scenarios are
-    the canonical {!Scenario.t}; the raw directed-link-list entry points
-    below are deprecated compatibility wrappers. *)
+    the canonical {!Scenario.t}. *)
 
 (** Canonical physical links: one directed representative per bidirectional
     pair (the lower id), plus any unpaired directed links. *)
@@ -16,8 +15,7 @@ val physical_links : R3_net.Graph.t -> R3_net.Graph.link array
 val enumerate : R3_net.Graph.t -> k:int -> Scenario.t list
 
 (** [sample g ~k ~count ~seed] distinct random scenarios of [k] physical
-    links. Deterministic in [seed]; draws the same scenarios the legacy
-    [sample_k] drew. Returns exactly [min count C(n,k)] scenarios except
+    links. Deterministic in [seed]. Returns exactly [min count C(n,k)] scenarios except
     in one documented case: when the space is too large to enumerate yet
     rejection sampling exhausts its [100 * count]-attempt guard (possible
     only when [count] is close to [C(n,k)]), the result is shorter. Such
@@ -34,31 +32,3 @@ val of_groups :
 (** Drop scenarios that disconnect the graph (used where the paper's metric
     is only defined on connected survivors). *)
 val connected : R3_net.Graph.t -> Scenario.t list -> Scenario.t list
-
-(** {2 Deprecated raw-list interface}
-
-    Kept for one PR; every entry point has a {!Scenario.t} replacement. *)
-
-(** Expand physical picks into the full directed-link scenario. *)
-val expand : R3_net.Graph.t -> R3_net.Graph.link list -> R3_net.Graph.link list
-[@@ocaml.deprecated "use Scenario.of_links / Scenario.links"]
-
-(** All scenarios failing exactly [k] physical links (enumerated). *)
-val all_k : R3_net.Graph.t -> k:int -> R3_net.Graph.link list list
-[@@ocaml.deprecated "use Scenarios.enumerate"]
-
-(** [sample_k g ~k ~count ~seed] distinct random scenarios of [k] physical
-    links (fewer if the space is smaller than [count]). *)
-val sample_k :
-  R3_net.Graph.t -> k:int -> count:int -> seed:int -> R3_net.Graph.link list list
-[@@ocaml.deprecated "use Scenarios.sample"]
-
-(** Single failure events from structured groups: each SRLG or MLG down as
-    one event (already closed under reversal by construction). *)
-val group_events : R3_net.Graph.link list list -> R3_net.Graph.link list list
-[@@ocaml.deprecated "use Scenarios.of_groups"]
-
-(** Drop scenarios that disconnect the graph. *)
-val connected_only :
-  R3_net.Graph.t -> R3_net.Graph.link list list -> R3_net.Graph.link list list
-[@@ocaml.deprecated "use Scenarios.connected"]

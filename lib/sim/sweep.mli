@@ -63,8 +63,8 @@ val run :
   Scenario.t list ->
   summary
 
-(** The sorted curves alone — the drop-in bulk replacement for the
-    deprecated [Eval.sorted_curves]. *)
+(** The sorted curves alone: for each algorithm, its per-scenario values
+    sorted ascending (undefined ratios dropped; {!run} counts them). *)
 val curves :
   ?cache:Mcf_cache.t ->
   ?metric:metric ->

@@ -257,18 +257,6 @@ let bits_equal a b =
   done;
   !ok
 
-let bits_equal_dense dense r =
-  let s = ref 0 and e = ref 0 and ok = ref true in
-  while !ok && !e < Array.length dense do
-    if !s < r.n && r.idx.(!s) = !e then begin
-      ok := same_bits dense.(!e) r.v.(!s);
-      incr s
-    end
-    else ok := same_bits dense.(!e) 0.0;
-    incr e
-  done;
-  !ok && !s = r.n
-
 let to_dense width r =
   let out = Array.make width 0.0 in
   iter (fun j x -> out.(j) <- x) r;

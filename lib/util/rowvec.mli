@@ -6,10 +6,10 @@
     simplex ([R3_lp.Simplex]).
 
     Only exact (signed) zeros are structural: an entry is {e kept} iff
-    [Float.abs x > 0.0], which is what keeps the sparse and dense routing
-    backends bit-identical. All iteration is in strictly increasing index
-    order, which is what makes sparse arithmetic reproduce dense
-    left-to-right loops bit for bit. *)
+    [Float.abs x > 0.0], so a row's dense image never holds [-0.0]. All
+    iteration is in strictly increasing index order, which is what makes
+    sparse arithmetic reproduce dense left-to-right loops bit for bit
+    (the routing tests check this against a naive dense reference). *)
 
 type t
 
@@ -71,11 +71,6 @@ val merged : skip:int -> y:t -> x:t -> float -> t
     must hold [+0.0] there, so a stored [-0.0] differs from an absent
     entry. One merge pass over both supports; allocates nothing. *)
 val bits_equal : t -> t -> bool
-
-(** [bits_equal_dense a r] is true iff [a] and the dense image of [r]
-    over [Array.length a] indices agree bit for bit (false when [r]
-    stores an index past the end of [a]). Allocates nothing. *)
-val bits_equal_dense : float array -> t -> bool
 
 (** [scatter_add ?scale r ~into] adds [scale *. x] (default [scale = 1.0])
     into [into.(j)] for every stored entry, in increasing index order. *)

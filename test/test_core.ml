@@ -575,6 +575,41 @@ let test_fail_out_of_order_canonical () =
                 (List.filteri (fun k _ -> k < 3) (List.rev !bad)))))
     [ 1; 2 ]
 
+(* The one-pass weight columns carry the bits of the per-entry lookup
+   they replaced, [c_l *. Routing.get p l e], absent entries included. *)
+let test_weight_columns () =
+  let check_routing name g p =
+    let m = G.num_links g in
+    let cols = Vd.weight_columns g p in
+    for e = 0 to m - 1 do
+      for l = 0 to m - 1 do
+        let want = G.capacity g l *. Routing.get p l e in
+        if Int64.bits_of_float cols.(e).(l) <> Int64.bits_of_float want then
+          Alcotest.failf "%s: column %d entry %d is %h, lookup gives %h" name e l
+            cols.(e).(l) want
+      done
+    done
+  in
+  let g =
+    Topology.random ~seed:36 ~nodes:36 ~undirected_links:80
+      ~capacities:[ (10.0, 0.5); (40.0, 0.3); (100.0, 0.2) ]
+      ()
+  in
+  let m = G.num_links g in
+  let rng = R3_util.Prng.create 5 in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
+  for l = 0 to m - 1 do
+    for e = 0 to m - 1 do
+      if R3_util.Prng.int rng 10 = 0 then Routing.set p l e (R3_util.Prng.float rng 1.0)
+    done
+  done;
+  check_routing "pop36 random" g p;
+  let g = Topology.square () in
+  let plan =
+    plan_exn (Offline.compute (Offline.default_config ~f:1) g (square_tm ~volume:1.0) Offline.Joint)
+  in
+  check_routing "square plan" g plan.Offline.protection
+
 let suite =
   [
     Alcotest.test_case "virtual demand membership" `Quick test_virtual_demand_membership;
@@ -602,4 +637,6 @@ let suite =
     QCheck_alcotest.to_alcotest order_independence_prop;
     Alcotest.test_case "fail order is canonical (abilene)" `Quick
       test_fail_out_of_order_canonical;
+    Alcotest.test_case "weight columns match per-entry lookups" `Quick
+      test_weight_columns;
   ]

@@ -4,9 +4,10 @@
    The load-bearing property (the ISSUE's acceptance bar): for randomized
    delivery schedules — including duplicated, reordered, and
    dropped-then-retried notifications — every router's terminal state is
-   bit-identical to the batch application of the final failed set, across
-   all three routing storage backends; and with a real (LP-computed) plan
-   whose MLU* <= 1, the quiescent MLU stays within the plan bound. *)
+   bit-identical to the batch application of the final failed set, and to
+   the naive dense reference fold of that set; and with a real
+   (LP-computed) plan whose MLU* <= 1, the quiescent MLU stays within the
+   plan bound. *)
 
 module G = R3_net.Graph
 module Routing = R3_net.Routing
@@ -17,18 +18,14 @@ module Reconfig = R3_core.Reconfig
 module Scenario = R3_core.Scenario
 module Online = R3_sim.Online
 module Fib = R3_mplsff.Fib
-
-let backends = Routing.Backend.[ Dense; Sparse; Auto ]
+module Dense_ref = R3_check.Dense_ref
 
 (* Synthetic protection (one SPF detour per link, no LP) — same shape as
    the bench fixtures; isolates the engine from the offline phase. *)
-let synthetic_protection g ~backend =
+let synthetic_protection g =
   let weights = R3_net.Ospf.unit_weights g in
   let m = G.num_links g in
-  let p =
-    Routing.create ~backend g
-      ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e)))
-  in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
   for l = 0 to m - 1 do
     let failed = G.fail_links g [ l ] in
     match
@@ -39,13 +36,13 @@ let synthetic_protection g ~backend =
   done;
   p
 
-let make_state ?(backend = Routing.Backend.Sparse) ?(seed = 11) g =
+let make_state ?(seed = 11) g =
   let rng = R3_util.Prng.create seed in
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
-  let base = R3_net.Ospf.routing g ~backend ~weights ~pairs () in
-  let protection = synthetic_protection g ~backend in
+  let base = R3_net.Ospf.routing g ~weights ~pairs () in
+  let protection = synthetic_protection g in
   Reconfig.make g ~pairs ~demands ~base ~protection
 
 let gen20 () =
@@ -174,26 +171,24 @@ let test_order_independence_property () =
       done)
     [ Topology.abilene (); gen20 () ]
 
-let test_backends_bit_identical () =
+let test_terminal_matches_reference () =
   let g = gen20 () in
-  let roots = List.map (fun b -> make_state ~backend:b g) backends in
+  let root = make_state g in
   for seed = 0 to 9 do
     let schedule = Online.generate g ~seed ~events:10 ~max_concurrent:3 () in
-    let outs =
-      List.map (fun root -> Online.run ~channel:faulty ~seed root schedule) roots
-    in
+    let o = Online.run ~channel:faulty ~seed root schedule in
+    Alcotest.(check bool) "order independent" true o.Online.order_independent;
+    let failed = Array.make (G.num_links g) false in
     List.iter
-      (fun o ->
-        Alcotest.(check bool) "order independent" true o.Online.order_independent)
-      outs;
-    match outs with
-    | ref :: rest ->
-      List.iter
-        (fun o ->
-          Alcotest.(check bool) "terminal equal across backends" true
-            (bit_identical ref.Online.terminal o.Online.terminal))
-        rest
-    | [] -> assert false
+      (fun ev ->
+        let down = ev.Online.kind = Online.Fail in
+        List.iter
+          (fun e -> failed.(e) <- down)
+          (Scenario.links (Scenario.of_links g [ ev.Online.link ])))
+      schedule;
+    match Dense_ref.mismatch o.Online.terminal (Dense_ref.of_failed root failed) with
+    | None -> ()
+    | Some d -> Alcotest.failf "seed %d: terminal state vs reference: %s" seed d
   done
 
 let test_fib_maintenance () =
@@ -223,7 +218,7 @@ let test_fib_maintenance () =
   (* A routing written in place after a FIB was derived from it: the
      FIB's source copy sealed it, so the write un-shares the row and the
      update sees it. Built fresh, so the routing owns its rows. *)
-  let p = synthetic_protection g ~backend:Routing.Backend.Sparse in
+  let p = synthetic_protection g in
   let fib0 = Fib.of_protection g p in
   Alcotest.(check bool) "no row changed: the same FIB back" true
     (Fib.update_router fib0 ~router:0 p == fib0);
@@ -390,9 +385,9 @@ let test_bit_identity_fast_paths () =
     (bit_identical st { st with Reconfig.protection = p });
   Alcotest.(check bool) "the copies left the original's shared rows alone" true
     (bit_identical st (make_state g));
-  let with_row storage = with_base (fun r -> Routing.set_row_storage r k storage) in
-  let sparse_with extra =
-    (* row [k] as a sparse vector, plus an explicitly stored entry at [z] *)
+  let with_row v = with_base (fun r -> Routing.set_row_vec r k v) in
+  let with_stored extra =
+    (* row [k] plus an explicitly stored entry at [z] *)
     let entries = ref [] in
     Array.iteri
       (fun e x ->
@@ -400,26 +395,16 @@ let test_bit_identity_fast_paths () =
         else if x <> 0.0 then entries := (e, x) :: !entries)
       row;
     let entries = Array.of_list (List.rev !entries) in
-    `Sparse
+    with_row
       (R3_util.Rowvec.of_sorted (Array.map fst entries) (Array.map snd entries)
          (Array.length entries))
   in
-  let neg = Array.copy row in
-  neg.(!z) <- -0.0;
-  Alcotest.(check bool) "dense -0.0 vs +0.0 differs" false
-    (bit_identical st (with_row (`Dense neg)));
-  Alcotest.(check bool) "stored sparse -0.0 vs absent differs" false
-    (bit_identical st (with_row (sparse_with (-0.0))));
-  Alcotest.(check bool) "stored sparse -0.0 = dense -0.0" true
-    (bit_identical (with_row (sparse_with (-0.0))) (with_row (`Dense neg)));
-  Alcotest.(check bool) "stored sparse +0.0 = absent" true
-    (bit_identical st (with_row (sparse_with 0.0)));
-  Alcotest.(check bool) "dense row = equal sparse row" true
-    (bit_identical st (with_row (`Dense (Array.copy row))));
-  Alcotest.(check bool) "dense state = sparse state" true
-    (bit_identical (make_state ~backend:Routing.Backend.Dense g) st);
-  (* Against the dense-image reference on every pair of a few states
-     per backend, equal and unequal, shared and unshared rows alike. *)
+  Alcotest.(check bool) "stored -0.0 vs absent differs" false
+    (bit_identical st (with_stored (-0.0)));
+  Alcotest.(check bool) "stored +0.0 = absent" true
+    (bit_identical st (with_stored 0.0));
+  (* Against the dense-image reference on every pair of a few states,
+     equal and unequal, shared and unshared rows alike. *)
   let reference a b =
     let bits r = Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix r) in
     a.Reconfig.failed = b.Reconfig.failed
@@ -427,13 +412,10 @@ let test_bit_identity_fast_paths () =
     && bits a.Reconfig.protection = bits b.Reconfig.protection
   in
   let states =
-    List.concat_map
-      (fun backend ->
-        let root = make_state ~backend g in
-        let f2 = Reconfig.fail root (sc g [ 2 ]) in
-        [ root; f2; Reconfig.fail f2 (sc g [ 7 ]); Reconfig.fail root s27;
-          Reconfig.recover (Reconfig.fail root s27) (sc g [ 7 ]) ])
-      backends
+    let f2 = Reconfig.fail st (sc g [ 2 ]) in
+    [ st; f2; Reconfig.fail f2 (sc g [ 7 ]); Reconfig.fail st s27;
+      Reconfig.recover (Reconfig.fail st s27) (sc g [ 7 ]); with_stored (-0.0);
+      with_stored 0.0 ]
   in
   List.iteri
     (fun i a ->
@@ -453,36 +435,33 @@ let pop36 () =
    share are skipped and the rest are read without allocating. *)
 let test_bit_identity_allocation () =
   let g = pop36 () in
-  List.iter
-    (fun backend ->
-      let root = make_state ~backend g in
-      let busiest = Routing.bottleneck g ~loads:(Reconfig.loads root) in
-      let rep =
-        match G.reverse_link g busiest with Some r when r < busiest -> r | _ -> busiest
-      in
-      let fail () = Reconfig.fail root (sc g [ rep ]) in
-      let child = fail () and twin = fail () in
-      let unshared = ref 0 in
-      let cb = Reconfig.base child and tb = Reconfig.base twin in
-      for k = 0 to Routing.num_commodities cb - 1 do
-        if not (Routing.shares_row cb tb k) then incr unshared
-      done;
-      Alcotest.(check bool) "the failure touched base rows" true (!unshared > 0);
-      let words f =
-        let before = Gc.minor_words () in
-        let r = f () in
-        (r, Gc.minor_words () -. before)
-      in
-      let same, w = words (fun () -> Reconfig.states_bit_identical child twin) in
-      Alcotest.(check bool) "twin folds are bit-identical" true same;
-      if w >= 1e4 then Alcotest.failf "comparing twins allocated %.0f minor words" w;
-      let differ, w =
-        words (fun () ->
-            Reconfig.states_bit_identical root { child with Reconfig.failed = root.Reconfig.failed })
-      in
-      Alcotest.(check bool) "root and child differ" false differ;
-      if w >= 1e4 then Alcotest.failf "comparing root and child allocated %.0f minor words" w)
-    [ Routing.Backend.Sparse; Routing.Backend.Dense ]
+  let root = make_state g in
+  let busiest = Routing.bottleneck g ~loads:(Reconfig.loads root) in
+  let rep =
+    match G.reverse_link g busiest with Some r when r < busiest -> r | _ -> busiest
+  in
+  let fail () = Reconfig.fail root (sc g [ rep ]) in
+  let child = fail () and twin = fail () in
+  let unshared = ref 0 in
+  let cb = Reconfig.base child and tb = Reconfig.base twin in
+  for k = 0 to Routing.num_commodities cb - 1 do
+    if not (Routing.shares_row cb tb k) then incr unshared
+  done;
+  Alcotest.(check bool) "the failure touched base rows" true (!unshared > 0);
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  let same, w = words (fun () -> Reconfig.states_bit_identical child twin) in
+  Alcotest.(check bool) "twin folds are bit-identical" true same;
+  if w >= 1e4 then Alcotest.failf "comparing twins allocated %.0f minor words" w;
+  let differ, w =
+    words (fun () ->
+        Reconfig.states_bit_identical root { child with Reconfig.failed = root.Reconfig.failed })
+  in
+  Alcotest.(check bool) "root and child differ" false differ;
+  if w >= 1e4 then Alcotest.failf "comparing root and child allocated %.0f minor words" w
 
 (* On the ideal channel every head router hears its own link's events in
    event order, so the data plane steps through the schedule's failed
@@ -565,7 +544,7 @@ let gk_state g =
   let pairs, demands = Traffic.commodities tm in
   let _, base = R3_mcf.Concurrent_flow.min_mlu_routing g ~epsilon:0.2 ~pairs ~demands () in
   Reconfig.make g ~pairs ~demands ~base
-    ~protection:(synthetic_protection g ~backend:Routing.Backend.Sparse)
+    ~protection:(synthetic_protection g)
 
 let phys_links g = R3_sim.Scenarios.physical_links g
 
@@ -605,7 +584,7 @@ let test_loads_agree_with_base () =
       done)
     [
       ("abilene", make_state (Topology.abilene ()));
-      ("gen20", make_state ~backend:Routing.Backend.Dense (gen20 ()));
+      ("gen20", make_state (gen20 ()));
       ("pop36 GK base", gk_state (pop36 ()));
     ]
 
@@ -646,23 +625,19 @@ let base_forces () = R3_util.Metrics.counter_value "r3.reconfig.base_forces"
 let test_fail_leaves_base_pending () =
   let g = pop36 () in
   let phys = phys_links g in
-  List.iter
-    (fun (backend, bound) ->
-      let root = make_state ~backend g in
-      let forces = base_forces () in
-      let words = ref 0.0 in
-      Array.iter
-        (fun l ->
-          let before = Gc.minor_words () in
-          ignore (Sys.opaque_identity (Reconfig.fail root (sc g [ l ])));
-          words := !words +. (Gc.minor_words () -. before))
-        phys;
-      let mean = !words /. float_of_int (Array.length phys) in
-      if mean >= bound then
-        Alcotest.failf "%s: a one-failure fail allocated %.0f minor words on average"
-          (Routing.Backend.to_string backend) mean;
-      Alcotest.(check int) "no base was folded" forces (base_forces ()))
-    [ (Routing.Backend.Dense, 1e4); (Routing.Backend.Sparse, 4e3) ]
+  let root = make_state g in
+  let forces = base_forces () in
+  let words = ref 0.0 in
+  Array.iter
+    (fun l ->
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Reconfig.fail root (sc g [ l ])));
+      words := !words +. (Gc.minor_words () -. before))
+    phys;
+  let mean = !words /. float_of_int (Array.length phys) in
+  if mean >= 4e3 then
+    Alcotest.failf "a one-failure fail allocated %.0f minor words on average" mean;
+  Alcotest.(check int) "no base was folded" forces (base_forces ())
 
 let test_late_force_chain () =
   let g = pop36 () in
@@ -690,7 +665,7 @@ let test_late_force_chain () =
 
 let test_concurrent_force () =
   let g = pop36 () in
-  let root = make_state ~backend:Routing.Backend.Dense g in
+  let root = make_state g in
   let phys = phys_links g in
   for trial = 0 to 7 do
     let links = [ phys.(trial); phys.(20 + trial); phys.(50 + trial) ] in
@@ -736,6 +711,60 @@ let test_make_checks_shapes () =
   Alcotest.(check bool) "well-shaped inputs are accepted" true
     (Reconfig.states_bit_identical st (make ()))
 
+(* The FIB and delivered-fraction readers take a row in one pass; on
+   folded states their results must carry the bits of the per-link
+   [Routing.get] lookups they replaced. *)
+let test_single_pass_readers () =
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (name, g, picks) ->
+      let root = make_state g in
+      let phys = phys_links g in
+      let states =
+        root :: List.map (fun ps -> Reconfig.fail root (sc g (List.map (Array.get phys) ps))) picks
+      in
+      List.iteri
+        (fun i st ->
+          let what s = Printf.sprintf "%s state %d: %s" name i s in
+          let p = st.Reconfig.protection in
+          let fib = Fib.of_protection g p in
+          for router = 0 to G.num_nodes g - 1 do
+            for l = 0 to G.num_links g - 1 do
+              let candidates =
+                Array.to_list (G.out_links g router)
+                |> List.filter (fun e -> e <> l && Routing.get p l e > 1e-12)
+              in
+              let total = List.fold_left (fun a e -> a +. Routing.get p l e) 0.0 candidates in
+              let want =
+                if total > 1e-12 then
+                  List.map (fun e -> (e, bits (Routing.get p l e /. total))) candidates
+                else []
+              in
+              let got =
+                match Hashtbl.find_opt fib.Fib.fibs.(router).Fib.ilm (Fib.label_of_link l) with
+                | None -> []
+                | Some fwd ->
+                  Array.to_list
+                    (Array.map (fun n -> (n.Fib.out_link, bits n.Fib.ratio)) fwd.Fib.nhlfes)
+              in
+              if got <> want then
+                Alcotest.failf "%s" (what (Printf.sprintf "label of link %d at router %d" l router))
+            done
+          done;
+          let base = Reconfig.base st in
+          for k = 0 to Routing.num_commodities base - 1 do
+            let _, b = Routing.pair base k in
+            let sum links = Array.fold_left (fun a e -> a +. Routing.get base k e) 0.0 links in
+            let want = sum (G.in_links g b) -. sum (G.out_links g b) in
+            if bits want <> bits (Routing.delivered g base k) then
+              Alcotest.failf "%s" (what (Printf.sprintf "delivered fraction of commodity %d" k))
+          done)
+        states)
+    [
+      ("abilene", Topology.abilene (), [ [ 3 ]; [ 2; 7 ]; [ 0; 5; 11 ] ]);
+      ("pop36", pop36 (), [ [ 4 ]; [ 30; 61 ]; [ 2; 17; 55 ] ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "fail matches directed folds" `Quick
@@ -753,8 +782,8 @@ let suite =
       test_ideal_channel_delivers_once;
     Alcotest.test_case "order independence over 120 faulty schedules" `Slow
       test_order_independence_property;
-    Alcotest.test_case "terminal states equal across storage backends" `Quick
-      test_backends_bit_identical;
+    Alcotest.test_case "terminal state equals the dense reference" `Quick
+      test_terminal_matches_reference;
     Alcotest.test_case "per-router FIB maintenance" `Quick test_fib_maintenance;
     Alcotest.test_case "quiescent MLU within plan bound (Theorem 2)" `Slow
       test_quiescent_mlu_bound;
@@ -778,4 +807,6 @@ let suite =
     Alcotest.test_case "two domains force one pending base" `Quick
       test_concurrent_force;
     Alcotest.test_case "make checks shapes" `Quick test_make_checks_shapes;
+    Alcotest.test_case "single-pass FIB and delivered readers match lookups" `Quick
+      test_single_pass_readers;
   ]

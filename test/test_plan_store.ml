@@ -169,13 +169,12 @@ let test_frame_rejections () =
 (* ---- plan snapshots ---- *)
 
 (* Small square-fixture plan: fast to solve, exercises real LP output. *)
-let square_plan ?(backend = R3_net.Routing.Backend.Sparse) () =
+let square_plan () =
   let g = Topology.square () in
   let tm = Traffic.zeros 4 in
   tm.(0).(2) <- 2.0;
   tm.(1).(3) <- 1.5;
-  let core = R3_core.Config.(default |> with_routing_backend backend) in
-  let cfg = Offline.with_core core (Offline.default_config ~f:1) in
+  let cfg = Offline.default_config ~f:1 in
   (g, cfg, plan_exn (Offline.compute cfg g tm Offline.Joint))
 
 let routing_bits r =
@@ -217,12 +216,30 @@ let test_plan_roundtrip () =
         (Reconfig.states_bit_identical (Reconfig.fail a sc)
            (Reconfig.fail b sc)))
 
-let test_plan_roundtrip_dense_backend () =
-  let _, cfg, plan = square_plan ~backend:R3_net.Routing.Backend.Dense () in
+(* Every row stored on every link: the longest rows a snapshot holds. *)
+let test_plan_roundtrip_full_rows () =
+  let g, cfg, plan = square_plan () in
+  let m = G.num_links g in
+  let fill r =
+    let r = Routing.copy r in
+    for k = 0 to Routing.num_commodities r - 1 do
+      Routing.set_row_dense r k
+        (Array.init m (fun e -> float_of_int (k + 1) /. float_of_int (e + 3)))
+    done;
+    r
+  in
+  let plan =
+    { plan with Offline.base = fill plan.Offline.base; protection = fill plan.Offline.protection }
+  in
   with_tmp ".plan" (fun path ->
       Plan_store.save path ~config:cfg plan;
       let plan', _ = ok_exn "load" (Plan_store.load path) in
-      check_plans_equal plan plan')
+      check_plans_equal plan plan';
+      Alcotest.(check int) "every base entry stored"
+        (m * Array.length plan.Offline.pairs)
+        (Routing.nnz plan'.Offline.base);
+      Alcotest.(check int) "every protection entry stored" (m * m)
+        (Routing.nnz plan'.Offline.protection))
 
 let test_plan_survives_verification () =
   let _, cfg, plan = square_plan () in
@@ -265,7 +282,15 @@ let test_plan_corruption_rejected () =
         (Char.chr (Char.code (Bytes.get bumped Codec.magic_len) + 1));
       write_file path (Bytes.to_string bumped);
       check_mentions "bumped version" "version"
-        (err_exn "bumped version" (Plan_store.load path)))
+        (err_exn "bumped version" (Plan_store.load path));
+      (* A file of the previous format version is refused, not misread. *)
+      Alcotest.(check int) "format version" 3 Plan_store.version;
+      let payload =
+        String.sub original Codec.header_len (String.length original - Codec.header_len)
+      in
+      Codec.write_framed path ~magic:Plan_store.magic ~version:2 payload;
+      check_mentions "v2 snapshot" "version"
+        (err_exn "v2 snapshot" (Plan_store.load path)))
 
 let test_plan_inspect () =
   let g, cfg, plan = square_plan () in
@@ -282,7 +307,12 @@ let test_plan_inspect () =
       Alcotest.(check int64) "mlu bits" (Int64.bits_of_float plan.Offline.mlu)
         (Int64.bits_of_float info.Plan_store.mlu);
       Alcotest.(check bool) "bytes matches file" true
-        (info.Plan_store.bytes = String.length (read_file path)))
+        (info.Plan_store.bytes = String.length (read_file path));
+      Alcotest.(check int) "base entries" (Routing.nnz plan.Offline.base)
+        info.Plan_store.base_nnz;
+      Alcotest.(check int) "protection entries"
+        (Routing.nnz plan.Offline.protection)
+        info.Plan_store.protection_nnz)
 
 let test_traffic_roundtrip () =
   let tm = Traffic.zeros 3 in
@@ -296,37 +326,75 @@ let test_traffic_roundtrip () =
         (Array.map (Array.map Int64.bits_of_float) tm
         = Array.map (Array.map Int64.bits_of_float) tm'))
 
-(* ---- routing row-storage accessors (the codec's substrate) ---- *)
+(* Hand-built plan frames: [f load] gets a [load ?gs ?ws routings] that
+   frames the graph, config and workload sections of a saved square plan
+   (or the [gs]/[ws] given instead) with a matching fingerprint and a
+   valid CRC, appends what [routings] writes, and loads the result. *)
+let with_handmade_frames f =
+  let _, cfg, plan = square_plan () in
+  with_tmp ".plan" (fun path ->
+      Plan_store.save path ~config:cfg plan;
+      let r =
+        Codec.R.of_string
+          (ok_exn "read frame"
+             (Codec.read_framed path ~magic:Plan_store.magic ~version:Plan_store.version))
+      in
+      let _fingerprint = Codec.R.string r in
+      let gs = Codec.R.string r in
+      let cs = Codec.R.string r in
+      let ws = Codec.R.string r in
+      let load ?(gs = gs) ?(ws = ws) routings =
+        let w = Codec.W.create () in
+        Codec.W.string w (Digest.to_hex (Digest.string (gs ^ cs ^ ws)));
+        List.iter (Codec.W.string w) [ gs; cs; ws ];
+        routings w;
+        Codec.write_framed path ~magic:Plan_store.magic ~version:Plan_store.version
+          (Codec.W.contents w);
+        Plan_store.load path
+      in
+      f load)
 
-let test_row_storage_roundtrip () =
+(* ---- routing row accessors (the codec's substrate) ---- *)
+
+let test_row_vec_roundtrip () =
   let g = Topology.square () in
   let m = G.num_links g in
-  let mk backend =
-    Routing.create ~backend g ~pairs:[| (0, 2); (1, 3) |]
-  in
-  let r = mk Routing.Backend.Sparse in
-  (* Install one dense and one sparse payload, read them back, and
-     install them into a fresh routing: bits must survive the trip. *)
-  Routing.set_row_storage r 0 (`Dense (Array.init m (fun e -> float_of_int e /. 7.0)));
-  Routing.set_row_storage r 1
-    (`Sparse (Rowvec.of_sorted [| 1; 3 |] [| 0.25; 0.75 |] 2));
-  let r' = mk Routing.Backend.Dense in
-  Routing.set_row_storage r' 0 (Routing.row_storage r 0);
-  Routing.set_row_storage r' 1 (Routing.row_storage r 1);
-  Alcotest.(check bool) "bits survive storage round-trip" true
+  let mk () = Routing.create g ~pairs:[| (0, 2); (1, 3) |] in
+  let r = mk () in
+  (* Install one full and one short row, read them back, and install
+     them into a fresh routing: bits must survive the trip. *)
+  Routing.set_row_dense r 0 (Array.init m (fun e -> float_of_int (e + 1) /. 7.0));
+  Routing.set_row_vec r 1 (Rowvec.of_sorted [| 1; 3 |] [| 0.25; 0.75 |] 2);
+  let r' = mk () in
+  Routing.set_row_vec r' 0 (Routing.row_vec r 0);
+  Routing.set_row_vec r' 1 (Routing.row_vec r 1);
+  Alcotest.(check bool) "bits survive the row round-trip" true
     (routing_bits r = routing_bits r');
-  (* Validation: wrong dense width and out-of-range sparse index. *)
+  Alcotest.(check int) "entries" (m + 2) (Routing.nnz r');
+  (* Validation: wrong dense width and out-of-range index. *)
   let expect_invalid name f =
     try
       f ();
       Alcotest.failf "%s: expected Invalid_argument" name
     with Invalid_argument _ -> ()
   in
-  expect_invalid "short dense row" (fun () ->
-      Routing.set_row_storage r 0 (`Dense [| 1.0 |]));
-  expect_invalid "sparse index out of range" (fun () ->
-      Routing.set_row_storage r 0
-        (`Sparse (Rowvec.of_sorted [| m |] [| 1.0 |] 1)))
+  expect_invalid "short dense row" (fun () -> Routing.set_row_dense r 0 [| 1.0 |]);
+  expect_invalid "index out of range" (fun () ->
+      Routing.set_row_vec r 0 (Rowvec.of_sorted [| m |] [| 1.0 |] 1));
+  expect_invalid "negative index" (fun () ->
+      Routing.set_row_vec r 0 (Rowvec.of_sorted [| -1 |] [| 1.0 |] 1));
+  (* The plan store reports both as a malformed snapshot. *)
+  with_handmade_frames (fun load ->
+      let one_row idx w =
+        Codec.W.i32 w 1;
+        Codec.W.i32 w 0;
+        Codec.W.i32 w 2;
+        Codec.W.int_array w idx;
+        Codec.W.float_array w (Array.make (Array.length idx) 0.5)
+      in
+      List.iter
+        (fun (what, idx) -> check_mentions what "malformed" (err_exn what (load (one_row idx))))
+        [ ("stored index out of range", [| m |]); ("indices not ascending", [| 2; 1 |]) ])
 
 (* ---- online checkpoint / resume ---- *)
 
@@ -336,13 +404,9 @@ let online_root () =
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
-  let backend = Routing.Backend.Sparse in
-  let base = R3_net.Ospf.routing g ~backend ~weights ~pairs () in
+  let base = R3_net.Ospf.routing g ~weights ~pairs () in
   let m = G.num_links g in
-  let p =
-    Routing.create ~backend g
-      ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e)))
-  in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
   for l = 0 to m - 1 do
     let failed = G.fail_links g [ l ] in
     (match
@@ -461,6 +525,36 @@ let test_checkpoint_router_count_bounded () =
         Alcotest.failf "rejecting the frame allocated %.0f major-heap words" grown;
       check_mentions "huge router count" "router count" msg)
 
+(* CRC-valid plan frames whose graph, workload or routing section claims
+   a huge element count: each count must be rejected as malformed before
+   anything is allocated from it. *)
+let test_plan_counts_bounded () =
+  with_handmade_frames (fun load ->
+      let section f =
+        let w = Codec.W.create () in
+        f w;
+        Codec.W.contents w
+      in
+      let rejects what ?gs ?ws routings =
+        let before = (Gc.quick_stat ()).Gc.major_words in
+        let msg = err_exn what (load ?gs ?ws routings) in
+        let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+        if grown > 1e5 then
+          Alcotest.failf "%s: rejecting the frame allocated %.0f major-heap words" what
+            grown;
+        check_mentions what "malformed" msg
+      in
+      let huge_count w = Codec.W.i32 w (1 lsl 28) in
+      rejects "huge node count" ~gs:(section huge_count) ignore;
+      rejects "huge link count"
+        ~gs:(section (fun w ->
+                 Codec.W.i32 w 1;
+                 Codec.W.string w "a";
+                 huge_count w))
+        ignore;
+      rejects "huge commodity count" ~ws:(section huge_count) ignore;
+      rejects "huge routing row count" huge_count)
+
 let test_checkpoint_shapes_checked () =
   let g, root = online_root () in
   let n = G.num_nodes g and m = G.num_links g in
@@ -555,8 +649,8 @@ let suite =
     Alcotest.test_case "frame rejections" `Quick test_frame_rejections;
     Alcotest.test_case "plan round-trip bit-identical" `Quick
       test_plan_roundtrip;
-    Alcotest.test_case "plan round-trip (dense backend)" `Quick
-      test_plan_roundtrip_dense_backend;
+    Alcotest.test_case "plan round-trip (full rows)" `Quick
+      test_plan_roundtrip_full_rows;
     Alcotest.test_case "reloaded plan passes Theorem 1" `Quick
       test_plan_survives_verification;
     Alcotest.test_case "wrong topology rejected" `Quick
@@ -567,7 +661,7 @@ let suite =
     Alcotest.test_case "traffic matrix round-trip" `Quick
       test_traffic_roundtrip;
     Alcotest.test_case "routing row storage round-trip" `Quick
-      test_row_storage_roundtrip;
+      test_row_vec_roundtrip;
     Alcotest.test_case "checkpoint resume bit-identical" `Quick
       test_checkpoint_resume_bit_identical;
     Alcotest.test_case "checkpoint for wrong run rejected" `Quick
@@ -578,4 +672,6 @@ let suite =
       test_checkpoint_router_count_bounded;
     Alcotest.test_case "checkpoint shapes checked on resume" `Quick
       test_checkpoint_shapes_checked;
+    Alcotest.test_case "plan decoders bound their counts" `Quick
+      test_plan_counts_bounded;
   ]

@@ -1,6 +1,6 @@
 (* Tests for the sparse routing-state substrate: the shared Rowvec
-   kernels and the contract that the Dense, Sparse, and Auto storage
-   backends of Routing.t are bit-identical under failure folding. *)
+   kernels, and failure folding on Routing.t's sparse rows checked bit
+   for bit against the naive dense reference fold (R3_check.Dense_ref). *)
 
 module Rowvec = R3_util.Rowvec
 module Prng = R3_util.Prng
@@ -11,6 +11,7 @@ module Traffic = R3_net.Traffic
 module Spf = R3_net.Spf
 module Reconfig = R3_core.Reconfig
 module Scenario = R3_core.Scenario
+module Dense_ref = R3_check.Dense_ref
 
 (* Physical (bidirectional) failure of one link as a singleton delta. *)
 let fail_bidir g st e = Reconfig.fail st (Scenario.of_links g [ e ])
@@ -93,17 +94,14 @@ let test_rowvec_merged_matches_dense () =
       expect
   done
 
-(* ---- backend bit-identity under failure folding ---- *)
+(* ---- failure folding against the dense reference ---- *)
 
 (* Same synthetic protection shape as the reconfig bench: the SPF detour
    path around each link, or the self row when the failure disconnects. *)
-let synthetic_protection g ~backend =
+let synthetic_protection g =
   let weights = R3_net.Ospf.unit_weights g in
   let m = G.num_links g in
-  let p =
-    Routing.create ~backend g
-      ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e)))
-  in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
   for l = 0 to m - 1 do
     let failed = G.fail_links g [ l ] in
     match
@@ -114,80 +112,66 @@ let synthetic_protection g ~backend =
   done;
   p
 
-let make_state g ~backend ~seed =
+let make_state g ~seed =
   let rng = Prng.create seed in
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
-  let base = R3_net.Ospf.routing g ~backend ~weights ~pairs () in
-  let protection = synthetic_protection g ~backend in
+  let base = R3_net.Ospf.routing g ~weights ~pairs () in
+  let protection = synthetic_protection g in
   Reconfig.make g ~pairs ~demands ~base ~protection
 
-let backends = Routing.Backend.[ Dense; Sparse; Auto ]
+let agrees what st want =
+  match Dense_ref.mismatch st want with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" what d
 
-(* Randomized failure sequences: after every step, all three backends
-   must be bit-identical, and folding the whole sequence with
-   [apply_failures] must equal the step-by-step fold. *)
-let check_backend_identity g ~seed ~rounds ~max_fail =
-  let states = List.map (fun b -> make_state g ~backend:b ~seed) backends in
+(* Randomized failure sequences, from one root: stepping physical
+   failures through [Reconfig.fail] must land on the reference's
+   canonical fold of the failed set, stepping directed failures through
+   [apply_failures] on the reference's fold in the same order, and
+   folding the whole directed sequence at once must equal the
+   step-by-step fold. *)
+let check_reference_identity g ~seed ~rounds ~max_fail =
+  let root = make_state g ~seed in
+  let pristine = Dense_ref.pristine root in
   let rng = Prng.create (seed + 1) in
   let m = G.num_links g in
   for round = 1 to rounds do
     let nfail = 1 + Prng.int rng max_fail in
-    let links =
-      List.init nfail (fun _ -> (Prng.int rng m, Prng.int rng 2 = 0))
+    let links = List.init nfail (fun _ -> Prng.int rng m) in
+    let what s = Printf.sprintf "round %d: %s" round s in
+    let bidir = List.fold_left (fail_bidir g) root links in
+    agrees (what "physical steps") bidir (Dense_ref.of_state bidir);
+    let stepped =
+      List.fold_left (fun st e -> Reconfig.apply_failures st [ e ]) root links
     in
-    let fold st =
-      List.fold_left
-        (fun st (e, bidir) ->
-          if bidir then fail_bidir g st e else Reconfig.apply_failures st [ e ])
-        st links
-    in
-    let stepped = List.map fold states in
-    let reference = List.hd stepped in
-    List.iteri
-      (fun i st ->
-        if not (Reconfig.states_bit_identical reference st) then
-          Alcotest.failf "round %d: backend #%d diverged from dense" round i)
-      stepped;
-    (* fold equivalence on the plain (unidirectional) sequence *)
-    let plain = List.map fst links in
-    let folded = List.map (fun st -> Reconfig.apply_failures st plain) states in
-    let ref_folded =
-      List.fold_left
-        (fun st e -> Reconfig.apply_failures st [ e ])
-        (List.hd states) plain
-    in
-    List.iteri
-      (fun i st ->
-        if not (Reconfig.states_bit_identical ref_folded st) then
-          Alcotest.failf "round %d: apply_failures backend #%d diverged" round i)
-      folded
+    let want = Dense_ref.fold pristine links in
+    agrees (what "directed steps") stepped want;
+    agrees (what "apply_failures") (Reconfig.apply_failures root links) want
   done
 
-let test_backend_identity_abilene () =
-  check_backend_identity (Topology.abilene ()) ~seed:3 ~rounds:12 ~max_fail:3
+let test_reference_identity_abilene () =
+  check_reference_identity (Topology.abilene ()) ~seed:3 ~rounds:12 ~max_fail:3
 
-let test_backend_identity_random () =
+let test_reference_identity_random () =
   let g =
     Topology.random ~seed:17 ~nodes:16 ~undirected_links:30
       ~capacities:[ (10.0, 0.5); (40.0, 0.5) ]
       ()
   in
-  check_backend_identity g ~seed:5 ~rounds:8 ~max_fail:4
+  check_reference_identity g ~seed:5 ~rounds:8 ~max_fail:4
 
 (* Mutating a routing after a copy-on-write fold must not leak into the
-   parent or sibling states (payload sharing stays invisible). *)
+   parent or sibling states (row sharing stays invisible). *)
 let test_cow_isolation () =
   let g = Topology.abilene () in
-  let st = make_state g ~backend:Routing.Backend.Sparse ~seed:9 in
-  let st_d = make_state g ~backend:Routing.Backend.Dense ~seed:9 in
+  let st = make_state g ~seed:9 in
   let base st = Routing.to_dense_matrix (Reconfig.base st) in
   let before = base st in
   let child = fail_bidir g st 0 in
-  let child_d = fail_bidir g st_d 0 in
-  Alcotest.(check bool) "dense/sparse children agree" true
-    (Reconfig.states_bit_identical child_d child);
+  let want = Dense_ref.of_state child in
+  agrees "child" child want;
   (* parent unchanged by the fold *)
   Alcotest.(check bool) "parent base intact" true (base st = before);
   (* writing into the child's base must not corrupt the parent... *)
@@ -198,8 +182,7 @@ let test_cow_isolation () =
      whose base is still pending (it folds from the parent when read) *)
   let child2 = fail_bidir g st 0 in
   Routing.set (Reconfig.base st) 0 2 0.456;
-  Alcotest.(check bool) "children isolated from parent writes" true
-    (Reconfig.states_bit_identical child_d child2)
+  agrees "children isolated from parent writes" child2 want
 
 (* Stepping the same root state from several domains at once (the sweep
    engine's access pattern) must be race-free: the fold seals the parent
@@ -209,7 +192,7 @@ let test_cow_isolation () =
 let test_parallel_fold_from_shared_root () =
   let g = Topology.abilene () in
   let m = G.num_links g in
-  let mk () = make_state g ~backend:Routing.Backend.Sparse ~seed:21 in
+  let mk () = make_state g ~seed:21 in
   let rng = Prng.create 22 in
   let seqs =
     Array.init 24 (fun _ -> List.init 3 (fun _ -> Prng.int rng m))
@@ -231,7 +214,8 @@ let test_parallel_fold_from_shared_root () =
 
 (* A failure chain longer than the overlay cap exercises index
    compaction (the child drops the inherited index and rebuilds from its
-   own rows); results must stay bit-identical to the dense full scan. *)
+   own rows); results must stay bit-identical to the reference's full
+   scan of every row. *)
 let test_long_chain_identity () =
   let g =
     Topology.random ~seed:23 ~nodes:16 ~undirected_links:30
@@ -241,38 +225,33 @@ let test_long_chain_identity () =
   let m = G.num_links g in
   let rng = Prng.create 24 in
   let links = List.init 24 (fun _ -> Prng.int rng m) in
+  let root = make_state g ~seed:11 in
   let final =
-    List.map
-      (fun b ->
-        List.fold_left
-          (fun st e -> Reconfig.apply_failures st [ e ])
-          (make_state g ~backend:b ~seed:11)
-          links)
-      backends
+    List.fold_left (fun st e -> Reconfig.apply_failures st [ e ]) root links
   in
-  let reference = List.hd final in
-  List.iteri
-    (fun i st ->
-      if not (Reconfig.states_bit_identical reference st) then
-        Alcotest.failf "long chain: backend #%d diverged from dense" (i + 1))
-    (List.tl final)
+  agrees "long chain" final (Dense_ref.fold (Dense_ref.pristine root) links)
 
-(* Auto backend flips a row to dense storage once it outgrows the nnz
-   ratio; values must be unaffected. *)
-let test_auto_densifies () =
+(* A row stored on every link, the longest a row gets: [set]/[get]/
+   [row_dense] and a fold of it must carry the reference's bits. *)
+let test_full_row () =
   let g = Topology.abilene () in
   let m = G.num_links g in
-  let pairs = [| (0, 5) |] in
-  let auto = Routing.create ~backend:Routing.Backend.Auto g ~pairs in
-  let dense = Routing.create ~backend:Routing.Backend.Dense g ~pairs in
-  for e = 0 to m - 1 do
-    let x = 1.0 /. float_of_int (e + 2) in
-    Routing.set auto 0 e x;
-    Routing.set dense 0 e x
-  done;
-  Alcotest.(check int) "auto row flipped to dense" 1 (Routing.dense_rows auto);
-  Alcotest.(check bool) "auto values match dense" true
-    (Routing.row_dense auto 0 = Routing.row_dense dense 0)
+  let t = Routing.create g ~pairs:[| (0, 5) |] in
+  let row = Array.init m (fun e -> 1.0 /. float_of_int (e + 2)) in
+  Array.iteri (Routing.set t 0) row;
+  Alcotest.(check int) "every link stored" m (Routing.nnz t);
+  let bits a = Array.map Int64.bits_of_float a in
+  Alcotest.(check (array int64)) "get" (bits row)
+    (bits (Array.init m (Routing.get t 0)));
+  Alcotest.(check (array int64)) "row_dense" (bits row) (bits (Routing.row_dense t 0));
+  let e = 3 in
+  let xi = Array.init m (fun l -> if l = e || l mod 4 <> 1 then 0.0 else 0.5) in
+  let folded, _ =
+    Routing.fold_failure t ~e ~xi:(R3_util.Rowvec.of_dense xi)
+      ~replace_with_detour:false
+  in
+  Alcotest.(check (array int64)) "fold" (bits (Dense_ref.fold_row row ~e ~xi))
+    (bits (Routing.row_dense folded 0))
 
 let suite =
   [
@@ -284,12 +263,12 @@ let suite =
     Alcotest.test_case "rowvec merged matches dense" `Quick
       test_rowvec_merged_matches_dense;
     Alcotest.test_case "backend bit-identity abilene" `Quick
-      test_backend_identity_abilene;
+      test_reference_identity_abilene;
     Alcotest.test_case "backend bit-identity random" `Quick
-      test_backend_identity_random;
+      test_reference_identity_random;
     Alcotest.test_case "cow isolation" `Quick test_cow_isolation;
     Alcotest.test_case "parallel fold from shared root" `Quick
       test_parallel_fold_from_shared_root;
     Alcotest.test_case "long chain identity" `Quick test_long_chain_identity;
-    Alcotest.test_case "auto densifies" `Quick test_auto_densifies;
+    Alcotest.test_case "full row matches the dense reference" `Quick test_full_row;
   ]

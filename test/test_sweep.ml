@@ -252,42 +252,18 @@ let test_scenario_canonical () =
   Alcotest.(check bool) "prefix sorts first" true (Sc.compare a c < 0);
   Alcotest.(check bool) "empty" true (Sc.is_empty (Sc.of_links g []))
 
-(* The deprecated wrappers must keep producing what the new API produces. *)
-module Legacy = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let expand = S.expand
-  let all_k = S.all_k
-  let sample_k = S.sample_k
-  let sorted_curves = E.sorted_curves
-end
-
+(* What the retired raw-list wrappers ([Eval.sorted_curves] and friends)
+   computed, the surviving API must still compute: the bulk curves equal
+   the per-scenario loop over [Eval.scenario_bottleneck]. *)
 let test_legacy_wrappers_agree () =
-  let legacy_expand = Legacy.expand in
-  let legacy_all_k = Legacy.all_k in
-  let legacy_sample_k = Legacy.sample_k in
-  let legacy_sorted_curves = Legacy.sorted_curves in
   let g, env = Lazy.force env in
-  let phys = S.physical_links g in
-  Alcotest.(check (list int)) "expand"
-    (Sc.links (Sc.of_links g [ phys.(2) ]))
-    (legacy_expand g [ phys.(2) ]);
-  Alcotest.(check int) "all_k count"
-    (List.length (S.enumerate g ~k:2))
-    (List.length (legacy_all_k g ~k:2));
-  List.iter2
-    (fun sc raw ->
-      Alcotest.(check (list int)) "sample_k draws" (Sc.links sc) raw)
-    (S.sample g ~k:2 ~count:10 ~seed:3)
-    (legacy_sample_k g ~k:2 ~count:10 ~seed:3);
   let scenarios = S.enumerate g ~k:1 in
-  let legacy =
-    legacy_sorted_curves env ~algorithms:r3_algorithms
-      ~scenarios:(List.map Sc.links scenarios) ~metric:`Bottleneck ()
-  in
-  check_bits "sorted_curves"
+  Alcotest.(check int) "one scenario per physical link"
+    (Array.length (S.physical_links g))
+    (List.length scenarios);
+  check_bits "curves"
+    (naive_curves env ~algorithms:r3_algorithms ~metric:`Bottleneck scenarios)
     (Sweep.curves ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios)
-    legacy
 
 (* A bottleneck sweep reads each scenario's MLU from the folded load
    vector: no per-commodity base routing is folded. *)
