@@ -235,7 +235,7 @@ let fig8 () =
     }
   in
   (* Failure budgets are physical: one SRLG per bidirectional pair. *)
-  let srlgs = H.bidir_groups g in
+  let srlgs = R3_core.Structured.physical_srlgs g in
   let prioritized =
     H.cached_plan "usisp-prio" (fun () ->
         match
@@ -352,7 +352,7 @@ let fig9 () =
     (R3_mcf.Concurrent_flow.min_mlu g ~epsilon:0.03 ~pairs ~demands:ctx.H.demands ())
       .R3_mcf.Concurrent_flow.mlu
   in
-  let groups = { R3_core.Structured.srlgs = H.bidir_groups g; mlgs = []; k = 2 } in
+  let groups = { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 2 } in
   let no_pe =
     H.cached_plan "abilene9-nope" (fun () ->
         R3_core.Structured.compute cfg_nope g ctx.H.base_tm groups Offline.Joint)
@@ -730,7 +730,7 @@ let ablation () =
   (* (c) protection envelope: structured per-pair SRLGs vs arbitrary
      directed failures - the price of the general envelope. *)
   let groups =
-    { R3_core.Structured.srlgs = H.bidir_groups g; mlgs = []; k = 1 }
+    { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 1 }
   in
   let cfgk =
     { (Offline.default_config ~f:1) with solve_method = Offline.Constraint_gen }

@@ -96,23 +96,17 @@ let interval_tm ctx ~interval =
    SRLG per bidirectional pair and [k] concurrent events: protecting
    against k physical failures is far less demanding than 2k arbitrary
    directed failures (a degree-2 PoP can survive the former, never the
-   latter). *)
-let bidir_groups g =
-  Array.to_list (R3_sim.Scenarios.physical_links g)
-  |> List.map (fun e ->
-         match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-
-(* Like the paper, the protection envelope carries the operational risk
-   model: per-pair SRLGs (any k physical failures) plus whatever
-   fiber-sharing SRLGs and maintenance groups the context declares - the
-   events the figures then replay. *)
+   latter). Like the paper, the protection envelope carries the
+   operational risk model: per-pair SRLGs (any k physical failures) plus
+   whatever fiber-sharing SRLGs and maintenance groups the context
+   declares - the events the figures then replay. *)
 let structured_plan ?(extra_srlgs = []) ?(mlgs = []) ~key ~k ctx base =
   cached_plan key (fun () ->
       let cfg =
         { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen }
       in
       let groups =
-        { R3_core.Structured.srlgs = bidir_groups ctx.g @ extra_srlgs; mlgs; k }
+        { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs ctx.g @ extra_srlgs; mlgs; k }
       in
       R3_core.Structured.compute cfg ctx.g ctx.base_tm groups (Offline.Fixed base))
 

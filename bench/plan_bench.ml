@@ -45,7 +45,7 @@ let solve g ~seed =
   let cfg =
     { (Offline.default_config ~f:1) with solve_method = Offline.Constraint_gen }
   in
-  let groups = { R3_core.Structured.srlgs = H.bidir_groups g; mlgs = []; k = 1 } in
+  let groups = { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 1 } in
   let compute () =
     R3_core.Structured.compute cfg g tm groups (Offline.Fixed base)
   in

@@ -35,7 +35,7 @@ let setup ~tag ~seed ~load g =
           { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen }
         in
         R3_core.Structured.compute cfg g tm
-          { R3_core.Structured.srlgs = H.bidir_groups g; mlgs = []; k }
+          { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k }
           (Offline.Fixed base))
   in
   let plan_exn = function Ok p -> p | Error e -> failwith ("sweep bench: " ^ e) in

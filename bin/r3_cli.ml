@@ -123,11 +123,6 @@ let make_tm g ~seed ~load =
   let rng = R3_util.Prng.create seed in
   Traffic.gravity rng g ~load_factor:load ()
 
-let bidir_groups g =
-  Array.to_list (R3_sim.Scenarios.physical_links g)
-  |> List.map (fun e ->
-         match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-
 let precompute tag f bidir joint method_ core seed load out metrics =
   let g = load_topology tag in
   let tm = make_tm g ~seed ~load in
@@ -152,7 +147,7 @@ let precompute tag f bidir joint method_ core seed load out metrics =
     R3_util.Timer.time (fun () ->
         if bidir then
           R3_core.Structured.compute cfg g tm
-            { R3_core.Structured.srlgs = bidir_groups g; mlgs = []; k = f }
+            { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = f }
             base_spec
         else Offline.compute cfg g tm base_spec)
   in
@@ -218,8 +213,7 @@ let parse_links g spec =
            let na = try G.node_id g a with Not_found -> Printf.eprintf "unknown node %s\n" a; exit 2 in
            let nb = try G.node_id g b with Not_found -> Printf.eprintf "unknown node %s\n" b; exit 2 in
            (match G.find_link g na nb with
-           | Some e -> (
-             match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
+           | Some e -> List.find (List.mem e) (R3_core.Structured.physical_srlgs g)
            | None ->
              Printf.eprintf "no link %s-%s\n" a b;
              exit 2)
@@ -268,7 +262,7 @@ let compare_run tag k count seed load =
   in
   match
     R3_core.Structured.compute cfg g tm
-      { R3_core.Structured.srlgs = bidir_groups g; mlgs = []; k }
+      { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k }
       (Offline.Fixed base)
   with
   | Error m ->
@@ -347,7 +341,7 @@ let sweep_run tag ks count seed load metric use_cache core metrics plan_path =
           { (Offline.default_config ~f:kmax) with solve_method = Offline.Constraint_gen }
       in
       R3_core.Structured.compute cfg g tm
-        { R3_core.Structured.srlgs = bidir_groups g; mlgs = []; k = kmax }
+        { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = kmax }
         (Offline.Fixed base)
   in
   match plan_result with
@@ -458,7 +452,7 @@ let profile tag ks count seed load core out trace_out =
   in
   match
     R3_core.Structured.compute cfg g tm
-      { R3_core.Structured.srlgs = bidir_groups g; mlgs = []; k = kmax }
+      { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = kmax }
       (Offline.Fixed base)
   with
   | Error m ->
@@ -489,7 +483,7 @@ let profile tag ks count seed load core out trace_out =
       [
         "lp.solves"; "lp.pivots"; "lp.degenerate_pivots"; "lp.harris_rejections";
         "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
-        "offline.cg.cuts"; "mcf.runs"; "mcf.phases"; "sweep.scenarios";
+        "offline.cg.cuts"; "offline.cg.budget_exhausted"; "mcf.runs"; "mcf.phases"; "sweep.scenarios";
         "sweep.tree_nodes"; "sweep.cow_steps"; "sweep.cache.hits";
         "sweep.cache.misses"; "r3.reconfig.base_forces";
       ];
@@ -547,7 +541,7 @@ let online tag f n_events faults fibs core seed load metrics plan_path ckpt
           { (Offline.default_config ~f) with solve_method = Offline.Constraint_gen }
       in
       R3_core.Structured.compute cfg g tm
-        { R3_core.Structured.srlgs = bidir_groups g; mlgs = []; k = f }
+        { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = f }
         (Offline.Fixed base)
   in
   match plan_result with
@@ -744,7 +738,7 @@ let storage tag seed load =
   in
   match
     R3_core.Structured.compute cfg g tm
-      { R3_core.Structured.srlgs = bidir_groups g; mlgs = []; k = 1 }
+      { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 1 }
       (Offline.Fixed base)
   with
   | Error m ->

@@ -21,10 +21,7 @@ let () =
   (* Protect every physical (bidirectional) link: one SRLG per pair. *)
   let groups =
     {
-      S.srlgs =
-        Array.to_list (R3_sim.Scenarios.physical_links g)
-        |> List.map (fun e ->
-               match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ]);
+      S.srlgs = S.physical_srlgs g;
       mlgs = [];
       k = 1;
     }

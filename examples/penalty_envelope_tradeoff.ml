@@ -28,10 +28,7 @@ let () =
   Format.printf "%-10s %14s %18s@." "beta" "normal MLU" "MLU over d + X_1";
   let groups =
     {
-      R3_core.Structured.srlgs =
-        Array.to_list (R3_sim.Scenarios.physical_links g)
-        |> List.map (fun e ->
-               match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ]);
+      R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g;
       mlgs = [];
       k = 1;
     }

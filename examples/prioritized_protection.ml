@@ -24,11 +24,7 @@ let () =
   let d3 = tprt in
   let pairs, _ = Traffic.commodities d1 in
   let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
-  let srlgs =
-    Array.to_list (R3_sim.Scenarios.physical_links g)
-    |> List.map (fun e ->
-           match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-  in
+  let srlgs = R3_core.Structured.physical_srlgs g in
   let cfg =
     { (Offline.default_config ~f:1) with solve_method = Offline.Constraint_gen }
   in

@@ -97,7 +97,9 @@ let binom n k =
 
 (* Constraint generation (cutting planes over the knapsack oracle) and
    the dualized LP (7) are two formulations of one optimum, solved
-   through different LPs; their MLU* must agree. *)
+   through different LPs; their MLU* must agree. So must the structured
+   envelope (18) with one singleton SRLG per directed link and k = F,
+   which is X_F again, reached through the group oracle. *)
 let lp_agree =
   let check (case : Case.t) =
     let g = Case.graph case in
@@ -108,19 +110,32 @@ let lp_agree =
       let cfg = { (Offline.default_config ~f:case.f) with Offline.solve_method } in
       Offline.compute cfg g tm (Offline.Fixed base)
     in
-    match (solve Offline.Constraint_gen, solve Offline.Dualized) with
-    | Ok cg, Ok dual ->
-      let m0 = dual.Offline.mlu and m = cg.Offline.mlu in
-      let tol = 1e-6 *. Float.max 1.0 (Float.max (Float.abs m0) (Float.abs m)) in
-      if Float.abs (m0 -. m) > tol then
-        failf "constraint generation found MLU* %.12g, dualized LP %.12g" m m0
-    | Error _, Error _ -> ()
-    | Ok _, Error e -> failf "dualized LP failed (%s) while CG solved" e
-    | Error e, Ok _ -> failf "CG failed (%s) while the dualized LP solved" e
+    let structured () =
+      let singletons = List.init (G.num_links g) (fun l -> [ l ]) in
+      R3_core.Structured.compute (Offline.default_config ~f:case.f) g tm
+        { R3_core.Structured.srlgs = singletons; mlgs = []; k = case.f }
+        (Offline.Fixed base)
+    in
+    let agree what other reference =
+      match (reference, other) with
+      | Ok (r : Offline.plan), Ok (o : Offline.plan) ->
+        let m0 = r.Offline.mlu and m = o.Offline.mlu in
+        let tol = 1e-6 *. Float.max 1.0 (Float.max (Float.abs m0) (Float.abs m)) in
+        if Float.abs (m0 -. m) > tol then
+          failf "%s found MLU* %.12g, constraint generation %.12g" what m m0
+      | Error _, Error _ -> ()
+      | Ok _, Error e -> failf "%s failed (%s) while constraint generation solved" what e
+      | Error e, Ok _ -> failf "constraint generation failed (%s) while %s solved" e what
+    in
+    let cg = solve Offline.Constraint_gen in
+    agree "the dualized LP" (solve Offline.Dualized) cg;
+    agree "the structured envelope (singleton SRLGs, k = F)" (structured ()) cg
   in
   {
     name = "lp-agree";
-    doc = "constraint generation and the dualized LP (7) agree on MLU*";
+    doc =
+      "constraint generation, the dualized LP (7) and the structured \
+       envelope with singleton SRLGs and k = F agree on MLU*";
     check;
   }
 
@@ -456,14 +471,9 @@ let theorems =
     (* Single-physical-event envelope, as bidirectional SRLGs: higher
        budgets are routinely infeasible on these sparse random graphs
        (degree-2 nodes), which would make the oracle vacuous. *)
-    let srlgs =
-      Array.to_list (Scenarios.physical_links g)
-      |> List.map (fun e ->
-             match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-    in
     match
       R3_core.Structured.compute cfg g tm
-        { R3_core.Structured.srlgs; mlgs = []; k = 1 }
+        { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 1 }
         (Offline.Fixed base)
     with
     | Error _ -> () (* envelope infeasible: the theorems claim nothing *)

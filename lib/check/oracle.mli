@@ -5,7 +5,8 @@
     oracle-internal randomness) and checks one equivalence or theorem the
     codebase promises:
 
-    - constraint generation and the dualized LP (7) agree on MLU*;
+    - constraint generation, the dualized LP (7) and the structured
+      envelope (18) with singleton SRLGs and k = F agree on MLU*;
     - random fail/recover folds equal a naive dense fold of (8)–(10)
       ({!Dense_ref}) bit for bit;
     - sequential fail/recover folds land on the canonical batch state and

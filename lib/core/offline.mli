@@ -7,13 +7,18 @@
     - {b Dualized}: the paper's LP (7) — the inner maximization (5) is
       replaced by its LP dual, giving one polynomial-size program.
     - {b Constraint generation}: the semi-infinite program (3) is solved by
-      cutting planes. Because (5) is a unit-weight fractional knapsack, the
-      exact separation oracle is "sum of the F largest [c_l * p_l(e)]"
-      ({!Virtual_demand.worst_virtual_load_set}); violated scenarios are
-      added as linear cuts until none remain. This avoids the [O(|E|^2)]
-      dual variables and scales to larger topologies.
+      cutting planes. The separation oracle is the inner maximization
+      itself ({!Virtual_demand.worst_load}); violated scenarios are added
+      as linear cuts until none remain. This avoids the [O(|E|^2)] dual
+      variables and scales to larger topologies.
 
-    Both methods solve the same optimization; tests assert they agree. *)
+    Both methods solve the same optimization; tests assert they agree.
+
+    {!compute_classes} is the one cutting-plane loop. It also solves the
+    Section 3.5 extensions, which change only the envelope the oracle
+    maximizes over: {!Structured} (SRLGs and MLGs, equation (18)) is one
+    class with a {!Virtual_demand.Groups} envelope, and {!Priority}
+    (equation (19)) one class per priority level. *)
 
 type base_spec =
   | Joint  (** optimize [r] together with [p] (MPLS-ff style) *)
@@ -74,5 +79,30 @@ val compute_multi :
   config ->
   R3_net.Graph.t ->
   R3_net.Traffic.t list ->
+  base_spec ->
+  (plan, string) result
+
+(** [compute_classes ?spread cfg g classes base] minimizes the MLU so
+    that every class's traffic matrix plus its envelope fits, by
+    warm-started constraint generation ([cfg.solve_method] and [cfg.f]
+    are not read). One shared [r] and [p] serve every class; commodities
+    are the union of the matrices' supports, and the penalty and delay
+    envelopes bound each matrix's no-failure routing. The plan's [f] is
+    the largest class budget, its [demands] the per-pair maximum.
+
+    [spread] (default [false]) adds the
+    {!Lp_build.penalize_virtual_concentration} tie-break, which balances
+    per-event rerouted load among the optima. {!Structured.compute}
+    passes it; [X_F] and prioritized plans do not.
+
+    When [cfg.cg_max_rounds] runs out with cuts still violated, the plan
+    reports its audited worst case (the max over classes of
+    {!Virtual_demand.worst_mlu}), never the LP value, and the counter
+    [offline.cg.budget_exhausted] moves by one. *)
+val compute_classes :
+  ?spread:bool ->
+  config ->
+  R3_net.Graph.t ->
+  (R3_net.Traffic.t * Virtual_demand.envelope) list ->
   base_spec ->
   (plan, string) result

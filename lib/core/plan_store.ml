@@ -202,6 +202,19 @@ let dec_routing r g =
   done;
   rt
 
+(* A decoded routing must have one row per expected commodity, with the
+   same (src, dst) pairs: the fingerprint does not cover the routings, and
+   [Reconfig.of_plan] indexes them by commodity and by link. *)
+let expect_rows what rt pairs =
+  let got = Routing.pairs rt in
+  if Array.length got <> Array.length pairs then
+    raise
+      (R.Corrupt
+         (Printf.sprintf "%s routing has %d rows, expected %d" what (Array.length got)
+            (Array.length pairs)));
+  if got <> pairs then
+    raise (R.Corrupt (Printf.sprintf "%s routing rows do not match its commodities" what))
+
 (* --- plan snapshots ---------------------------------------------------- *)
 
 let sections ~config (plan : Offline.plan) =
@@ -251,7 +264,9 @@ let decode_payload payload =
   let config = dec_config cs in
   let pairs, demands = dec_workload ws in
   let base = dec_routing r graph in
+  expect_rows "base" base pairs;
   let protection = dec_routing r graph in
+  expect_rows "protection" protection (Lp_build.link_pairs graph);
   let mlu = R.float r in
   let f = R.i32 r in
   let lp_vars = R.int r in

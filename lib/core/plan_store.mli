@@ -43,7 +43,9 @@ val save : string -> ?config:Offline.config -> Offline.plan -> unit
     failing check: missing/truncated file, wrong magic, version mismatch,
     CRC mismatch, malformed payload (including an element count larger
     than the bytes left could hold, rejected before anything is allocated
-    from it), fingerprint mismatch, or — when the
+    from it, and a base routing without one row per workload commodity
+    or a protection without one row per link, pairs included),
+    fingerprint mismatch, or — when the
     respective argument is given — a topology/config that differs from
     the one the plan was solved for. *)
 val load :

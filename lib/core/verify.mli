@@ -3,13 +3,15 @@
     These checks do not reuse the LP: the worst-case virtual load has the
     closed knapsack form of {!Virtual_demand}, so the offline guarantee can
     be audited directly from the routing values, and the online guarantee
-    by exhaustively (or randomly) applying failure scenarios. *)
+    by exhaustively (or randomly) applying failure scenarios. Every
+    offline audit, here and in {!Structured} and {!Priority}, is
+    {!Virtual_demand.worst_mlu}. *)
 
 (** [offline_worst_mlu g ~f ~base_loads ~protection] is
     [max_e (base_loads(e) + sum of f largest c_l p_l(e)) / c_e] — the true
-    MLU of the plan over [d + X_F]. Must match {!Offline.plan}'s [mlu] up
-    to the loop-penalty tolerance (this equality is itself a check of the
-    LP dualization). *)
+    MLU of the plan over [d + X_F]: {!Virtual_demand.worst_mlu} with
+    [Links f]. Must match {!Offline.plan}'s [mlu] up to the loop-penalty
+    tolerance (this equality is itself a check of the LP dualization). *)
 val offline_worst_mlu :
   R3_net.Graph.t -> f:int -> base_loads:float array -> protection:R3_net.Routing.t -> float
 

@@ -12,11 +12,6 @@ module Vd = R3_core.Virtual_demand
 let cg_cfg f =
   { (Offline.default_config ~f) with solve_method = Offline.Constraint_gen }
 
-let bidir_groups g =
-  Array.to_list (R3_sim.Scenarios.physical_links g)
-  |> List.map (fun e ->
-         match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-
 (* ---- structured oracle ---- *)
 
 let test_structured_oracle_vs_knapsack () =
@@ -78,7 +73,7 @@ let test_structured_compute_and_audit () =
   let tm = Traffic.gravity rng g ~load_factor:0.2 () in
   let pairs, _ = Traffic.commodities tm in
   let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
-  let groups = { Structured.srlgs = bidir_groups g; mlgs = []; k = 1 } in
+  let groups = { Structured.srlgs = Structured.physical_srlgs g; mlgs = []; k = 1 } in
   match Structured.compute (cg_cfg 1) g tm groups (Offline.Fixed base) with
   | Error m -> Alcotest.fail m
   | Ok plan ->
@@ -107,7 +102,7 @@ let test_structured_cheaper_than_arbitrary () =
   let tm = Traffic.gravity rng g ~load_factor:0.2 () in
   let pairs, _ = Traffic.commodities tm in
   let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
-  let groups = { Structured.srlgs = bidir_groups g; mlgs = []; k = 1 } in
+  let groups = { Structured.srlgs = Structured.physical_srlgs g; mlgs = []; k = 1 } in
   let structured =
     match Structured.compute (cg_cfg 1) g tm groups (Offline.Fixed base) with
     | Ok p -> p.Offline.mlu
@@ -139,7 +134,7 @@ let priority_fixture () =
 
 let test_priority_class_ordering () =
   let g, d1, d2, d3, base = priority_fixture () in
-  let srlgs = bidir_groups g in
+  let srlgs = Structured.physical_srlgs g in
   let classes =
     [
       { Priority.demand = d1; f = 1 };
@@ -170,7 +165,7 @@ let test_priority_beats_general_for_top_class () =
      worst-case MLU no larger than what the general single-budget plan
      gives that same class under the same budget. *)
   let g, d1, d2, d3, base = priority_fixture () in
-  let srlgs = bidir_groups g in
+  let srlgs = Structured.physical_srlgs g in
   let classes =
     [
       { Priority.demand = d1; f = 1 };
@@ -215,6 +210,117 @@ let test_priority_reduces_to_offline () =
     | Error m -> Alcotest.fail m
   in
   Alcotest.(check (float 1e-4)) "single class = offline" plain prio
+
+(* The penalty and delay envelopes of Section 3.5 bound the no-failure
+   routing of every class, as they bound Offline's. *)
+let envelope_fixture () =
+  let g =
+    Topology.random ~seed:5 ~nodes:8 ~undirected_links:14 ~capacities:[ (10.0, 1.0) ] ()
+  in
+  (g, Traffic.gravity (R3_util.Prng.create 7) g ~load_factor:0.2 ())
+
+let priority_plan cfg g classes base =
+  match Priority.compute cfg g ~classes base with
+  | Ok p -> p.Priority.plan
+  | Error m -> Alcotest.fail m
+
+let test_priority_penalty_envelope () =
+  let g, tm = envelope_fixture () in
+  let mlu_opt =
+    match Offline.compute (Offline.default_config ~f:0) g tm Offline.Joint with
+    | Ok p -> p.Offline.mlu
+    | Error m -> Alcotest.fail m
+  in
+  let beta = 1.0 in
+  let cfg = { (cg_cfg 1) with envelope = Some (beta, mlu_opt) } in
+  let plan = priority_plan cfg g [ { Priority.demand = tm; f = 1 } ] Offline.Joint in
+  let normal =
+    R3_net.Routing.mlu g
+      ~loads:(R3_net.Routing.loads g ~demands:plan.Offline.demands plan.Offline.base)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "no-failure MLU %.4f within beta * opt %.4f" normal (beta *. mlu_opt))
+    true
+    (normal <= beta *. mlu_opt *. (1.0 +. 1e-6))
+
+let test_priority_delay_envelope () =
+  let g, tm = envelope_fixture () in
+  let gamma = 1.2 in
+  let cfg = { (cg_cfg 1) with delay_envelope = Some gamma } in
+  let plan = priority_plan cfg g [ { Priority.demand = tm; f = 1 } ] Offline.Joint in
+  Array.iteri
+    (fun k (a, b) ->
+      let best = R3_net.Spf.min_propagation_delay g ~src:a ~dst:b () in
+      let actual = R3_net.Routing.mean_delay g plan.Offline.base k in
+      if actual > (gamma *. best) +. 1e-6 then
+        Alcotest.failf "pair %d->%d: delay %.3f exceeds %.1f x %.3f" a b actual gamma best)
+    plan.Offline.pairs
+
+(* With no cut rounds left, every CG entry point returns the plan of its
+   first LP solve with the audited worst case as its MLU - exactly the
+   audit, bit for bit, and never below the converged MLU* - and counts
+   the exhausted budget. *)
+let test_cut_budget_exhausted () =
+  let g = Topology.abilene () in
+  let tm = Traffic.gravity (R3_util.Prng.create 17) g ~load_factor:0.2 () in
+  let pairs, _ = Traffic.commodities tm in
+  let base = Offline.Fixed (R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs ()) in
+  let groups = { Structured.srlgs = Structured.physical_srlgs g; mlgs = []; k = 1 } in
+  let classes = [ { Priority.demand = tm; f = 1 }; { Priority.demand = Traffic.scale tm 0.5; f = 2 } ] in
+  let srlgs = groups.Structured.srlgs in
+  let solve cfg =
+    let ok = function Ok p -> p | Error m -> Alcotest.fail m in
+    ( ok (Offline.compute cfg g tm base),
+      ok (Structured.compute cfg g tm groups base),
+      ok (Priority.compute cfg g ~srlgs ~classes base) )
+  in
+  let c_links, c_structured, c_prio = solve (cg_cfg 1) in
+  let counter () = R3_util.Metrics.counter_value "offline.cg.budget_exhausted" in
+  let before = counter () in
+  let links, structured, prio = solve { (cg_cfg 1) with cg_max_rounds = 0 } in
+  Alcotest.(check int) "one count per audited return" 3 (counter () - before);
+  let base_loads (p : Offline.plan) =
+    R3_net.Routing.loads g ~demands:p.Offline.demands p.Offline.base
+  in
+  List.iter
+    (fun (what, (p : Offline.plan), audit, (conv : Offline.plan)) ->
+      Alcotest.(check int64) (what ^ ": mlu is the audit") (Int64.bits_of_float audit)
+        (Int64.bits_of_float p.Offline.mlu);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: audited %.6f >= converged %.6f" what p.Offline.mlu
+           conv.Offline.mlu)
+        true
+        (p.Offline.mlu >= conv.Offline.mlu))
+    [
+      ( "X_F",
+        links,
+        R3_core.Verify.offline_worst_mlu g ~f:1 ~base_loads:(base_loads links)
+          ~protection:links.Offline.protection,
+        c_links );
+      ("structured", structured, Structured.audit_mlu structured groups, c_structured);
+      ( "priority",
+        prio.Priority.plan,
+        Array.fold_left Float.max 0.0
+          (Priority.audit_class_mlus ~srlgs ~classes prio.Priority.plan),
+        c_prio.Priority.plan );
+    ]
+
+(* The helper is the construction every caller used to spell out: one
+   group per [Scenarios.physical_links] entry, [[e; reverse e]]. *)
+let test_physical_srlgs () =
+  let pop36 =
+    Topology.random ~seed:36 ~nodes:36 ~undirected_links:80
+      ~capacities:[ (10.0, 0.5); (40.0, 0.3); (100.0, 0.2) ]
+      ()
+  in
+  List.iter
+    (fun (name, g) ->
+      let expected =
+        Array.to_list (R3_sim.Scenarios.physical_links g)
+        |> List.map (fun e -> match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
+      in
+      Alcotest.(check (list (list int))) name expected (Structured.physical_srlgs g))
+    [ ("abilene", Topology.abilene ()); ("pop36", pop36) ]
 
 (* Structured oracle as a property: the LP value always dominates any
    feasible integral selection of groups. *)
@@ -269,4 +375,10 @@ let suite =
       test_priority_beats_general_for_top_class;
     Alcotest.test_case "single priority class = offline" `Slow test_priority_reduces_to_offline;
     QCheck_alcotest.to_alcotest structured_dominance_prop;
+    Alcotest.test_case "priority honours the penalty envelope" `Quick
+      test_priority_penalty_envelope;
+    Alcotest.test_case "priority honours the delay envelope" `Quick
+      test_priority_delay_envelope;
+    Alcotest.test_case "cut budget exhausted: audited MLU" `Slow test_cut_budget_exhausted;
+    Alcotest.test_case "physical SRLGs = physical links" `Quick test_physical_srlgs;
   ]

@@ -298,11 +298,7 @@ let test_quiescent_mlu_bound () =
       R3_core.Offline.solve_method = R3_core.Offline.Constraint_gen;
     }
   in
-  let srlgs =
-    Array.to_list (R3_sim.Scenarios.physical_links g)
-    |> List.map (fun e ->
-           match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-  in
+  let srlgs = R3_core.Structured.physical_srlgs g in
   match
     R3_core.Structured.compute cfg g tm
       { R3_core.Structured.srlgs; mlgs = []; k = f }

@@ -555,6 +555,43 @@ let test_plan_counts_bounded () =
       rejects "huge commodity count" ~ws:(section huge_count) ignore;
       rejects "huge routing row count" huge_count)
 
+(* The fingerprint does not cover the routings: a snapshot whose base
+   lacks a row per commodity, whose protection lacks a row per link, or
+   whose base rows belong to other pairs is malformed, not a plan that
+   [Reconfig.of_plan] rejects later (or, for reversed pairs, accepts). *)
+let test_plan_routing_shapes_checked () =
+  let g = Topology.abilene () in
+  let tm = Traffic.gravity (R3_util.Prng.create 3) g ~load_factor:0.2 () in
+  let pairs, _ = Traffic.commodities tm in
+  let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
+  let cfg = { (Offline.default_config ~f:1) with solve_method = Offline.Constraint_gen } in
+  let plan = plan_exn (Offline.compute cfg g tm (Offline.Fixed base)) in
+  (* The first [n] rows of [r], relabelled by [relabel]. *)
+  let rows ?(relabel = Fun.id) n r =
+    let t = Routing.create g ~pairs:(Array.map relabel (Array.sub (Routing.pairs r) 0 n)) in
+    for k = 0 to n - 1 do
+      Routing.set_row_vec t k (Routing.row_vec r k)
+    done;
+    t
+  in
+  let m = G.num_links g and nk = Array.length pairs in
+  Alcotest.(check (pair int int)) "abilene plan shape" (28, 110) (m, nk);
+  with_tmp ".plan" (fun path ->
+      Plan_store.save path ~config:cfg plan;
+      ignore (ok_exn "intact plan" (Plan_store.load path));
+      List.iter
+        (fun (what, broken) ->
+          Plan_store.save path ~config:cfg broken;
+          check_mentions what "malformed" (err_exn what (Plan_store.load path)))
+        [
+          ("base with 3 of 110 rows", { plan with Offline.base = rows 3 plan.Offline.base });
+          ( "protection with 5 of 28 rows",
+            { plan with Offline.protection = rows 5 plan.Offline.protection } );
+          ( "base pairs reversed",
+            { plan with Offline.base = rows ~relabel:(fun (a, b) -> (b, a)) nk plan.Offline.base }
+          );
+        ])
+
 let test_checkpoint_shapes_checked () =
   let g, root = online_root () in
   let n = G.num_nodes g and m = G.num_links g in
@@ -674,4 +711,6 @@ let suite =
       test_checkpoint_shapes_checked;
     Alcotest.test_case "plan decoders bound their counts" `Quick
       test_plan_counts_bounded;
+    Alcotest.test_case "plan routings shaped like the plan" `Quick
+      test_plan_routing_shapes_checked;
   ]

@@ -23,11 +23,7 @@ let abilene_env ?(demands_scale = 1.0) () =
     { (R3_core.Offline.default_config ~f:2) with
       solve_method = R3_core.Offline.Constraint_gen }
   in
-  let srlgs =
-    Array.to_list (S.physical_links g)
-    |> List.map (fun e ->
-           match G.reverse_link g e with Some r -> [ e; r ] | None -> [ e ])
-  in
+  let srlgs = R3_core.Structured.physical_srlgs g in
   let plan =
     match
       R3_core.Structured.compute cfg g tm
