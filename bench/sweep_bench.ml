@@ -97,12 +97,17 @@ let naive_curves env ~algorithms ~metric scenarios =
 let headline_case ~repeats ~iters g env scenarios =
   let algorithms = Eval.[ Ospf_r3; Mplsff_r3 ] in
   let naive () = naive_curves env ~algorithms ~metric:`Bottleneck scenarios in
-  let sweep d () =
-    Sweep.curves ~metric:`Bottleneck ~domains:d env ~algorithms scenarios
-  in
+  let sweep () = Sweep.curves ~metric:`Bottleneck env ~algorithms scenarios in
+  (* The pool size is process-wide: one-domain passes pin it and restore
+     the current size, [n_domains], afterwards. *)
   let n_domains = R3_util.Parallel.domains () in
-  check "headline curves" (bits_equal (naive ()) (sweep 1 ()));
-  check "domain count independence" (bits_equal (sweep 1 ()) (sweep n_domains ()));
+  let one_domain f =
+    Fun.protect ~finally:(fun () -> R3_util.Parallel.set_domains n_domains) @@ fun () ->
+    R3_util.Parallel.set_domains 1;
+    f ()
+  in
+  check "headline curves" (bits_equal (naive ()) (one_domain sweep));
+  check "domain count independence" (bits_equal (one_domain sweep) (sweep ()));
   (* Each measurement runs the whole pass [iters] times: one pass sits in
      the low-millisecond range, too close to timer noise on its own. *)
   let best f =
@@ -113,16 +118,17 @@ let headline_case ~repeats ~iters g env scenarios =
     /. float_of_int iters
   in
   let t_naive = best naive in
-  let t_sweep1 = best (sweep 1) in
-  let t_sweepn = best (sweep n_domains) in
+  let t_sweep1 = one_domain (fun () -> best sweep) in
+  let t_sweepn = best sweep in
   let speedup = t_naive /. Float.max t_sweep1 1e-9 in
   (* Observability cost: the same sweep pass with the metrics/trace layer
      recording vs disabled (acceptance bar: within 5%). *)
   let m_on, m_off, m_pct =
-    H.metrics_overhead ~repeats (fun () ->
-        for _ = 1 to iters do
-          ignore (sweep 1 ())
-        done)
+    one_domain (fun () ->
+        H.metrics_overhead ~repeats (fun () ->
+            for _ = 1 to iters do
+              ignore (sweep ())
+            done))
   in
   let per_iter t = t /. float_of_int iters in
   Printf.printf

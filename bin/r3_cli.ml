@@ -44,9 +44,9 @@ let domains_arg =
     & opt string "auto"
     & info [ "domains" ] ~docv:"D|auto"
         ~doc:
-          "Size of the shared work-stealing pool every parallel stage \
-           (sweep fan-out, CG separation oracles, online replay) runs on; \
-           $(b,auto) keeps the machine-derived default.")
+          "Size (1..64) of the shared domain pool every parallel stage \
+           (sweep subtrees, CG separation oracles, online replay) runs \
+           on; $(b,auto) keeps the machine-derived default.")
 
 (* One R3_core.Config.t from --seed/--domains; the same record the bench
    harnesses build programmatically. Applies the domains knob to the

@@ -33,10 +33,9 @@ let with_domains_string s t =
   | "auto" -> Ok { t with domains = None }
   | _ -> (
     match int_of_string_opt s with
-    | Some d when d >= 1 -> Ok (with_domains d t)
+    | Some d when d >= 1 && d <= 64 -> Ok (with_domains d t)
     | Some _ | None ->
-      Error
-        (Printf.sprintf "bad domain count %S (use a positive integer or auto)" s))
+      Error (Printf.sprintf "bad domain count %S (use an integer in 1..64 or auto)" s))
 
 let to_json t =
   R3_util.Json.Obj

@@ -45,8 +45,9 @@ val apply_domains : t -> unit
 
 (** {2 String parsing (CLI flags)} *)
 
-(** [with_domains_string s t]: a positive integer, or [auto] to keep the
-    machine-derived pool size. *)
+(** [with_domains_string s t]: an integer in [1..64], or [auto] to keep
+    the machine-derived pool size. Anything else is an [Error] naming the
+    range. *)
 val with_domains_string : string -> t -> (t, string) result
 
 (** {2 Export} *)

@@ -311,14 +311,14 @@ let compute_classes ?spread (cfg : config) g classes base_spec =
         | Const (_, loads) -> loads
         | Terms _ -> Array.map (fun demands -> Routing.loads g ~demands base) demand_arrs
       in
-      (* Separation oracle: chunked (class, link) index ranges submitted
-         to the persistent pool each round. Each task is independent and
-         results come back in slot order, so the cuts added below appear
-         in exactly the sequential (class, link) order. *)
+      (* Separation oracle: one pool batch of (class, link) indices each
+         round. Each task is independent and results come back in slot
+         order, so the cuts added below appear in exactly the sequential
+         (class, link) order. *)
       let oracle =
         Obs.T.with_span "offline.oracle" @@ fun () ->
         let weights = Virtual_demand.weight_columns g protection in
-        Parallel.init ~chunk:(Parallel.chunk_hint (nc * m)) (nc * m) (fun i ->
+        Parallel.init (nc * m) (fun i ->
             Virtual_demand.worst_load envs.(i / m) weights.(i mod m))
       in
       let violated = ref 0 in

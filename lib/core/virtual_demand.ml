@@ -202,7 +202,7 @@ let worst_mlu g env ~base_loads ~protection =
   let m = G.num_links g in
   let weights = weight_columns g protection in
   let utils =
-    R3_util.Parallel.init ~chunk:(R3_util.Parallel.chunk_hint m) m (fun e ->
+    R3_util.Parallel.init m (fun e ->
         let value =
           match env with
           | Links f -> worst_virtual_load ~f weights.(e)

@@ -7,13 +7,11 @@
    a tree node serves every scenario below it. The engine walks the tree
    depth-first, advancing the R3 algorithms' states with the copy-on-write
    [Reconfig.fail] over singleton scenario deltas (bit-identical to the
-   naive per-scenario rebuild), evaluates per-scenario algorithms at the
-   leaves, and fans out dynamically: every tree node becomes a task on
-   the persistent work-stealing pool ([R3_util.Pool]), submitted to the
-   running worker's own deque and stolen by idle ones, so skewed prefix
-   trees keep every domain busy. Each node awaits its children in child
-   order and concatenates, so assembly reproduces the serial DFS preorder
-   exactly and output never depends on scheduling. *)
+   naive per-scenario rebuild), and evaluates per-scenario algorithms at
+   the leaves. The forest's depth-1 subtrees are independent, so
+   [Parallel.map] fans the walk out over them; concatenating their cells
+   in child order reproduces the serial DFS preorder exactly, and output
+   never depends on the pool size. *)
 
 module G = R3_net.Graph
 module Reconfig = R3_core.Reconfig
@@ -28,8 +26,7 @@ module Obs = struct
   let tree_nodes = M.counter "sweep.tree_nodes"
   let cow_steps = M.counter "sweep.cow_steps"
 
-  (* Incremented in the executing domain, one per executor task: a tree
-     node on the pool path, a depth-1 subtree on the serial path. The
+  (* Incremented in the executing domain, one per depth-1 subtree. The
      per-shard breakdown is the per-domain task count. *)
   let tasks = M.counter "sweep.tasks"
   let cache_hits = M.counter "sweep.cache.hits"
@@ -129,8 +126,10 @@ let advance_states env node states =
   R3_util.Metrics.add Obs.cow_steps !cow;
   states
 
-(* Serial DFS of one subtree, used when one domain does everything; the
-   cache is read-only here. *)
+(* Depth-first walk of one depth-1 subtree: at most one root-to-leaf
+   path of states is live at a time. COW states are safe to fold from a
+   shared parent concurrently (DESIGN.md §9: sealing is an atomic
+   generation bump), and the cache is read-only here. *)
 let eval_subtree env algs metric cache root_states subtree =
   R3_util.Metrics.incr Obs.tasks;
   let out = ref [] in
@@ -144,59 +143,19 @@ let eval_subtree env algs metric cache root_states subtree =
   walk subtree root_states;
   Array.of_list (List.rev !out)
 
-(* Dynamic fan-out: one pool task per tree node. Submissions from inside
-   a task land on the submitting worker's own deque (and are stolen from
-   the other end by idle workers), so a skewed forest balances itself.
-   Awaiting the children in child order and consing [here] in front
-   reproduces the serial DFS preorder exactly — bit-identity with the
-   serial path for any pool size. COW states are safe to fold from a
-   shared parent concurrently (DESIGN.md §14: sealing is an atomic
-   generation bump). *)
-let rec eval_node env algs metric cache states node =
-  R3_util.Metrics.incr Obs.tasks;
-  let states = advance_states env node states in
-  let here =
-    match node.terminal with
-    | Some sc -> [| eval_cell env algs metric cache sc states |]
-    | None -> [||]
-  in
-  let futs =
-    List.map
-      (fun c -> R3_util.Pool.submit (fun () -> eval_node env algs metric cache states c))
-      node.children
-  in
-  let below = List.map R3_util.Pool.await futs in
-  Array.concat (here :: below)
-
 (* ---- the sweep ---- *)
 
-let run ?cache ?(metric = `Ratio) ?domains env ~algorithms scenarios =
+let run ?cache ?(metric = `Ratio) env ~algorithms scenarios =
   R3_util.Metrics.incr Obs.runs;
   R3_util.Metrics.time Obs.run_seconds @@ fun () ->
   R3_util.Trace.with_span "sweep.run" @@ fun () ->
   let algs = Array.of_list algorithms in
   let forest = build_forest scenarios in
   let root_states = Array.map (fun alg -> Eval.r3_root env alg) algs in
-  let d =
-    match domains with
-    | Some d -> Int.max 1 d
-    | None -> R3_util.Parallel.domains ()
-  in
   let subtree_cells =
-    if d = 1 then
-      Array.map
-        (eval_subtree env algs metric cache root_states)
-        (Array.of_list forest.children)
-    else begin
-      let futs =
-        List.map
-          (fun c ->
-            R3_util.Pool.submit (fun () ->
-                eval_node env algs metric cache root_states c))
-          forest.children
-      in
-      Array.of_list (List.map R3_util.Pool.await futs)
-    end
+    R3_util.Parallel.map
+      (eval_subtree env algs metric cache root_states)
+      (Array.of_list forest.children)
   in
   let empty_cells =
     match forest.terminal with
@@ -266,5 +225,5 @@ let run ?cache ?(metric = `Ratio) ?domains env ~algorithms scenarios =
     mcf_misses = !misses;
   }
 
-let curves ?cache ?metric ?domains env ~algorithms scenarios =
-  (run ?cache ?metric ?domains env ~algorithms scenarios).curves
+let curves ?cache ?metric env ~algorithms scenarios =
+  (run ?cache ?metric env ~algorithms scenarios).curves

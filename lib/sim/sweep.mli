@@ -13,11 +13,11 @@
       — Theorem 3 (order-independent rescaling) guarantees the state at a
       shared prefix is exactly the state every descendant scenario needs,
       and stepped states are bit-identical to per-scenario rebuilds;
-    - fans out dynamically over the persistent work-stealing pool
-      ({!R3_util.Pool}): every tree node becomes a task that submits its
-      children as subtasks and awaits them in child order, so skewed
-      prefix trees balance across domains and assembly reproduces the
-      serial DFS preorder — results never depend on scheduling;
+    - fans the walk out over the forest's depth-1 subtrees with
+      {!R3_util.Parallel.map}: each subtree is one serial depth-first
+      walk, so at most one root-to-leaf path of states is live per
+      domain, and concatenating the subtrees in child order reproduces
+      the serial DFS preorder — results never depend on the pool size;
     - memoizes optimal-MCF solves in an {!Mcf_cache.t} (optionally disk-
       backed under [.bench-cache/]), reading it concurrently during the
       sweep and updating it once afterwards;
@@ -25,7 +25,7 @@
       counts, worst-case witnesses) without retaining per-scenario states.
 
     Output is bit-identical to the naive serial path (per-scenario
-    {!Eval.evaluate}) for any domain count. *)
+    {!Eval.evaluate}) for any pool size. *)
 
 type metric = [ `Bottleneck | `Ratio ]
 
@@ -50,14 +50,12 @@ type summary = {
 (** [run env ~algorithms scenarios] sweeps the deduplicated canonical
     scenario set. [metric] defaults to [`Ratio] (which is what solves the
     MCF normalizer; [`Bottleneck] never does). [cache] memoizes those
-    solves across runs. [domains = 1] forces the serial walk; any larger
-    value (default: the pool size) fans out, one pool task per tree
-    node. Both paths are bit-identical. Duplicate scenarios are
+    solves across runs. The walk runs on the shared pool at its current
+    size ({!R3_util.Parallel.set_domains}). Duplicate scenarios are
     evaluated once. *)
 val run :
   ?cache:Mcf_cache.t ->
   ?metric:metric ->
-  ?domains:int ->
   Eval.env ->
   algorithms:Eval.algorithm list ->
   Scenario.t list ->
@@ -68,7 +66,6 @@ val run :
 val curves :
   ?cache:Mcf_cache.t ->
   ?metric:metric ->
-  ?domains:int ->
   Eval.env ->
   algorithms:Eval.algorithm list ->
   Scenario.t list ->

@@ -1,19 +1,4 @@
-(* Thin wrappers over the persistent pool (see pool.ml / DESIGN.md §17).
-   The contract is unchanged from the per-call fork/join days: slot-
-   indexed results, deterministic output for any domain count, first
-   exception by input index re-raised with its worker-side backtrace. *)
-
 let domains = Pool.domains
 let set_domains = Pool.set_domains
-let chunk_hint n = Pool.chunk_hint n
-
-let map ?domains:d ?chunk f a =
-  let d = match d with Some d -> Int.max 1 d | None -> Pool.domains () in
-  let n = Array.length a in
-  if d = 1 || n <= 1 then Array.map f a
-  else Pool.run_indexed ~domains:d ?chunk n (fun i -> f a.(i))
-
-let init ?domains:d ?chunk n f =
-  let d = match d with Some d -> Int.max 1 d | None -> Pool.domains () in
-  if d = 1 || n <= 1 then Array.init n f
-  else Pool.run_indexed ~domains:d ?chunk n f
+let map f a = Pool.run_indexed (Array.length a) (fun i -> f a.(i))
+let init = Pool.run_indexed

@@ -1,20 +1,13 @@
-(** Bounded deterministic parallelism over OCaml 5 domains.
+(** Deterministic parallel maps over the persistent pool ({!Pool}).
 
-    Thin wrappers over the persistent work-stealing pool ({!Pool}):
-    tasks are indexed, executors claim chunks of indices from a shared
-    counter, and every result lands in the slot of its input - so the
-    output order (and any sequential merge done by the caller) is
-    {e deterministic}, identical to a sequential run, regardless of how
-    many domains execute or how they interleave. Task functions must not
-    touch shared mutable state.
+    Every result lands in the slot of its input, so the output (and any
+    sequential merge the caller does) is identical to a sequential run
+    for any pool size. Task functions must not touch shared mutable
+    state. The pool size is process-wide: pin it with {!set_domains}
+    (e.g. [set_domains 1] to force sequential execution when comparing
+    against a parallel run). *)
 
-    The pool size defaults to the machine's recommended domain count
-    (capped at 8 - these are separation-oracle sized jobs, not HPC), and
-    can be pinned globally with {!set_domains} (e.g. [set_domains 1] to
-    force sequential execution when comparing against a parallel run) or
-    bounded per call with [?domains]. *)
-
-(** Current pool size ({!Pool.domains}), used by {!map} and {!init}. *)
+(** Current pool size ({!Pool.domains}). *)
 val domains : unit -> int
 
 (** Resize the pool ({!Pool.set_domains}); clamped to [\[1, 64\]]. *)
@@ -22,16 +15,8 @@ val set_domains : int -> unit
 
 (** [map f a] is [Array.map f a], computed by the pool. Exceptions raised
     by [f] are re-raised in the caller with their original (worker-side)
-    backtrace; the one from the lowest index wins. Falls back to plain
-    [Array.map] for tiny inputs or a pool of one. [?chunk] sets the
-    claim granularity (default {!Pool.chunk_hint}); results never depend
-    on it. *)
-val map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
+    backtrace; the one from the lowest index wins. *)
+val map : ('a -> 'b) -> 'a array -> 'b array
 
 (** [init n f] is [Array.init n f], computed by the pool. *)
-val init : ?domains:int -> ?chunk:int -> int -> (int -> 'a) -> 'a array
-
-(** [chunk_hint n] is {!Pool.chunk_hint} at the current pool size: the
-    granularity the chunked-range callers (the CG separation oracles)
-    pass explicitly. *)
-val chunk_hint : int -> int
+val init : int -> (int -> 'a) -> 'a array

@@ -610,6 +610,26 @@ let test_weight_columns () =
   in
   check_routing "square plan" g plan.Offline.protection
 
+(* The CLI's --domains parser: the pool's range, or auto. A count
+   outside 1..64 is an error, not a silent clamp. *)
+let test_domains_string () =
+  let parse s = R3_core.Config.(with_domains_string s default) in
+  List.iter
+    (fun s ->
+      match parse s with
+      | Ok _ -> Alcotest.failf "%S accepted" s
+      | Error msg ->
+        Alcotest.(check string) s
+          (Printf.sprintf "bad domain count %S (use an integer in 1..64 or auto)" s)
+          msg)
+    [ "0"; "-1"; "65"; "x" ];
+  List.iter
+    (fun (s, want) ->
+      match parse s with
+      | Ok c -> Alcotest.(check (option int)) s want c.R3_core.Config.domains
+      | Error msg -> Alcotest.failf "%S rejected: %s" s msg)
+    [ ("1", Some 1); ("64", Some 64); ("auto", None) ]
+
 let suite =
   [
     Alcotest.test_case "virtual demand membership" `Quick test_virtual_demand_membership;
@@ -639,4 +659,5 @@ let suite =
       test_fail_out_of_order_canonical;
     Alcotest.test_case "weight columns match per-entry lookups" `Quick
       test_weight_columns;
+    Alcotest.test_case "--domains accepts 1..64 or auto" `Quick test_domains_string;
   ]

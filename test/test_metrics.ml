@@ -26,7 +26,8 @@ let test_counter_merge_order_independent () =
       (fun d ->
         M.reset ();
         let c = M.counter "test.counter.merge" in
-        ignore (Par.init ~domains:d 1000 (fun i -> M.add c (i mod 7)));
+        ignore
+          (Test_pool.with_domains d (fun () -> Par.init 1000 (fun i -> M.add c (i mod 7))));
         M.counter_total c)
       [ 1; 2; 4 ]
   in
@@ -158,7 +159,8 @@ let test_trace_summary () =
 let test_spans_across_domains () =
   T.reset ();
   ignore
-    (Par.init ~domains:4 8 (fun i -> T.with_span "worker.span" (fun () -> i)));
+    (Test_pool.with_domains 4 (fun () ->
+         Par.init 8 (fun i -> T.with_span "worker.span" (fun () -> i))));
   Alcotest.(check int) "all workers recorded" 8 (T.recorded ());
   List.iter
     (fun s -> Alcotest.(check int) "top-level in its domain" 0 s.T.depth)

@@ -667,7 +667,7 @@ let test_concurrent_force () =
     let links = [ phys.(trial); phys.(20 + trial); phys.(50 + trial) ] in
     let reference = Reconfig.base (Reconfig.fail root (sc g links)) in
     let st = List.fold_left (fun st l -> Reconfig.fail st (sc g [ l ])) root links in
-    match R3_util.Parallel.map ~domains:2 ~chunk:1 Reconfig.base [| st; st |] with
+    match Test_pool.with_domains 2 (fun () -> R3_util.Parallel.map Reconfig.base [| st; st |]) with
     | [| a; b |] ->
       if not (Routing.bits_equal a b && Routing.bits_equal a reference) then
         Alcotest.failf "trial %d: concurrently forced bases differ" trial

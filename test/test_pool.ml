@@ -1,6 +1,6 @@
-(* The persistent work-stealing executor's contract: deterministic
-   results for any pool size (including mid-run resizes), nested
-   submission without deadlock, worker-side exception backtraces, and
+(* The persistent pool's contract: deterministic results for any pool
+   size (including resizes while idle and during a batch), nested
+   batches without deadlock, worker-side exception backtraces, and
    bit-identity of the layers that ride on it (sweep, CG) across
    domains in {1, 2, 8}. *)
 
@@ -15,13 +15,14 @@ let with_domains d f =
       Par.set_domains d;
       f ())
 
-(* ---- nested submission ---- *)
+(* ---- nested batches ---- *)
 
 let test_nested_no_deadlock () =
   with_domains 4 @@ fun () ->
-  (* Recursive splitting: every task submits a subtask and awaits it
-     while still running — the help-while-waiting loop must keep making
-     progress instead of parking the whole pool. *)
+  (* Recursive splitting: every task runs a two-way batch of its halves
+     and waits for it while its own batch's other chunks are running, so
+     every level must drive its own batch instead of waiting on a queue
+     the whole pool is blocked on. *)
   let rec sum lo hi =
     if hi - lo <= 8 then begin
       let acc = ref 0 in
@@ -32,9 +33,8 @@ let test_nested_no_deadlock () =
     end
     else begin
       let mid = (lo + hi) / 2 in
-      let left = Pool.submit (fun () -> sum lo mid) in
-      let right = sum mid hi in
-      Pool.await left + right
+      let halves = Par.init 2 (fun h -> if h = 0 then sum lo mid else sum mid hi) in
+      halves.(0) + halves.(1)
     end
   in
   Alcotest.(check int) "divide and conquer" 499500 (sum 0 1000);
@@ -45,23 +45,33 @@ let test_nested_no_deadlock () =
   let expected = Array.init 16 (fun i -> (50 * i) + 1225) in
   Alcotest.(check (array int)) "nested batches" expected nested
 
-(* ---- exception + backtrace through futures ---- *)
+(* ---- exception + backtrace through a nested batch ---- *)
 
-let[@inline never] deep_raise () = failwith "future boom"
+let[@inline never] deep_raise () = raise (Failure "nested boom")
 
-let test_future_exception_backtrace () =
+let test_nested_exception_backtrace () =
   with_domains 4 @@ fun () ->
   let prev = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
   Fun.protect ~finally:(fun () -> Printexc.record_backtrace prev) @@ fun () ->
-  let fut = Pool.submit (fun () -> deep_raise ()) in
-  match Pool.await fut with
-  | _ -> Alcotest.fail "expected the task exception to propagate"
+  let caller = Domain.self () in
+  let started = Atomic.make 0 in
+  (* The two outer tasks wait for each other, so one of them runs on a
+     worker; only inner tasks on a worker raise. *)
+  let outer i =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    Par.init 8 (fun j -> if Domain.self () <> caller then deep_raise () else i + j)
+  in
+  match Par.init 2 outer with
+  | _ -> Alcotest.fail "expected the inner batch exception to propagate"
   | exception Failure msg ->
-    Alcotest.(check string) "original exception" "future boom" msg;
+    Alcotest.(check string) "original exception" "nested boom" msg;
     let bt = String.lowercase_ascii (Printexc.get_backtrace ()) in
-    (* The raising frame lives in this file; a backtrace captured at the
-       await re-raise would not mention it. *)
+    (* A backtrace captured at either batch's re-raise would start
+       there and miss the raising frame. *)
     let has sub =
       let n = String.length sub and m = String.length bt in
       let rec go i = i + n <= m && (String.sub bt i n = sub || go (i + 1)) in
@@ -69,7 +79,8 @@ let test_future_exception_backtrace () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "raising frame in backtrace: %s" bt)
-      true (has "test_pool")
+      true
+      (has "test_pool.deep_raise")
 
 (* ---- resize while idle ---- *)
 
@@ -123,17 +134,16 @@ let test_stress_uneven_costs () =
         true (base = got))
     [ 2; 8 ]
 
-let test_chunk_invariance () =
+let test_batch_sizes () =
   with_domains 4 @@ fun () ->
   let f i = float_of_int (i * i) /. 7.0 in
-  let base = Array.init 333 f in
   List.iter
-    (fun chunk ->
+    (fun n ->
       Alcotest.(check bool)
-        (Printf.sprintf "chunk %d" chunk)
+        (Printf.sprintf "n = %d" n)
         true
-        (base = Par.init ~chunk 333 f))
-    [ 1; 7; 64; 1000 ]
+        (Array.init n f = Par.init n f))
+    [ 0; 1; 2; 31; 32; 33; 333 ]
 
 (* ---- CG bit-identity across pool sizes ---- *)
 
@@ -190,16 +200,32 @@ let test_pool_metrics_registered () =
   Alcotest.(check bool) "r3.pool.tasks exported" true
     (R3_util.Metrics.counter_value "r3.pool.tasks" > 0)
 
+(* ---- resize during a batch ---- *)
+
+let test_resize_during_batch () =
+  with_domains 4 @@ fun () ->
+  let f i = (i * 37) mod 23 in
+  let got =
+    Par.init 64 (fun i ->
+        if i = 10 then Par.set_domains 1;
+        if i = 40 then Par.set_domains 3;
+        f i)
+  in
+  Alcotest.(check (array int)) "batch across resizes" (Array.init 64 f) got;
+  Alcotest.(check (array int)) "next batch" (Array.init 100 f) (Par.init 100 f);
+  Alcotest.(check int) "workers after the next batch" 2 (Pool.stats ()).Pool.workers
+
 let suite =
   [
-    Alcotest.test_case "nested submission no deadlock" `Quick test_nested_no_deadlock;
-    Alcotest.test_case "future exception + backtrace" `Quick
-      test_future_exception_backtrace;
+    Alcotest.test_case "nested batches no deadlock" `Quick test_nested_no_deadlock;
+    Alcotest.test_case "nested batch exception + backtrace" `Quick
+      test_nested_exception_backtrace;
     Alcotest.test_case "resize while idle" `Quick test_resize_while_idle;
     Alcotest.test_case "stress: uneven costs, domains 1/2/8" `Quick
       test_stress_uneven_costs;
-    Alcotest.test_case "chunk size invariance" `Quick test_chunk_invariance;
+    Alcotest.test_case "batch sizes around chunk boundaries" `Quick test_batch_sizes;
     Alcotest.test_case "CG identity, domains 1/2/8" `Slow
       test_cg_identity_across_domains;
     Alcotest.test_case "pool metrics registered" `Quick test_pool_metrics_registered;
+    Alcotest.test_case "resize during a batch" `Quick test_resize_during_batch;
   ]

@@ -202,9 +202,8 @@ let test_parallel_fold_from_shared_root () =
   (* A fresh root, shared by all workers. *)
   let root = mk () in
   let got =
-    R3_util.Parallel.map ~domains:4
-      (fun links -> List.fold_left (fail_bidir g) root links)
-      seqs
+    Test_pool.with_domains 4 (fun () ->
+        R3_util.Parallel.map (fun links -> List.fold_left (fail_bidir g) root links) seqs)
   in
   Array.iteri
     (fun i want ->

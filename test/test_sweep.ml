@@ -79,7 +79,10 @@ let test_bottleneck_identity_k12 () =
   List.iter
     (fun k ->
       let scenarios = S.enumerate g ~k in
-      let fast = Sweep.curves ~metric:`Bottleneck ~domains:1 env ~algorithms:r3_algorithms scenarios in
+      let fast =
+        Test_pool.with_domains 1 (fun () ->
+            Sweep.curves ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios)
+      in
       let slow = naive_curves env ~algorithms:r3_algorithms ~metric:`Bottleneck scenarios in
       check_bits (Printf.sprintf "k=%d bottleneck" k) slow fast)
     [ 1; 2 ]
@@ -87,14 +90,20 @@ let test_bottleneck_identity_k12 () =
 let test_ratio_identity_sampled_k3 () =
   let g, env = Lazy.force env in
   let scenarios = S.sample g ~k:3 ~count:6 ~seed:9 in
-  let fast = Sweep.curves ~domains:1 env ~algorithms:r3_algorithms scenarios in
+  let fast =
+    Test_pool.with_domains 1 (fun () -> Sweep.curves env ~algorithms:r3_algorithms scenarios)
+  in
   let slow = naive_curves env ~algorithms:r3_algorithms ~metric:`Ratio scenarios in
   check_bits "sampled k=3 ratio" slow fast
 
 let test_domains_agree () =
   let g, env = Lazy.force env in
   let scenarios = S.enumerate g ~k:1 @ S.enumerate g ~k:2 in
-  let one = Sweep.run ~metric:`Bottleneck ~domains:1 env ~algorithms:r3_algorithms scenarios in
+  let run d =
+    Test_pool.with_domains d (fun () ->
+        Sweep.run ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios)
+  in
+  let one = run 1 in
   let check_against label many =
     check_bits label one.Sweep.curves many.Sweep.curves;
     (* worst witnesses agree, scenario and value *)
@@ -109,14 +118,8 @@ let test_domains_agree () =
       one.Sweep.worst
   in
   Alcotest.(check int) "scenario count" (List.length scenarios) one.Sweep.scenario_count;
-  (* dynamic pool fan-out across the domain ladder *)
-  List.iter
-    (fun d ->
-      check_against
-        (Printf.sprintf "1 vs %d domains" d)
-        (Sweep.run ~metric:`Bottleneck ~domains:d env ~algorithms:r3_algorithms
-           scenarios))
-    [ 2; 4; 8 ]
+  (* subtree fan-out across the domain ladder *)
+  List.iter (fun d -> check_against (Printf.sprintf "1 vs %d domains" d) (run d)) [ 2; 4; 8 ]
 
 let test_cache_warm_identical () =
   let g, env = Lazy.force env in
@@ -274,6 +277,25 @@ let test_bottleneck_sweep_forces_no_base () =
   ignore (R3_core.Reconfig.base (R3_core.Reconfig.fail root (List.hd scenarios)));
   Alcotest.(check bool) "reading a base folds it" true (forces () > before)
 
+(* The fan-out runs one pool task per depth-1 subtree of the prefix
+   forest at every pool size, never one per tree node. *)
+let test_one_task_per_subtree () =
+  let g, env = Lazy.force env in
+  let scenarios = S.enumerate g ~k:1 @ S.enumerate g ~k:2 in
+  let first_links =
+    List.length (List.sort_uniq compare (List.map (fun sc -> List.hd (Sc.physical sc)) scenarios))
+  in
+  let tasks () = R3_util.Metrics.counter_value "sweep.tasks" in
+  let run d =
+    Test_pool.with_domains d @@ fun () ->
+    let before = tasks () in
+    let s = Sweep.run ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios in
+    Alcotest.(check int) (Printf.sprintf "tasks at %d domains" d) first_links (tasks () - before);
+    s.Sweep.curves
+  in
+  let one = run 1 in
+  List.iter (fun d -> check_bits (Printf.sprintf "1 vs %d domains" d) one (run d)) [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "scenario canonical form" `Quick test_scenario_canonical;
@@ -289,4 +311,5 @@ let suite =
     Alcotest.test_case "legacy wrappers agree" `Quick test_legacy_wrappers_agree;
     Alcotest.test_case "bottleneck sweep forces no base" `Quick
       test_bottleneck_sweep_forces_no_base;
+    Alcotest.test_case "one task per depth-1 subtree" `Quick test_one_task_per_subtree;
   ]

@@ -154,13 +154,14 @@ let test_parallel_map_matches () =
 
 let test_parallel_init_deterministic () =
   let f i = float_of_int i *. 1.5 in
-  let one = Par.init ~domains:1 500 f in
-  let many = Par.init ~domains:4 500 f in
+  let one = Test_pool.with_domains 1 (fun () -> Par.init 500 f) in
+  let many = Test_pool.with_domains 4 (fun () -> Par.init 500 f) in
   Alcotest.(check bool) "bit-identical across pool sizes" true (one = many)
 
 let test_parallel_exception () =
+  Test_pool.with_domains 4 @@ fun () ->
   match
-    Par.map ~domains:4
+    Par.map
       (fun i -> if i mod 3 = 0 then failwith (string_of_int i) else i)
       (Array.init 100 Fun.id)
   with
@@ -282,8 +283,9 @@ let test_parallel_backtrace () =
   let prev = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
   Fun.protect ~finally:(fun () -> Printexc.record_backtrace prev) @@ fun () ->
+  Test_pool.with_domains 4 @@ fun () ->
   match
-    Par.map ~domains:4
+    Par.map
       (fun i -> if i = 5 then deep_raise i else i)
       (Array.init 32 Fun.id)
   with
