@@ -237,7 +237,7 @@ let fig8 () =
   (* Failure budgets are physical: one SRLG per bidirectional pair. *)
   let srlgs = R3_core.Structured.physical_srlgs g in
   let prioritized =
-    H.cached_plan "usisp-prio" (fun () ->
+    H.cached_plan "usisp-prio" cfg (fun cfg ->
         match
           R3_core.Priority.compute cfg g ~srlgs
             ~classes:
@@ -354,14 +354,13 @@ let fig9 () =
   in
   let groups = { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 2 } in
   let no_pe =
-    H.cached_plan "abilene9-nope" (fun () ->
-        R3_core.Structured.compute cfg_nope g ctx.H.base_tm groups Offline.Joint)
+    H.cached_plan "abilene9-nope" cfg_nope (fun cfg ->
+        R3_core.Structured.compute cfg g ctx.H.base_tm groups Offline.Joint)
   in
   let with_pe =
-    H.cached_plan "abilene9-pe" (fun () ->
-        R3_core.Structured.compute
-          { cfg_nope with envelope = Some (1.1, opt_peak) }
-          g ctx.H.base_tm groups Offline.Joint)
+    H.cached_plan "abilene9-pe"
+      { cfg_nope with envelope = Some (1.1, opt_peak) }
+      (fun cfg -> R3_core.Structured.compute cfg g ctx.H.base_tm groups Offline.Joint)
   in
   match (no_pe, with_pe) with
   | Error e, _ | _, Error e -> Printf.printf "fig9 failed: %s\n" e
@@ -653,7 +652,7 @@ let table3 () =
             }
           in
           match
-            H.cached_plan (tag ^ "-t3") (fun () -> Offline.compute cfg g tm (Offline.Fixed base))
+            H.cached_plan (tag ^ "-t3") cfg (fun cfg -> Offline.compute cfg g tm (Offline.Fixed base))
           with
           | Ok plan -> Some plan.Offline.protection
           | Error _ -> None

@@ -22,13 +22,14 @@ let cache_dir = ".bench-cache"
 
 (* Cached plans live in the Plan_store snapshot format (versioned,
    CRC-checked — see DESIGN.md §16), so a stale or torn cache entry is
-   detected and recomputed instead of misread. *)
-let cached_plan key (compute : unit -> (Offline.plan, string) result) =
+   detected and recomputed instead of misread. [solve cfg] computes the
+   plan, and the snapshot records [cfg] as its configuration. *)
+let cached_plan key cfg (solve : Offline.config -> (Offline.plan, string) result) =
   let path = Filename.concat cache_dir (Printf.sprintf "v%d-%s.plan" cache_version key) in
   let recompute () =
-    match compute () with
+    match solve cfg with
     | Ok plan ->
-      R3_core.Plan_store.save path plan;
+      R3_core.Plan_store.save path ~config:cfg plan;
       Ok plan
     | Error _ as e -> e
   in
@@ -101,10 +102,8 @@ let interval_tm ctx ~interval =
    whatever fiber-sharing SRLGs and maintenance groups the context
    declares - the events the figures then replay. *)
 let structured_plan ?(extra_srlgs = []) ?(mlgs = []) ~key ~k ctx base =
-  cached_plan key (fun () ->
-      let cfg =
-        { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen }
-      in
+  let cfg = { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen } in
+  cached_plan key cfg (fun cfg ->
       let groups =
         { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs ctx.g @ extra_srlgs; mlgs; k }
       in

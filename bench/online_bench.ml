@@ -111,7 +111,6 @@ let run () =
       J.Obj
         [
           ("bench", J.String "online");
-          ("config", R3_core.Config.to_json R3_core.Config.default);
           ( "faults",
             (let f = Online.Channel.default_faults in
              J.Obj

@@ -150,7 +150,6 @@ let run () =
         [
           ("bench", J.String "plan");
           ("format_version", J.Int Plan_store.version);
-          ("config", R3_core.Config.to_json R3_core.Config.default);
           ("cases", J.List rows);
           H.metrics_section ();
         ]

@@ -30,10 +30,8 @@ let setup ~tag ~seed ~load g =
   let weights = R3_net.Ospf.unit_weights g in
   let base = R3_net.Ospf.routing g ~weights ~pairs () in
   let structured key k base =
-    H.cached_plan key (fun () ->
-        let cfg =
-          { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen }
-        in
+    let cfg = { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen } in
+    H.cached_plan key cfg (fun cfg ->
         R3_core.Structured.compute cfg g tm
           { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k }
           (Offline.Fixed base))

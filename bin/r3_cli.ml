@@ -36,35 +36,28 @@ let seed_arg =
 let load_arg =
   Arg.(value & opt float 0.3 & info [ "load" ] ~docv:"F" ~doc:"Gravity-model load factor.")
 
-(* ---- unified configuration (shared across subcommands) ---- *)
-
-let domains_arg =
-  Arg.(
-    value
-    & opt string "auto"
-    & info [ "domains" ] ~docv:"D|auto"
-        ~doc:
-          "Size (1..64) of the shared domain pool every parallel stage \
-           (sweep subtrees, CG separation oracles, online replay) runs \
-           on; $(b,auto) keeps the machine-derived default.")
-
-(* One R3_core.Config.t from --seed/--domains; the same record the bench
-   harnesses build programmatically. Applies the domains knob to the
-   shared pool as a side effect, so every subcommand using this term
-   honors one --domains flag. *)
-let core_config_term =
-  let build seed domains =
-    match
-      R3_core.Config.(with_domains_string domains (default |> with_seed seed))
-    with
-    | Ok c ->
-      R3_core.Config.apply_domains c;
-      c
+(* --domains resizes the shared pool as a side effect of parsing, so
+   every subcommand using this term honors it before it runs. *)
+let domains_term =
+  let domains_arg =
+    Arg.(
+      value
+      & opt string "auto"
+      & info [ "domains" ] ~docv:"D|auto"
+          ~doc:
+            "Size (1..64) of the shared domain pool every parallel stage \
+             (sweep subtrees, CG separation oracles, online replay) runs \
+             on; $(b,auto) keeps the machine-derived default.")
+  in
+  let apply s =
+    match R3_util.Parallel.domains_of_string s with
+    | Ok (Some d) -> R3_util.Parallel.set_domains d
+    | Ok None -> ()
     | Error msg ->
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  Term.(const build $ seed_arg $ domains_arg)
+  Term.(const apply $ domains_arg)
 
 (* ---- metrics export (shared by sweep / precompute / profile) ---- *)
 
@@ -123,7 +116,23 @@ let make_tm g ~seed ~load =
   let rng = R3_util.Prng.create seed in
   Traffic.gravity rng g ~load_factor:load ()
 
-let precompute tag f bidir joint method_ core seed load out metrics =
+(* The plan every subcommand but precompute solves for itself: a gravity
+   matrix, a unit-weight OSPF base, and a structured CG plan protecting
+   against [k] physical (bidirectional) link failures. Exits 1 when the
+   solve fails. *)
+let physical_plan g ~k ~seed ~load =
+  let tm = make_tm g ~seed ~load in
+  let pairs, _ = Traffic.commodities tm in
+  let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
+  let cfg = { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen } in
+  let groups = { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k } in
+  match R3_core.Structured.compute cfg g tm groups (Offline.Fixed base) with
+  | Ok plan -> plan
+  | Error m ->
+    Printf.eprintf "R3 precompute failed: %s\n" m;
+    exit 1
+
+let precompute tag f bidir joint method_ () seed load out metrics =
   let g = load_topology tag in
   let tm = make_tm g ~seed ~load in
   let pairs, _ = Traffic.commodities tm in
@@ -135,9 +144,7 @@ let precompute tag f bidir joint method_ core seed load out metrics =
       Printf.eprintf "unknown method %S (use cg or dual)\n" other;
       exit 2
   in
-  let cfg =
-    Offline.with_core core { (Offline.default_config ~f) with solve_method }
-  in
+  let cfg = { (Offline.default_config ~f) with solve_method } in
   let base_spec =
     if joint then Offline.Joint
     else
@@ -197,7 +204,7 @@ let precompute_cmd =
     (Cmd.info "precompute" ~doc:"Run the R3 offline phase")
     Term.(
       const precompute $ topology_arg $ f_arg $ bidir_arg $ joint_arg $ method_arg
-      $ core_config_term $ seed_arg $ load_arg $ out_arg $ metrics_arg)
+      $ domains_term $ seed_arg $ load_arg $ out_arg $ metrics_arg)
 
 (* ---- evaluate ---- *)
 
@@ -217,18 +224,34 @@ let parse_links g spec =
            | None ->
              Printf.eprintf "no link %s-%s\n" a b;
              exit 2)
-         | None -> [ int_of_string part ])
+         | None -> (
+           match int_of_string_opt part with
+           | Some e when e >= 0 && e < G.num_links g -> [ e ]
+           | Some _ | None ->
+             Printf.eprintf "bad link id %S (use an integer in 0..%d or a node pair A-B)\n"
+               part (G.num_links g - 1);
+             exit 2))
 
 (* Load a plan snapshot or exit with the store's error message. *)
 let load_plan ?expect_graph path =
   match R3_core.Plan_store.load ?expect_graph path with
-  | Ok (plan, config) -> (plan, config)
+  | Ok (plan, _config) -> plan
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 1
 
+(* --plan FILE reuses a saved plan for [g]; without it, solve the
+   {!physical_plan}. *)
+let plan_or_load g path ~k ~seed ~load =
+  match path with
+  | Some path ->
+    let plan = load_plan ~expect_graph:g path in
+    Printf.eprintf "plan loaded from %s (offline solve skipped)\n%!" path;
+    plan
+  | None -> physical_plan g ~k ~seed ~load
+
 let evaluate plan_path fail_spec =
-  let plan, _config = load_plan plan_path in
+  let plan = load_plan plan_path in
   let g = plan.Offline.graph in
   let links = parse_links g fail_spec in
   let st = R3_core.Reconfig.apply_failures (R3_core.Reconfig.of_plan plan) links in
@@ -251,45 +274,32 @@ let evaluate_cmd =
 
 (* ---- compare ---- *)
 
+(* An evaluation environment over [plan]'s commodities, with unit OSPF
+   weights for the baselines. *)
+let ospf_env g (plan : Offline.plan) =
+  R3_sim.Eval.make_env g ~weights:(R3_net.Ospf.unit_weights g) ~pairs:plan.pairs
+    ~demands:plan.demands ~ospf_r3:plan ()
+
 let compare_run tag k count seed load =
   let g = load_topology tag in
-  let tm = make_tm g ~seed ~load in
-  let pairs, demands = Traffic.commodities tm in
-  let weights = R3_net.Ospf.unit_weights g in
-  let base = R3_net.Ospf.routing g ~weights ~pairs () in
-  let cfg =
-    { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen }
+  let env = ospf_env g (physical_plan g ~k ~seed ~load) in
+  let scenarios = R3_sim.Scenarios.sample g ~k ~count ~seed in
+  let algorithms =
+    R3_sim.Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
   in
-  match
-    R3_core.Structured.compute cfg g tm
-      { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k }
-      (Offline.Fixed base)
-  with
-  | Error m ->
-    Printf.eprintf "R3 precompute failed: %s\n" m;
-    exit 1
-  | Ok plan ->
-    let env =
-      R3_sim.Eval.make_env g ~weights ~pairs ~demands ~ospf_r3:plan ()
-    in
-    let scenarios = R3_sim.Scenarios.sample g ~k ~count ~seed in
-    let algorithms =
-      R3_sim.Eval.
-        [ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
-    in
-    let curves = R3_sim.Sweep.curves env ~algorithms scenarios in
-    Printf.printf "performance ratio vs optimal over %d scenarios of %d physical failures:\n"
-      (List.length scenarios) k;
-    List.iteri
-      (fun i alg ->
-        let c = curves.(i) in
-        if Array.length c > 0 then
-          Printf.printf "  %-18s median %.3f  p90 %.3f  worst %.3f\n"
-            (R3_sim.Eval.algorithm_name alg)
-            (R3_util.Stats.percentile 50.0 c)
-            (R3_util.Stats.percentile 90.0 c)
-            (R3_util.Stats.max c))
-      algorithms
+  let curves = R3_sim.Sweep.curves env ~algorithms scenarios in
+  Printf.printf "performance ratio vs optimal over %d scenarios of %d physical failures:\n"
+    (List.length scenarios) k;
+  List.iteri
+    (fun i alg ->
+      let c = curves.(i) in
+      if Array.length c > 0 then
+        Printf.printf "  %-18s median %.3f  p90 %.3f  worst %.3f\n"
+          (R3_sim.Eval.algorithm_name alg)
+          (R3_util.Stats.percentile 50.0 c)
+          (R3_util.Stats.percentile 90.0 c)
+          (R3_util.Stats.max c))
+    algorithms
 
 let compare_cmd =
   let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~docv:"K" ~doc:"Physical failures per scenario.") in
@@ -310,12 +320,11 @@ let parse_ks spec =
     Printf.eprintf "bad -k list %S (use e.g. 1,2,3)\n" spec;
     exit 2
 
-let sweep_run tag ks count seed load metric use_cache core metrics plan_path =
+let sweep_run tag ks count seed load metric use_cache () metrics plan_path =
   let module Eval = R3_sim.Eval in
   let module Sweep = R3_sim.Sweep in
   let module Scenarios = R3_sim.Scenarios in
   let g = load_topology tag in
-  let weights = R3_net.Ospf.unit_weights g in
   let metric =
     match metric with
     | "ratio" -> `Ratio
@@ -326,76 +335,52 @@ let sweep_run tag ks count seed load metric use_cache core metrics plan_path =
   in
   let ks = parse_ks ks in
   let kmax = List.fold_left Int.max 1 ks in
-  let plan_result =
-    match plan_path with
-    | Some path ->
-      let plan, _config = load_plan ~expect_graph:g path in
-      Printf.eprintf "plan loaded from %s (offline LP skipped)\n%!" path;
-      Ok plan
-    | None ->
-      let tm = make_tm g ~seed ~load in
-      let pairs, _ = Traffic.commodities tm in
-      let base = R3_net.Ospf.routing g ~weights ~pairs () in
-      let cfg =
-        Offline.with_core core
-          { (Offline.default_config ~f:kmax) with solve_method = Offline.Constraint_gen }
-      in
-      R3_core.Structured.compute cfg g tm
-        { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = kmax }
-        (Offline.Fixed base)
+  let env = ospf_env g (plan_or_load g plan_path ~k:kmax ~seed ~load) in
+  (* k <= 2 is enumerated in full (as in the paper); larger k is sampled. *)
+  let scenarios =
+    List.concat_map
+      (fun k ->
+        if k <= 2 then Scenarios.enumerate g ~k
+        else Scenarios.sample g ~k ~count ~seed)
+      ks
   in
-  match plan_result with
-  | Error m ->
-    Printf.eprintf "R3 precompute failed: %s\n" m;
-    exit 1
-  | Ok plan ->
-    let pairs = plan.Offline.pairs and demands = plan.Offline.demands in
-    let env = Eval.make_env g ~weights ~pairs ~demands ~ospf_r3:plan () in
-    (* k <= 2 is enumerated in full (as in the paper); larger k is sampled. *)
-    let scenarios =
-      List.concat_map
-        (fun k ->
-          if k <= 2 then Scenarios.enumerate g ~k
-          else Scenarios.sample g ~k ~count ~seed)
-        ks
-    in
-    let cache = if use_cache then Some (Eval.mcf_cache ~dir:".bench-cache" env) else None in
-    let algorithms =
-      Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
-    in
-    let s, dt =
-      R3_util.Timer.time (fun () -> Sweep.run ?cache ~metric env ~algorithms scenarios)
-    in
-    Printf.printf "%s over %d scenarios (k in {%s}), %.2fs:\n"
-      (match metric with `Ratio -> "performance ratio vs optimal" | `Bottleneck -> "bottleneck intensity")
-      s.Sweep.scenario_count
-      (String.concat "," (List.map string_of_int ks))
-      dt;
-    Array.iteri
-      (fun i alg ->
-        let c = s.Sweep.curves.(i) in
-        if Array.length c = 0 then
-          Printf.printf "  %-18s (no defined values)\n" (Eval.algorithm_name alg)
-        else begin
-          match R3_util.Stats.quantiles ~ps:[ 50.0; 90.0; 99.0 ] c with
-          | [ p50; p90; p99 ] ->
-            Printf.printf "  %-18s median %.3f  p90 %.3f  p99 %.3f  worst %.3f"
-              (Eval.algorithm_name alg) p50 p90 p99 (R3_util.Stats.max c);
-            (match s.Sweep.worst.(i) with
-            | Some (sc, v) ->
-              Printf.printf "  (%.3f @ %s)" v (R3_sim.Scenario.describe g sc)
-            | None -> ());
-            if s.Sweep.undefined.(i) > 0 then
-              Printf.printf "  [%d undefined dropped]" s.Sweep.undefined.(i);
-            print_newline ()
-          | _ -> assert false
-        end)
-      s.Sweep.algorithms;
-    if metric = `Ratio then
-      Printf.printf "optimal-MCF solves: %d fresh, %d from cache%s\n" s.Sweep.mcf_misses
-        s.Sweep.mcf_hits
-        (if use_cache then " (.bench-cache)" else "");
-    emit_metrics metrics
+  let cache = if use_cache then Some (Eval.mcf_cache ~dir:".bench-cache" env) else None in
+  let algorithms =
+    Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
+  in
+  let s, dt =
+    R3_util.Timer.time (fun () -> Sweep.run ?cache ~metric env ~algorithms scenarios)
+  in
+  Printf.printf "%s over %d scenarios (k in {%s}), %.2fs:\n"
+    (match metric with `Ratio -> "performance ratio vs optimal" | `Bottleneck -> "bottleneck intensity")
+    s.Sweep.scenario_count
+    (String.concat "," (List.map string_of_int ks))
+    dt;
+  Array.iteri
+    (fun i alg ->
+      let c = s.Sweep.curves.(i) in
+      if Array.length c = 0 then
+        Printf.printf "  %-18s (no defined values)\n" (Eval.algorithm_name alg)
+      else begin
+        match R3_util.Stats.quantiles ~ps:[ 50.0; 90.0; 99.0 ] c with
+        | [ p50; p90; p99 ] ->
+          Printf.printf "  %-18s median %.3f  p90 %.3f  p99 %.3f  worst %.3f"
+            (Eval.algorithm_name alg) p50 p90 p99 (R3_util.Stats.max c);
+          (match s.Sweep.worst.(i) with
+          | Some (sc, v) ->
+            Printf.printf "  (%.3f @ %s)" v (R3_sim.Scenario.describe g sc)
+          | None -> ());
+          if s.Sweep.undefined.(i) > 0 then
+            Printf.printf "  [%d undefined dropped]" s.Sweep.undefined.(i);
+          print_newline ()
+        | _ -> assert false
+      end)
+    s.Sweep.algorithms;
+  if metric = `Ratio then
+    Printf.printf "optimal-MCF solves: %d fresh, %d from cache%s\n" s.Sweep.mcf_misses
+      s.Sweep.mcf_hits
+      (if use_cache then " (.bench-cache)" else "");
+  emit_metrics metrics
 
 let sweep_cmd =
   let ks_arg =
@@ -423,7 +408,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Bulk scenario sweep (prefix-sharing engine)")
     Term.(
       const sweep_run $ topology_arg $ ks_arg $ count_arg $ seed_arg $ load_arg
-      $ metric_arg $ cache_arg $ core_config_term $ metrics_arg $ plan_arg)
+      $ metric_arg $ cache_arg $ domains_term $ metrics_arg $ plan_arg)
 
 (* ---- profile ---- *)
 
@@ -433,71 +418,54 @@ let sweep_cmd =
    lookup, the second hits them all, so both sides of the cache show up in
    the exported metrics. The metrics/trace JSON goes to stdout (or a
    file); the human-readable digest goes to stderr. *)
-let profile tag ks count seed load core out trace_out =
+let profile tag ks count seed load () out trace_out =
   let module Eval = R3_sim.Eval in
   let module Sweep = R3_sim.Sweep in
   let module Scenarios = R3_sim.Scenarios in
   R3_util.Metrics.reset ();
   R3_util.Trace.reset ();
   let g = load_topology tag in
-  let tm = make_tm g ~seed ~load in
-  let pairs, demands = Traffic.commodities tm in
-  let weights = R3_net.Ospf.unit_weights g in
-  let base = R3_net.Ospf.routing g ~weights ~pairs () in
   let ks = parse_ks ks in
   let kmax = List.fold_left Int.max 1 ks in
-  let cfg =
-    Offline.with_core core
-      { (Offline.default_config ~f:kmax) with solve_method = Offline.Constraint_gen }
+  let env = ospf_env g (physical_plan g ~k:kmax ~seed ~load) in
+  let scenarios =
+    List.concat_map
+      (fun k ->
+        if k <= 2 then Scenarios.enumerate g ~k
+        else Scenarios.sample g ~k ~count ~seed)
+      ks
   in
-  match
-    R3_core.Structured.compute cfg g tm
-      { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = kmax }
-      (Offline.Fixed base)
-  with
-  | Error m ->
-    Printf.eprintf "R3 precompute failed: %s\n" m;
-    exit 1
-  | Ok plan ->
-    let env = Eval.make_env g ~weights ~pairs ~demands ~ospf_r3:plan () in
-    let scenarios =
-      List.concat_map
-        (fun k ->
-          if k <= 2 then Scenarios.enumerate g ~k
-          else Scenarios.sample g ~k ~count ~seed)
-        ks
-    in
-    let cache = Eval.mcf_cache env in
-    let algorithms =
-      Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
-    in
-    let _cold = Sweep.run ~cache ~metric:`Ratio env ~algorithms scenarios in
-    let s = Sweep.run ~cache ~metric:`Ratio env ~algorithms scenarios in
-    Printf.eprintf "profiled %s: %d scenarios x 2 sweep passes (k in {%s})\n" tag
-      s.Sweep.scenario_count
-      (String.concat "," (List.map string_of_int ks));
-    Printf.eprintf "key counters:\n";
-    List.iter
-      (fun name ->
-        Printf.eprintf "  %-24s %d\n" name (R3_util.Metrics.counter_value name))
-      [
-        "lp.solves"; "lp.pivots"; "lp.degenerate_pivots"; "lp.harris_rejections";
-        "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
-        "offline.cg.cuts"; "offline.cg.budget_exhausted"; "mcf.runs"; "mcf.phases"; "sweep.scenarios";
-        "sweep.tree_nodes"; "sweep.cow_steps"; "sweep.cache.hits";
-        "sweep.cache.misses"; "r3.reconfig.base_forces";
-      ];
-    Printf.eprintf "spans (heaviest first):\n";
-    List.iter
-      (fun (name, n, total) ->
-        Printf.eprintf "  %-24s %6d  %8.3fs\n" name n total)
-      (R3_util.Trace.summary ());
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      R3_util.Trace.export_ndjson path;
-      Printf.eprintf "spans written to %s (ndjson)\n" path);
-    emit_metrics (Some out)
+  let cache = Eval.mcf_cache env in
+  let algorithms =
+    Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
+  in
+  let _cold = Sweep.run ~cache ~metric:`Ratio env ~algorithms scenarios in
+  let s = Sweep.run ~cache ~metric:`Ratio env ~algorithms scenarios in
+  Printf.eprintf "profiled %s: %d scenarios x 2 sweep passes (k in {%s})\n" tag
+    s.Sweep.scenario_count
+    (String.concat "," (List.map string_of_int ks));
+  Printf.eprintf "key counters:\n";
+  List.iter
+    (fun name ->
+      Printf.eprintf "  %-24s %d\n" name (R3_util.Metrics.counter_value name))
+    [
+      "lp.solves"; "lp.pivots"; "lp.degenerate_pivots"; "lp.harris_rejections";
+      "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
+      "offline.cg.cuts"; "offline.cg.budget_exhausted"; "mcf.runs"; "mcf.phases"; "sweep.scenarios";
+      "sweep.tree_nodes"; "sweep.cow_steps"; "sweep.cache.hits";
+      "sweep.cache.misses"; "r3.reconfig.base_forces";
+    ];
+  Printf.eprintf "spans (heaviest first):\n";
+  List.iter
+    (fun (name, n, total) ->
+      Printf.eprintf "  %-24s %6d  %8.3fs\n" name n total)
+    (R3_util.Trace.summary ());
+  (match trace_out with
+  | None -> ()
+  | Some path ->
+    R3_util.Trace.export_ndjson path;
+    Printf.eprintf "spans written to %s (ndjson)\n" path);
+  emit_metrics (Some out)
 
 let profile_cmd =
   let ks_arg =
@@ -516,126 +484,108 @@ let profile_cmd =
     (Cmd.info "profile" ~doc:"Instrumented end-to-end run; emits metrics JSON")
     Term.(
       const profile $ topology_arg $ ks_arg $ count_arg $ seed_arg $ load_arg
-      $ core_config_term $ out_arg $ trace_arg)
+      $ domains_term $ out_arg $ trace_arg)
 
 (* ---- online ---- *)
 
-let online tag f n_events faults fibs core seed load metrics plan_path ckpt
+let online tag f n_events faults fibs () seed load metrics plan_path ckpt
     ckpt_every =
   let module Online = R3_sim.Online in
+  (* [run_to ~stop_after:0] pauses without progress, so a zero slice
+     would save the same checkpoint forever. *)
+  if ckpt_every < 1 then begin
+    Printf.eprintf "bad --checkpoint-every %d (use a delivery count >= 1)\n" ckpt_every;
+    exit 2
+  end;
   let g = load_topology tag in
-  let plan_result =
-    match plan_path with
-    | Some path ->
-      let plan, _config = load_plan ~expect_graph:g path in
-      Printf.eprintf "plan loaded from %s (offline LP/CG skipped)\n%!" path;
-      Ok plan
-    | None ->
-      let tm = make_tm g ~seed ~load in
-      let pairs, _ = Traffic.commodities tm in
-      let base =
-        R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs ()
-      in
-      let cfg =
-        Offline.with_core core
-          { (Offline.default_config ~f) with solve_method = Offline.Constraint_gen }
-      in
-      R3_core.Structured.compute cfg g tm
-        { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = f }
-        (Offline.Fixed base)
+  let plan = plan_or_load g plan_path ~k:f ~seed ~load in
+  let root = R3_core.Reconfig.of_plan plan in
+  let schedule =
+    Online.generate g ~seed ~events:n_events ~max_concurrent:f ()
   in
-  match plan_result with
-  | Error m ->
-    Printf.eprintf "R3 precompute failed: %s\n" m;
-    exit 1
-  | Ok plan ->
-    let root = R3_core.Reconfig.of_plan plan in
-    let schedule =
-      Online.generate g ~seed ~events:n_events ~max_concurrent:f ()
-    in
-    let channel =
-      if faults then Online.Channel.faulty Online.Channel.default_faults
-      else Online.Channel.ideal ()
-    in
-    let drive () =
-      match ckpt with
-      | None ->
-        Online.run ~channel ~seed ~mlu_bound:plan.Offline.mlu ~fibs root
-          schedule
-      | Some path ->
-        (* Resume from an existing checkpoint, then run in stop_after-sized
-           slices, persisting the protocol state after each; the file is
-           removed once the run completes. *)
-        let resume =
-          if Sys.file_exists path then begin
-            match Online.Checkpoint.load path with
-            | Ok ck ->
-              Printf.eprintf "resuming from %s (delivery cursor %d)\n%!" path
-                (Online.Checkpoint.cursor ck);
-              Some ck
-            | Error msg ->
-              Printf.eprintf "%s\n" msg;
-              exit 1
-          end
-          else None
-        in
-        let rec go resume =
-          match
-            Online.run_to ~channel ~seed ~mlu_bound:plan.Offline.mlu ~fibs
-              ?resume ~stop_after:ckpt_every root schedule
-          with
-          | `Paused ck ->
-            Online.Checkpoint.save path ck;
-            go (Some ck)
-          | `Done o ->
-            (try Sys.remove path with Sys_error _ -> ());
-            o
-        in
-        (try go resume
-         with Invalid_argument msg ->
-           Printf.eprintf "%s\n" msg;
-           exit 1)
-    in
-    let o, dt = R3_util.Timer.time drive in
-    let s = o.Online.stats in
-    Printf.printf "online %s: F=%d, plan MLU* = %.4f, channel = %s\n" tag f
-      plan.Offline.mlu
-      (Online.Channel.name channel);
-    Printf.printf
-      "  %d events, %d deliveries (%d stale, %d dropped, %d retried), %d \
-       distinct states, %.0f events/s\n"
-      s.Online.events s.Online.deliveries s.Online.stale s.Online.drops
-      s.Online.retries s.Online.distinct_states
-      (if dt > 0.0 then float_of_int s.Online.events /. dt else 0.0);
-    let conv =
-      Array.of_list
-        (List.filter (fun c -> not (Float.is_nan c))
-           (Array.to_list s.Online.convergence_ms))
-    in
-    if Array.length conv > 0 then begin
-      match R3_util.Stats.quantiles ~ps:[ 50.0; 99.0 ] conv with
-      | [ p50; p99 ] ->
-        Printf.printf "  convergence p50 %.1f ms  p99 %.1f ms  max %.1f ms\n"
-          p50 p99 (R3_util.Stats.max conv)
-      | _ -> assert false
-    end;
-    Printf.printf
-      "  quiescent MLU %.4f; transient peak %.4f; min delivered %.2f%%; %d \
-       violation windows\n"
-      o.Online.quiescent_mlu s.Online.transient_mlu_peak
-      (100.0 *. s.Online.min_delivered)
-      (List.length s.Online.violation_windows);
-    List.iter
-      (fun (t0, t1) ->
-        Printf.printf "    MLU above plan bound during [%.1f, %.1f] ms\n" t0 t1)
-      s.Online.violation_windows;
-    Printf.printf "  terminal state %s the batch replay%s\n"
-      (if o.Online.order_independent then "bit-identical to" else "DIVERGES from")
-      (if not fibs then ""
-       else if o.Online.fib_consistent then "; per-router FIBs consistent"
-       else "; per-router FIBs INCONSISTENT");
-    emit_metrics metrics;
-    if not (o.Online.order_independent && o.Online.fib_consistent) then exit 1
+  let channel =
+    if faults then Online.Channel.faulty Online.Channel.default_faults
+    else Online.Channel.ideal ()
+  in
+  let drive () =
+    match ckpt with
+    | None ->
+      Online.run ~channel ~seed ~mlu_bound:plan.Offline.mlu ~fibs root
+        schedule
+    | Some path ->
+      (* Resume from an existing checkpoint, then run in stop_after-sized
+         slices, persisting the protocol state after each; the file is
+         removed once the run completes. *)
+      let resume =
+        if Sys.file_exists path then begin
+          match Online.Checkpoint.load path with
+          | Ok ck ->
+            Printf.eprintf "resuming from %s (delivery cursor %d)\n%!" path
+              (Online.Checkpoint.cursor ck);
+            Some ck
+          | Error msg ->
+            Printf.eprintf "%s\n" msg;
+            exit 1
+        end
+        else None
+      in
+      let rec go resume =
+        match
+          Online.run_to ~channel ~seed ~mlu_bound:plan.Offline.mlu ~fibs
+            ?resume ~stop_after:ckpt_every root schedule
+        with
+        | `Paused ck ->
+          Online.Checkpoint.save path ck;
+          go (Some ck)
+        | `Done o ->
+          (try Sys.remove path with Sys_error _ -> ());
+          o
+      in
+      (try go resume
+       with Invalid_argument msg ->
+         Printf.eprintf "%s\n" msg;
+         exit 1)
+  in
+  let o, dt = R3_util.Timer.time drive in
+  let s = o.Online.stats in
+  Printf.printf "online %s: F=%d, plan MLU* = %.4f, channel = %s\n" tag f
+    plan.Offline.mlu
+    (Online.Channel.name channel);
+  Printf.printf
+    "  %d events, %d deliveries (%d stale, %d dropped, %d retried), %d \
+     distinct states, %.0f events/s\n"
+    s.Online.events s.Online.deliveries s.Online.stale s.Online.drops
+    s.Online.retries s.Online.distinct_states
+    (if dt > 0.0 then float_of_int s.Online.events /. dt else 0.0);
+  let conv =
+    Array.of_list
+      (List.filter (fun c -> not (Float.is_nan c))
+         (Array.to_list s.Online.convergence_ms))
+  in
+  if Array.length conv > 0 then begin
+    match R3_util.Stats.quantiles ~ps:[ 50.0; 99.0 ] conv with
+    | [ p50; p99 ] ->
+      Printf.printf "  convergence p50 %.1f ms  p99 %.1f ms  max %.1f ms\n"
+        p50 p99 (R3_util.Stats.max conv)
+    | _ -> assert false
+  end;
+  Printf.printf
+    "  quiescent MLU %.4f; transient peak %.4f; min delivered %.2f%%; %d \
+     violation windows\n"
+    o.Online.quiescent_mlu s.Online.transient_mlu_peak
+    (100.0 *. s.Online.min_delivered)
+    (List.length s.Online.violation_windows);
+  List.iter
+    (fun (t0, t1) ->
+      Printf.printf "    MLU above plan bound during [%.1f, %.1f] ms\n" t0 t1)
+    s.Online.violation_windows;
+  Printf.printf "  terminal state %s the batch replay%s\n"
+    (if o.Online.order_independent then "bit-identical to" else "DIVERGES from")
+    (if not fibs then ""
+     else if o.Online.fib_consistent then "; per-router FIBs consistent"
+     else "; per-router FIBs INCONSISTENT");
+  emit_metrics metrics;
+  if not (o.Online.order_independent && o.Online.fib_consistent) then exit 1
 
 let online_cmd =
   let f_arg =
@@ -674,13 +624,13 @@ let online_cmd =
     Arg.(
       value & opt int 256
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Notification deliveries between checkpoint saves.")
+          ~doc:"Notification deliveries between checkpoint saves (at least 1).")
   in
   Cmd.v
     (Cmd.info "online" ~doc:"Event-driven online reconfiguration run")
     Term.(
       const online $ topology_arg $ f_arg $ events_arg $ faults_arg $ fibs_arg
-      $ core_config_term $ seed_arg $ load_arg $ metrics_arg $ plan_arg
+      $ domains_term $ seed_arg $ load_arg $ metrics_arg $ plan_arg
       $ ckpt_arg $ ckpt_every_arg)
 
 (* ---- plan (snapshot utilities) ---- *)
@@ -699,11 +649,10 @@ let plan_inspect path =
     Printf.printf "  workload    %d commodities\n" i.commodities;
     Printf.printf "  protection  F = %d, MLU over d+X = %.4f (%s)\n" i.f i.mlu
       (if i.mlu <= 1.0 then "congestion-free" else "best-effort");
-    Printf.printf "  solved via  %s, seed %d\n"
-      (match i.solve_method with
+    Printf.printf "  solved via  %s\n"
+      (match i.config.Offline.solve_method with
       | Offline.Dualized -> "dualized LP (7)"
-      | Offline.Constraint_gen -> "constraint generation")
-      i.config.Offline.core.R3_core.Config.seed;
+      | Offline.Constraint_gen -> "constraint generation");
     let per_row nnz rows = float_of_int nnz /. float_of_int (Int.max rows 1) in
     Printf.printf
       "  row storage  base %d entries (%.1f/row), protection %d entries (%.1f/row)\n"
@@ -730,23 +679,9 @@ let plan_cmd =
 
 let storage tag seed load =
   let g = load_topology tag in
-  let tm = make_tm g ~seed ~load in
-  let pairs, _ = Traffic.commodities tm in
-  let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
-  let cfg =
-    { (Offline.default_config ~f:1) with solve_method = Offline.Constraint_gen }
-  in
-  match
-    R3_core.Structured.compute cfg g tm
-      { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 1 }
-      (Offline.Fixed base)
-  with
-  | Error m ->
-    Printf.eprintf "precompute failed: %s\n" m;
-    exit 1
-  | Ok plan ->
-    let report = R3_mplsff.Storage.of_protection g plan.Offline.protection in
-    Format.printf "%s: %a@." tag R3_mplsff.Storage.pp report
+  let plan = physical_plan g ~k:1 ~seed ~load in
+  let report = R3_mplsff.Storage.of_protection g plan.Offline.protection in
+  Format.printf "%s: %a@." tag R3_mplsff.Storage.pp report
 
 let storage_cmd =
   Cmd.v

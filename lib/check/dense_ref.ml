@@ -17,13 +17,11 @@ let pristine (st : Reconfig.state) =
     failed = Array.make (G.num_links st.Reconfig.graph) false;
   }
 
-let tol = R3_core.Config.default.R3_core.Config.rescale_tol
-
 let detour p e =
   let row = p.(e) in
   let m = Array.length row in
   let self = row.(e) in
-  if self >= 1.0 -. tol then Array.make m 0.0
+  if self >= 1.0 -. Routing.rescale_tol then Array.make m 0.0
   else begin
     let scale = 1.0 /. (1.0 -. self) in
     (* [+. 0.0]: a product that underflows to [-0.0] is a zero *)

@@ -19,8 +19,8 @@ val pristine : R3_core.Reconfig.state -> t
 
 (** [detour p e] is [xi_e] of (8) from the dense protection [p]: row [e]
     without entry [e], scaled by [1 / (1 - p_e(e))]; all zero when
-    [p_e(e) >= 1 - rescale_tol] (the {!R3_core.Config.default}
-    threshold). *)
+    [p_e(e) >= 1 - rescale_tol] (the sparse fold's threshold,
+    {!R3_net.Routing.rescale_tol}). *)
 val detour : float array array -> R3_net.Graph.link -> float array
 
 (** [fold_row row ~e ~xi] is (9)/(10) on one row: [row + on_e * xi] when

@@ -312,11 +312,15 @@ let plan_store =
         lp_pivots = 0;
       }
     in
+    (* Nothing was solved: record the configuration a default solve of
+       this case would use. *)
+    let config = Offline.default_config ~f:case.f in
     with_temp ".plan" (fun path ->
-        R3_core.Plan_store.save path plan;
+        R3_core.Plan_store.save path ~config plan;
         (match R3_core.Plan_store.load ~expect_graph:g path with
         | Error e -> failf "snapshot reload failed: %s" e
-        | Ok (p, _cfg) ->
+        | Ok (p, cfg) ->
+          if cfg <> config then failf "config changed";
           (* Reloaded rows are freshly decoded, so no row is shared with
              the saved plan and every one is compared in full. *)
           if p.Offline.pairs <> pairs then failf "commodities changed";

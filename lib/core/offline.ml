@@ -21,28 +21,26 @@ type method_ = Dualized | Constraint_gen
 
 type config = {
   f : int;
-  loop_penalty : float;
   envelope : (float * float) option;
   delay_envelope : float option;
   solve_method : method_;
   max_pivots : int option;
   cg_max_rounds : int;
-  core : Config.t;
 }
 
 let default_config ~f =
   {
     f;
-    loop_penalty = 1e-6;
     envelope = None;
     delay_envelope = None;
     solve_method = Dualized;
     max_pivots = None;
     cg_max_rounds = 60;
-    core = Config.default;
   }
 
-let with_core core cfg = { cfg with core }
+(* The small objective weight on routing terms that breaks ties among
+   optima toward loop-free, non-self-protecting routings. *)
+let loop_penalty = 1e-6
 
 type plan = {
   graph : G.t;
@@ -162,12 +160,12 @@ let build_master ?(spread = false) lp g (cfg : config) base_spec pairs demand_ar
       Const (r, Array.of_list (List.map (fun demands -> Routing.loads g ~demands r) demand_arrays))
   in
   P.minimize lp [ (1.0, mlu) ];
-  Lp_build.add_loop_penalty lp cfg.loop_penalty p_vars;
-  Lp_build.penalize_self_protection lp g cfg.loop_penalty p_vars;
+  Lp_build.add_loop_penalty lp loop_penalty p_vars;
+  Lp_build.penalize_self_protection lp g loop_penalty p_vars;
   if spread then
-    Lp_build.penalize_virtual_concentration lp g (50.0 *. cfg.loop_penalty) p_vars;
+    Lp_build.penalize_virtual_concentration lp g (50.0 *. loop_penalty) p_vars;
   (match base_load with
-  | Terms r_vars -> Lp_build.add_loop_penalty lp cfg.loop_penalty r_vars
+  | Terms r_vars -> Lp_build.add_loop_penalty lp loop_penalty r_vars
   | Const _ -> ());
   (mlu, p_vars, base_load)
 

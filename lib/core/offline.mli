@@ -18,7 +18,13 @@
     Section 3.5 extensions, which change only the envelope the oracle
     maximizes over: {!Structured} (SRLGs and MLGs, equation (18)) is one
     class with a {!Virtual_demand.Groups} envelope, and {!Priority}
-    (equation (19)) one class per priority level. *)
+    (equation (19)) one class per priority level.
+
+    A {!config} holds only what the LP depends on and callers vary: the
+    failure budget, the Section 3.5 penalty and delay envelopes, and the
+    solver's method and budgets. The small objective weight that steers
+    ties among optima away from loops and self-protection is a constant
+    (1e-6) of this module. *)
 
 type base_spec =
   | Joint  (** optimize [r] together with [p] (MPLS-ff style) *)
@@ -30,7 +36,6 @@ type method_ = Dualized | Constraint_gen
 
 type config = {
   f : int;  (** protect against up to [f] arbitrary link failures *)
-  loop_penalty : float;  (** small objective weight on routing terms *)
   envelope : (float * float) option;
       (** [(beta, mlu_opt)]: bound the no-failure MLU by [beta *. mlu_opt]
           (Section 3.5, penalty envelope). Joint base only. *)
@@ -43,15 +48,10 @@ type config = {
       (** cut-generation rounds cap. Every round after the first
           re-solves warm through {!R3_lp.Problem.session}: dual-simplex
           repair of the previous basis, not a cold two-phase solve. *)
-  core : Config.t;
-      (** the unified seed/tolerance/pool bundle ({!Config.t}) *)
 }
 
+(** No envelopes, {!Dualized}, no pivot budget, 60 cut rounds. *)
 val default_config : f:int -> config
-
-(** [with_core core cfg] swaps the {!Config.t} bundle — builder-style:
-    [Offline.default_config ~f |> Offline.with_core Config.(default |> with_seed 7)]. *)
-val with_core : Config.t -> config -> config
 
 type plan = {
   graph : R3_net.Graph.t;

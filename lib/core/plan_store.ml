@@ -12,8 +12,10 @@ let magic = "R3PLANSS"
 (* v2: the config section lost the LP-backend tag and the CG warm-start
    flag when the simplex went down to one engine. v3: routing storage
    went down to sparse rows only, so the config section lost its storage
-   byte and each routing its storage and row-payload tags. *)
-let version = 3
+   byte and each routing its storage and row-payload tags. v4: the config
+   section lost the loop penalty, seed and the two tolerances, which are
+   constants of the code that reads them. *)
+let version = 4
 
 (* [count r what ~min_bytes] reads an element count and rejects it unless
    that many elements, each at least [min_bytes] long, fit in the bytes
@@ -83,7 +85,6 @@ let method_of_tag = function
 let enc_config (cfg : Offline.config) =
   let w = W.create () in
   W.i32 w cfg.f;
-  W.float w cfg.loop_penalty;
   enc_option w
     (fun (beta, mlu) ->
       W.float w beta;
@@ -93,15 +94,11 @@ let enc_config (cfg : Offline.config) =
   W.u8 w (method_tag cfg.solve_method);
   enc_option w (W.int w) cfg.max_pivots;
   W.i32 w cfg.cg_max_rounds;
-  W.int w cfg.core.seed;
-  W.float w cfg.core.mcf_epsilon;
-  W.float w cfg.core.rescale_tol;
   W.contents w
 
 let dec_config s : Offline.config =
   let r = R.of_string s in
   let f = R.i32 r in
-  let loop_penalty = R.float r in
   let envelope =
     dec_option r (fun () ->
         let beta = R.float r in
@@ -112,24 +109,8 @@ let dec_config s : Offline.config =
   let solve_method = method_of_tag (R.u8 r) in
   let max_pivots = dec_option r (fun () -> R.int r) in
   let cg_max_rounds = R.i32 r in
-  let seed = R.int r in
-  let mcf_epsilon = R.float r in
-  let rescale_tol = R.float r in
   R.expect_end r;
-  {
-    f;
-    loop_penalty;
-    envelope;
-    delay_envelope;
-    solve_method;
-    max_pivots;
-    cg_max_rounds;
-    (* [domains] is an execution knob (results are domain-count
-       independent), so it is deliberately not part of the snapshot
-       format or its fingerprint. *)
-    core =
-      { seed; mcf_epsilon; rescale_tol; domains = None };
-  }
+  { f; envelope; delay_envelope; solve_method; max_pivots; cg_max_rounds }
 
 (* --- workload section (commodities + demands) -------------------------- *)
 
@@ -229,10 +210,7 @@ let fingerprint ~config plan =
   let gs, cs, ws = sections ~config plan in
   fingerprint_of_sections gs cs ws
 
-let save path ?config (plan : Offline.plan) =
-  let config =
-    match config with Some c -> c | None -> Offline.default_config ~f:plan.f
-  in
+let save path ~config (plan : Offline.plan) =
   let gs, cs, ws = sections ~config plan in
   let w = W.create ~size:(1 lsl 16) () in
   W.string w (fingerprint_of_sections gs cs ws);
@@ -276,39 +254,26 @@ let decode_payload payload =
   let plan : Offline.plan =
     { graph; f; pairs; demands; base; protection; mlu; lp_vars; lp_rows; lp_pivots }
   in
-  (plan, config, actual_fp, gs, cs)
+  (plan, config, actual_fp, gs)
 
-let load ?expect_graph ?expect_config path =
+let load ?expect_graph path =
   match Codec.read_framed path ~magic ~version with
   | Error _ as e -> e
   | Ok payload -> (
     match decode_payload payload with
     | exception R.Corrupt msg ->
       Error (Printf.sprintf "%s: malformed plan snapshot: %s" path msg)
-    | plan, config, _fp, gs, cs ->
-      let graph_ok =
-        match expect_graph with
-        | Some g when enc_graph g <> gs ->
-          Error
-            (Printf.sprintf
-               "%s: plan was solved for a different topology (%d nodes / %d \
-                links in snapshot)"
-               path
-               (G.num_nodes plan.graph)
-               (G.num_links plan.graph))
-        | _ -> Ok ()
-      in
-      let config_ok =
-        match expect_config with
-        | Some c when enc_config c <> cs ->
-          Error
-            (Printf.sprintf
-               "%s: plan was solved under a different configuration" path)
-        | _ -> Ok ()
-      in
-      (match (graph_ok, config_ok) with
-      | Error e, _ | _, Error e -> Error e
-      | Ok (), Ok () -> Ok (plan, config)))
+    | plan, config, _fp, gs -> (
+      match expect_graph with
+      | Some g when enc_graph g <> gs ->
+        Error
+          (Printf.sprintf
+             "%s: plan was solved for a different topology (%d nodes / %d \
+              links in snapshot)"
+             path
+             (G.num_nodes plan.graph)
+             (G.num_links plan.graph))
+      | _ -> Ok (plan, config)))
 
 type info = {
   version : int;
@@ -319,7 +284,6 @@ type info = {
   commodities : int;
   f : int;
   mlu : float;
-  solve_method : Offline.method_;
   config : Offline.config;
   base_nnz : int;
   protection_nnz : int;
@@ -332,7 +296,7 @@ let inspect path =
     match decode_payload payload with
     | exception R.Corrupt msg ->
       Error (Printf.sprintf "%s: malformed plan snapshot: %s" path msg)
-    | plan, config, fp, _gs, _cs ->
+    | plan, config, fp, _gs ->
       let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
       Ok
         {
@@ -344,40 +308,7 @@ let inspect path =
           commodities = Array.length plan.pairs;
           f = plan.f;
           mlu = plan.mlu;
-          solve_method = config.solve_method;
           config;
           base_nnz = Routing.nnz plan.base;
           protection_nnz = Routing.nnz plan.protection;
         })
-
-(* --- traffic snapshots ------------------------------------------------- *)
-
-let traffic_magic = "R3TMSNAP"
-let traffic_version = 1
-
-let save_traffic path (tm : R3_net.Traffic.t) =
-  let w = W.create () in
-  W.i32 w (Array.length tm);
-  Array.iter (W.float_array w) tm;
-  Codec.write_framed path ~magic:traffic_magic ~version:traffic_version
-    (W.contents w)
-
-let load_traffic path =
-  match Codec.read_framed path ~magic:traffic_magic ~version:traffic_version with
-  | Error _ as e -> e
-  | Ok payload -> (
-    try
-      let r = R.of_string payload in
-      (* a row is at least its u32 length prefix *)
-      let n = count r "matrix row" ~min_bytes:4 in
-      let tm =
-        Array.init n (fun _ ->
-            let row = R.float_array r in
-            if Array.length row <> n then
-              raise (R.Corrupt "traffic matrix is not square");
-            row)
-      in
-      R.expect_end r;
-      Ok tm
-    with R.Corrupt msg ->
-      Error (Printf.sprintf "%s: malformed traffic snapshot: %s" path msg))

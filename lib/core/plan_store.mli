@@ -5,7 +5,8 @@
     deployable object. This module writes a complete {!Offline.plan}
     (graph, commodities, demands, base and protection routings row by
     row as their stored entries, optimum MLU, LP statistics, and the
-    {!Offline.config} it was solved under) as a versioned, CRC-checked
+    {!Offline.config} it was solved under, all six fields and nothing
+    else) as a versioned, CRC-checked
     binary snapshot via {!R3_util.Codec}, and reads it back bit-identically:
     a reloaded plan steps through {!Reconfig} to exactly the states the
     original would have produced.
@@ -33,24 +34,22 @@ val fingerprint : config:Offline.config -> Offline.plan -> string
 (** Digest of the graph section alone — what [?expect_graph] compares. *)
 val graph_fingerprint : R3_net.Graph.t -> string
 
-(** [save path ?config plan] writes the snapshot atomically. [config]
-    records the solver configuration the plan was produced under and
-    defaults to [Offline.default_config ~f:plan.f]. *)
-val save : string -> ?config:Offline.config -> Offline.plan -> unit
+(** [save path ~config plan] writes the snapshot atomically. [config]
+    is the solver configuration the plan was produced under; it is
+    stored, covered by the fingerprint, and shown by [r3 plan inspect]. *)
+val save : string -> config:Offline.config -> Offline.plan -> unit
 
-(** [load ?expect_graph ?expect_config path] decodes and validates a
-    snapshot. Errors (all as [Error msg], never an exception) name the
-    failing check: missing/truncated file, wrong magic, version mismatch,
-    CRC mismatch, malformed payload (including an element count larger
-    than the bytes left could hold, rejected before anything is allocated
-    from it, and a base routing without one row per workload commodity
-    or a protection without one row per link, pairs included),
-    fingerprint mismatch, or — when the
-    respective argument is given — a topology/config that differs from
-    the one the plan was solved for. *)
+(** [load ?expect_graph path] decodes and validates a snapshot. Errors
+    (all as [Error msg], never an exception) name the failing check:
+    missing/truncated file, wrong magic, version mismatch, CRC mismatch,
+    malformed payload (including an element count larger than the bytes
+    left could hold, rejected before anything is allocated from it, and
+    a base routing without one row per workload commodity or a
+    protection without one row per link, pairs included), fingerprint
+    mismatch, or — when [expect_graph] is given — a topology that
+    differs from the one the plan was solved for. *)
 val load :
   ?expect_graph:R3_net.Graph.t ->
-  ?expect_config:Offline.config ->
   string ->
   (Offline.plan * Offline.config, string) result
 
@@ -65,18 +64,9 @@ type info = {
   commodities : int;
   f : int;
   mlu : float;
-  solve_method : Offline.method_;
-  config : Offline.config;
+  config : Offline.config;  (** the configuration passed to {!save} *)
   base_nnz : int;  (** stored entries of the base routing ({!R3_net.Routing.nnz}) *)
   protection_nnz : int;  (** stored entries of the protection routing *)
 }
 
 val inspect : string -> (info, string) result
-
-(** {2 Traffic-matrix snapshots}
-
-    Same frame discipline (own magic ["R3TMSNAP"]), for persisting the
-    demand matrices plans are solved against. *)
-
-val save_traffic : string -> R3_net.Traffic.t -> unit
-val load_traffic : string -> (R3_net.Traffic.t, string) result

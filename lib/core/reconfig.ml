@@ -85,9 +85,7 @@ let of_plan (plan : Offline.plan) =
   make plan.Offline.graph ~pairs:plan.Offline.pairs ~demands:plan.Offline.demands
     ~base:plan.Offline.base ~protection:plan.Offline.protection
 
-let one_tol = Config.default.Config.rescale_tol
-
-let detour_vec st e = Routing.rescale_detour ~tol:one_tol st.protection e
+let detour_vec st e = Routing.rescale_detour st.protection e
 
 let detour st e = Rowvec.to_dense (G.num_links st.graph) (detour_vec st e)
 

@@ -8,9 +8,6 @@ let scenario_mlu plan links =
   let st = Reconfig.apply_failures (Reconfig.of_plan plan) links in
   Reconfig.mlu st
 
-let max_mlu_over_scenarios plan scenarios =
-  List.fold_left (fun acc s -> Float.max acc (scenario_mlu plan s)) 0.0 scenarios
-
 (* All size-<=k subsets of [0, m), shortcut for exhaustive checking. *)
 let subsets_upto m k =
   let acc = ref [] in

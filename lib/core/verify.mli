@@ -19,9 +19,6 @@ val offline_worst_mlu :
     via online reconfiguration and returns the resulting real-traffic MLU. *)
 val scenario_mlu : Offline.plan -> R3_net.Graph.link list -> float
 
-(** [max_mlu_over_scenarios plan scenarios] is the worst {!scenario_mlu}. *)
-val max_mlu_over_scenarios : Offline.plan -> R3_net.Graph.link list list -> float
-
 (** Theorem 1 as an executable check: if [plan.mlu <= 1] then every
     scenario of at most [plan.f] directed-link failures keeps MLU <= 1.
     Returns [Error] describing the first violating scenario. Enumerates

@@ -26,7 +26,6 @@
    few dozen pivots. *)
 
 type t = {
-  refactor_every : int;
   mutable m : int;  (* dimension of the factored basis; 0 = empty *)
   mutable factored : bool;
   (* Elimination step [k] pivots original row [pivrow.(k)] for basis
@@ -64,7 +63,6 @@ type t = {
   mutable eta_idx : int array array;
   mutable eta_v : float array array;
   mutable eta_nnz : int;
-  mutable refactors : int;  (* lifetime refactorization count *)
   (* scratch, all persistent across calls *)
   mutable wx : float array;  (* dense accumulation column *)
   mutable wmark : Bytes.t;
@@ -84,9 +82,8 @@ type t = {
   mutable hmark : Bytes.t;
 }
 
-let create ?(refactor_every = Tol.refactor_every) () =
+let create () =
   {
-    refactor_every = Int.max refactor_every 1;
     m = 0;
     factored = false;
     pivrow = [||];
@@ -112,7 +109,6 @@ let create ?(refactor_every = Tol.refactor_every) () =
     eta_idx = Array.make 8 [||];
     eta_v = Array.make 8 [||];
     eta_nnz = 0;
-    refactors = 0;
     wx = [||];
     wmark = Bytes.empty;
     wtouch = [||];
@@ -129,13 +125,10 @@ let create ?(refactor_every = Tol.refactor_every) () =
     hmark = Bytes.empty;
   }
 
-let dim t = t.m
 let factored t = t.factored
 let eta_count t = t.n_eta
 let eta_entries t = t.eta_nnz
-let refactor_count t = t.refactors
-let needs_refactor t = t.n_eta >= t.refactor_every
-let fill_entries t = if t.m = 0 then 0 else t.l_ptr.(t.m) + t.u_ptr.(t.m) + t.m
+let needs_refactor t = t.n_eta >= Tol.refactor_every
 
 let ensure_dim t m =
   if Array.length t.pivrow < m then begin
@@ -435,7 +428,6 @@ let refactor t ~m ~col =
       cur.(t.l_idx.(s)) <- w + 1
     done
   done;
-  t.refactors <- t.refactors + 1;
   t.factored <- true;
   pairs
 

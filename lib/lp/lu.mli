@@ -17,12 +17,12 @@
     recover the pattern).
 
     The eta file should be folded back into a fresh factorization every
-    [refactor_every] updates ({!needs_refactor}) or when a pivot looks
-    unstable — policy is the caller's; this module only reports. *)
+    {!Tol.refactor_every} updates ({!needs_refactor}) or when a pivot
+    looks unstable — policy is the caller's; this module only reports. *)
 
 type t
 
-val create : ?refactor_every:int -> unit -> t
+val create : unit -> t
 
 (** [refactor t ~m ~col] factors the [m]-dimensional basis whose
     position-[k] column is [col k] = (row indices, values, used length),
@@ -43,7 +43,8 @@ val refactor :
 (** [ftran_pat t x pat n] solves [B x = b] in place: on entry [x] holds
     [b] indexed by row with its [n] nonzero rows listed in [pat], on
     exit the solution indexed by basis position with its positions
-    written back into [pat]. [pat] must have room for [dim t] entries.
+    written back into [pat]. [pat] must have room for [m] entries (the
+    dimension of the last {!refactor}).
     Returns the result's count. *)
 val ftran_pat : t -> float array -> int array -> int -> int
 
@@ -68,7 +69,6 @@ val update_pat : t -> r:int -> w:float array -> pat:int array -> n:int -> unit
 (** As {!update_pat}, recovering the pattern with an O(m) scan. *)
 val update : t -> r:int -> w:float array -> unit
 
-val dim : t -> int
 val factored : t -> bool
 
 (** Eta columns since the last {!refactor}. *)
@@ -77,11 +77,5 @@ val eta_count : t -> int
 (** Stored eta entries since the last {!refactor}. *)
 val eta_entries : t -> int
 
-(** Lifetime refactorization count. *)
-val refactor_count : t -> int
-
-(** Nonzeros stored in the current L and U factors. *)
-val fill_entries : t -> int
-
-(** Whether the eta file has reached [refactor_every]. *)
+(** Whether the eta file has reached {!Tol.refactor_every}. *)
 val needs_refactor : t -> bool

@@ -54,5 +54,5 @@ let lu_threshold = 0.1
    triggers refactorization before the pivot is trusted. *)
 let lu_unstable = 1e-7
 
-(* Default eta-file length between refactorizations. *)
+(* Eta-file length between refactorizations. *)
 let refactor_every = 128

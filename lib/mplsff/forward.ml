@@ -7,14 +7,16 @@ type network = {
   pair_index : (G.node * G.node, int) Hashtbl.t;
   fib : Fib.t;
   failed : G.link_set;
-  hash_seed : int;
 }
 
-let make g ~base ~fib ?failed ?(hash_seed = 42) () =
+(* Seed of the per-router flow-hash salts. *)
+let hash_seed = 42
+
+let make g ~base ~fib ?failed () =
   let failed = match failed with Some f -> f | None -> G.no_failures g in
   let pair_index = Hashtbl.create 64 in
   Array.iteri (fun k pr -> Hashtbl.replace pair_index pr k) (Routing.pairs base);
-  { graph = g; base; pair_index; fib; failed; hash_seed }
+  { graph = g; base; pair_index; fib; failed }
 
 type trace = {
   links : G.link list;
@@ -53,7 +55,7 @@ let forward net ~flow ~src ~dst =
           match Hashtbl.find_opt net.fib.Fib.fibs.(v).Fib.ilm label with
           | None -> Error "forward: no protection entry (dropped)"
           | Some fwd ->
-            let salt = Flow_hash.router_salt ~seed:net.hash_seed ~router:v in
+            let salt = Flow_hash.router_salt ~seed:hash_seed ~router:v in
             let weights = Array.map (fun n -> n.Fib.ratio) fwd.Fib.nhlfes in
             let idx = Flow_hash.pick ~salt flow weights in
             let e = fwd.Fib.nhlfes.(idx).Fib.out_link in
@@ -75,7 +77,7 @@ let forward net ~flow ~src ~dst =
           let total = Array.fold_left ( +. ) 0.0 weights in
           if total <= 1e-12 then Error "forward: no base next hop (dropped)"
           else begin
-            let salt = Flow_hash.router_salt ~seed:net.hash_seed ~router:v in
+            let salt = Flow_hash.router_salt ~seed:hash_seed ~router:v in
             let idx = Flow_hash.pick ~salt flow weights in
             let e = outs.(idx) in
             if net.failed.(e) then

@@ -16,15 +16,14 @@ type network = {
   pair_index : (R3_net.Graph.node * R3_net.Graph.node, int) Hashtbl.t;
   fib : Fib.t;
   failed : R3_net.Graph.link_set;
-  hash_seed : int;
 }
 
+(** Routers salt the flow hash with {!Flow_hash.router_salt} at seed 42. *)
 val make :
   R3_net.Graph.t ->
   base:R3_net.Routing.t ->
   fib:Fib.t ->
   ?failed:R3_net.Graph.link_set ->
-  ?hash_seed:int ->
   unit ->
   network
 

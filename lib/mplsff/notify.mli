@@ -7,18 +7,19 @@
     on arrival; Theorem 3 makes the arrival order irrelevant. *)
 
 type config = {
-  detection_ms : float;  (** layer-2 detection latency (default 30 ms) *)
-  per_hop_ms : float;  (** per-router flooding overhead (default 1 ms) *)
+  detection_ms : float;  (** layer-2 detection latency *)
+  per_hop_ms : float;  (** per-router flooding overhead *)
 }
 
+(** The latencies every notification uses: 30 ms detection, 1 ms per
+    hop. *)
 val default_config : config
 
-(** [arrival_times ?config g ~failed ~link] gives, per router, the absolute
+(** [arrival_times g ~failed ~link] gives, per router, the absolute
     time (ms, from the failure instant) at which the notification for
     [link] arrives; [infinity] for routers partitioned from the detector.
     The head router itself gets [detection_ms]. *)
 val arrival_times :
-  ?config:config ->
   R3_net.Graph.t ->
   failed:R3_net.Graph.link_set ->
   link:R3_net.Graph.link ->
@@ -26,7 +27,6 @@ val arrival_times :
 
 (** Time by which every (reachable) router has been notified. *)
 val convergence_time :
-  ?config:config ->
   R3_net.Graph.t ->
   failed:R3_net.Graph.link_set ->
   link:R3_net.Graph.link ->

@@ -1,13 +1,5 @@
 type path = { weight : float; links : Graph.link list }
 
-let pp_path g ppf { weight; links } =
-  Format.fprintf ppf "%.4f:" weight;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf " %s->%s" (Graph.node_name g (Graph.src g e))
-        (Graph.node_name g (Graph.dst g e)))
-    links
-
 let eps = 1e-9
 
 (* Remove circulation: repeatedly find a cycle in the positive-flow

@@ -15,8 +15,6 @@
 
 type path = { weight : float; links : Graph.link list }
 
-val pp_path : Graph.t -> Format.formatter -> path -> unit
-
 (** [decompose g t k] splits commodity [k] of routing [t] into weighted
     simple paths. The weights sum to the commodity's delivered fraction
     (1 for a valid total routing); the second component is the total

@@ -18,15 +18,6 @@ let on_dag g failed weights dist_to e =
   && Float.abs (weights.(e) +. dist_to.(Graph.dst g e) -. dist_to.(Graph.src g e))
      <= dag_tol *. (1.0 +. dist_to.(Graph.src g e))
 
-let next_hops g ?failed ~weights ~dst () =
-  let failed = match failed with Some f -> f | None -> Graph.no_failures g in
-  let dist_to = Spf.distances_to g ~failed ~weights ~dst () in
-  Array.init (Graph.num_nodes g) (fun v ->
-      if v = dst then []
-      else
-        Array.to_list (Graph.out_links g v)
-        |> List.filter (on_dag g failed weights dist_to))
-
 (* Propagate one unit of flow from [a] down the ECMP DAG toward [dst],
    splitting equally at every node. Nodes are processed in decreasing
    distance-to-destination order, which topologically orders the DAG. *)

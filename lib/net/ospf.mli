@@ -18,13 +18,3 @@ val routing :
   pairs:(Graph.node * Graph.node) array ->
   unit ->
   Routing.t
-
-(** The ECMP next-hop links of [v] toward [dst] under [weights] (live links
-    on shortest paths only). Used by the forwarding-plane emulation. *)
-val next_hops :
-  Graph.t ->
-  ?failed:Graph.link_set ->
-  weights:float array ->
-  dst:Graph.node ->
-  unit ->
-  Graph.link list array

@@ -237,10 +237,12 @@ let iter_candidates ci e f =
 
 (* ---- failure folding (equations (8)-(10)) ---- *)
 
-let rescale_detour ?(tol = 1e-9) t e =
+let rescale_tol = 1e-9
+
+let rescale_detour t e =
   let row = rget t.rows e in
   let self = Rowvec.get row e in
-  if self >= 1.0 -. tol then Rowvec.create ~cap:1 ()
+  if self >= 1.0 -. rescale_tol then Rowvec.create ~cap:1 ()
   else begin
     let r = Rowvec.copy row in
     Rowvec.clear r e;

@@ -124,11 +124,15 @@ val nnz : t -> int
     on their first fold. *)
 val prepare : t -> unit
 
+(** [1e-9]: a protection row whose self-entry [p_e(e)] is within this of
+    1 has no detour; equation (8) would divide by [1 - p_e(e)] ~ 0. *)
+val rescale_tol : float
+
 (** [rescale_detour t e] is the detour [xi_e] of equation (8) computed
     from row [e] of the protection routing [t]: entry [e] removed, the
-    rest scaled by [1 / (1 - p_e(e))]; all-zero when [p_e(e) >= 1 - tol]
-    (default [tol = 1e-9]). *)
-val rescale_detour : ?tol:float -> t -> Graph.link -> R3_util.Rowvec.t
+    rest scaled by [1 / (1 - p_e(e))]; all-zero when
+    [p_e(e) >= 1 - rescale_tol]. *)
+val rescale_detour : t -> Graph.link -> R3_util.Rowvec.t
 
 (** [fold_failure t ~e ~xi ~replace_with_detour] applies equations
     (9)/(10): every row [k] with [on_e = get t k e > 0.0] becomes

@@ -12,10 +12,6 @@ let add x y =
   if Array.length x <> Array.length y then invalid_arg "Traffic.add: size mismatch";
   Array.mapi (fun i row -> Array.mapi (fun j v -> v +. y.(i).(j)) row) x
 
-let sub_clamped x y =
-  if Array.length x <> Array.length y then invalid_arg "Traffic.sub_clamped: size mismatch";
-  Array.mapi (fun i row -> Array.mapi (fun j v -> Float.max 0.0 (v -. y.(i).(j))) row) x
-
 let gravity rng g ?(jitter = 0.4) ~load_factor () =
   let n = Graph.num_nodes g in
   let mass = Array.make n 0.0 in

@@ -21,9 +21,6 @@ val scale : t -> float -> t
 (** Entrywise sum. Raises [Invalid_argument] on dimension mismatch. *)
 val add : t -> t -> t
 
-(** Entrywise difference, clamped at 0. *)
-val sub_clamped : t -> t -> t
-
 (** Gravity model: node mass = total adjacent capacity, demand(a,b)
     proportional to mass(a)*mass(b), scaled so the busiest link would see
     roughly [load_factor] utilization under even spreading. Deterministic

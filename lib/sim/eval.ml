@@ -31,16 +31,17 @@ type env = {
   ospf_base : Routing.t;
   ospf_r3 : R3_core.Offline.plan option;
   mplsff_r3 : R3_core.Offline.plan option;
-  mcf_epsilon : float;
 }
 
-let make_env g ~weights ~pairs ~demands ?ospf_r3 ?mplsff_r3 ?(mcf_epsilon = 0.06) () =
+let mcf_epsilon = 0.06
+
+let make_env g ~weights ~pairs ~demands ?ospf_r3 ?mplsff_r3 () =
   let ospf_base = R3_net.Ospf.routing g ~weights ~pairs () in
-  { graph = g; weights; pairs; demands; ospf_base; ospf_r3; mplsff_r3; mcf_epsilon }
+  { graph = g; weights; pairs; demands; ospf_base; ospf_r3; mplsff_r3 }
 
 let mcf_cache ?dir env =
   Mcf_cache.create ?dir ~graph:env.graph ~pairs:env.pairs ~demands:env.demands
-    ~epsilon:env.mcf_epsilon ()
+    ~epsilon:mcf_epsilon ()
 
 let r3_root_of_plan env plan =
   (* Evaluate the plan's routing against the env's demands (the plan may
@@ -136,7 +137,7 @@ let scenario_bottleneck env alg scenario =
 let solve_optimal env scenario =
   let failed = G.fail_links env.graph (Scenario.links scenario) in
   let r =
-    R3_mcf.Concurrent_flow.min_mlu env.graph ~failed ~epsilon:env.mcf_epsilon
+    R3_mcf.Concurrent_flow.min_mlu env.graph ~failed ~epsilon:mcf_epsilon
       ~pairs:env.pairs ~demands:env.demands ()
   in
   r.R3_mcf.Concurrent_flow.mlu

@@ -5,7 +5,8 @@
 
     Single scenarios go through {!evaluate}; bulk sweeps (thousands of
     scenarios) go through [Sweep], which shares reconfiguration prefixes
-    and memoizes the MCF normalizer. *)
+    and memoizes the MCF normalizer. The normalizer's accuracy is the
+    constant {!mcf_epsilon}, so an environment is just its inputs. *)
 
 type algorithm =
   | Ospf_cspf_detour  (** OSPF base + CSPF fast-reroute bypasses *)
@@ -29,8 +30,11 @@ type env = {
   ospf_base : R3_net.Routing.t;
   ospf_r3 : R3_core.Offline.plan option;  (** plan with the OSPF base *)
   mplsff_r3 : R3_core.Offline.plan option;  (** plan with optimized base *)
-  mcf_epsilon : float;  (** accuracy of the optimal-routing normalizer *)
 }
+
+(** The accuracy parameter (0.06) of the Garg–Könemann solve behind
+    {!optimal} and {!mcf_cache}. *)
+val mcf_epsilon : float
 
 (** Build an environment: computes the OSPF routing; R3 plans are supplied
     by the caller (they may be shared across intervals). *)
@@ -41,7 +45,6 @@ val make_env :
   demands:float array ->
   ?ospf_r3:R3_core.Offline.plan ->
   ?mplsff_r3:R3_core.Offline.plan ->
-  ?mcf_epsilon:float ->
   unit ->
   env
 

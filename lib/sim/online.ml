@@ -15,8 +15,12 @@ let phys_rep g e =
 
 (* ---- seeded schedule generation ---- *)
 
-let generate g ~seed ~events ?(max_concurrent = 2) ?(mean_gap_ms = 250.0)
-    ?(recover_bias = 0.6) () =
+(* Mean gap between events, and the chance of a recovery when a failure
+   is legal too. *)
+let mean_gap_ms = 250.0
+let recover_bias = 0.6
+
+let generate g ~seed ~events ?(max_concurrent = 2) () =
   if events < 0 then invalid_arg "Online.generate: negative event count";
   if max_concurrent < 1 then invalid_arg "Online.generate: max_concurrent < 1";
   let phys = Scenarios.physical_links g in
@@ -95,16 +99,12 @@ module Channel = struct
     }
 
   type t = {
-    notify : Notify.config;
     faults : faults option;
     cname : string;
   }
 
-  let ideal ?(notify = Notify.default_config) () =
-    { notify; faults = None; cname = "ideal" }
-
-  let faulty ?(notify = Notify.default_config) faults =
-    { notify; faults = Some faults; cname = "faulty" }
+  let ideal () = { faults = None; cname = "ideal" }
+  let faulty faults = { faults = Some faults; cname = "faulty" }
 
   let name c = c.cname
 end
@@ -299,8 +299,9 @@ let run_digest ~channel ~seed ~mlu_bound ~fibs root events =
       W.u8 w (match ev.kind with Fail -> 0 | Recover -> 1))
     events;
   W.string w channel.Channel.cname;
-  W.float w channel.Channel.notify.Notify.detection_ms;
-  W.float w channel.Channel.notify.Notify.per_hop_ms;
+  (* every channel floods with the default latencies *)
+  W.float w Notify.default_config.Notify.detection_ms;
+  W.float w Notify.default_config.Notify.per_hop_ms;
   (match channel.Channel.faults with
   | None -> W.bool w false
   | Some f ->
@@ -341,7 +342,7 @@ let schedule ~channel ~seed g events =
   end;
   let arrival_after =
     R3_util.Parallel.init ne (fun i ->
-        Notify.arrival_times ~config:channel.Channel.notify g
+        Notify.arrival_times g
           ~failed:(G.fail_links g (Scenario.links scenario_after.(i)))
           ~link:events.(i).link)
   in

@@ -11,7 +11,8 @@
     - it consumes a timestamped stream of physical link failure/recovery
       {!event}s (write your own or use the seeded {!generate});
     - per-router notifications travel through a pluggable {!Channel}: the
-      ideal channel uses the flooding latencies of {!R3_mplsff.Notify},
+      ideal channel uses the default flooding latencies of
+      {!R3_mplsff.Notify},
       the fault-injected one adds jitter (reordering), duplication, and
       drop-with-retry/backoff;
     - each router maintains a per-link event-version vector and its own
@@ -42,18 +43,16 @@ type event = {
 }
 
 (** Deterministic seeded failure/recovery schedule: exponential gaps with
-    the given mean, never more than [max_concurrent] links down at once
+    a 250 ms mean, never more than [max_concurrent] links down at once
     (default 2), never disconnecting the surviving graph (so notification
     flooding always reaches every router), recovering a downed link with
-    probability [recover_bias] (default 0.6) when both moves are legal.
-    Equal seeds give equal schedules. *)
+    probability 0.6 when both moves are legal. Equal seeds give equal
+    schedules. *)
 val generate :
   R3_net.Graph.t ->
   seed:int ->
   events:int ->
   ?max_concurrent:int ->
-  ?mean_gap_ms:float ->
-  ?recover_bias:float ->
   unit ->
   event list
 
@@ -77,12 +76,13 @@ module Channel : sig
 
   type t
 
-  (** Flooding latencies from {!R3_mplsff.Notify.arrival_times} (layer-2
-      detection plus per-hop processing), no faults. *)
-  val ideal : ?notify:R3_mplsff.Notify.config -> unit -> t
+  (** Flooding latencies from {!R3_mplsff.Notify.arrival_times} at
+      {!R3_mplsff.Notify.default_config} (layer-2 detection plus per-hop
+      processing), no faults. *)
+  val ideal : unit -> t
 
   (** {!ideal} plus fault injection. *)
-  val faulty : ?notify:R3_mplsff.Notify.config -> faults -> t
+  val faulty : faults -> t
 
   val name : t -> string
 end

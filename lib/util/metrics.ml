@@ -26,7 +26,7 @@ let enabled () = Atomic.get enabled_flag
 
 (* ---- counters ---- *)
 
-type counter = { c_name : string; cells : int Atomic.t array }
+type counter = { cells : int Atomic.t array }
 
 let counter_total c =
   Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
@@ -41,7 +41,7 @@ let incr c = add c 1
 
 (* ---- gauges (last-write-wins float) ---- *)
 
-type gauge = { g_name : string; g_cell : int64 Atomic.t; g_set : bool Atomic.t }
+type gauge = { g_cell : int64 Atomic.t; g_set : bool Atomic.t }
 
 let set_gauge g v =
   if Atomic.get enabled_flag then begin
@@ -66,7 +66,7 @@ type hist_shard = {
   h_max : int64 Atomic.t;
 }
 
-type histogram = { h_name : string; bounds : float array; shards : hist_shard array }
+type histogram = { bounds : float array; shards : hist_shard array }
 
 type hist_snapshot = {
   hist_bounds : float array;
@@ -169,17 +169,16 @@ let intern table name make =
 
 let counter name =
   intern counters name (fun () ->
-      { c_name = name; cells = Array.init n_shards (fun _ -> Atomic.make 0) })
+      { cells = Array.init n_shards (fun _ -> Atomic.make 0) })
 
 let gauge name =
   intern gauges name (fun () ->
-      { g_name = name; g_cell = Atomic.make 0L; g_set = Atomic.make false })
+      { g_cell = Atomic.make 0L; g_set = Atomic.make false })
 
 let histogram ?(bounds = default_bounds) name =
   intern histograms name (fun () ->
       let nb = Array.length bounds + 1 in
       {
-        h_name = name;
         bounds;
         shards =
           Array.init n_shards (fun _ ->
@@ -295,7 +294,3 @@ let find_counter name = with_registry (fun () -> Hashtbl.find_opt counters name)
 
 let counter_value name =
   match find_counter name with Some c -> counter_total c | None -> 0
-
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
-let histogram_name h = h.h_name

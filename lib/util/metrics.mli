@@ -45,8 +45,6 @@ val counter_shards : counter -> int array
 (** Merged total of the counter registered under [name]; 0 if absent. *)
 val counter_value : string -> int
 
-val counter_name : counter -> string
-
 (** {2 Gauges (last-write-wins float)} *)
 
 type gauge
@@ -56,8 +54,6 @@ val set_gauge : gauge -> float -> unit
 
 (** [None] until the first {!set_gauge}. *)
 val gauge_value : gauge -> float option
-
-val gauge_name : gauge -> string
 
 (** {2 Histograms} *)
 
@@ -85,7 +81,6 @@ val observe : histogram -> float -> unit
 val time : histogram -> (unit -> 'a) -> 'a
 
 val hist_snapshot : histogram -> hist_snapshot
-val histogram_name : histogram -> string
 
 (** {2 Export} *)
 

@@ -13,6 +13,11 @@ val domains : unit -> int
 (** Resize the pool ({!Pool.set_domains}); clamped to [\[1, 64\]]. *)
 val set_domains : int -> unit
 
+(** Parse a pool size: an integer in [1..64] is [Some d], [auto] is
+    [None] (keep the machine-derived size). Anything else is an [Error]
+    naming the range — a count outside it is rejected, not clamped. *)
+val domains_of_string : string -> (int option, string) result
+
 (** [map f a] is [Array.map f a], computed by the pool. Exceptions raised
     by [f] are re-raised in the caller with their original (worker-side)
     backtrace; the one from the lowest index wins. *)

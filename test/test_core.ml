@@ -613,10 +613,9 @@ let test_weight_columns () =
 (* The CLI's --domains parser: the pool's range, or auto. A count
    outside 1..64 is an error, not a silent clamp. *)
 let test_domains_string () =
-  let parse s = R3_core.Config.(with_domains_string s default) in
   List.iter
     (fun s ->
-      match parse s with
+      match R3_util.Parallel.domains_of_string s with
       | Ok _ -> Alcotest.failf "%S accepted" s
       | Error msg ->
         Alcotest.(check string) s
@@ -625,8 +624,8 @@ let test_domains_string () =
     [ "0"; "-1"; "65"; "x" ];
   List.iter
     (fun (s, want) ->
-      match parse s with
-      | Ok c -> Alcotest.(check (option int)) s want c.R3_core.Config.domains
+      match R3_util.Parallel.domains_of_string s with
+      | Ok d -> Alcotest.(check (option int)) s want d
       | Error msg -> Alcotest.failf "%S rejected: %s" s msg)
     [ ("1", Some 1); ("64", Some 64); ("auto", None) ]
 

@@ -284,13 +284,13 @@ let test_plan_corruption_rejected () =
       check_mentions "bumped version" "version"
         (err_exn "bumped version" (Plan_store.load path));
       (* A file of the previous format version is refused, not misread. *)
-      Alcotest.(check int) "format version" 3 Plan_store.version;
+      Alcotest.(check int) "format version" 4 Plan_store.version;
       let payload =
         String.sub original Codec.header_len (String.length original - Codec.header_len)
       in
-      Codec.write_framed path ~magic:Plan_store.magic ~version:2 payload;
-      check_mentions "v2 snapshot" "version"
-        (err_exn "v2 snapshot" (Plan_store.load path)))
+      Codec.write_framed path ~magic:Plan_store.magic ~version:3 payload;
+      check_mentions "v3 snapshot" "version"
+        (err_exn "v3 snapshot" (Plan_store.load path)))
 
 let test_plan_inspect () =
   let g, cfg, plan = square_plan () in
@@ -304,6 +304,7 @@ let test_plan_inspect () =
         (Array.length plan.Offline.pairs)
         info.Plan_store.commodities;
       Alcotest.(check int) "f" 1 info.Plan_store.f;
+      Alcotest.(check bool) "config as saved" true (info.Plan_store.config = cfg);
       Alcotest.(check int64) "mlu bits" (Int64.bits_of_float plan.Offline.mlu)
         (Int64.bits_of_float info.Plan_store.mlu);
       Alcotest.(check bool) "bytes matches file" true
@@ -313,18 +314,6 @@ let test_plan_inspect () =
       Alcotest.(check int) "protection entries"
         (Routing.nnz plan.Offline.protection)
         info.Plan_store.protection_nnz)
-
-let test_traffic_roundtrip () =
-  let tm = Traffic.zeros 3 in
-  tm.(0).(1) <- 1.25;
-  tm.(2).(0) <- 0.5;
-  tm.(1).(2) <- -0.0;
-  with_tmp ".tm" (fun path ->
-      Plan_store.save_traffic path tm;
-      let tm' = ok_exn "load_traffic" (Plan_store.load_traffic path) in
-      Alcotest.(check bool) "bit-identical" true
-        (Array.map (Array.map Int64.bits_of_float) tm
-        = Array.map (Array.map Int64.bits_of_float) tm'))
 
 (* Hand-built plan frames: [f load] gets a [load ?gs ?ws routings] that
    frames the graph, config and workload sections of a saved square plan
@@ -695,8 +684,6 @@ let suite =
     Alcotest.test_case "corruption and version bump rejected" `Quick
       test_plan_corruption_rejected;
     Alcotest.test_case "plan inspect" `Quick test_plan_inspect;
-    Alcotest.test_case "traffic matrix round-trip" `Quick
-      test_traffic_roundtrip;
     Alcotest.test_case "routing row storage round-trip" `Quick
       test_row_vec_roundtrip;
     Alcotest.test_case "checkpoint resume bit-identical" `Quick
