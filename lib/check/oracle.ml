@@ -10,6 +10,7 @@ module Scenario = R3_core.Scenario
 module Offline = R3_core.Offline
 module Online = R3_sim.Online
 module Scenarios = R3_sim.Scenarios
+module Cf = R3_mcf.Concurrent_flow
 
 exception Failed of string
 
@@ -672,6 +673,47 @@ let stats_prng =
     check;
   }
 
+(* ---- 11. the normalizer within its approximation bound ---- *)
+
+(* Garg-Konemann at the evaluation's epsilon returns the MLU of a
+   feasible routing, so it cannot beat the exact LP optimum, and the
+   FPTAS guarantee puts it within 1/(1-eps)^3 of it (1.204 at eps 0.06).
+   It must also converge before its iteration cap. Checked with no
+   failure and with one sampled physical failure. *)
+let mcf_bounds =
+  let check (case : Case.t) =
+    let g = Case.graph case in
+    let pairs, demands = Case.commodities case in
+    let epsilon = R3_sim.Eval.mcf_epsilon in
+    let bound = 1.0 /. ((1.0 -. epsilon) ** 3.0) in
+    let phys = Scenarios.physical_links g in
+    let down = phys.(Prng.int (Prng.create case.sub_seed) (Array.length phys)) in
+    List.iter
+      (fun (what, failed) ->
+        let gk = Cf.min_mlu g ~failed ~epsilon ~pairs ~demands () in
+        if gk.Cf.capped then
+          failf "%s: GK stopped at its %d-iteration cap" what Cf.max_iterations;
+        match Cf.min_mlu_exact g ~failed ~pairs ~demands () with
+        | Error e -> failf "%s: exact LP failed: %s" what e
+        | Ok (exact, _) ->
+          if gk.Cf.mlu < exact -. 1e-6 then
+            failf "%s: GK MLU %.9g below the exact optimum %.9g" what gk.Cf.mlu exact;
+          if gk.Cf.mlu > exact *. bound then
+            failf "%s: GK MLU %.9g above exact %.9g / (1 - %g)^3 = %.9g" what gk.Cf.mlu
+              exact epsilon (exact *. bound))
+      [
+        ("no failure", G.no_failures g);
+        (Printf.sprintf "physical link %d failed" down, G.fail_bidir g [ down ]);
+      ]
+  in
+  {
+    name = "mcf-bounds";
+    doc =
+      "the Garg-Konemann normalizer converges and lies between the exact \
+       min-MLU LP and exact / (1 - eps)^3";
+    check;
+  }
+
 let all =
   [
     lp_agree;
@@ -684,6 +726,7 @@ let all =
     theorems;
     scenario_sampling;
     stats_prng;
+    mcf_bounds;
   ]
 
 let names = List.map (fun o -> o.name) all

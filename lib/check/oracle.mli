@@ -24,7 +24,10 @@
     - {!R3_sim.Scenarios.sample} honours its size/distinctness/shortfall
       contract;
     - {!R3_util.Stats} and {!R3_util.Prng} honour their documented
-      contracts.
+      contracts;
+    - the Garg–Könemann normalizer at [Eval.mcf_epsilon] converges
+      before its iteration cap and lies between the exact min-MLU LP and
+      exact / (1 − ε)³, with no failure and under one physical failure.
 
     Oracles are deterministic in the case: the fuzz runner and the corpus
     replay both call {!run} and expect the same verdict. *)

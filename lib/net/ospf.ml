@@ -18,58 +18,72 @@ let on_dag g failed weights dist_to e =
   && Float.abs (weights.(e) +. dist_to.(Graph.dst g e) -. dist_to.(Graph.src g e))
      <= dag_tol *. (1.0 +. dist_to.(Graph.src g e))
 
-(* Propagate one unit of flow from [a] down the ECMP DAG toward [dst],
-   splitting equally at every node. Nodes are processed in decreasing
-   distance-to-destination order, which topologically orders the DAG. *)
-let ecmp_fractions g failed weights dist_to ~a ~dst row =
-  let n = Graph.num_nodes g in
-  let node_flow = Array.make n 0.0 in
-  node_flow.(a) <- 1.0;
-  let order = Array.init n (fun v -> v) in
-  Array.sort (fun u v -> Float.compare dist_to.(v) dist_to.(u)) order;
-  Array.iter
-    (fun v ->
-      if node_flow.(v) > 0.0 && v <> dst && dist_to.(v) < infinity then begin
-        let hops =
-          Array.to_list (Graph.out_links g v)
-          |> List.filter (on_dag g failed weights dist_to)
-        in
-        let k = List.length hops in
-        if k > 0 then begin
-          let share = node_flow.(v) /. float_of_int k in
-          List.iter
-            (fun e ->
-              row.(e) <- row.(e) +. share;
-              let w = Graph.dst g e in
-              node_flow.(w) <- node_flow.(w) +. share)
-            hops
-        end
-      end)
-    order
-
 let routing g ?failed ~weights ~pairs () =
   let failed = match failed with Some f -> f | None -> Graph.no_failures g in
+  let n = Graph.num_nodes g and m = Graph.num_links g in
   let t = Routing.create g ~pairs in
-  let row = Array.make (Graph.num_links g) 0.0 in
-  (* Group commodities by destination so each destination needs exactly one
-     reverse-Dijkstra pass. *)
-  let by_dst = Hashtbl.create 16 in
-  Array.iteri
-    (fun k (_, b) ->
-      let l = Option.value (Hashtbl.find_opt by_dst b) ~default:[] in
-      Hashtbl.replace by_dst b (k :: l))
-    pairs;
-  Hashtbl.iter
-    (fun b ks ->
+  let row = Array.make m 0.0 in
+  let node_flow = Array.make n 0.0 in
+  (* Commodities grouped by destination: each destination needs one
+     reverse-Dijkstra pass, one distance order and one next-hop table. *)
+  let by_dst = Array.make n [] in
+  for k = Array.length pairs - 1 downto 0 do
+    let _, b = pairs.(k) in
+    by_dst.(b) <- k :: by_dst.(b)
+  done;
+  let order = Array.make n 0 in
+  (* ECMP next hops of node v toward the destination: the DAG links
+     [hop.(hop_start.(v)) .. hop.(hop_start.(v + 1) - 1)], in
+     [Graph.out_links] order, with their heads in [hop_head]. *)
+  let hop_start = Array.make (n + 1) 0 in
+  let hop = Array.make m 0 and hop_head = Array.make m 0 in
+  for b = 0 to n - 1 do
+    if by_dst.(b) <> [] then begin
       let dist_to = Spf.distances_to g ~failed ~weights ~dst:b () in
+      (* Decreasing distance to the destination topologically orders the
+         DAG. *)
+      for v = 0 to n - 1 do
+        order.(v) <- v
+      done;
+      Array.sort (fun u v -> Float.compare dist_to.(v) dist_to.(u)) order;
+      let fill = ref 0 in
+      for v = 0 to n - 1 do
+        hop_start.(v) <- !fill;
+        if v <> b && dist_to.(v) < infinity then
+          Array.iter
+            (fun e ->
+              if on_dag g failed weights dist_to e then begin
+                hop.(!fill) <- e;
+                hop_head.(!fill) <- Graph.dst g e;
+                incr fill
+              end)
+            (Graph.out_links g v)
+      done;
+      hop_start.(n) <- !fill;
+      (* Push one unit from the source down the DAG, splitting equally at
+         every node. *)
       List.iter
         (fun k ->
           let a, _ = pairs.(k) in
           if dist_to.(a) < infinity then begin
-            Array.fill row 0 (Array.length row) 0.0;
-            ecmp_fractions g failed weights dist_to ~a ~dst:b row;
+            Array.fill row 0 m 0.0;
+            Array.fill node_flow 0 n 0.0;
+            node_flow.(a) <- 1.0;
+            for i = 0 to n - 1 do
+              let v = order.(i) in
+              let lo = hop_start.(v) and hi = hop_start.(v + 1) in
+              if node_flow.(v) > 0.0 && hi > lo then begin
+                let share = node_flow.(v) /. float_of_int (hi - lo) in
+                for j = lo to hi - 1 do
+                  row.(hop.(j)) <- row.(hop.(j)) +. share;
+                  let w = hop_head.(j) in
+                  node_flow.(w) <- node_flow.(w) +. share
+                done
+              end
+            done;
             Routing.set_row_dense t k row
           end)
-        ks)
-    by_dst;
+        by_dst.(b)
+    end
+  done;
   t

@@ -1,7 +1,8 @@
 (* Memo table for the optimal-MCF normalizer. The key scheme has two
-   levels: a context digest (MD5 over the topology, commodities, demands
-   and solver epsilon — everything the solve depends on besides the failure
-   set) selects the table, and Scenario.key selects the entry. Values
+   levels: a context digest (MD5 over the topology, commodities, demands,
+   solver epsilon and iteration cap — everything the solve depends on
+   besides the failure set) selects the table, and Scenario.key selects
+   the entry. Values
    round-trip through the disk file as hex floats, so cache hits are
    bit-identical to the cold solves that produced them. *)
 
@@ -38,6 +39,7 @@ let context_digest ~graph ~pairs ~demands ~epsilon =
   Array.iter (fun (a, b) -> add_int a; add_int b) pairs;
   Array.iter add_float demands;
   add_float epsilon;
+  add_int R3_mcf.Concurrent_flow.max_iterations;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let load_file table path =

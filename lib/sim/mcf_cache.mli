@@ -2,10 +2,11 @@
 
     The per-scenario optimal bottleneck ([Eval.optimal]) is by far the most
     expensive quantity a sweep computes, and it is a pure function of
-    (topology, commodities, demands, epsilon, failure set). This cache keys
-    on exactly that: a {e context digest} over everything but the failure
-    set picks the table (and the on-disk file), and {!Scenario.key} picks
-    the entry. Values survive the disk round-trip bit-identically (hex
+    (topology, commodities, demands, epsilon, failure set) under one
+    solver iteration cap ([Concurrent_flow.max_iterations]). This cache
+    keys on exactly that: a {e context digest} over everything but the
+    failure set, the cap included, picks the table (and the on-disk
+    file), and {!Scenario.key} picks the entry. Values survive the disk round-trip bit-identically (hex
     floats), so warm runs reproduce cold runs exactly.
 
     Concurrency: {!find} is safe from parallel sweep workers {e only while

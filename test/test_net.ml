@@ -265,6 +265,96 @@ let ospf_failure_prop =
       | Error _ -> false)
 
 
+(* The ECMP split as [Ospf.routing] computed it per pair before it built
+   one distance order and one next-hop table per destination: for every
+   pair, sort the nodes by distance to the destination, filter each
+   node's out-links against the DAG, and push one unit down. *)
+let reference_ospf g ~failed ~weights ~pairs =
+  let n = G.num_nodes g and m = G.num_links g in
+  let on_dag dist_to e =
+    (not failed.(e))
+    && dist_to.(G.src g e) < infinity
+    && dist_to.(G.dst g e) < infinity
+    && Float.abs (weights.(e) +. dist_to.(G.dst g e) -. dist_to.(G.src g e))
+       <= 1e-9 *. (1.0 +. dist_to.(G.src g e))
+  in
+  let ecmp_fractions dist_to ~a ~dst row =
+    let node_flow = Array.make n 0.0 in
+    node_flow.(a) <- 1.0;
+    let order = Array.init n (fun v -> v) in
+    Array.sort (fun u v -> Float.compare dist_to.(v) dist_to.(u)) order;
+    Array.iter
+      (fun v ->
+        if node_flow.(v) > 0.0 && v <> dst && dist_to.(v) < infinity then begin
+          let hops = Array.to_list (G.out_links g v) |> List.filter (on_dag dist_to) in
+          let k = List.length hops in
+          if k > 0 then begin
+            let share = node_flow.(v) /. float_of_int k in
+            List.iter
+              (fun e ->
+                row.(e) <- row.(e) +. share;
+                let w = G.dst g e in
+                node_flow.(w) <- node_flow.(w) +. share)
+              hops
+          end
+        end)
+      order
+  in
+  let t = Routing.create g ~pairs in
+  Array.iteri
+    (fun k (a, b) ->
+      let dist_to = Spf.distances_to g ~failed ~weights ~dst:b () in
+      if dist_to.(a) < infinity then begin
+        let row = Array.make m 0.0 in
+        ecmp_fractions dist_to ~a ~dst:b row;
+        Routing.set_row_dense t k row
+      end)
+    pairs;
+  t
+
+(* Integer weights make equal-cost ties common; failures sometimes
+   partition the graph. *)
+let test_ospf_matches_reference () =
+  let rng = R3_util.Prng.create 77 in
+  let same name g ~failed ~weights ~pairs =
+    let got = Ospf.routing g ~failed ~weights ~pairs () in
+    if not (Routing.bits_equal got (reference_ospf g ~failed ~weights ~pairs)) then
+      Alcotest.failf "%s: Ospf.routing differs from the per-pair reference" name
+  in
+  let partitions = ref 0 in
+  for i = 1 to 60 do
+    let n = 4 + R3_util.Prng.int rng 11 in
+    (* Sparse to complete: dense graphs give nodes several equal-cost
+       predecessors, where the order of the additions shows. *)
+    let g =
+      Topology.random ~seed:(R3_util.Prng.bits rng) ~nodes:n
+        ~undirected_links:(n - 1 + R3_util.Prng.int rng (((n - 1) * (n - 2) / 2) + 1))
+        ~capacities:[ (10.0, 0.5); (40.0, 0.5) ] ()
+    in
+    let weights =
+      Array.init (G.num_links g) (fun _ -> float_of_int (1 + R3_util.Prng.int rng 2))
+    in
+    let down = List.init (R3_util.Prng.int rng 4) (fun _ -> R3_util.Prng.int rng (G.num_links g)) in
+    let failed = G.fail_bidir g down in
+    if not (G.strongly_connected g ~failed ()) then incr partitions;
+    same (Printf.sprintf "random graph %d" i) g ~failed ~weights ~pairs:(all_pairs g)
+  done;
+  check "some failure sets partition" true (!partitions > 0);
+  for c = 2 to 5 do
+    let g = Topology.parallel_links ~capacities:(List.init c (fun i -> 10.0 *. float_of_int (i + 1))) in
+    let weights =
+      Array.init (G.num_links g) (fun _ -> float_of_int (1 + R3_util.Prng.int rng 2))
+    in
+    let pairs = [| (0, 1); (1, 0) |] in
+    same (Printf.sprintf "%d parallel links" c) g ~failed:(G.no_failures g) ~weights ~pairs;
+    same
+      (Printf.sprintf "%d parallel links, one down" c)
+      g ~failed:(G.fail_bidir g [ R3_util.Prng.int rng (G.num_links g) ]) ~weights ~pairs;
+    same
+      (Printf.sprintf "%d parallel links, all down" c)
+      g ~failed:(G.fail_links g (List.init (G.num_links g) Fun.id)) ~weights ~pairs
+  done
+
 (* ---- flow decomposition (paper section 4.1) ---- *)
 
 module Fd = R3_net.Flow_decompose
@@ -370,6 +460,7 @@ let suite =
     Alcotest.test_case "ospf routing validity" `Quick test_ospf_validity;
     Alcotest.test_case "ospf validity under failure" `Quick test_ospf_validity_under_failure;
     Alcotest.test_case "ospf ECMP split" `Quick test_ospf_ecmp_split;
+    Alcotest.test_case "ospf matches the per-pair reference" `Quick test_ospf_matches_reference;
     Alcotest.test_case "loads and MLU" `Quick test_routing_loads_mlu;
     Alcotest.test_case "gravity traffic" `Quick test_gravity_traffic;
     Alcotest.test_case "diurnal profile" `Quick test_diurnal;
