@@ -449,7 +449,8 @@ let profile tag ks count seed load () out trace_out =
     (fun name ->
       Printf.eprintf "  %-24s %d\n" name (R3_util.Metrics.counter_value name))
     [
-      "lp.solves"; "lp.pivots"; "lp.degenerate_pivots"; "lp.harris_rejections";
+      "lp.solves"; "lp.pivots"; "lp.phase1_pivots"; "lp.dual_pivots";
+      "lp.degenerate_pivots"; "lp.harris_rejections"; "lp.rev.refactorizations";
       "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
       "offline.cg.cuts"; "offline.cg.budget_exhausted"; "mcf.runs"; "mcf.phases"; "mcf.capped";
       "sweep.scenarios";

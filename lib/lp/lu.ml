@@ -11,14 +11,19 @@
 
    Solves are hypersparse: the caller hands in the nonzero pattern of
    the right-hand side, the triangular sweeps visit only the elimination
-   steps reachable from it (a heap keeps them in topological order, and
+   steps reachable from it, and the result's pattern is handed back; a
    scatter-form transposed adjacency built at refactorization serves the
-   BTRAN direction), and the result's pattern is handed back. The work
-   is O(touched nonzeros * log) and never scales with the basis
-   dimension, let alone the LP's total column count. Past an input
-   density cutoff the solves fall back to plain dense sweeps — cheaper
-   than paying the heap's log factor on a vector that touches most
-   steps anyway.
+   BTRAN direction. A step queue keeps the reachable steps in elimination
+   order: a bitset over steps, a summary bit per nonempty word and a
+   cursor. It pops the smallest pending step, as a binary heap with a
+   membership mark would, so every sweep runs the same floating-point
+   operations in the same order as a heap-ordered one. Every sweep
+   pushes only steps beyond the one it pops, so the cursor only moves
+   forward, and the work is O(touched nonzeros) plus a word scan per
+   1,024 steps passed. Past an input density cutoff the solves run plain
+   dense sweeps instead. The cutoff fixes the output bits as well as the
+   cost: the dense BTRAN gathers its L^T pass in L-column order where
+   the sparse one scatters in step order, so the two round differently.
 
    The factors live in flat CSC arrays ([l_ptr]/[l_idx]/[l_v], likewise
    for U) that persist across refactorizations: factoring allocates
@@ -76,10 +81,13 @@ type t = {
   mutable u_tt : int array;  (* per-column U assembly, popped ascending *)
   mutable u_xv : float array;
   mutable tr_cur : int array;  (* transpose fill cursors, length m+1 *)
-  (* min/max-heap of pending elimination steps, with a membership byte
-     per step so each is queued once *)
-  mutable heap : int array;
-  mutable hmark : Bytes.t;
+  (* Queue of pending elimination steps: one bit per step in [qbits] (32
+     steps a word), one bit per nonempty [qbits] word in [qsum], [qn]
+     pending steps, and none of them in a word below [qcur]. *)
+  mutable qbits : int array;
+  mutable qsum : int array;
+  mutable qcur : int;
+  mutable qn : int;
 }
 
 let create () =
@@ -121,8 +129,10 @@ let create () =
     u_tt = [||];
     u_xv = [||];
     tr_cur = [||];
-    heap = [||];
-    hmark = Bytes.empty;
+    qbits = [||];
+    qsum = [||];
+    qcur = max_int;
+    qn = 0;
   }
 
 let factored t = t.factored
@@ -130,31 +140,35 @@ let eta_count t = t.n_eta
 let eta_entries t = t.eta_nnz
 let needs_refactor t = t.n_eta >= Tol.refactor_every
 
+(* Sized by capacity, not by [m]: a constraint-generation session adds
+   rows every round, so capacity doubles rather than tracking each [m]. *)
 let ensure_dim t m =
   if Array.length t.pivrow < m then begin
-    t.pivrow <- Array.make m 0;
-    t.rowpos <- Array.make m (-1);
-    t.colorder <- Array.make m 0;
-    t.posstep <- Array.make m 0;
-    t.l_ptr <- Array.make (m + 1) 0;
-    t.u_ptr <- Array.make (m + 1) 0;
-    t.u_diag <- Array.make m 0.0;
-    t.ur_ptr <- Array.make (m + 1) 0;
-    t.lr_ptr <- Array.make (m + 1) 0;
-    t.wx <- Array.make m 0.0;
-    t.wmark <- Bytes.make m '\000';
-    t.wtouch <- Array.make m 0;
-    t.ws <- Array.make m 0.0;
-    t.wv <- Array.make m 0.0;
-    t.wpat <- Array.make m 0;
-    t.rcount <- Array.make m 0;
-    t.order <- Array.make m 0;
-    t.colnnz <- Array.make m 0;
-    t.u_tt <- Array.make m 0;
-    t.u_xv <- Array.make m 0.0;
-    t.tr_cur <- Array.make (m + 1) 0;
-    t.heap <- Array.make m 0;
-    t.hmark <- Bytes.make m '\000'
+    let cap = Int.max m (2 * Array.length t.pivrow) in
+    t.pivrow <- Array.make cap 0;
+    t.rowpos <- Array.make cap (-1);
+    t.colorder <- Array.make cap 0;
+    t.posstep <- Array.make cap 0;
+    t.l_ptr <- Array.make (cap + 1) 0;
+    t.u_ptr <- Array.make (cap + 1) 0;
+    t.u_diag <- Array.make cap 0.0;
+    t.ur_ptr <- Array.make (cap + 1) 0;
+    t.lr_ptr <- Array.make (cap + 1) 0;
+    t.wx <- Array.make cap 0.0;
+    t.wmark <- Bytes.make cap '\000';
+    t.wtouch <- Array.make cap 0;
+    t.ws <- Array.make cap 0.0;
+    t.wv <- Array.make cap 0.0;
+    t.wpat <- Array.make cap 0;
+    t.rcount <- Array.make cap 0;
+    t.order <- Array.make cap 0;
+    t.colnnz <- Array.make cap 0;
+    t.u_tt <- Array.make cap 0;
+    t.u_xv <- Array.make cap 0.0;
+    t.tr_cur <- Array.make (cap + 1) 0;
+    let words = (cap + 31) / 32 in
+    t.qbits <- Array.make words 0;
+    t.qsum <- Array.make ((words + 31) / 32) 0
   end;
   t.m <- m
 
@@ -174,49 +188,65 @@ let grow_float a need =
     b
   end
 
-(* Heap of pending elimination steps over [t.heap]/[t.hmark]; [sign] is
-   [1] for a min-heap (forward sweeps) and [-1] for a max-heap (backward
-   sweeps). The membership byte makes pushes idempotent, which is what
-   keeps every step processed exactly once per sweep. *)
+(* Step queue over [t.qbits]/[t.qsum]. [qpop] returns the smallest
+   pending key, which is what a min-heap with a membership mark per step
+   would pop, so a sweep visits the same steps in the same order. Keys
+   are steps in the forward sweeps and mirrored steps ([mirror]) in the
+   backward ones. A push of a pending key is a no-op, which keeps every
+   step processed exactly once per sweep. The sweeps push only keys
+   beyond the one just popped (L and U^T fill lands on later steps, U
+   and L^T fill on earlier ones), so [qcur] only moves forward: a pop
+   reads its word, or scans the summary from there to the next nonempty
+   word. *)
 
-let hpush t hn ~sign tt =
-  if Bytes.unsafe_get t.hmark tt = '\000' then begin
-    Bytes.unsafe_set t.hmark tt '\001';
-    let heap = t.heap in
-    let i = ref !hn in
-    incr hn;
-    heap.(!i) <- tt;
-    while !i > 0 && sign * (heap.((!i - 1) / 2) - heap.(!i)) > 0 do
-      let p = (!i - 1) / 2 in
-      let tmp = heap.(p) in
-      heap.(p) <- heap.(!i);
-      heap.(!i) <- tmp;
-      i := p
-    done
+(* Lowest set bit of a nonzero 32-bit word, by de Bruijn multiplication. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit x =
+  Array.unsafe_get debruijn ((((x land -x) * 0x077CB531) lsr 27) land 31)
+
+let mirror t tt = t.m - 1 - tt
+
+let qpush t k =
+  let w = k lsr 5 in
+  let word = Array.unsafe_get t.qbits w in
+  let bit = 1 lsl (k land 31) in
+  if word land bit = 0 then begin
+    if word = 0 then begin
+      let sw = w lsr 5 in
+      t.qsum.(sw) <- t.qsum.(sw) lor (1 lsl (w land 31))
+    end;
+    Array.unsafe_set t.qbits w (word lor bit);
+    t.qn <- t.qn + 1;
+    if w < t.qcur then t.qcur <- w
   end
 
-let hpop t hn ~sign =
-  let heap = t.heap in
-  let top = heap.(0) in
-  Bytes.unsafe_set t.hmark top '\000';
-  decr hn;
-  heap.(0) <- heap.(!hn);
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 in
-    let s = ref !i in
-    if l < !hn && sign * (heap.(l) - heap.(!s)) < 0 then s := l;
-    if l + 1 < !hn && sign * (heap.(l + 1) - heap.(!s)) < 0 then s := l + 1;
-    if !s = !i then continue := false
+(* Requires [t.qn > 0]. When [qcur]'s word is empty, so is every word
+   below it, and their summary bits are clear: the next nonempty word is
+   the lowest summary bit from [qcur]'s summary word on. *)
+let qpop t =
+  let w =
+    if Array.unsafe_get t.qbits t.qcur <> 0 then t.qcur
     else begin
-      let tmp = heap.(!s) in
-      heap.(!s) <- heap.(!i);
-      heap.(!i) <- tmp;
-      i := !s
+      let sw = ref (t.qcur lsr 5) in
+      while t.qsum.(!sw) = 0 do
+        incr sw
+      done;
+      (!sw lsl 5) lor lowest_bit t.qsum.(!sw)
     end
-  done;
-  top
+  in
+  let word = Array.unsafe_get t.qbits w in
+  let rest = word land (word - 1) in
+  Array.unsafe_set t.qbits w rest;
+  if rest = 0 then begin
+    let sw = w lsr 5 in
+    t.qsum.(sw) <- t.qsum.(sw) land lnot (1 lsl (w land 31))
+  end;
+  t.qn <- t.qn - 1;
+  t.qcur <- (if t.qn = 0 then max_int else w);
+  (w lsl 5) lor lowest_bit word
 
 (* Factor the basis whose position-[k] column is [col k] (row indices,
    values, used length). A column left with no pivot above
@@ -259,7 +289,6 @@ let refactor t ~m ~col =
     cnt.(b) <- cnt.(b) + 1
   done;
   let wx = t.wx and wmark = t.wmark and wtouch = t.wtouch in
-  let hn = ref 0 in
   let touched = ref 0 in
   let lp = ref 0 and up = ref 0 in
   t.l_ptr.(0) <- 0;
@@ -276,7 +305,7 @@ let refactor t ~m ~col =
         wtouch.(!touched) <- i;
         incr touched;
         let tt = t.rowpos.(i) in
-        if tt >= 0 then hpush t hn ~sign:1 tt
+        if tt >= 0 then qpush t tt
       end
     in
     let idx, v, n = col c in
@@ -285,13 +314,13 @@ let refactor t ~m ~col =
       touch i;
       wx.(i) <- wx.(i) +. v.(s)
     done;
-    (* left-looking elimination in ascending step order: the heap holds
+    (* left-looking elimination in ascending step order: the queue holds
        exactly the earlier steps whose pivot row carries a nonzero, and
        eliminating step [tt] only fills rows pivoted later, so the
        traversal is complete without scanning steps 0..k-1. *)
     let u_count = ref 0 in
-    while !hn > 0 do
-      let tt = hpop t hn ~sign:1 in
+    while t.qn > 0 do
+      let tt = qpop t in
       let xt = wx.(t.pivrow.(tt)) in
       if Float.abs xt > Tol.pivot_drop then begin
         t.u_tt.(!u_count) <- tt;
@@ -431,10 +460,11 @@ let refactor t ~m ~col =
   t.factored <- true;
   pairs
 
-(* The heap-ordered sweeps win when the right-hand side touches few
+(* The queued sweeps win when the right-hand side touches few
    elimination steps; past this input density the plain dense sweeps
-   (O(m + nnz factors), no log factor, no per-entry heap traffic) are
-   cheaper. *)
+   (O(m + nnz factors), no per-entry queue traffic) are cheaper. The
+   cutoff also fixes the output bits: the dense L^T pass gathers where
+   the sparse one scatters, so moving it changes roundings. *)
 let dense_cutoff t n = n * 8 > t.m
 
 let scan_out t x pat =
@@ -537,25 +567,24 @@ let btran_dense t x pat =
 (* Hypersparse FTRAN: [x] holds [b] over rows on entry and the solution
    over basis positions on exit; [pat]/[n] list the input nonzero rows
    and are overwritten with the result's positions. Returns the result
-   count. Work is O(touched nonzeros * log), independent of [t.m]. *)
+   count. Work is O(touched nonzeros), plus the queue's word scans. *)
 let ftran_sparse t x pat n =
-  let hn = ref 0 in
   (* forward: L z = b, z living at the pivot rows; steps pop ascending
      because L fill only lands on rows pivoted later *)
   for s = 0 to n - 1 do
-    hpush t hn ~sign:1 t.rowpos.(pat.(s))
+    qpush t t.rowpos.(pat.(s))
   done;
   let wtouch = t.wtouch in
   let zn = ref 0 in
-  while !hn > 0 do
-    let tt = hpop t hn ~sign:1 in
+  while t.qn > 0 do
+    let tt = qpop t in
     let v = x.(t.pivrow.(tt)) in
     if v <> 0.0 then begin
       wtouch.(!zn) <- tt;
       incr zn;
       for s = t.l_ptr.(tt) to t.l_ptr.(tt + 1) - 1 do
         let i = Array.unsafe_get t.l_idx s in
-        hpush t hn ~sign:1 t.rowpos.(i);
+        qpush t t.rowpos.(i);
         Array.unsafe_set x i
           (Array.unsafe_get x i -. (Array.unsafe_get t.l_v s *. v))
       done
@@ -570,11 +599,11 @@ let ftran_sparse t x pat n =
   done;
   (* back: U y = z, descending; U fill lands on earlier steps *)
   for s = 0 to !zn - 1 do
-    hpush t hn ~sign:(-1) wtouch.(s)
+    qpush t (mirror t wtouch.(s))
   done;
   let rn = ref 0 in
-  while !hn > 0 do
-    let tt = hpop t hn ~sign:(-1) in
+  while t.qn > 0 do
+    let tt = mirror t (qpop t) in
     let v = ws.(tt) /. t.u_diag.(tt) in
     ws.(tt) <- 0.0;
     if v <> 0.0 then begin
@@ -583,7 +612,7 @@ let ftran_sparse t x pat n =
       incr rn;
       for s = t.u_ptr.(tt) to t.u_ptr.(tt + 1) - 1 do
         let k2 = Array.unsafe_get t.u_idx s in
-        hpush t hn ~sign:(-1) k2;
+        qpush t (mirror t k2);
         Array.unsafe_set ws k2
           (Array.unsafe_get ws k2 -. (Array.unsafe_get t.u_v s *. v))
       done
@@ -657,7 +686,6 @@ let btran_sparse t x pat n =
     done
   end;
   (* move into step space, clearing x *)
-  let hn = ref 0 in
   let ws = t.ws in
   for s = 0 to !rn - 1 do
     let p = pat.(s) in
@@ -665,14 +693,14 @@ let btran_sparse t x pat n =
       let tt = t.posstep.(p) in
       ws.(tt) <- x.(p);
       x.(p) <- 0.0;
-      hpush t hn ~sign:1 tt
+      qpush t tt
     end
   done;
   (* forward: U^T v = s, ascending, scatter via the U row adjacency *)
   let wv = t.wv and wtouch = t.wtouch in
   let zn = ref 0 in
-  while !hn > 0 do
-    let tt = hpop t hn ~sign:1 in
+  while t.qn > 0 do
+    let tt = qpop t in
     let v = ws.(tt) /. t.u_diag.(tt) in
     ws.(tt) <- 0.0;
     if v <> 0.0 then begin
@@ -681,7 +709,7 @@ let btran_sparse t x pat n =
       incr zn;
       for s = t.ur_ptr.(tt) to t.ur_ptr.(tt + 1) - 1 do
         let k2 = Array.unsafe_get t.ur_idx s in
-        hpush t hn ~sign:1 k2;
+        qpush t k2;
         Array.unsafe_set ws k2
           (Array.unsafe_get ws k2 -. (Array.unsafe_get t.ur_v s *. v))
       done
@@ -691,11 +719,11 @@ let btran_sparse t x pat n =
      step [tt]'s result lands on original row [pivrow tt] and feeds the
      strictly earlier steps whose L column holds that row *)
   for s = 0 to !zn - 1 do
-    hpush t hn ~sign:(-1) wtouch.(s)
+    qpush t (mirror t wtouch.(s))
   done;
   let rn = ref 0 in
-  while !hn > 0 do
-    let tt = hpop t hn ~sign:(-1) in
+  while t.qn > 0 do
+    let tt = mirror t (qpop t) in
     let v = wv.(tt) in
     wv.(tt) <- 0.0;
     if v <> 0.0 then begin
@@ -705,7 +733,7 @@ let btran_sparse t x pat n =
       incr rn;
       for s = t.lr_ptr.(p) to t.lr_ptr.(p + 1) - 1 do
         let k2 = Array.unsafe_get t.lr_idx s in
-        hpush t hn ~sign:(-1) k2;
+        qpush t (mirror t k2);
         Array.unsafe_set wv k2
           (Array.unsafe_get wv k2 -. (Array.unsafe_get t.lr_v s *. v))
       done

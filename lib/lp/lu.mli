@@ -8,13 +8,19 @@
     sparse eta column via {!update}; {!ftran_pat}/{!btran_pat} run the
     two triangular solves plus the eta file on a caller-owned dense
     workspace, driven by the right-hand side's nonzero pattern: only the
-    elimination steps reachable from it are visited (heap-ordered, with
-    transposed factor adjacency for the BTRAN direction), and the
-    result's pattern is returned so downstream consumers never rescan
-    the whole vector. A solve costs O(touched nonzeros * log),
-    independent of the basis dimension and of how many columns the LP
-    has. {!ftran}/{!btran} are the dense entry points (one O(m) scan to
-    recover the pattern).
+    elimination steps reachable from it are visited, in elimination
+    order, with transposed factor adjacency for the BTRAN direction, and
+    the result's pattern is returned so downstream consumers never
+    rescan the whole vector. The reachable steps queue in a bitset with
+    a summary level; it pops the smallest pending step, as a binary heap
+    would, and since every sweep only pushes steps beyond the one it
+    popped, its cursor only moves forward. A solve costs O(touched
+    nonzeros) plus one word scan per 1,024 steps it passes, independent
+    of how many columns the LP has. Right-hand sides denser than one
+    nonzero per 8 rows take plain dense sweeps instead. That cutoff
+    fixes the result's bits as well as the cost, since the dense BTRAN
+    sums its L{^T} pass in another order. {!ftran}/{!btran} are the
+    dense entry points (one O(m) scan to recover the pattern).
 
     The eta file should be folded back into a fresh factorization every
     {!Tol.refactor_every} updates ({!needs_refactor}) or when a pivot

@@ -610,6 +610,54 @@ let test_weight_columns () =
   in
   check_routing "square plan" g plan.Offline.protection
 
+(* Golden bits of the benchmark's Table 2 recipe: constraint generation
+   over a unit-weight OSPF base and a gravity matrix per network, under
+   a 60,000-pivot budget. Nothing else pins the LP's floating-point path:
+   a solve that reorders one subtraction moves MLU*, the pivot count or
+   the protection routing's bits. *)
+let protection_md5 (p : Routing.t) =
+  let buf = Buffer.create 65536 in
+  for e = 0 to Routing.num_commodities p - 1 do
+    Routing.iter_row p e (fun l x ->
+        Buffer.add_int32_le buf (Int32.of_int e);
+        Buffer.add_int32_le buf (Int32.of_int l);
+        Buffer.add_int64_le buf (Int64.bits_of_float x))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_table2 () =
+  List.iter
+    (fun (tag, g, f, mlu, pivots, md5) ->
+      let what = Printf.sprintf "%s-f%d" tag f in
+      let tm = Traffic.gravity (R3_util.Prng.create (Hashtbl.hash tag)) g ~load_factor:0.3 () in
+      let pairs, _ = Traffic.commodities tm in
+      let base = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
+      let cfg =
+        { (Offline.default_config ~f) with
+          solve_method = Offline.Constraint_gen;
+          max_pivots = Some 60_000;
+        }
+      in
+      let p = plan_exn (Offline.compute cfg g tm (Offline.Fixed base)) in
+      Alcotest.(check string) (what ^ ": MLU* bits") mlu (Printf.sprintf "%h" p.Offline.mlu);
+      Alcotest.(check int) (what ^ ": pivots") pivots p.Offline.lp_pivots;
+      Alcotest.(check string) (what ^ ": protection bits") md5
+        (protection_md5 p.Offline.protection))
+    [
+      ("abilene", Topology.abilene (), 1, "0x1.c228c26915d52p-1", 382,
+        "8c685ac5c7c00b807e5b0018b6f5a0d6");
+      ("abilene", Topology.abilene (), 2, "0x1.611461348aea8p+0", 505,
+        "539a3751d14b47ad9d32f1b19a7a6367");
+      ("abilene", Topology.abilene (), 3, "0x1.611461348aea8p+0", 1021,
+        "275ddde2cbc077afc3eef637e6282a3d");
+      ("usisp", Topology.usisp_like (), 1, "0x1.834cf91442f33p-1", 996,
+        "2a91e00fe1ea75d815be9409e6670c0f");
+      ("level3", Topology.level3_like (), 1, "0x1.4161851ebec16p-1", 1817,
+        "7a77e8a0871be84826aa002f0f4cf709");
+      ("sbc", Topology.sbc_like (), 1, "0x1.5a92a8f18cc9cp-1", 2021,
+        "c2a4f3b7adf784c5a5c686cb2a9af030");
+    ]
+
 (* The CLI's --domains parser: the pool's range, or auto. A count
    outside 1..64 is an error, not a silent clamp. *)
 let test_domains_string () =
@@ -658,5 +706,6 @@ let suite =
       test_fail_out_of_order_canonical;
     Alcotest.test_case "weight columns match per-entry lookups" `Quick
       test_weight_columns;
+    Alcotest.test_case "golden bits: table2 CG plans" `Quick test_golden_table2;
     Alcotest.test_case "--domains accepts 1..64 or auto" `Quick test_domains_string;
   ]

@@ -468,6 +468,133 @@ let test_lu_rank_deficient () =
     check_case (tag "three deficiencies") m a ~expect:[ 0; m - 2; m - 1 ]
   done
 
+(* The hypersparse sweeps, which the simplex runs on nearly every solve:
+   right-hand sides of 1-3 nonzeros, few enough that [Lu]'s density
+   cutoff (input count * 8 > m) keeps them off the dense sweeps. Sizes
+   straddle the step queue's 32-step words; m = 1,500 spans two summary
+   words and is checked by its residual, the rest against the dense
+   oracle. Each solve must also return a pattern that lists every
+   nonzero of the result exactly once. *)
+
+(* Column [j] of a column-diagonally dominant, so nonsingular, matrix: a
+   diagonal in [4, 6], a subdiagonal entry at half the columns (reach
+   chains that run across many steps) and a random off-diagonal entry at
+   half of them. *)
+let sparse_col rng m j =
+  let entries = ref [ (j, 4.0 +. Prng.uniform rng 0.0 2.0) ] in
+  let add i =
+    if not (List.mem_assoc i !entries) then
+      entries := (i, Prng.uniform rng (-1.0) 1.0) :: !entries
+  in
+  if j + 1 < m && Prng.int rng 2 = 0 then add (j + 1);
+  if Prng.int rng 2 = 0 then add (Prng.int rng m);
+  let entries = List.sort compare !entries in
+  (Array.of_list (List.map fst entries), Array.of_list (List.map snd entries))
+
+let cols_dense cols =
+  let m = Array.length cols in
+  let a = Array.make_matrix m m 0.0 in
+  Array.iteri (fun k (idx, v) -> Array.iteri (fun s i -> a.(i).(k) <- v.(s)) idx) cols;
+  a
+
+(* [x] holds [n] distinct random entries, listed in [pat]. *)
+let sparse_rhs rng m n =
+  let x = Array.make m 0.0 and pat = Array.make m 0 in
+  let k = ref 0 in
+  while !k < n do
+    let i = Prng.int rng m in
+    if x.(i) = 0.0 then begin
+      x.(i) <- Prng.uniform rng 0.5 1.5 *. if Prng.int rng 2 = 0 then 1.0 else -1.0;
+      pat.(!k) <- i;
+      incr k
+    end
+  done;
+  (x, pat)
+
+let check_pattern label x pat rn =
+  let seen = Array.make (Array.length x) false in
+  for s = 0 to rn - 1 do
+    if seen.(pat.(s)) then Alcotest.failf "%s: pattern lists %d twice" label pat.(s);
+    seen.(pat.(s)) <- true
+  done;
+  Array.iteri
+    (fun i xi ->
+      if xi <> 0.0 && not seen.(i) then
+        Alcotest.failf "%s: nonzero %d (%g) missing from the pattern" label i xi)
+    x
+
+(* max |B x - b| for FTRAN (x over positions, b over rows) and
+   max |B^T y - c| for BTRAN (y over rows, c over positions). *)
+let residual_ftran cols x b =
+  let r = Array.copy b in
+  Array.iteri
+    (fun k (idx, v) -> Array.iteri (fun s i -> r.(i) <- r.(i) -. (v.(s) *. x.(k))) idx)
+    cols;
+  Array.fold_left (fun acc ri -> Float.max acc (Float.abs ri)) 0.0 r
+
+let residual_btran cols y c =
+  let err = ref 0.0 in
+  Array.iteri
+    (fun k (idx, v) ->
+      let dot = ref 0.0 in
+      Array.iteri (fun s i -> dot := !dot +. (v.(s) *. y.(i))) idx;
+      err := Float.max !err (Float.abs (!dot -. c.(k))))
+    cols;
+  !err
+
+let test_lu_hypersparse () =
+  let rng = Prng.create 41 in
+  let solves label lu cols ~tol =
+    let m = Array.length cols in
+    let dense = if m <= 300 then Some (cols_dense cols) else None in
+    for trial = 1 to 12 do
+      let n = 1 + Prng.int rng (Int.min 3 (m / 8)) in
+      let tag dir = Printf.sprintf "%s m=%d %s %d (%d nonzeros)" label m dir trial n in
+      let b, pat = sparse_rhs rng m n in
+      let x = Array.copy b in
+      let rn = Lu.ftran_pat lu x pat n in
+      check_pattern (tag "ftran") x pat rn;
+      (match dense with
+      | Some a -> check_vec (tag "ftran") tol x (gauss_solve a b)
+      | None ->
+        let r = residual_ftran cols x b in
+        if r > tol then Alcotest.failf "%s: residual %.3e > %.1e" (tag "ftran") r tol);
+      let c, pat = sparse_rhs rng m n in
+      let y = Array.copy c in
+      let rn = Lu.btran_pat lu y pat n in
+      check_pattern (tag "btran") y pat rn;
+      match dense with
+      | Some a -> check_vec (tag "btran") tol y (gauss_solve (mat_transpose a) c)
+      | None ->
+        let r = residual_btran cols y c in
+        if r > tol then Alcotest.failf "%s: residual %.3e > %.1e" (tag "btran") r tol
+    done
+  in
+  List.iter
+    (fun m ->
+      let cols = Array.init m (sparse_col rng m) in
+      let lu = Lu.create () in
+      (match Lu.refactor lu ~m ~col:(fun k -> let idx, v = cols.(k) in (idx, v, Array.length idx)) with
+      | [] -> ()
+      | (k, _) :: _ -> Alcotest.failf "m=%d: position %d reported deficient" m k);
+      solves "fresh" lu cols ~tol:1e-9;
+      (* Eta chain: replace columns by sparse ones, FTRAN'd through the
+         hypersparse path as the simplex does. *)
+      for _ = 1 to 10 do
+        let r = Prng.int rng m in
+        let idx, v = sparse_col rng m r in
+        let w = Array.make m 0.0 and pat = Array.make m 0 in
+        Array.iteri (fun s i -> w.(i) <- v.(s); pat.(s) <- i) idx;
+        let n = Array.length idx in
+        let rn = Lu.ftran_pat lu w pat n in
+        if Float.abs w.(r) > 0.1 then begin
+          Lu.update_pat lu ~r ~w ~pat ~n:rn;
+          cols.(r) <- (idx, v)
+        end
+      done;
+      solves "eta" lu cols ~tol:1e-8)
+    [ 8; 31; 32; 33; 63; 64; 65; 300; 1500 ]
+
 (* Engine agreement: on random LPs the revised engine and the dense
    reference tableau must report the same status, and at [Optimal] the
    same objective (within tolerance) at primal-feasible points. The LPs
@@ -681,6 +808,7 @@ let suite =
       test_lu_reuse_growth;
     Alcotest.test_case "LU rank-deficient bases" `Quick
       test_lu_rank_deficient;
+    Alcotest.test_case "LU hypersparse solves vs oracle" `Quick test_lu_hypersparse;
     Alcotest.test_case "warm revised session beats cold" `Quick
       test_warm_fewer_pivots_revised;
     Alcotest.test_case "duplicate terms summed" `Quick test_duplicate_terms;
