@@ -153,9 +153,10 @@ let enc_routing w rt =
       W.i32 w b)
     (Routing.pairs rt);
   for k = 0 to nk - 1 do
-    let idx, vals, n = Rowvec.raw (Routing.row_vec rt k) in
-    W.int_array w (Array.sub idx 0 n);
-    W.float_array w (Array.sub vals 0 n)
+    let row = Routing.row_vec rt k in
+    let n = Rowvec.nnz row in
+    W.int_array w (Array.sub (Rowvec.indices row) 0 n);
+    W.float_array w (Array.sub (Rowvec.values row) 0 n)
   done
 
 let dec_routing r g =

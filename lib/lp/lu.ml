@@ -26,9 +26,14 @@
    the sparse one scatters in step order, so the two round differently.
 
    The factors live in flat CSC arrays ([l_ptr]/[l_idx]/[l_v], likewise
-   for U) that persist across refactorizations: factoring allocates
-   nothing per column, which matters when the simplex refactorizes every
-   few dozen pivots. *)
+   for U and the eta file) that persist across refactorizations.
+   [refactor] reads the basis columns straight out of the caller's
+   column store and writes L and U entries in place: it allocates
+   nothing per column and calls no function per entry except the
+   queue's. An eta append copies into the pool. Both matter because the
+   simplex refactorizes every 128 pivots and appends an eta on each. *)
+
+module R = R3_util.Rowvec
 
 type t = {
   mutable m : int;  (* dimension of the factored basis; 0 = empty *)
@@ -61,12 +66,16 @@ type t = {
   mutable lr_ptr : int array;
   mutable lr_idx : int array;
   mutable lr_v : float array;
-  (* Product-form eta file, in basis-position space. *)
+  (* Product-form eta file, in basis-position space: eta [e] pivots at
+     position [eta_r.(e)] on [eta_piv.(e)], and its off-pivot entries
+     are [eta_ptr.(e)] to [eta_ptr.(e + 1) - 1] of the flat pool
+     [eta_idx]/[eta_v], which holds [eta_nnz] entries. *)
   mutable n_eta : int;
   mutable eta_r : int array;
   mutable eta_piv : float array;
-  mutable eta_idx : int array array;
-  mutable eta_v : float array array;
+  mutable eta_ptr : int array;  (* length > n_eta; eta_ptr.(0) = 0 *)
+  mutable eta_idx : int array;
+  mutable eta_v : float array;
   mutable eta_nnz : int;
   (* scratch, all persistent across calls *)
   mutable wx : float array;  (* dense accumulation column *)
@@ -78,8 +87,6 @@ type t = {
   mutable rcount : int array;  (* static row counts (Markowitz bias) *)
   mutable order : int array;
   mutable colnnz : int array;
-  mutable u_tt : int array;  (* per-column U assembly, popped ascending *)
-  mutable u_xv : float array;
   mutable tr_cur : int array;  (* transpose fill cursors, length m+1 *)
   (* Queue of pending elimination steps: one bit per step in [qbits] (32
      steps a word), one bit per nonempty [qbits] word in [qsum], [qn]
@@ -114,8 +121,9 @@ let create () =
     n_eta = 0;
     eta_r = Array.make 8 0;
     eta_piv = Array.make 8 0.0;
-    eta_idx = Array.make 8 [||];
-    eta_v = Array.make 8 [||];
+    eta_ptr = Array.make 9 0;
+    eta_idx = [||];
+    eta_v = [||];
     eta_nnz = 0;
     wx = [||];
     wmark = Bytes.empty;
@@ -126,8 +134,6 @@ let create () =
     rcount = [||];
     order = [||];
     colnnz = [||];
-    u_tt = [||];
-    u_xv = [||];
     tr_cur = [||];
     qbits = [||];
     qsum = [||];
@@ -163,8 +169,6 @@ let ensure_dim t m =
     t.rcount <- Array.make cap 0;
     t.order <- Array.make cap 0;
     t.colnnz <- Array.make cap 0;
-    t.u_tt <- Array.make cap 0;
-    t.u_xv <- Array.make cap 0.0;
     t.tr_cur <- Array.make (cap + 1) 0;
     let words = (cap + 31) / 32 in
     t.qbits <- Array.make words 0;
@@ -248,88 +252,102 @@ let qpop t =
   t.qcur <- (if t.qn = 0 then max_int else w);
   (w lsl 5) lor lowest_bit word
 
-(* Factor the basis whose position-[k] column is [col k] (row indices,
-   values, used length). A column left with no pivot above
-   [Tol.lu_singular] is rank deficient: it gets no elimination step, and
-   once every column is processed each deficient position is paired with
-   a row no column pivoted on, in ascending order of both, and factored
-   as the unit column of that row (an empty L and U column, diagonal 1).
-   Returns those (position, row) pairs - empty on a nonsingular basis -
-   so the factors describe the basis with the pairs swapped in. Clears
-   the eta file. *)
-let refactor t ~m ~col =
+(* Factor the basis whose position-[k] column is [cols.(basis.(k))]. A
+   column left with no pivot above [Tol.lu_singular] is rank deficient:
+   it gets no elimination step, and once every column is processed each
+   deficient position is paired with a row no column pivoted on, in
+   ascending order of both, and factored as the unit column of that row
+   (an empty L and U column, diagonal 1). Returns those (position, row)
+   pairs - empty on a nonsingular basis - so the factors describe the
+   basis with the pairs swapped in. Clears the eta file. *)
+let refactor t ~m ~cols ~basis =
   ensure_dim t m;
   t.factored <- false;
   t.n_eta <- 0;
   t.eta_nnz <- 0;
-  Array.fill t.rowpos 0 m (-1);
-  Array.fill t.rcount 0 m 0;
+  let rowpos = t.rowpos and rcount = t.rcount and colnnz = t.colnnz in
+  let order = t.order and pivrow = t.pivrow and colorder = t.colorder in
+  let l_ptr = t.l_ptr and u_ptr = t.u_ptr and u_diag = t.u_diag in
+  Array.fill rowpos 0 m (-1);
+  Array.fill rcount 0 m 0;
   (* Column order: ascending nonzero count (approximate Markowitz column
      rule), stable counting sort; row counts of B for the within-column
      row tie-break. *)
   let maxnnz = ref 0 in
   for c = 0 to m - 1 do
-    let idx, _, n = col c in
-    t.colnnz.(c) <- n;
+    let col = cols.(basis.(c)) in
+    let idx = R.indices col and n = R.nnz col in
+    colnnz.(c) <- n;
     if n > !maxnnz then maxnnz := n;
     for s = 0 to n - 1 do
-      t.rcount.(idx.(s)) <- t.rcount.(idx.(s)) + 1
+      let i = Array.unsafe_get idx s in
+      rcount.(i) <- rcount.(i) + 1
     done
   done;
   let cnt = Array.make (!maxnnz + 2) 0 in
   for c = 0 to m - 1 do
-    cnt.(t.colnnz.(c) + 1) <- cnt.(t.colnnz.(c) + 1) + 1
+    cnt.(colnnz.(c) + 1) <- cnt.(colnnz.(c) + 1) + 1
   done;
   for i = 1 to !maxnnz + 1 do
     cnt.(i) <- cnt.(i) + cnt.(i - 1)
   done;
   for c = 0 to m - 1 do
-    let b = t.colnnz.(c) in
-    t.order.(cnt.(b)) <- c;
+    let b = colnnz.(c) in
+    order.(cnt.(b)) <- c;
     cnt.(b) <- cnt.(b) + 1
   done;
   let wx = t.wx and wmark = t.wmark and wtouch = t.wtouch in
-  let touched = ref 0 in
   let lp = ref 0 and up = ref 0 in
-  t.l_ptr.(0) <- 0;
-  t.u_ptr.(0) <- 0;
+  l_ptr.(0) <- 0;
+  u_ptr.(0) <- 0;
   let steps = ref 0 and deficient = ref [] in
   for oi = 0 to m - 1 do
-    let c = t.order.(oi) in
+    let c = order.(oi) in
     let k = !steps in
     (* load column c; entries on already-pivoted rows queue their step *)
-    touched := 0;
-    let touch i =
+    let touched = ref 0 in
+    let col = cols.(basis.(c)) in
+    let idx = R.indices col and v = R.values col in
+    for s = 0 to R.nnz col - 1 do
+      let i = Array.unsafe_get idx s in
       if Bytes.unsafe_get wmark i = '\000' then begin
         Bytes.unsafe_set wmark i '\001';
         wtouch.(!touched) <- i;
         incr touched;
-        let tt = t.rowpos.(i) in
+        let tt = rowpos.(i) in
         if tt >= 0 then qpush t tt
-      end
-    in
-    let idx, v, n = col c in
-    for s = 0 to n - 1 do
-      let i = idx.(s) in
-      touch i;
-      wx.(i) <- wx.(i) +. v.(s)
+      end;
+      wx.(i) <- wx.(i) +. Array.unsafe_get v s
     done;
     (* left-looking elimination in ascending step order: the queue holds
        exactly the earlier steps whose pivot row carries a nonzero, and
        eliminating step [tt] only fills rows pivoted later, so the
-       traversal is complete without scanning steps 0..k-1. *)
-    let u_count = ref 0 in
+       traversal is complete without scanning steps 0..k-1. The U column
+       (at most [k] entries, at earlier steps, in pop order) is written
+       straight into the factor. *)
+    if Array.length t.u_idx < !up + k then begin
+      t.u_idx <- grow_int t.u_idx (!up + k);
+      t.u_v <- grow_float t.u_v (!up + k)
+    end;
+    let u_idx = t.u_idx and u_v = t.u_v and l_idx = t.l_idx and l_v = t.l_v in
+    let u_end = ref !up in
     while t.qn > 0 do
       let tt = qpop t in
-      let xt = wx.(t.pivrow.(tt)) in
+      let xt = wx.(pivrow.(tt)) in
       if Float.abs xt > Tol.pivot_drop then begin
-        t.u_tt.(!u_count) <- tt;
-        t.u_xv.(!u_count) <- xt;
-        incr u_count;
-        for s = t.l_ptr.(tt) to t.l_ptr.(tt + 1) - 1 do
-          let i = Array.unsafe_get t.l_idx s in
-          touch i;
-          wx.(i) <- wx.(i) -. (Array.unsafe_get t.l_v s *. xt)
+        u_idx.(!u_end) <- tt;
+        u_v.(!u_end) <- xt;
+        incr u_end;
+        for s = l_ptr.(tt) to l_ptr.(tt + 1) - 1 do
+          let i = Array.unsafe_get l_idx s in
+          if Bytes.unsafe_get wmark i = '\000' then begin
+            Bytes.unsafe_set wmark i '\001';
+            wtouch.(!touched) <- i;
+            incr touched;
+            let tt2 = rowpos.(i) in
+            if tt2 >= 0 then qpush t tt2
+          end;
+          wx.(i) <- wx.(i) -. (Array.unsafe_get l_v s *. xt)
         done
       end
     done;
@@ -337,7 +355,7 @@ let refactor t ~m ~col =
     let amax = ref 0.0 in
     for s = 0 to !touched - 1 do
       let i = wtouch.(s) in
-      if t.rowpos.(i) < 0 then begin
+      if rowpos.(i) < 0 then begin
         let a = Float.abs wx.(i) in
         if a > !amax then amax := a
       end
@@ -348,10 +366,10 @@ let refactor t ~m ~col =
       let best = ref (-1) and best_rc = ref max_int and best_a = ref 0.0 in
       for s = 0 to !touched - 1 do
         let i = wtouch.(s) in
-        if t.rowpos.(i) < 0 then begin
+        if rowpos.(i) < 0 then begin
           let a = Float.abs wx.(i) in
           if a >= cutoff then begin
-            let rc = t.rcount.(i) in
+            let rc = rcount.(i) in
             if rc < !best_rc || (rc = !best_rc && a > !best_a) then begin
               best := i;
               best_rc := rc;
@@ -362,29 +380,27 @@ let refactor t ~m ~col =
       done;
       let p = !best in
       let d = wx.(p) in
-      t.colorder.(k) <- c;
-      t.pivrow.(k) <- p;
-      t.rowpos.(p) <- k;
-      t.u_diag.(k) <- d;
+      colorder.(k) <- c;
+      pivrow.(k) <- p;
+      rowpos.(p) <- k;
+      u_diag.(k) <- d;
       (* L column: multipliers on the remaining unpivoted rows *)
-      t.l_idx <- grow_int t.l_idx (!lp + !touched);
-      t.l_v <- grow_float t.l_v (!lp + !touched);
+      if Array.length l_idx < !lp + !touched then begin
+        t.l_idx <- grow_int l_idx (!lp + !touched);
+        t.l_v <- grow_float l_v (!lp + !touched)
+      end;
+      let l_idx = t.l_idx and l_v = t.l_v in
       for s = 0 to !touched - 1 do
         let i = wtouch.(s) in
-        if t.rowpos.(i) < 0 && Float.abs wx.(i) > Tol.pivot_drop then begin
-          t.l_idx.(!lp) <- i;
-          t.l_v.(!lp) <- wx.(i) /. d;
+        if rowpos.(i) < 0 && Float.abs wx.(i) > Tol.pivot_drop then begin
+          l_idx.(!lp) <- i;
+          l_v.(!lp) <- wx.(i) /. d;
           incr lp
         end
       done;
-      t.l_ptr.(k + 1) <- !lp;
-      (* U column (entries at earlier steps, ascending pop order) *)
-      t.u_idx <- grow_int t.u_idx (!up + !u_count);
-      t.u_v <- grow_float t.u_v (!up + !u_count);
-      Array.blit t.u_tt 0 t.u_idx !up !u_count;
-      Array.blit t.u_xv 0 t.u_v !up !u_count;
-      up := !up + !u_count;
-      t.u_ptr.(k + 1) <- !up;
+      l_ptr.(k + 1) <- !lp;
+      up := !u_end;
+      u_ptr.(k + 1) <- !up;
       steps := k + 1
     end;
     (* reset workspace *)
@@ -397,68 +413,64 @@ let refactor t ~m ~col =
   (* Rank-deficiency completion: deficient positions take the unit
      columns of the unpivoted rows, as trailing steps with empty L and
      U columns. *)
-  let pairs =
+  let pairs = ref [] in
+  if !deficient <> [] then begin
     let r = ref 0 in
-    List.map
-      (fun c ->
-        while t.rowpos.(!r) >= 0 do
-          incr r
-        done;
-        let k = !steps in
-        t.colorder.(k) <- c;
-        t.pivrow.(k) <- !r;
-        t.rowpos.(!r) <- k;
-        t.u_diag.(k) <- 1.0;
-        t.l_ptr.(k + 1) <- !lp;
-        t.u_ptr.(k + 1) <- !up;
-        steps := k + 1;
-        (c, !r))
-      (List.sort Int.compare !deficient)
-  in
+    let defic = Array.of_list !deficient in
+    Array.sort Int.compare defic;
+    for d = 0 to Array.length defic - 1 do
+      let c = defic.(d) in
+      while rowpos.(!r) >= 0 do
+        incr r
+      done;
+      let k = !steps in
+      colorder.(k) <- c;
+      pivrow.(k) <- !r;
+      rowpos.(!r) <- k;
+      u_diag.(k) <- 1.0;
+      l_ptr.(k + 1) <- !lp;
+      u_ptr.(k + 1) <- !up;
+      steps := k + 1;
+      pairs := (c, !r) :: !pairs
+    done
+  end;
+  let posstep = t.posstep in
   for k = 0 to m - 1 do
-    t.posstep.(t.colorder.(k)) <- k
+    posstep.(colorder.(k)) <- k
   done;
   (* Transposed adjacency for the BTRAN scatter sweeps. *)
-  let unnz = t.u_ptr.(m) and lnnz = t.l_ptr.(m) in
+  let unnz = u_ptr.(m) and lnnz = l_ptr.(m) in
   t.ur_idx <- grow_int t.ur_idx unnz;
   t.ur_v <- grow_float t.ur_v unnz;
   t.lr_idx <- grow_int t.lr_idx lnnz;
   t.lr_v <- grow_float t.lr_v lnnz;
-  let cur = t.tr_cur in
-  Array.fill t.ur_ptr 0 (m + 1) 0;
-  for s = 0 to unnz - 1 do
-    t.ur_ptr.(t.u_idx.(s) + 1) <- t.ur_ptr.(t.u_idx.(s) + 1) + 1
-  done;
-  for i = 1 to m do
-    t.ur_ptr.(i) <- t.ur_ptr.(i) + t.ur_ptr.(i - 1)
-  done;
-  Array.blit t.ur_ptr 0 cur 0 (m + 1);
-  for k = 0 to m - 1 do
-    for s = t.u_ptr.(k) to t.u_ptr.(k + 1) - 1 do
-      let w = cur.(t.u_idx.(s)) in
-      t.ur_idx.(w) <- k;
-      t.ur_v.(w) <- t.u_v.(s);
-      cur.(t.u_idx.(s)) <- w + 1
+  let transpose ~ptr ~idx ~(v : float array) ~nnz ~tptr ~tidx ~(tv : float array) =
+    let cur = t.tr_cur in
+    Array.fill tptr 0 (m + 1) 0;
+    for s = 0 to nnz - 1 do
+      tptr.(idx.(s) + 1) <- tptr.(idx.(s) + 1) + 1
+    done;
+    for i = 1 to m do
+      tptr.(i) <- tptr.(i) + tptr.(i - 1)
+    done;
+    for i = 0 to m do
+      cur.(i) <- tptr.(i)
+    done;
+    for k = 0 to m - 1 do
+      for s = ptr.(k) to ptr.(k + 1) - 1 do
+        let w = cur.(idx.(s)) in
+        tidx.(w) <- k;
+        tv.(w) <- v.(s);
+        cur.(idx.(s)) <- w + 1
+      done
     done
-  done;
-  Array.fill t.lr_ptr 0 (m + 1) 0;
-  for s = 0 to lnnz - 1 do
-    t.lr_ptr.(t.l_idx.(s) + 1) <- t.lr_ptr.(t.l_idx.(s) + 1) + 1
-  done;
-  for i = 1 to m do
-    t.lr_ptr.(i) <- t.lr_ptr.(i) + t.lr_ptr.(i - 1)
-  done;
-  Array.blit t.lr_ptr 0 cur 0 (m + 1);
-  for k = 0 to m - 1 do
-    for s = t.l_ptr.(k) to t.l_ptr.(k + 1) - 1 do
-      let w = cur.(t.l_idx.(s)) in
-      t.lr_idx.(w) <- k;
-      t.lr_v.(w) <- t.l_v.(s);
-      cur.(t.l_idx.(s)) <- w + 1
-    done
-  done;
+  in
+  transpose ~ptr:u_ptr ~idx:t.u_idx ~v:t.u_v ~nnz:unnz ~tptr:t.ur_ptr ~tidx:t.ur_idx
+    ~tv:t.ur_v;
+  transpose ~ptr:l_ptr ~idx:t.l_idx ~v:t.l_v ~nnz:lnnz ~tptr:t.lr_ptr ~tidx:t.lr_idx
+    ~tv:t.lr_v;
   t.factored <- true;
-  pairs
+  List.rev !pairs
 
 (* The queued sweeps win when the right-hand side touches few
    elimination steps; past this input density the plain dense sweeps
@@ -484,8 +496,8 @@ let apply_etas_fwd t x =
     if xr <> 0.0 then begin
       let tv = xr /. t.eta_piv.(e) in
       x.(r) <- tv;
-      let ei = t.eta_idx.(e) and ev = t.eta_v.(e) in
-      for s = 0 to Array.length ei - 1 do
+      let ei = t.eta_idx and ev = t.eta_v in
+      for s = t.eta_ptr.(e) to t.eta_ptr.(e + 1) - 1 do
         let i = Array.unsafe_get ei s in
         Array.unsafe_set x i
           (Array.unsafe_get x i -. (Array.unsafe_get ev s *. tv))
@@ -529,8 +541,8 @@ let btran_dense t x pat =
   for e = t.n_eta - 1 downto 0 do
     let r = t.eta_r.(e) in
     let acc = ref x.(r) in
-    let ei = t.eta_idx.(e) and ev = t.eta_v.(e) in
-    for s = 0 to Array.length ei - 1 do
+    let ei = t.eta_idx and ev = t.eta_v in
+    for s = t.eta_ptr.(e) to t.eta_ptr.(e + 1) - 1 do
       acc :=
         !acc
         -. (Array.unsafe_get ev s *. Array.unsafe_get x (Array.unsafe_get ei s))
@@ -630,8 +642,8 @@ let ftran_sparse t x pat n =
       if xr <> 0.0 then begin
         let tv = xr /. t.eta_piv.(e) in
         x.(r) <- tv;
-        let ei = t.eta_idx.(e) and ev = t.eta_v.(e) in
-        for s = 0 to Array.length ei - 1 do
+        let ei = t.eta_idx and ev = t.eta_v in
+        for s = t.eta_ptr.(e) to t.eta_ptr.(e + 1) - 1 do
           let i = Array.unsafe_get ei s in
           if Bytes.unsafe_get wmark i = '\000' then begin
             Bytes.unsafe_set wmark i '\001';
@@ -667,8 +679,8 @@ let btran_sparse t x pat n =
     for e = t.n_eta - 1 downto 0 do
       let r = t.eta_r.(e) in
       let acc = ref x.(r) in
-      let ei = t.eta_idx.(e) and ev = t.eta_v.(e) in
-      for s = 0 to Array.length ei - 1 do
+      let ei = t.eta_idx and ev = t.eta_v in
+      for s = t.eta_ptr.(e) to t.eta_ptr.(e + 1) - 1 do
         acc :=
           !acc
           -. (Array.unsafe_get ev s *. Array.unsafe_get x (Array.unsafe_get ei s))
@@ -755,25 +767,19 @@ let update_pat t ~r ~w ~pat ~n =
   let piv = w.(r) in
   if Float.abs piv <= Tol.lu_singular then
     invalid_arg "Lu.update: numerically zero eta pivot";
-  if Array.length t.eta_r = t.n_eta then begin
-    let cap = 2 * t.n_eta in
-    let grow a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 t.n_eta;
-      b
-    in
-    t.eta_r <- grow t.eta_r 0;
-    t.eta_piv <- grow t.eta_piv 0.0;
-    t.eta_idx <- grow t.eta_idx [||];
-    t.eta_v <- grow t.eta_v [||]
+  let e = t.n_eta in
+  if Array.length t.eta_r = e then begin
+    t.eta_r <- grow_int t.eta_r (e + 1);
+    t.eta_piv <- grow_float t.eta_piv (e + 1);
+    t.eta_ptr <- grow_int t.eta_ptr (Array.length t.eta_r + 1)
   end;
-  let c = ref 0 in
-  for s = 0 to n - 1 do
-    let i = pat.(s) in
-    if i <> r && Float.abs w.(i) > Tol.pivot_drop then incr c
-  done;
-  let ei = Array.make !c 0 and ev = Array.make !c 0.0 in
-  let k = ref 0 in
+  let p0 = t.eta_nnz in
+  if Array.length t.eta_idx < p0 + n then begin
+    t.eta_idx <- grow_int t.eta_idx (p0 + n);
+    t.eta_v <- grow_float t.eta_v (p0 + n)
+  end;
+  let ei = t.eta_idx and ev = t.eta_v in
+  let k = ref p0 in
   for s = 0 to n - 1 do
     let i = pat.(s) in
     if i <> r && Float.abs w.(i) > Tol.pivot_drop then begin
@@ -782,12 +788,10 @@ let update_pat t ~r ~w ~pat ~n =
       incr k
     end
   done;
-  let e = t.n_eta in
   t.eta_r.(e) <- r;
   t.eta_piv.(e) <- piv;
-  t.eta_idx.(e) <- ei;
-  t.eta_v.(e) <- ev;
+  t.eta_ptr.(e + 1) <- !k;
   t.n_eta <- e + 1;
-  t.eta_nnz <- t.eta_nnz + !c
+  t.eta_nnz <- !k
 
 let update t ~r ~w = update_pat t ~r ~w ~pat:t.wpat ~n:(scan_out t w t.wpat)

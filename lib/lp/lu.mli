@@ -30,9 +30,11 @@ type t
 
 val create : unit -> t
 
-(** [refactor t ~m ~col] factors the [m]-dimensional basis whose
-    position-[k] column is [col k] = (row indices, values, used length),
-    and clears the eta file.
+(** [refactor t ~m ~cols ~basis] factors the [m]-dimensional basis whose
+    position-[k] column is the sparse column [cols.(basis.(k))] (row
+    indices in [0, m)), and clears the eta file. The columns are read in
+    place: nothing is copied or allocated per column, and [cols] and
+    [basis] are not retained.
 
     A position whose column keeps no pivot above {!Tol.lu_singular} after
     elimination is rank deficient. The result lists each such position
@@ -44,7 +46,7 @@ val create : unit -> t
     that unit column (a slack or artificial) - no second factorization
     is needed. *)
 val refactor :
-  t -> m:int -> col:(int -> int array * float array * int) -> (int * int) list
+  t -> m:int -> cols:R3_util.Rowvec.t array -> basis:int array -> (int * int) list
 
 (** [ftran_pat t x pat n] solves [B x = b] in place: on entry [x] holds
     [b] indexed by row with its [n] nonzero rows listed in [pat], on

@@ -496,6 +496,13 @@ module Rev = struct
     mutable logical : int array;  (* row -> its +1 unit column *)
     mutable barred : int list;  (* displaced by a repair, see [run_phase] *)
     mutable xb : float array;  (* basic values by position *)
+    (* Rows that may hold [xb < -Tol.dual_feas]: every such row is listed
+       (once, flagged in [infeas_mark]); rows that recovered leave the
+       list lazily, when the dual loop next reads it. Rebuilt by
+       [compute_xb], extended by [commit]. *)
+    mutable infeas : int array;
+    mutable infeas_mark : Bytes.t;
+    mutable infeas_n : int;
     mutable dj : float array;  (* reduced costs of the current phase *)
     mutable cost2 : float array;  (* scaled phase-2 objective per column *)
     mutable devex : float array;
@@ -512,7 +519,7 @@ module Rev = struct
     mutable rho_n : int;
     mutable alpha : float array;  (* pivot-row workspace, length >= width *)
     mutable alpha_mark : Bytes.t;
-    mutable alpha_sup : int array;  (* pivot-row support (column indices) *)
+    mutable alpha_sup : int array;  (* pivot-row support: nonbasic columns *)
     mutable alpha_n : int;
     cand : int array;  (* pricing candidate list *)
     mutable cand_n : int;
@@ -584,6 +591,12 @@ module Rev = struct
       in
       st.b0 <- grow st.b0 0.0;
       st.xb <- grow st.xb 0.0;
+      let infeas = Array.make cap 0 in
+      Array.blit st.infeas 0 infeas 0 st.infeas_n;
+      st.infeas <- infeas;
+      let mk = Bytes.make cap '\000' in
+      Bytes.blit st.infeas_mark 0 mk 0 st.m;
+      st.infeas_mark <- mk;
       (* fresh all-zero workspaces: the empty pattern is correct *)
       st.w <- Array.make cap 0.0;
       st.rho <- Array.make cap 0.0;
@@ -617,7 +630,10 @@ module Rev = struct
      on [lp.rev.fallbacks]. Raises {!Repaired} after one. *)
   let refactor_lu st =
     let deficient =
-      Lu.refactor st.lu ~m:st.m ~col:(fun k -> R.raw st.cols.(st.basis.(k)))
+      T.with_span "lp.rev.refactor" ~attrs:[ ("rows", T.Int st.m) ] @@ fun () ->
+      let d = Lu.refactor st.lu ~m:st.m ~cols:st.cols ~basis:st.basis in
+      T.add_attr "repaired" (T.Int (List.length d));
+      d
     in
     st.refactors <- st.refactors + 1;
     if deficient <> [] then begin
@@ -659,7 +675,8 @@ module Rev = struct
     for s = 0 to st.w_n - 1 do
       st.w.(st.w_pat.(s)) <- 0.0
     done;
-    let idx, v, n = R.raw st.cols.(jq) in
+    let col = st.cols.(jq) in
+    let idx = R.indices col and v = R.values col and n = R.nnz col in
     for s = 0 to n - 1 do
       st.w.(idx.(s)) <- v.(s);
       st.w_pat.(s) <- idx.(s)
@@ -679,33 +696,60 @@ module Rev = struct
     done;
     st.w_n <- !n;
     ftran st;
+    let n = ref 0 in
     for i = 0 to st.m - 1 do
       let v = st.w.(i) in
-      st.xb.(i) <- (if v < 0.0 && v > -.Tol.rhs_snap then 0.0 else v)
-    done
-
-  let cost st j =
-    if st.in_phase1 then if is_artificial st j then 1.0 else 0.0
-    else st.cost2.(j)
+      let v = if v < 0.0 && v > -.Tol.rhs_snap then 0.0 else v in
+      st.xb.(i) <- v;
+      if v < -.Tol.dual_feas then begin
+        st.infeas.(!n) <- i;
+        incr n;
+        Bytes.unsafe_set st.infeas_mark i '\001'
+      end
+      else Bytes.unsafe_set st.infeas_mark i '\000'
+    done;
+    st.infeas_n <- !n
 
   (* Reprice everything from scratch: y = B^-T c_B, then
-     d_j = c_j - y . A_j over stored column nonzeros (O(nnz A)). *)
+     d_j = c_j - y . A_j over stored column nonzeros (O(nnz A)). The
+     phase cost (1 on artificials in phase 1, [cost2] in phase 2) and
+     the dot product are inlined over hoisted arrays: a per-column call
+     would box its float result. *)
   let price st =
+    let phase1 = st.in_phase1 and cost2 = st.cost2 in
+    let basis = st.basis and rho = st.rho and rho_pat = st.rho_pat in
     (* dense basic-cost vector overwrites the previous support *)
     let n = ref 0 in
     for i = 0 to st.m - 1 do
-      let c = cost st st.basis.(i) in
-      st.rho.(i) <- c;
+      let j = basis.(i) in
+      let c =
+        if phase1 then if is_artificial st j then 1.0 else 0.0 else cost2.(j)
+      in
+      rho.(i) <- c;
       if c <> 0.0 then begin
-        st.rho_pat.(!n) <- i;
+        rho_pat.(!n) <- i;
         incr n
       end
     done;
     st.rho_n <- !n;
     btran st;
+    let rho = st.rho and dj = st.dj and pos_of = st.pos_of and cols = st.cols in
     for j = 0 to st.width - 1 do
-      if st.pos_of.(j) >= 0 then st.dj.(j) <- 0.0
-      else st.dj.(j) <- cost st j -. R.dot st.cols.(j) st.rho
+      if pos_of.(j) >= 0 then dj.(j) <- 0.0
+      else begin
+        let col = cols.(j) in
+        let idx = R.indices col and v = R.values col in
+        let acc = ref 0.0 in
+        for s = 0 to R.nnz col - 1 do
+          acc :=
+            !acc
+            +. (Array.unsafe_get v s *. Array.unsafe_get rho (Array.unsafe_get idx s))
+        done;
+        let c =
+          if phase1 then if is_artificial st j then 1.0 else 0.0 else cost2.(j)
+        in
+        dj.(j) <- c -. !acc
+      end
     done
 
   (* Refactorize and rebuild xb and dj from scratch; also the recovery
@@ -728,29 +772,39 @@ module Rev = struct
     st.cand_n <- 0
 
   (* rho := B^-T e_ip, then alpha := rho^T A gathered over the rows rho
-     touches; [alpha_sup] records the sparse support. *)
+     touches, for nonbasic columns only: every consumer reads nonbasic
+     entries alone. [alpha_sup] records the support in first-touch
+     order, which skipping basic columns leaves unchanged for the rest
+     (the dual ratio test's tie rule reads that order). *)
   let pivot_row st ip =
     clear_alpha st;
     btran_unit st ip;
+    let rho = st.rho and rho_pat = st.rho_pat and arows = st.arows in
+    let pos_of = st.pos_of and alpha = st.alpha in
+    let mark = st.alpha_mark and sup = st.alpha_sup in
+    let n = ref 0 in
     for s = 0 to st.rho_n - 1 do
-      let i = st.rho_pat.(s) in
-      let ri = Array.unsafe_get st.rho i in
+      let i = rho_pat.(s) in
+      let ri = Array.unsafe_get rho i in
       if ri <> 0.0 then begin
-        let idx, v, n = R.raw st.arows.(i) in
-        for e = 0 to n - 1 do
+        let row = arows.(i) in
+        let idx = R.indices row and v = R.values row in
+        for e = 0 to R.nnz row - 1 do
           let j = Array.unsafe_get idx e in
-          let a = ri *. Array.unsafe_get v e in
-          if Bytes.unsafe_get st.alpha_mark j = '\000' then begin
-            Bytes.unsafe_set st.alpha_mark j '\001';
-            Array.unsafe_set st.alpha_sup st.alpha_n j;
-            st.alpha_n <- st.alpha_n + 1;
-            Array.unsafe_set st.alpha j a
+          if Array.unsafe_get pos_of j < 0 then begin
+            let a = ri *. Array.unsafe_get v e in
+            if Bytes.unsafe_get mark j = '\000' then begin
+              Bytes.unsafe_set mark j '\001';
+              Array.unsafe_set sup !n j;
+              incr n;
+              Array.unsafe_set alpha j a
+            end
+            else Array.unsafe_set alpha j (Array.unsafe_get alpha j +. a)
           end
-          else
-            Array.unsafe_set st.alpha j (Array.unsafe_get st.alpha j +. a)
         done
       end
-    done
+    done;
+    st.alpha_n <- !n
 
   (* Reduced-cost and Devex updates for a primal pivot: entering [jq]
      replaces basis position [ip]. Needs the FTRAN'd entering column
@@ -766,7 +820,7 @@ module Rev = struct
     pivot_row st ip;
     for s = 0 to st.alpha_n - 1 do
       let j = Array.unsafe_get st.alpha_sup s in
-      if Array.unsafe_get st.pos_of j < 0 && j <> jq then begin
+      if j <> jq then begin
         let a = Array.unsafe_get st.alpha j in
         if a <> 0.0 then begin
           Array.unsafe_set st.dj j (Array.unsafe_get st.dj j -. (t *. a));
@@ -785,10 +839,18 @@ module Rev = struct
       st.devex_resets <- st.devex_resets + 1
     end
 
+  let note_infeasible st i =
+    if Bytes.unsafe_get st.infeas_mark i = '\000' then begin
+      Bytes.unsafe_set st.infeas_mark i '\001';
+      st.infeas.(st.infeas_n) <- i;
+      st.infeas_n <- st.infeas_n + 1
+    end
+
   (* Commit the basis change: step the basic values along the FTRAN'd
-     column, append the eta, swap the basis bookkeeping. An eta pivot
-     too small to record means the new basis is numerically singular:
-     refactor it instead, which repairs it. *)
+     column (the rows it touches and [ip] are the only ones that can
+     turn infeasible), append the eta, swap the basis bookkeeping. An
+     eta pivot too small to record means the new basis is numerically
+     singular: refactor it instead, which repairs it. *)
   let commit st ip jq theta =
     for s = 0 to st.w_n - 1 do
       let i = Array.unsafe_get st.w_pat s in
@@ -796,12 +858,14 @@ module Rev = struct
         let wi = Array.unsafe_get st.w i in
         if wi <> 0.0 then begin
           let v = Array.unsafe_get st.xb i -. (theta *. wi) in
-          Array.unsafe_set st.xb i
-            (if v < 0.0 && v > -.Tol.rhs_snap then 0.0 else v)
+          let v = if v < 0.0 && v > -.Tol.rhs_snap then 0.0 else v in
+          Array.unsafe_set st.xb i v;
+          if v < -.Tol.dual_feas then note_infeasible st i
         end
       end
     done;
     st.xb.(ip) <- theta;
+    if theta < -.Tol.dual_feas then note_infeasible st ip;
     let jl = st.basis.(ip) in
     st.basis.(ip) <- jq;
     st.pos_of.(jq) <- ip;
@@ -825,33 +889,50 @@ module Rev = struct
     let d = st.dj.(j) in
     d *. d /. st.devex.(j)
 
-  (* Full pricing scan retaining the [cand_cap] best Devex scores. *)
+  (* Full pricing scan retaining the [cand_cap] best Devex scores, with
+     {!eligible} and {!score} inlined over hoisted arrays. Once the list
+     is full, a column replaces the worst entry when it scores higher,
+     and the worst is then found again. *)
   let refresh_cands st =
     st.cand_refreshes <- st.cand_refreshes + 1;
-    st.cand_n <- 0;
-    let worst = ref 0 and worst_s = ref infinity in
-    let recompute_worst () =
-      worst_s := infinity;
-      for s = 0 to st.cand_n - 1 do
-        let v = score st st.cand.(s) in
-        if v < !worst_s then begin
-          worst := s;
-          worst_s := v
-        end
-      done
-    in
+    let dj = st.dj and devex = st.devex and pos_of = st.pos_of in
+    let cand = st.cand and barred = st.barred in
+    let n = ref 0 and worst = ref 0 and worst_s = ref infinity in
     for j = 0 to st.width - 1 do
-      if eligible st j then
-        if st.cand_n < cand_cap then begin
-          st.cand.(st.cand_n) <- j;
-          st.cand_n <- st.cand_n + 1;
-          if st.cand_n = cand_cap then recompute_worst ()
+      let d = Array.unsafe_get dj j in
+      if
+        d < -.eps
+        && Array.unsafe_get pos_of j < 0
+        && (not (is_artificial st j))
+        && (barred = [] || not (List.mem j barred))
+      then begin
+        let changed =
+          if !n < cand_cap then begin
+            cand.(!n) <- j;
+            incr n;
+            !n = cand_cap
+          end
+          else if d *. d /. Array.unsafe_get devex j > !worst_s then begin
+            cand.(!worst) <- j;
+            true
+          end
+          else false
+        in
+        if changed then begin
+          worst_s := infinity;
+          for s = 0 to cand_cap - 1 do
+            let c = cand.(s) in
+            let dc = dj.(c) in
+            let v = dc *. dc /. devex.(c) in
+            if v < !worst_s then begin
+              worst := s;
+              worst_s := v
+            end
+          done
         end
-        else if score st j > !worst_s then begin
-          st.cand.(!worst) <- j;
-          recompute_worst ()
-        end
-    done
+      end
+    done;
+    st.cand_n <- !n
 
   (* Entering column: best current Devex score among the cached
      candidates (compacting out entries that went basic or lost
@@ -1031,8 +1112,7 @@ module Rev = struct
         for s = 0 to st.alpha_n - 1 do
           let j = st.alpha_sup.(s) in
           if
-            st.pos_of.(j) < 0
-            && (not (is_artificial st j))
+            (not (is_artificial st j))
             && Float.abs st.alpha.(j) > Tol.purge
             && (!jq < 0 || j < !jq)
           then jq := j
@@ -1076,6 +1156,9 @@ module Rev = struct
         logical = Array.make cap_m (-1);
         barred = [];
         xb = Array.make cap_m 0.0;
+        infeas = Array.make cap_m 0;
+        infeas_mark = Bytes.make cap_m '\000';
+        infeas_n = 0;
         dj = Array.make cap_w 0.0;
         cost2 = Array.make cap_w 0.0;
         devex = Array.make cap_w 1.0;
@@ -1332,18 +1415,30 @@ module Rev = struct
           let rec dual_loop () =
             if st.pivots >= limit then Phase_limit
             else begin
-              let ip = ref (-1) and bmin = ref (-.Tol.dual_feas) in
-              for i = 0 to st.m - 1 do
-                (* Rows still holding a basic artificial are redundant
-                   (see {!purge_artificials}): their value is zero up to
-                   drift and their pivot row has no usable entry, so
-                   selecting one would misreport dual unboundedness. *)
-                if st.xb.(i) < !bmin && not (is_artificial st st.basis.(i))
-                then begin
-                  ip := i;
-                  bmin := st.xb.(i)
+              (* Leaving row: the most infeasible, lowest row first on
+                 ties, which is the first minimum of an ascending scan.
+                 Rows still holding a basic artificial are redundant
+                 (see {!purge_artificials}): their value is zero up to
+                 drift and their pivot row has no usable entry, so
+                 selecting one would misreport dual unboundedness. *)
+              let ip = ref (-1) and bmin = ref 0.0 and live = ref 0 in
+              for s = 0 to st.infeas_n - 1 do
+                let i = st.infeas.(s) in
+                let x = st.xb.(i) in
+                if x < -.Tol.dual_feas then begin
+                  st.infeas.(!live) <- i;
+                  incr live;
+                  if
+                    (!ip < 0 || x < !bmin || (x = !bmin && i < !ip))
+                    && not (is_artificial st st.basis.(i))
+                  then begin
+                    ip := i;
+                    bmin := x
+                  end
                 end
+                else Bytes.unsafe_set st.infeas_mark i '\000'
               done;
+              st.infeas_n <- !live;
               if !ip < 0 then Phase_optimal
               else begin
                 let ip = !ip in
@@ -1352,8 +1447,7 @@ module Rev = struct
                 for s = 0 to st.alpha_n - 1 do
                   let j = st.alpha_sup.(s) in
                   let a = st.alpha.(j) in
-                  if a < -.eps && st.pos_of.(j) < 0 && not (is_artificial st j)
-                  then begin
+                  if a < -.eps && not (is_artificial st j) then begin
                     let ratio = st.dj.(j) /. -.a in
                     if
                       ratio < !best -. Tol.dual_ratio_tie
@@ -1386,7 +1480,7 @@ module Rev = struct
                     let jl = st.basis.(ip) in
                     for s = 0 to st.alpha_n - 1 do
                       let j = st.alpha_sup.(s) in
-                      if st.pos_of.(j) < 0 && j <> jq then
+                      if j <> jq then
                         st.dj.(j) <- st.dj.(j) +. (t *. st.alpha.(j))
                     done;
                     st.dj.(jl) <- t;

@@ -12,7 +12,10 @@ let add x y =
   if Array.length x <> Array.length y then invalid_arg "Traffic.add: size mismatch";
   Array.mapi (fun i row -> Array.mapi (fun j v -> v +. y.(i).(j)) row) x
 
-let gravity rng g ?(jitter = 0.4) ~load_factor () =
+(* Standard deviation of the gravity model's per-pair lognormal noise. *)
+let gravity_jitter = 0.4
+
+let gravity rng g ~load_factor () =
   let n = Graph.num_nodes g in
   let mass = Array.make n 0.0 in
   for e = 0 to Graph.num_links g - 1 do
@@ -23,7 +26,7 @@ let gravity rng g ?(jitter = 0.4) ~load_factor () =
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do
       if a <> b then begin
-        let noise = exp (jitter *. R3_util.Prng.gaussian rng) in
+        let noise = exp (gravity_jitter *. R3_util.Prng.gaussian rng) in
         tm.(a).(b) <- mass.(a) *. mass.(b) /. mass_total *. noise
       end
     done

@@ -24,9 +24,9 @@ val add : t -> t -> t
 (** Gravity model: node mass = total adjacent capacity, demand(a,b)
     proportional to mass(a)*mass(b), scaled so the busiest link would see
     roughly [load_factor] utilization under even spreading. Deterministic
-    given the generator; a lognormal jitter keeps the matrix non-uniform. *)
-val gravity :
-  R3_util.Prng.t -> Graph.t -> ?jitter:float -> load_factor:float -> unit -> t
+    given the generator; a lognormal jitter (spread 0.4) keeps the
+    matrix non-uniform. *)
+val gravity : R3_util.Prng.t -> Graph.t -> load_factor:float -> unit -> t
 
 (** [diurnal_factor ~interval] is a smooth 24h-periodic factor in [0.35, 1.0]
     with a weekly dip, where [interval] counts hours from Monday 00:00. *)

@@ -219,7 +219,8 @@ let scatter_add ?(scale = 1.0) r ~into =
       (Array.unsafe_get into j +. (scale *. Array.unsafe_get r.v s))
   done
 
-let raw r = (r.idx, r.v, r.n)
+let indices r = r.idx
+let values r = r.v
 
 let iter f r =
   for s = 0 to r.n - 1 do

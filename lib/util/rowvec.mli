@@ -82,7 +82,10 @@ val iter : (int -> float -> unit) -> t -> unit
 (** [dot r dense] is [sum_j r_j * dense.(j)]; O(nnz). *)
 val dot : t -> float array -> float
 
-(** [raw r] exposes [(idx, v, n)]: the first [n] entries of the parallel
-    arrays are the stored entries. Read-only view for allocation-free hot
-    loops; invalidated by any mutating operation. *)
-val raw : t -> int array * float array * int
+(** [indices r] and [values r] expose the parallel arrays whose first
+    [nnz r] entries are the stored entries. Read-only views for
+    allocation-free hot loops (no tuple per row); invalidated by any
+    mutating operation. *)
+val indices : t -> int array
+
+val values : t -> float array

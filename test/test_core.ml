@@ -652,11 +652,42 @@ let test_golden_table2 () =
         "275ddde2cbc077afc3eef637e6282a3d");
       ("usisp", Topology.usisp_like (), 1, "0x1.834cf91442f33p-1", 996,
         "2a91e00fe1ea75d815be9409e6670c0f");
+      ("usisp", Topology.usisp_like (), 2, "0x1.16fbd1df76cefp+0", 3342,
+        "00874d9856db821423ed2f79f6474d2b");
       ("level3", Topology.level3_like (), 1, "0x1.4161851ebec16p-1", 1817,
         "7a77e8a0871be84826aa002f0f4cf709");
+      ("level3", Topology.level3_like (), 2, "0x1.ec0c2fc9696bfp-1", 4396,
+        "54f3b85440545a59d0585f6f6b2957bf");
       ("sbc", Topology.sbc_like (), 1, "0x1.5a92a8f18cc9cp-1", 2021,
         "c2a4f3b7adf784c5a5c686cb2a9af030");
     ]
+
+(* Golden bits of a cold solve at m ~ 6k rows, where refactorization
+   and phase 1 dominate: the benchmark's sweep-r3-pop36 set-up plan over
+   the OSPF base. pop36 with unit weights, gravity seed 1002 at load 0.4
+   scaled to OSPF MLU 0.3, structured k=2 with one SRLG per
+   bidirectional pair, default pivot budget. *)
+let test_golden_pop36_structured () =
+  let g =
+    Topology.random ~seed:36 ~nodes:36 ~undirected_links:80
+      ~capacities:[ (10.0, 0.5); (40.0, 0.3); (100.0, 0.2) ]
+      ()
+  in
+  let weights = R3_net.Ospf.unit_weights g in
+  let tm = Traffic.gravity (R3_util.Prng.create 1002) g ~load_factor:0.4 () in
+  let pairs, demands = Traffic.commodities tm in
+  let r = R3_net.Ospf.routing g ~weights ~pairs () in
+  let tm = Traffic.scale tm (0.3 /. Routing.mlu g ~loads:(Routing.loads g ~demands r)) in
+  let pairs, _ = Traffic.commodities tm in
+  let base = R3_net.Ospf.routing g ~weights ~pairs () in
+  let cfg = { (Offline.default_config ~f:2) with solve_method = Offline.Constraint_gen } in
+  let groups = { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 2 } in
+  let p = plan_exn (R3_core.Structured.compute cfg g tm groups (Offline.Fixed base)) in
+  Alcotest.(check string) "MLU* bits" "0x1.ef3efdb99ccd1p-1" (Printf.sprintf "%h" p.Offline.mlu);
+  Alcotest.(check int) "pivots" 12103 p.Offline.lp_pivots;
+  Alcotest.(check int) "rows" 6435 p.Offline.lp_rows;
+  Alcotest.(check string) "protection bits" "4a7f1991c09ac18c795e135fe1669da0"
+    (protection_md5 p.Offline.protection)
 
 (* The CLI's --domains parser: the pool's range, or auto. A count
    outside 1..64 is an error, not a silent clamp. *)
@@ -707,5 +738,7 @@ let suite =
     Alcotest.test_case "weight columns match per-entry lookups" `Quick
       test_weight_columns;
     Alcotest.test_case "golden bits: table2 CG plans" `Quick test_golden_table2;
+    Alcotest.test_case "golden bits: pop36 structured k=2 plan" `Quick
+      test_golden_pop36_structured;
     Alcotest.test_case "--domains accepts 1..64 or auto" `Quick test_domains_string;
   ]

@@ -306,7 +306,11 @@ let mat_col a k =
       v := a.(i).(k) :: !v
     end
   done;
-  (Array.of_list !idx, Array.of_list !v, List.length !idx)
+  R3_util.Rowvec.of_pairs (Array.of_list !idx) (Array.of_list !v)
+
+(* Factor the square matrix [a], position [k] holding column [k]. *)
+let refactor_mat lu m a =
+  Lu.refactor lu ~m ~cols:(Array.init m (mat_col a)) ~basis:(Array.init m Fun.id)
 
 (* Well-conditioned sparse-ish test matrix: dominant diagonal plus ~30%
    random off-diagonal fill. *)
@@ -319,7 +323,7 @@ let random_matrix rng m =
 
 (* Factor a basis expected to be nonsingular. *)
 let refactor_full lu m a =
-  match Lu.refactor lu ~m ~col:(fun k -> mat_col a k) with
+  match refactor_mat lu m a with
   | [] -> ()
   | (k, _) :: _ -> Alcotest.failf "m=%d: position %d reported deficient" m k
 
@@ -412,7 +416,7 @@ let test_lu_rank_deficient () =
   let rng = Prng.create 23 in
   let check_case label m a ~expect =
     let lu = Lu.create () in
-    let pairs = Lu.refactor lu ~m ~col:(fun k -> mat_col a k) in
+    let pairs = refactor_mat lu m a in
     Alcotest.(check (list int))
       (label ^ ": deficient positions") expect (List.map fst pairs);
     let rows = List.sort_uniq Int.compare (List.map snd pairs) in
@@ -574,7 +578,8 @@ let test_lu_hypersparse () =
     (fun m ->
       let cols = Array.init m (sparse_col rng m) in
       let lu = Lu.create () in
-      (match Lu.refactor lu ~m ~col:(fun k -> let idx, v = cols.(k) in (idx, v, Array.length idx)) with
+      let store = Array.map (fun (idx, v) -> R3_util.Rowvec.of_pairs idx v) cols in
+      (match Lu.refactor lu ~m ~cols:store ~basis:(Array.init m Fun.id) with
       | [] -> ()
       | (k, _) :: _ -> Alcotest.failf "m=%d: position %d reported deficient" m k);
       solves "fresh" lu cols ~tol:1e-9;
