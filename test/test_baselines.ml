@@ -123,6 +123,42 @@ let test_opt_detour_no_failures_is_base () =
           Alcotest.failf "link %d: %g vs base %g" e l base_loads.(e))
       o.B.Types.loads
 
+(* Golden bits of the detour LP over many scenarios: SBC, gravity seed
+   1001 scaled to unit-weight OSPF MLU 0.3, the first 40 connected
+   2-failure sets and 20 sampled 3-failure sets. One digest covers each
+   outcome's load bits and then its delivered bits. *)
+let test_opt_detour_golden () =
+  let g = Topology.sbc_like () in
+  let weights = Ospf.unit_weights g in
+  let tm = Traffic.gravity (R3_util.Prng.create 1001) g ~load_factor:0.4 () in
+  let pairs, demands = Traffic.commodities tm in
+  let ospf = Ospf.routing g ~weights ~pairs () in
+  let tm = Traffic.scale tm (0.3 /. Routing.mlu g ~loads:(Routing.loads g ~demands ospf)) in
+  let pairs, demands = Traffic.commodities tm in
+  let base = Ospf.routing g ~weights ~pairs () in
+  let scenarios =
+    List.filteri (fun i _ -> i < 40)
+      (R3_sim.Scenarios.connected g (R3_sim.Scenarios.enumerate g ~k:2))
+    @ R3_sim.Scenarios.sample g ~k:3 ~count:20 ~seed:9
+  in
+  let buf = Buffer.create 65536 in
+  let worst = ref 0.0 in
+  List.iter
+    (fun sc ->
+      let failed = G.fail_links g (R3_sim.Scenario.links sc) in
+      match B.Opt_detour.evaluate g ~failed ~base ~demands () with
+      | Error m -> Alcotest.fail m
+      | Ok o ->
+        Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) o.B.Types.loads;
+        Buffer.add_int64_le buf (Int64.bits_of_float o.B.Types.delivered);
+        worst := Float.max !worst (B.Types.bottleneck g ~failed o))
+    scenarios;
+  Alcotest.(check int) "scenarios" 60 (List.length scenarios);
+  Alcotest.(check string) "outcome bits" "2c0fc42f6dc3a23753287d963eb0abad"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check string) "worst bottleneck bits" "0x1.9b3448780c0a7p-2"
+    (Printf.sprintf "%h" !worst)
+
 (* Ordering property the paper relies on throughout Figs 3-7:
    opt detour <= any specific detour scheme on the same base. *)
 let opt_lower_bound_prop =
@@ -152,5 +188,6 @@ let suite =
     Alcotest.test_case "path splicing reroutes" `Quick test_path_splicing_reroutes;
     Alcotest.test_case "opt detour beats cspf" `Quick test_opt_detour_beats_cspf;
     Alcotest.test_case "opt detour = base when no failure" `Quick test_opt_detour_no_failures_is_base;
+    Alcotest.test_case "golden bits: opt detour on SBC" `Quick test_opt_detour_golden;
     QCheck_alcotest.to_alcotest opt_lower_bound_prop;
   ]

@@ -689,6 +689,53 @@ let test_golden_pop36_structured () =
   Alcotest.(check string) "protection bits" "4a7f1991c09ac18c795e135fe1669da0"
     (protection_md5 p.Offline.protection)
 
+(* Golden bits of the joint base: plans whose LP routes the base [r] as
+   unit flows beside [p]. Abilene with unit weights, gravity seed 7 at
+   load 0.4 scaled to OSPF MLU 0.3, constraint generation at the default
+   pivot budget unless noted. Each row pins MLU*, the pivot count and
+   both routings' bits. *)
+let test_golden_joint_plans () =
+  let g = Topology.abilene () in
+  let tm = Traffic.gravity (R3_util.Prng.create 7) g ~load_factor:0.4 () in
+  let pairs, demands = Traffic.commodities tm in
+  let r = R3_net.Ospf.routing g ~weights:(R3_net.Ospf.unit_weights g) ~pairs () in
+  let tm = Traffic.scale tm (0.3 /. Routing.mlu g ~loads:(Routing.loads g ~demands r)) in
+  let cg f = { (Offline.default_config ~f) with solve_method = Offline.Constraint_gen } in
+  let square = Traffic.zeros 4 in
+  square.(0).(2) <- 3.0;
+  square.(1).(3) <- 2.0;
+  List.iter
+    (fun (what, plan, mlu, pivots, base_md5, md5) ->
+      let p = plan_exn plan in
+      Alcotest.(check string) (what ^ ": MLU* bits") mlu (Printf.sprintf "%h" p.Offline.mlu);
+      Alcotest.(check int) (what ^ ": pivots") pivots p.Offline.lp_pivots;
+      Alcotest.(check string) (what ^ ": base bits") base_md5 (protection_md5 p.Offline.base);
+      Alcotest.(check string) (what ^ ": protection bits") md5
+        (protection_md5 p.Offline.protection))
+    [
+      ("f=1", Offline.compute (cg 1) g tm Offline.Joint, "0x1.8ba3593f1f418p-1", 2794,
+        "e51d79982f6fd89f65b4144b3189b2c5", "7d0b923a92fe6f599ece726f4204a891");
+      ("multi f=2", Offline.compute_multi (cg 2) g [ tm; Traffic.scale tm 0.8 ] Offline.Joint,
+        "0x1.45d1ac9f8fa08p+0", 4040,
+        "1f204778bab257c414436e5c2531dd75", "88821380d5ede59c3738fa1fbb00c2b5");
+      ("envelopes f=1",
+        Offline.compute
+          { (cg 1) with envelope = Some (1.5, 0.3); delay_envelope = Some 2.0 }
+          g tm Offline.Joint,
+        "0x1.8ba3593f1f418p-1", 2863,
+        "24f709df719ca3674efa5f0e9654c931", "4373eba211b57a77123dd0115a1ad2b7");
+      ("structured k=1",
+        R3_core.Structured.compute (cg 1) g tm
+          { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 1 }
+          Offline.Joint,
+        "0x1.8ba3593f1f416p-1", 2762,
+        "89d2c24781b8609b0bfc5c519f275a51", "db80f5a47b1eacf60030b20a5042f35a");
+      ("square dualized f=1",
+        Offline.compute (Offline.default_config ~f:1) (Topology.square ()) square Offline.Joint,
+        "0x1.333333333332fp-1", 306,
+        "9a2552aca558f793884ac9554bab89f6", "53f683aba45c6f62396c17800ad91845");
+    ]
+
 (* The CLI's --domains parser: the pool's range, or auto. A count
    outside 1..64 is an error, not a silent clamp. *)
 let test_domains_string () =
@@ -740,5 +787,6 @@ let suite =
     Alcotest.test_case "golden bits: table2 CG plans" `Quick test_golden_table2;
     Alcotest.test_case "golden bits: pop36 structured k=2 plan" `Quick
       test_golden_pop36_structured;
+    Alcotest.test_case "golden bits: joint-base plans" `Quick test_golden_joint_plans;
     Alcotest.test_case "--domains accepts 1..64 or auto" `Quick test_domains_string;
   ]

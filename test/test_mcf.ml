@@ -145,6 +145,31 @@ let test_golden_pop36_base () =
   Alcotest.(check string) "pop36 base: routing bits" "5c7f7e199643b7ea804d89c3a4af3803"
     (routing_md5 routing)
 
+(* Golden bits of the exact min-MLU LP: its MLU and the routing it
+   extracts (hashed row by row, as the plan goldens are), on the triangle and on Abilene (gravity seed 5 scaled to
+   OSPF MLU 0.5) with no failure, one and two bidirectional failures. *)
+let test_golden_exact () =
+  let g = Topology.abilene () in
+  let pairs, demands = scaled_commodities g ~seed:5 ~target:0.5 in
+  let tri = Topology.triangle () in
+  List.iter
+    (fun (what, g, failed, pairs, demands, mlu, md5) ->
+      match Cf.min_mlu_exact g ~failed ~pairs ~demands () with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok (u, routing) ->
+        Alcotest.(check string) (what ^ ": mlu bits") mlu (Printf.sprintf "%h" u);
+        Alcotest.(check string) (what ^ ": routing bits") md5
+          (Test_core.protection_md5 routing))
+    [
+      ("triangle", tri, G.no_failures tri, [| (0, 1) |], [| 15.0 |], "0x1.8000000000001p-1", "53bc642fcfed55e3c4c9d07342be5263");
+      ("abilene", g, G.no_failures g, pairs, demands, "0x1.7c01a63d26c61p-2",
+        "e5c0f11f965c4161a46f3ef1deefc12b");
+      ("abilene [0]", g, G.fail_bidir g [ 0 ], pairs, demands, "0x1.7c01a63d26c64p-2",
+        "390358a36a05d70a89f383354109918f");
+      ("abilene [0;5]", g, G.fail_bidir g [ 0; 5 ], pairs, demands, "0x1.57502fc5c2fdbp-1",
+        "474dc62370c0cb817738ac178db596ad");
+    ]
+
 (* Abilene at epsilon 0.005 needs about 2.0M trees to converge (1,976,458
    with this matrix): the solve stops at the cap and says so. *)
 let test_cap_reported () =
@@ -186,6 +211,7 @@ let suite =
     Alcotest.test_case "golden bits: abilene" `Quick test_golden_abilene;
     Alcotest.test_case "golden bits: sbc failures" `Quick test_golden_sbc;
     Alcotest.test_case "golden bits: pop36 GK base" `Quick test_golden_pop36_base;
+    Alcotest.test_case "golden bits: exact LP" `Quick test_golden_exact;
     Alcotest.test_case "iteration cap is reported" `Quick test_cap_reported;
     QCheck_alcotest.to_alcotest scaling_prop;
   ]
