@@ -1,81 +1,31 @@
-module P = R3_lp.Problem
 module G = R3_net.Graph
 module Routing = R3_net.Routing
 
 let evaluate g ~failed ~base ~demands () =
-  let m = G.num_links g in
   let base_loads = Routing.loads g ~demands base in
   let failed_links =
     List.filter (fun e -> base_loads.(e) > 0.0) (G.failed_list failed)
   in
-  let surviving e = not failed.(e) in
   (* Commodities: failed links with positive load and connected endpoints. *)
   let routable, lost =
     List.partition
       (fun e -> (G.reachable g ~failed (G.src g e)).(G.dst g e))
       failed_links
   in
-  let lp = P.create ~name:"opt-detour" () in
-  let mlu = P.var lp ~lb:0.0 "MLU" in
-  let vars = Hashtbl.create 64 in
-  List.iter
-    (fun fe ->
-      let a = G.src g fe in
-      for e = 0 to m - 1 do
-        if surviving e && G.dst g e <> a then
-          Hashtbl.replace vars (fe, e) (P.var lp ~lb:0.0 (Printf.sprintf "xi%d_%d" fe e))
-      done)
-    routable;
-  let term fe e = Option.map (fun v -> (1.0, v)) (Hashtbl.find_opt vars (fe, e)) in
-  let n = G.num_nodes g in
-  List.iter
-    (fun fe ->
-      let a = G.src g fe and b = G.dst g fe in
-      let outs = Array.to_list (G.out_links g a) |> List.filter_map (term fe) in
-      P.constr lp outs P.Eq 1.0;
-      for v = 0 to n - 1 do
-        if v <> a && v <> b then begin
-          let outs = Array.to_list (G.out_links g v) |> List.filter_map (term fe) in
-          let ins =
-            Array.to_list (G.in_links g v)
-            |> List.filter_map (fun e ->
-                   Option.map (fun (c, var) -> (-.c, var)) (term fe e))
-          in
-          P.constr lp (outs @ ins) P.Eq 0.0
-        end
-      done)
-    routable;
-  for e = 0 to m - 1 do
-    if surviving e then begin
-      let terms =
-        List.filter_map
-          (fun fe ->
-            Option.map
-              (fun v -> (base_loads.(fe), v))
-              (Hashtbl.find_opt vars (fe, e)))
-          routable
-      in
-      P.constr lp
-        (((-.G.capacity g e), mlu) :: terms)
-        P.Le (-.base_loads.(e))
-    end
-  done;
-  P.minimize lp [ (1.0, mlu) ];
-  Hashtbl.iter (fun _ v -> P.add_objective_term lp 1e-7 v) vars;
-  match P.solve lp with
-  | P.Infeasible -> Error "opt-detour: infeasible"
-  | P.Unbounded -> Error "opt-detour: unbounded"
-  | P.Iteration_limit -> Error "opt-detour: pivot budget exhausted"
-  | P.Optimal sol ->
+  let routable = Array.of_list routable in
+  match
+    R3_mcf.Flow_lp.min_mlu g ~failed
+      ~pairs:(Array.map (fun e -> (G.src g e, G.dst g e)) routable)
+      ~demands:(Array.map (fun e -> base_loads.(e)) routable)
+      ~background:base_loads
+  with
+  | Error status -> Error ("opt-detour: " ^ status)
+  | Ok (_, flows) ->
     let loads = Array.copy base_loads in
     List.iter (fun e -> loads.(e) <- 0.0) failed_links;
-    List.iter
-      (fun fe ->
-        for e = 0 to m - 1 do
-          match Hashtbl.find_opt vars (fe, e) with
-          | Some v -> loads.(e) <- loads.(e) +. (base_loads.(fe) *. sol.P.value v)
-          | None -> ()
-        done)
+    Array.iteri
+      (fun i fe ->
+        Array.iteri (fun e x -> loads.(e) <- loads.(e) +. (base_loads.(fe) *. x)) flows.(i))
       routable;
     let total = Array.fold_left ( +. ) 0.0 demands in
     let lost_load = List.fold_left (fun a e -> a +. base_loads.(e)) 0.0 lost in

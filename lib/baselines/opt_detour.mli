@@ -7,7 +7,13 @@
     protection can do for that scenario, but — as the paper stresses — it
     must be recomputed per scenario, which is why it serves only as a
     bound. Failed links whose endpoints are disconnected lose their
-    traffic. *)
+    traffic.
+
+    The LP is {!R3_mcf.Flow_lp.min_mlu}: one commodity per loaded,
+    reachable failed link, in link order, carrying that link's base load,
+    over the base loads of the surviving links as background. The
+    outcome's loads add each commodity's raw LP flows to the base loads
+    in that order. *)
 
 val evaluate :
   R3_net.Graph.t ->

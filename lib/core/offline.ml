@@ -1,4 +1,5 @@
 module P = R3_lp.Problem
+module Flow_lp = R3_mcf.Flow_lp
 module G = R3_net.Graph
 module Routing = R3_net.Routing
 module Traffic = R3_net.Traffic
@@ -77,18 +78,7 @@ let union_commodities g tms =
 
 (* The base load on a link: LP terms over the joint r variables, or the
    fixed r and its precomputed loads, per traffic matrix h, per link e. *)
-type base_load = Terms of Lp_build.routing_vars | Const of Routing.t * float array array
-
-(* sum_k d_k r_k(e) as LP terms. *)
-let r_terms r_vars demands e =
-  let acc = ref [] in
-  Array.iteri
-    (fun k row ->
-      match row.(e) with
-      | Some v when demands.(k) > 0.0 -> acc := (demands.(k), v) :: !acc
-      | Some _ | None -> ())
-    r_vars;
-  !acc
+type base_load = Terms of Flow_lp.t | Const of Routing.t * float array array
 
 let status_error = function
   | P.Optimal s -> Ok s
@@ -106,12 +96,9 @@ let add_envelope_rows lp g (cfg : config) r_vars demand_arrays =
     List.iter
       (fun demands ->
         for e = 0 to G.num_links g - 1 do
-          let terms = r_terms r_vars demands e in
+          let terms = Flow_lp.load_terms r_vars demands e in
           if terms <> [] then
-            P.constr lp
-              ~name:(Printf.sprintf "envelope_%d" e)
-              terms P.Le
-              (beta *. mlu_opt *. G.capacity g e)
+            P.constr lp terms P.Le (beta *. mlu_opt *. G.capacity g e)
         done)
       demand_arrays
 
@@ -130,27 +117,49 @@ let add_delay_rows lp g (cfg : config) r_vars pairs =
               | Some var when G.delay g e > 0.0 -> terms := (G.delay g e, var) :: !terms
               | Some _ | None -> ())
             r_vars.(k);
-          if !terms <> [] then
-            P.constr lp
-              ~name:(Printf.sprintf "delay_%d" k)
-              !terms P.Le (gamma *. best)
+          if !terms <> [] then P.constr lp !terms P.Le (gamma *. best)
         end)
       pairs
 
+(* Extra penalty on each protection commodity's {e self} term [p_l(l)].
+   Routing a link's virtual demand over itself is the cheapest way to
+   satisfy the constraints when the MLU cannot be driven below 1, but it
+   means dropping the link's traffic on failure; pricing the self term
+   above any multi-hop detour makes the LP choose real detours whenever
+   they exist, without affecting feasibility or the optimal MLU. *)
+let penalize_self_protection lp g p_vars =
+  let weight = loop_penalty *. float_of_int (4 * G.num_nodes g) in
+  Array.iteri (fun l row -> Option.iter (P.add_objective_term lp weight) row.(l)) p_vars
+
+(* Tie-break the protection routing toward spread-out virtual loads: add
+   [50 * loop_penalty * c_l / c_e] to each [p_l(e)] term. Among the many
+   optima of the worst-case LP this prefers solutions whose per-event
+   rerouted load is balanced — the behaviour the paper reports
+   (near-optimal for individual scenarios, not just the envelope max). *)
+let penalize_virtual_concentration lp g p_vars =
+  let weight = 50.0 *. loop_penalty in
+  Array.iteri
+    (fun l row ->
+      Array.iteri
+        (fun e v ->
+          Option.iter
+            (P.add_objective_term lp (weight *. G.capacity g l /. G.capacity g e))
+            v)
+        row)
+    p_vars
+
 (* Build the parts common to both methods: MLU variable, r variables (or
    fixed base loads), p variables with routing constraints. [spread] adds
-   the {!Lp_build.penalize_virtual_concentration} tie-break. *)
+   the {!penalize_virtual_concentration} tie-break. *)
 let build_master ?(spread = false) lp g (cfg : config) base_spec pairs demand_arrays =
   Obs.T.with_span "offline.build" @@ fun () ->
-  let mlu = P.var lp ~lb:0.0 "MLU" in
-  let link_prs = Lp_build.link_pairs g in
-  let p_vars = Lp_build.routing_vars lp g ~prefix:"p" ~pairs:link_prs in
-  Lp_build.routing_constraints lp g ~pairs:link_prs p_vars;
+  let mlu = P.var lp in
+  let no_failures = G.no_failures g in
+  let p_vars = Flow_lp.add lp g ~failed:no_failures ~pairs:(Flow_lp.link_pairs g) in
   let base_load =
     match base_spec with
     | Joint ->
-      let r_vars = Lp_build.routing_vars lp g ~prefix:"r" ~pairs in
-      Lp_build.routing_constraints lp g ~pairs r_vars;
+      let r_vars = Flow_lp.add lp g ~failed:no_failures ~pairs in
       add_envelope_rows lp g cfg r_vars demand_arrays;
       add_delay_rows lp g cfg r_vars pairs;
       Terms r_vars
@@ -160,12 +169,11 @@ let build_master ?(spread = false) lp g (cfg : config) base_spec pairs demand_ar
       Const (r, Array.of_list (List.map (fun demands -> Routing.loads g ~demands r) demand_arrays))
   in
   P.minimize lp [ (1.0, mlu) ];
-  Lp_build.add_loop_penalty lp loop_penalty p_vars;
-  Lp_build.penalize_self_protection lp g loop_penalty p_vars;
-  if spread then
-    Lp_build.penalize_virtual_concentration lp g (50.0 *. loop_penalty) p_vars;
+  Flow_lp.add_penalty lp loop_penalty p_vars;
+  penalize_self_protection lp g p_vars;
+  if spread then penalize_virtual_concentration lp g p_vars;
   (match base_load with
-  | Terms r_vars -> Lp_build.add_loop_penalty lp loop_penalty r_vars
+  | Terms r_vars -> Flow_lp.add_penalty lp loop_penalty r_vars
   | Const _ -> ());
   (mlu, p_vars, base_load)
 
@@ -174,7 +182,7 @@ let build_master ?(spread = false) lp g (cfg : config) base_spec pairs demand_ar
    loops stay O(1) per lookup. *)
 let base_terms base_load (demand_arrs : float array array) h e =
   match base_load with
-  | Terms r_vars -> (r_terms r_vars demand_arrs.(h) e, 0.0)
+  | Terms r_vars -> (Flow_lp.load_terms r_vars demand_arrs.(h) e, 0.0)
   | Const (_, loads) -> ([], loads.(h).(e))
 
 (* The solved routings: the base (given, or the joint r) and p. *)
@@ -182,9 +190,9 @@ let extract sol g pairs base_load p_vars =
   let base =
     match base_load with
     | Const (r, _) -> r
-    | Terms r_vars -> Lp_build.extract_routing sol g ~pairs r_vars
+    | Terms r_vars -> Flow_lp.routing sol g ~pairs r_vars
   in
-  (base, Lp_build.extract_routing sol g ~pairs:(Lp_build.link_pairs g) p_vars)
+  (base, Flow_lp.routing sol g ~pairs:(Flow_lp.link_pairs g) p_vars)
 
 let instrumented ~f ~method_ k =
   Obs.M.incr Obs.computes;
@@ -198,24 +206,21 @@ let instrumented ~f ~method_ k =
 let compute_dualized (cfg : config) g tms base_spec =
   let pairs, demand_arrays, max_demands = union_commodities g tms in
   let demand_arrs = Array.of_list demand_arrays in
-  let lp = P.create ~name:"r3-offline-dual" () in
+  let lp = P.create () in
   let mlu, p_vars, base_load = build_master lp g cfg base_spec pairs demand_arrays in
   let m = G.num_links g in
   (* pi_e(l) exists exactly where p_l(e) exists; lambda_e always. *)
-  let lambda = Array.init m (fun e -> P.var lp ~lb:0.0 (Printf.sprintf "lam%d" e)) in
+  let lambda = Array.init m (fun _ -> P.var lp) in
   let pi = Array.make_matrix m m None in
   for e = 0 to m - 1 do
     for l = 0 to m - 1 do
       match p_vars.(l).(e) with
       | None -> ()
       | Some p_le ->
-        let v = P.var lp ~lb:0.0 (Printf.sprintf "pi%d_%d" e l) in
+        let v = P.var lp in
         pi.(e).(l) <- Some v;
         (* (6): pi_e(l) + lambda_e >= c_l * p_l(e) *)
-        P.constr lp
-          ~name:(Printf.sprintf "dual%d_%d" e l)
-          [ (1.0, v); (1.0, lambda.(e)); (-.G.capacity g l, p_le) ]
-          P.Ge 0.0
+        P.constr lp [ (1.0, v); (1.0, lambda.(e)); (-.G.capacity g l, p_le) ] P.Ge 0.0
     done
   done;
   (* Capacity rows per traffic matrix per link. *)
@@ -228,10 +233,7 @@ let compute_dualized (cfg : config) g tms base_spec =
         | Some v -> virt := (1.0, v) :: !virt
         | None -> ()
       done;
-      P.constr lp
-        ~name:(Printf.sprintf "cap%d_%d" h e)
-        (((-.G.capacity g e, mlu) :: terms) @ !virt)
-        P.Le (-.const)
+      P.constr lp (((-.G.capacity g e, mlu) :: terms) @ !virt) P.Le (-.const)
     done
   done;
   match
@@ -277,17 +279,14 @@ let compute_classes ?spread (cfg : config) g classes base_spec =
   let pairs, demand_arrays, max_demands = union_commodities g (List.map fst classes) in
   let demand_arrs = Array.of_list demand_arrays in
   let nc = Array.length envs and m = G.num_links g in
-  let lp = P.create ~name:"r3-offline-cg" () in
+  let lp = P.create () in
   let mlu, p_vars, base_load = build_master ?spread lp g cfg base_spec pairs demand_arrays in
   (* Initial rows: each class's no-failure load fits within MLU * capacity. *)
   for c = 0 to nc - 1 do
     for e = 0 to m - 1 do
       let terms, const = base_terms base_load demand_arrs c e in
       if terms <> [] || const > 0.0 then
-        P.constr lp
-          ~name:(Printf.sprintf "cap0_%d_%d" c e)
-          ((-.G.capacity g e, mlu) :: terms)
-          P.Le (-.const)
+        P.constr lp ((-.G.capacity g e, mlu) :: terms) P.Le (-.const)
     done
   done;
   (* Warm start: translate the LP once and repair the basis after each
@@ -339,10 +338,7 @@ let compute_classes ?spread (cfg : config) g classes base_spec =
                   support
               in
               let terms, const = base_terms base_load demand_arrs c e in
-              P.constr lp
-                ~name:(Printf.sprintf "cut%d_%d_%d" round c e)
-                (((-.cap, mlu) :: terms) @ p_terms)
-                P.Le (-.const)
+              P.constr lp (((-.cap, mlu) :: terms) @ p_terms) P.Le (-.const)
             end
           end)
         oracle;

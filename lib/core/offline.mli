@@ -90,8 +90,8 @@ val compute_multi :
     envelopes bound each matrix's no-failure routing. The plan's [f] is
     the largest class budget, its [demands] the per-pair maximum.
 
-    [spread] (default [false]) adds the
-    {!Lp_build.penalize_virtual_concentration} tie-break, which balances
+    [spread] (default [false]) adds a tie-break that prices each
+    [p_l(e)] at [c_l / c_e] times a small weight, which balances
     per-event rerouted load among the optima. {!Structured.compute}
     passes it; [X_F] and prioritized plans do not.
 

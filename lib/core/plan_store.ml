@@ -245,7 +245,7 @@ let decode_payload payload =
   let base = dec_routing r graph in
   expect_rows "base" base pairs;
   let protection = dec_routing r graph in
-  expect_rows "protection" protection (Lp_build.link_pairs graph);
+  expect_rows "protection" protection (R3_mcf.Flow_lp.link_pairs graph);
   let mlu = R.float r in
   let f = R.i32 r in
   let lp_vars = R.int r in

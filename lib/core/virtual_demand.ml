@@ -126,18 +126,14 @@ let covered_links groups m =
 let worst_group_lp groups weights =
   let m = Array.length weights in
   let covered = covered_links groups m in
-  let lp = P.create ~name:"structured-oracle" () in
+  let lp = P.create () in
   let y =
     Array.init m (fun l ->
-        if covered.(l) && weights.(l) > 0.0 then
-          Some (P.var lp ~lb:0.0 ~ub:1.0 (Printf.sprintf "y%d" l))
-        else None)
+        if covered.(l) && weights.(l) > 0.0 then Some (P.var lp ~ub:1.0) else None)
   in
-  let group_vars gs prefix =
-    List.mapi (fun i _ -> P.var lp ~lb:0.0 (Printf.sprintf "%s%d" prefix i)) gs
-  in
-  let srlg_vars = group_vars groups.srlgs "S" in
-  let mlg_vars = group_vars groups.mlgs "M" in
+  let group_vars gs = List.map (fun _ -> P.var lp) gs in
+  let srlg_vars = group_vars groups.srlgs in
+  let mlg_vars = group_vars groups.mlgs in
   if srlg_vars <> [] then
     P.constr lp (List.map (fun v -> (1.0, v)) srlg_vars) P.Le (float_of_int groups.k);
   if mlg_vars <> [] then

@@ -2,12 +2,11 @@ type var = int
 
 type cmp = Le | Ge | Eq
 
-type var_info = { vname : string; lb : float; ub : float }
+type var_info = { lb : float; ub : float }
 
-type row = { rname : string; terms : (float * var) list; cmp : cmp; rhs : float }
+type row = { terms : (float * var) list; cmp : cmp; rhs : float }
 
 type t = {
-  pname : string;
   mutable vars : var_info list;  (* reversed *)
   mutable nvars : int;
   mutable vars_cache : var_info array option;  (* memoized [vars_array] *)
@@ -25,9 +24,8 @@ type result =
   | Unbounded
   | Iteration_limit
 
-let create ?(name = "lp") () =
+let create () =
   {
-    pname = name;
     vars = [];
     nvars = 0;
     vars_cache = None;
@@ -37,23 +35,18 @@ let create ?(name = "lp") () =
     obj_terms = [];
   }
 
-let name t = t.pname
-
-let var t ?(lb = 0.0) ?(ub = infinity) vname =
-  if lb > ub then invalid_arg ("Problem.var: lb > ub for " ^ vname);
+let var ?(lb = 0.0) ?(ub = infinity) t =
+  if lb > ub then invalid_arg "Problem.var: lb > ub";
   let v = t.nvars in
-  t.vars <- { vname; lb; ub } :: t.vars;
+  t.vars <- { lb; ub } :: t.vars;
   t.nvars <- t.nvars + 1;
   t.vars_cache <- None;
   v
 
-let free_var t vname = var t ~lb:neg_infinity ~ub:infinity vname
+let free_var t = var ~lb:neg_infinity t
 
-let constr t ?name terms cmp rhs =
-  let rname =
-    match name with Some n -> n | None -> Printf.sprintf "c%d" t.nrows
-  in
-  t.rows <- { rname; terms; cmp; rhs } :: t.rows;
+let constr t terms cmp rhs =
+  t.rows <- { terms; cmp; rhs } :: t.rows;
   t.nrows <- t.nrows + 1
 
 let minimize t terms =
@@ -73,14 +66,10 @@ let vars_array t =
   match t.vars_cache with
   | Some arr -> arr
   | None ->
-    let arr = Array.make t.nvars { vname = ""; lb = 0.0; ub = 0.0 } in
+    let arr = Array.make t.nvars { lb = 0.0; ub = 0.0 } in
     List.iteri (fun i vi -> arr.(t.nvars - 1 - i) <- vi) t.vars;
     t.vars_cache <- Some arr;
     arr
-
-let var_name t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Problem.var_name: bad var";
-  (vars_array t).(v).vname
 
 (* Combine duplicate variables in a term list into a sparse (idx, coef)
    pair of arrays, dropping exact zeros. *)
@@ -118,7 +107,7 @@ type translated = {
 }
 
 (* One constraint row through the column mapping. *)
-let translate_row mapping n_user { terms; cmp; rhs; _ } =
+let translate_row mapping n_user { terms; cmp; rhs } =
   let idx, coef = compact_terms n_user terms in
   let cols = ref [] and vals = ref [] in
   let rhs_shift = ref 0.0 in
@@ -149,7 +138,7 @@ let translate t =
   let next_col = ref 0 in
   let extra_rows = ref [] in
   for v = 0 to n_user - 1 do
-    let { lb; ub; _ } = infos.(v) in
+    let { lb; ub } = infos.(v) in
     if lb = neg_infinity then begin
       let p = !next_col in
       let m = !next_col + 1 in
@@ -303,33 +292,3 @@ let resolve s =
         cold_start s
       | _ -> wrap tr out
     end
-
-let pp ppf t =
-  let infos = vars_array t in
-  let pp_terms ppf terms =
-    let idx, coef = compact_terms t.nvars terms in
-    if Array.length idx = 0 then Format.fprintf ppf "0"
-    else
-      Array.iteri
-        (fun k v ->
-          let c = coef.(k) in
-          if k = 0 then Format.fprintf ppf "%g %s" c infos.(v).vname
-          else if c >= 0.0 then Format.fprintf ppf " + %g %s" c infos.(v).vname
-          else Format.fprintf ppf " - %g %s" (-.c) infos.(v).vname)
-        idx
-  in
-  Format.fprintf ppf "@[<v>%s: %s %a@,subject to:@,"
-    t.pname
-    (if t.sense_minimize then "minimize" else "maximize")
-    pp_terms t.obj_terms;
-  List.iter
-    (fun { rname; terms; cmp; rhs } ->
-      let op = match cmp with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf ppf "  %s: %a %s %g@," rname pp_terms terms op rhs)
-    (List.rev t.rows);
-  Array.iter
-    (fun { vname; lb; ub } ->
-      if lb <> 0.0 || ub <> infinity then
-        Format.fprintf ppf "  %g <= %s <= %g@," lb vname ub)
-    infos;
-  Format.fprintf ppf "@]"

@@ -29,19 +29,17 @@ type result =
   | Unbounded
   | Iteration_limit  (** solver hit its pivot budget before proving a status *)
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 
-val name : t -> string
-
-(** [var t name] adds a variable. Default bounds [0, +inf).
+(** [var t] adds a variable. Default bounds [0, +inf).
     Raises [Invalid_argument] if [lb > ub]. *)
-val var : t -> ?lb:float -> ?ub:float -> string -> var
+val var : ?lb:float -> ?ub:float -> t -> var
 
 (** A variable unbounded in both directions. *)
-val free_var : t -> string -> var
+val free_var : t -> var
 
 (** [constr t terms cmp rhs] adds the row [sum terms cmp rhs]. *)
-val constr : t -> ?name:string -> (float * var) list -> cmp -> float -> unit
+val constr : t -> (float * var) list -> cmp -> float -> unit
 
 (** Set the objective (replacing any previous one). *)
 val minimize : t -> (float * var) list -> unit
@@ -54,9 +52,6 @@ val add_objective_term : t -> float -> var -> unit
 
 val num_vars : t -> int
 val num_constraints : t -> int
-
-(** Human-readable variable name (for debugging and error messages). *)
-val var_name : t -> var -> string
 
 (** Solve with the built-in two-phase revised simplex ({!Simplex}).
     [max_pivots] defaults to a budget proportional to the problem size. *)
@@ -89,6 +84,3 @@ val resolve : session -> result
 (** Total simplex pivots spent by this session so far (initial solve plus
     all warm repairs and cold fallbacks). *)
 val session_pivots : session -> int
-
-(** Pretty-print a small problem in LP-like text format (tests/debugging). *)
-val pp : Format.formatter -> t -> unit

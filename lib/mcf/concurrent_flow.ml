@@ -260,80 +260,29 @@ let min_mlu g ?failed ?epsilon ~pairs ~demands () =
 let min_mlu_routing g ?failed ?epsilon ~pairs ~demands () =
   run_gk g ?failed ?epsilon ~track:true ~pairs ~demands ()
 
-module P = R3_lp.Problem
-
 let min_mlu_exact g ?failed ~pairs ~demands () =
   R3_util.Metrics.incr Obs.exact_solves;
   R3_util.Trace.with_span "mcf.exact" @@ fun () ->
   let failed = match failed with Some f -> f | None -> G.no_failures g in
-  let m = G.num_links g in
-  let n = G.num_nodes g in
   let live =
-    Array.to_list (Array.mapi (fun k (a, b) -> (k, a, b)) pairs)
-    |> List.filter (fun (k, a, b) ->
+    List.init (Array.length pairs) Fun.id
+    |> List.filter (fun k ->
+           let a, b = pairs.(k) in
            demands.(k) > 0.0 && (G.reachable g ~failed a).(b))
+    |> Array.of_list
   in
-  let lp = P.create ~name:"min-mlu-exact" () in
-  let mlu = P.var lp ~lb:0.0 "MLU" in
-  let vars = Hashtbl.create 64 in
-  List.iter
-    (fun (k, a, _) ->
-      for e = 0 to m - 1 do
-        if (not failed.(e)) && G.dst g e <> a then
-          Hashtbl.replace (vars : (int * int, P.var) Hashtbl.t) (k, e)
-            (P.var lp ~lb:0.0 (Printf.sprintf "r%d_%d" k e))
-      done)
-    live;
-  let term k e = Option.map (fun v -> (1.0, v)) (Hashtbl.find_opt vars (k, e)) in
-  List.iter
-    (fun (k, a, b) ->
-      let outs =
-        Array.to_list (G.out_links g a) |> List.filter_map (fun e -> term k e)
-      in
-      P.constr lp outs P.Eq 1.0;
-      for v = 0 to n - 1 do
-        if v <> a && v <> b then begin
-          let outs =
-            Array.to_list (G.out_links g v) |> List.filter_map (fun e -> term k e)
-          in
-          let ins =
-            Array.to_list (G.in_links g v)
-            |> List.filter_map (fun e ->
-                   Option.map (fun (c, v) -> (-.c, v)) (term k e))
-          in
-          P.constr lp (outs @ ins) P.Eq 0.0
-        end
-      done)
-    live;
-  for e = 0 to m - 1 do
-    if not failed.(e) then begin
-      let terms =
-        List.filter_map
-          (fun (k, _, _) ->
-            Option.map (fun v -> (demands.(k), v)) (Hashtbl.find_opt vars (k, e)))
-          live
-      in
-      if terms <> [] then
-        P.constr lp ((-.G.capacity g e, mlu) :: terms) P.Le 0.0
-    end
-  done;
-  P.minimize lp [ (1.0, mlu) ];
-  (* small loop suppression *)
-  Hashtbl.iter (fun _ v -> P.add_objective_term lp 1e-7 v) vars;
-  match P.solve lp with
-  | P.Optimal sol ->
+  match
+    Flow_lp.min_mlu g ~failed
+      ~pairs:(Array.map (fun k -> pairs.(k)) live)
+      ~demands:(Array.map (fun k -> demands.(k)) live)
+      ~background:(Array.make (G.num_links g) 0.0)
+  with
+  | Error status -> Error ("min_mlu_exact: " ^ status)
+  | Ok (mlu, flows) ->
     let routing = R3_net.Routing.create g ~pairs in
-    List.iter
-      (fun (k, _, _) ->
-        for e = 0 to m - 1 do
-          match Hashtbl.find_opt vars (k, e) with
-          | Some v ->
-            R3_net.Routing.set routing k e
-              (Float.max 0.0 (Float.min 1.0 (sol.P.value v)))
-          | None -> ()
-        done)
+    Array.iteri
+      (fun i k ->
+        R3_net.Routing.set_row_dense routing k
+          (Array.map (fun x -> Float.max 0.0 (Float.min 1.0 x)) flows.(i)))
       live;
-    Ok (sol.P.value mlu, routing)
-  | P.Infeasible -> Error "min_mlu_exact: infeasible"
-  | P.Unbounded -> Error "min_mlu_exact: unbounded"
-  | P.Iteration_limit -> Error "min_mlu_exact: iteration limit"
+    Ok (mlu, routing)

@@ -62,10 +62,12 @@ val min_mlu_routing :
   unit ->
   result * R3_net.Routing.t
 
-(** Exact min-MLU via the LP substrate (routing variables per commodity).
-    The reference for tests and small instances: one column per
-    (commodity, link), so a solve took 0.05 s on Abilene and 10 s on SBC
-    (about 23,000 columns). *)
+(** Exact min-MLU: {!Flow_lp.min_mlu} with zero background, over the
+    commodities with positive demand that [failed] leaves reachable.
+    Dropped commodities get all-zero rows in the routing. The reference
+    for tests and small instances: one column per (commodity, link), so a
+    solve took 0.05 s on Abilene and 10 s on SBC (about 23,000
+    columns). *)
 val min_mlu_exact :
   R3_net.Graph.t ->
   ?failed:R3_net.Graph.link_set ->

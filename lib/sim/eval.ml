@@ -120,11 +120,20 @@ let outcome_links env alg scenario =
   | Ospf_opt -> begin
     match B.Opt_detour.mlu g ~failed ~base:env.ospf_base ~demands:env.demands () with
     | Ok u -> (u, reachable_fraction env ~failed)
-    | Error _ ->
-      (* fall back to reconvergence if the detour LP fails *)
-      of_baseline
-        (B.Ospf_recon.evaluate g ~failed ~weights:env.weights ~pairs:env.pairs
-           ~demands:env.demands ())
+    | Error status ->
+      (* Every commodity is reachable and the MLU has no upper bound, so
+         only a pivot-budget stop lands here: say so, never report
+         another algorithm's number under this label. *)
+      failwith
+        (Printf.sprintf "Eval: OSPF+opt on failed links [%s]: %s"
+           (String.concat "; "
+              (List.map
+                 (fun e ->
+                   Printf.sprintf "%d %s-%s" e
+                     (G.node_name g (G.src g e))
+                     (G.node_name g (G.dst g e)))
+                 scenario))
+           status)
   end
   | Ospf_r3 | Mplsff_r3 ->
     let st = Option.get (r3_root env alg) in

@@ -65,7 +65,9 @@ type result = {
 (** [evaluate env alg scenario] — the single-scenario evaluation API.
     [cache] memoizes the expensive optimal-MCF solve (sequential use only);
     [with_optimal:false] skips it entirely ([optimal] is [nan], [ratio] is
-    [None]). R3 rows require the corresponding plan in [env]. *)
+    [None]). R3 rows require the corresponding plan in [env]. OSPF+opt
+    raises [Failure], naming the failed links and the LP status, when its
+    detour LP does not reach an optimum. *)
 val evaluate :
   ?cache:Mcf_cache.t -> ?with_optimal:bool -> env -> algorithm -> Scenario.t -> result
 

@@ -22,8 +22,8 @@ let solve_exn p =
 
 (* max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (classic; opt 36) *)
 let test_textbook_max () =
-  let p = P.create ~name:"textbook" () in
-  let x = P.var p "x" and y = P.var p "y" in
+  let p = P.create () in
+  let x = P.var p and y = P.var p in
   P.constr p [ (1.0, x) ] P.Le 4.0;
   P.constr p [ (2.0, y) ] P.Le 12.0;
   P.constr p [ (3.0, x); (2.0, y) ] P.Le 18.0;
@@ -36,7 +36,7 @@ let test_textbook_max () =
 (* min x + y s.t. x + 2y >= 4, 3x + y >= 6 ; opt at intersection (1.6,1.2) *)
 let test_min_ge () =
   let p = P.create () in
-  let x = P.var p "x" and y = P.var p "y" in
+  let x = P.var p and y = P.var p in
   P.constr p [ (1.0, x); (2.0, y) ] P.Ge 4.0;
   P.constr p [ (3.0, x); (1.0, y) ] P.Ge 6.0;
   P.minimize p [ (1.0, x); (1.0, y) ];
@@ -45,7 +45,7 @@ let test_min_ge () =
 
 let test_equality () =
   let p = P.create () in
-  let x = P.var p "x" and y = P.var p "y" and z = P.var p "z" in
+  let x = P.var p and y = P.var p and z = P.var p in
   P.constr p [ (1.0, x); (1.0, y); (1.0, z) ] P.Eq 10.0;
   P.constr p [ (1.0, x); (-1.0, y) ] P.Eq 2.0;
   P.minimize p [ (1.0, x); (2.0, y); (3.0, z) ];
@@ -56,7 +56,7 @@ let test_equality () =
 
 let test_infeasible () =
   let p = P.create () in
-  let x = P.var p "x" in
+  let x = P.var p in
   P.constr p [ (1.0, x) ] P.Le 1.0;
   P.constr p [ (1.0, x) ] P.Ge 2.0;
   P.minimize p [ (1.0, x) ];
@@ -66,7 +66,7 @@ let test_infeasible () =
 
 let test_unbounded () =
   let p = P.create () in
-  let x = P.var p "x" and y = P.var p "y" in
+  let x = P.var p and y = P.var p in
   P.constr p [ (1.0, x); (-1.0, y) ] P.Le 1.0;
   P.maximize p [ (1.0, x) ];
   match P.solve p with
@@ -75,8 +75,8 @@ let test_unbounded () =
 
 let test_free_var () =
   let p = P.create () in
-  let x = P.free_var p "x" in
-  let y = P.var p "y" in
+  let x = P.free_var p in
+  let y = P.var p in
   P.constr p [ (1.0, x); (1.0, y) ] P.Ge (-5.0);
   P.constr p [ (1.0, x) ] P.Ge (-7.0);
   P.minimize p [ (1.0, x); (1.0, y) ];
@@ -88,8 +88,8 @@ let test_free_var () =
 
 let test_bounds () =
   let p = P.create () in
-  let x = P.var p ~lb:2.0 ~ub:5.0 "x" in
-  let y = P.var p ~lb:1.0 ~ub:4.0 "y" in
+  let x = P.var p ~lb:2.0 ~ub:5.0 in
+  let y = P.var p ~lb:1.0 ~ub:4.0 in
   P.constr p [ (1.0, x); (1.0, y) ] P.Le 7.0;
   P.maximize p [ (2.0, x); (1.0, y) ];
   let s = solve_exn p in
@@ -124,7 +124,7 @@ let test_degenerate () =
 
 let test_degenerate_revised () =
   let p = P.create () in
-  let x1 = P.var p "x1" and x2 = P.var p "x2" and x3 = P.var p "x3" in
+  let x1 = P.var p and x2 = P.var p and x3 = P.var p in
   P.constr p [ (0.25, x1); (-8.0, x2); (-1.0, x3) ] P.Le 0.0;
   P.constr p [ (0.5, x1); (-12.0, x2); (-0.5, x3) ] P.Le 0.0;
   P.constr p [ (1.0, x3) ] P.Le 1.0;
@@ -137,7 +137,7 @@ let test_degenerate_revised () =
 
 let test_duplicate_terms () =
   let p = P.create () in
-  let x = P.var p "x" in
+  let x = P.var p in
   (* 1x + 2x = 3x <= 9 -> x <= 3 *)
   P.constr p [ (1.0, x); (2.0, x) ] P.Le 9.0;
   P.maximize p [ (1.0, x) ];
@@ -146,7 +146,7 @@ let test_duplicate_terms () =
 
 let test_zero_objective () =
   let p = P.create () in
-  let x = P.var p "x" in
+  let x = P.var p in
   P.constr p [ (1.0, x) ] P.Ge 3.0;
   P.constr p [ (1.0, x) ] P.Le 4.0;
   P.minimize p [];
@@ -163,8 +163,8 @@ let test_transportation () =
   let supply = [| 20.0; 30.0 |] in
   let demand = [| 10.0; 25.0; 15.0 |] in
   let cost = [| [| 2.0; 3.0; 1.0 |]; [| 5.0; 4.0; 8.0 |] |] in
-  let p = P.create ~name:"transport" () in
-  let xv = Array.init 2 (fun i -> Array.init 3 (fun j -> P.var p (Printf.sprintf "x%d%d" i j))) in
+  let p = P.create () in
+  let xv = Array.init 2 (fun _ -> Array.init 3 (fun _ -> P.var p)) in
   for i = 0 to 1 do
     P.constr p (List.init 3 (fun j -> (1.0, xv.(i).(j)))) P.Le supply.(i)
   done;
@@ -192,7 +192,7 @@ let feasibility_prop =
     (fun (seed, (nv, nc)) ->
       let rng = R3_util.Prng.create (seed + 17) in
       let p = P.create () in
-      let vars = Array.init nv (fun i -> P.var p (Printf.sprintf "v%d" i)) in
+      let vars = Array.init nv (fun _ -> P.var p) in
       let rows =
         Array.init nc (fun _ ->
             let terms =
@@ -237,13 +237,13 @@ let duality_prop =
       let c = Array.init nv (fun _ -> R3_util.Prng.uniform rng 0.1 3.0) in
       (* all-positive A ensures both primal boundedness and dual feasibility *)
       let primal = P.create () in
-      let xs = Array.init nv (fun i -> P.var primal (Printf.sprintf "x%d" i)) in
+      let xs = Array.init nv (fun _ -> P.var primal) in
       for i = 0 to nc - 1 do
         P.constr primal (List.init nv (fun j -> (a.(i).(j), xs.(j)))) P.Le b.(i)
       done;
       P.maximize primal (List.init nv (fun j -> (c.(j), xs.(j))));
       let dual = P.create () in
-      let ys = Array.init nc (fun i -> P.var dual (Printf.sprintf "y%d" i)) in
+      let ys = Array.init nc (fun _ -> P.var dual) in
       for j = 0 to nv - 1 do
         P.constr dual (List.init nc (fun i -> (a.(i).(j), ys.(i)))) P.Ge c.(j)
       done;
@@ -772,7 +772,7 @@ let test_warm_fewer_pivots_revised () =
 (* Deterministic end-to-end run of the Problem-level incremental API. *)
 let test_problem_session () =
   let p = P.create () in
-  let x = P.var p "x" and y = P.var p "y" in
+  let x = P.var p and y = P.var p in
   P.constr p [ (1.0, x) ] P.Le 4.0;
   P.constr p [ (2.0, y) ] P.Le 12.0;
   P.constr p [ (3.0, x); (2.0, y) ] P.Le 18.0;
