@@ -51,6 +51,13 @@ let usisp_events ctx =
 
 let usisp_env ctx ~interval = H.env_for ctx ~interval ()
 
+(* The exact optimal flow-based MLU with no failure: the constant some
+   figures divide by. *)
+let no_failure_optimum g ~pairs ~demands =
+  match R3_mcf.Flow_lp.min_mlu_dest g ~failed:(G.no_failures g) ~pairs ~demands with
+  | Ok u -> u
+  | Error status -> failwith ("optimal MCF with no failure: " ^ status)
+
 (* ---------- Table 1 ---------- *)
 
 let table1 () =
@@ -84,9 +91,7 @@ let fig3 () =
   let opt0 =
     List.map
       (fun interval ->
-        let demands = H.interval_demands ctx ~interval in
-        (R3_mcf.Concurrent_flow.min_mlu ctx.H.g ~pairs:ctx.H.pairs ~demands ())
-          .R3_mcf.Concurrent_flow.mlu)
+        no_failure_optimum ctx.H.g ~pairs:ctx.H.pairs ~demands:(H.interval_demands ctx ~interval))
       intervals
   in
   let normalizer = List.fold_left Float.max 1e-9 opt0 in
@@ -411,10 +416,7 @@ let fig10 () =
   match (invcap_plan, H.ospf_r3_plan ctx) with
   | Error e, _ | _, Error e -> Printf.printf "fig10 failed: %s\n" e
   | Ok inv_plan, Ok opt_plan ->
-    let normalizer =
-      (R3_mcf.Concurrent_flow.min_mlu g ~pairs:ctx.H.pairs ~demands:ctx.H.demands ())
-        .R3_mcf.Concurrent_flow.mlu
-    in
+    let normalizer = no_failure_optimum g ~pairs:ctx.H.pairs ~demands:ctx.H.demands in
     let eval plan scenario =
       let st =
         R3_core.Reconfig.make g ~pairs:plan.Offline.pairs

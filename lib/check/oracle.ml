@@ -673,21 +673,26 @@ let stats_prng =
     check;
   }
 
-(* ---- 11. the normalizer within its approximation bound ---- *)
+(* ---- 11. the normalizer is exact; GK within its bound ---- *)
 
-(* Garg-Konemann at the evaluation's epsilon returns the MLU of a
-   feasible routing, so it cannot beat the exact LP optimum, and the
-   FPTAS guarantee puts it within 1/(1-eps)^3 of it (1.204 at eps 0.06).
-   It must also converge before its iteration cap. Checked with no
-   failure and with one sampled physical failure. *)
+(* The normalizer, the per-destination LP, must equal the per-pair exact
+   min-MLU LP within 1e-9 relative: with no failure, one sampled
+   physical failure and two, which can cut a generated bridge and so
+   drop demand and keep artificials in the LP. Garg-Konemann at
+   epsilon 0.06 returns the MLU of a feasible routing, so it cannot beat
+   the exact optimum, and the FPTAS guarantee puts it within
+   1/(1-eps)^3 of it (1.204). It must also converge before its
+   iteration cap. *)
 let mcf_bounds =
+  let epsilon = 0.06 in
   let check (case : Case.t) =
     let g = Case.graph case in
     let pairs, demands = Case.commodities case in
-    let epsilon = R3_sim.Eval.mcf_epsilon in
     let bound = 1.0 /. ((1.0 -. epsilon) ** 3.0) in
     let phys = Scenarios.physical_links g in
-    let down = phys.(Prng.int (Prng.create case.sub_seed) (Array.length phys)) in
+    let rng = Prng.create case.sub_seed in
+    let down = phys.(Prng.int rng (Array.length phys)) in
+    let two = Array.to_list (Prng.sample rng (Int.min 2 (Array.length phys)) phys) in
     List.iter
       (fun (what, failed) ->
         let gk = Cf.min_mlu g ~failed ~epsilon ~pairs ~demands () in
@@ -696,6 +701,12 @@ let mcf_bounds =
         match Cf.min_mlu_exact g ~failed ~pairs ~demands () with
         | Error e -> failf "%s: exact LP failed: %s" what e
         | Ok (exact, _) ->
+          (match R3_mcf.Flow_lp.min_mlu_dest g ~failed ~pairs ~demands with
+          | Error e -> failf "%s: per-destination LP failed: %s" what e
+          | Ok u ->
+            if Float.abs (u -. exact) > 1e-9 *. exact then
+              failf "%s: per-destination MLU %.17g differs from the exact optimum %.17g"
+                what u exact);
           if gk.Cf.mlu < exact -. 1e-6 then
             failf "%s: GK MLU %.9g below the exact optimum %.9g" what gk.Cf.mlu exact;
           if gk.Cf.mlu > exact *. bound then
@@ -704,13 +715,16 @@ let mcf_bounds =
       [
         ("no failure", G.no_failures g);
         (Printf.sprintf "physical link %d failed" down, G.fail_bidir g [ down ]);
+        ( Printf.sprintf "physical links [%s] failed"
+            (String.concat "; " (List.map string_of_int two)),
+          G.fail_bidir g two );
       ]
   in
   {
     name = "mcf-bounds";
     doc =
-      "the Garg-Konemann normalizer converges and lies between the exact \
-       min-MLU LP and exact / (1 - eps)^3";
+      "the per-destination normalizer equals the exact min-MLU LP, and \
+       Garg-Konemann converges between exact and exact / (1 - eps)^3";
     check;
   }
 

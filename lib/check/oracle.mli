@@ -25,9 +25,11 @@
       contract;
     - {!R3_util.Stats} and {!R3_util.Prng} honour their documented
       contracts;
-    - the Garg–Könemann normalizer at [Eval.mcf_epsilon] converges
-      before its iteration cap and lies between the exact min-MLU LP and
-      exact / (1 − ε)³, with no failure and under one physical failure.
+    - the normalizer ({!R3_mcf.Flow_lp.min_mlu_dest}) equals the
+      per-pair exact min-MLU LP within 1e-9 relative, and Garg–Könemann
+      at ε 0.06 converges before its iteration cap and lies between the
+      exact optimum and exact / (1 − ε)³, with no failure, under one
+      physical failure and under two (which may partition).
 
     Oracles are deterministic in the case: the fuzz runner and the corpus
     replay both call {!run} and expect the same verdict. *)

@@ -204,10 +204,19 @@ let wrap tr (out : Simplex.outcome) =
     let objective = tr.sense *. (out.Simplex.objective +. tr.obj_const) in
     Optimal { objective; value; pivots = out.Simplex.pivots }
 
-let solve ?max_pivots t =
+let solve ?max_pivots ?start t =
   let tr = translate t in
+  (* User rows come first among the solver's rows, in order. *)
+  let start =
+    Option.map
+      (List.map (fun (i, v) ->
+           if i < 0 || i >= t.nrows || v < 0 || v >= tr.n_user then
+             invalid_arg "Problem.solve: start basis entry out of range";
+           match tr.mapping.(v) with Shifted (c, _) | Split (c, _) -> (i, c)))
+      start
+  in
   wrap tr
-    (Simplex.solve ?max_pivots ~obj:tr.obj ~rows:tr.rows ~cmps:tr.cmps
+    (Simplex.solve ?max_pivots ?start ~obj:tr.obj ~rows:tr.rows ~cmps:tr.cmps
        ~rhs:tr.rhs ())
 
 (* ---- incremental solve handle ---- *)

@@ -54,8 +54,12 @@ val num_vars : t -> int
 val num_constraints : t -> int
 
 (** Solve with the built-in two-phase revised simplex ({!Simplex}).
-    [max_pivots] defaults to a budget proportional to the problem size. *)
-val solve : ?max_pivots:int -> t -> result
+    [max_pivots] defaults to a budget proportional to the problem size.
+    [start] is a start basis of [(row, var)] pairs, where [row] is the
+    row's index in creation order ({!num_constraints} just before its
+    {!constr}); a free variable enters on its positive part. See
+    {!Simplex.solve} for how the basis is repaired and completed. *)
+val solve : ?max_pivots:int -> ?start:(int * var) list -> t -> result
 
 (** {2 Incremental solving}
 

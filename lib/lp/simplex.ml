@@ -1321,7 +1321,21 @@ module Rev = struct
       ~btran:(st.btran_nnz - bt0) ~hits:(st.cand_hits - hits0)
       ~refreshes:(st.cand_refreshes - refr0)
 
-  let first_solve st =
+  (* Each (row, structural column) pair of a start basis replaces that
+     row's logical (slack or artificial) in the basis. *)
+  let set_start st start =
+    List.iter
+      (fun (i, j) ->
+        if i < 0 || i >= st.m || j < 0 || j >= st.n_struct then
+          invalid_arg "Simplex: start basis entry out of range";
+        if st.pos_of.(j) >= 0 || st.basis.(i) <> st.logical.(i) then
+          invalid_arg "Simplex: start basis repeats a row or a column";
+        st.pos_of.(st.logical.(i)) <- -1;
+        st.basis.(i) <- j;
+        st.pos_of.(j) <- i)
+      start
+
+  let first_solve ?start st =
     T.with_span "lp.rev.solve"
       ~attrs:[ ("rows", T.Int st.m); ("cols", T.Int st.width) ]
     @@ fun () ->
@@ -1336,12 +1350,23 @@ module Rev = struct
       T.add_attr "refactorizations" (T.Int st.refactors);
       out
     in
-    (* Initial basis is slacks + artificials: B = I, trivially factored. *)
-    refresh st;
-    finish
-      (match phases st ~max_pivots ~p1 with
-      | out -> out
-      | exception Repaired -> after_repair st ~max_pivots ~p1)
+    match start with
+    | None ->
+      (* Initial basis is slacks + artificials: B = I, trivially factored. *)
+      refresh st;
+      finish
+        (match phases st ~max_pivots ~p1 with
+        | out -> out
+        | exception Repaired -> after_repair st ~max_pivots ~p1)
+    | Some start ->
+      (* A given basis goes through the repair path: the factorization
+         swaps rank-deficient positions for their row's logical, negative
+         rows are lifted by one composite artificial, and phase 1 runs
+         only when an artificial is above 0. *)
+      set_start st start;
+      st.in_phase1 <- false;
+      (try refactor_lu st with Repaired -> ());
+      finish (after_repair st ~max_pivots ~p1)
 
   (* Append [lhs <= rhs] with a fresh basic slack. Nothing is eliminated
      against the basis: the revised method works off original rows, so
@@ -1524,8 +1549,8 @@ module Rev = struct
     end
 end
 
-let solve ?max_pivots ~obj ~rows ~cmps ~rhs () =
-  Rev.first_solve (Rev.build ?max_pivots ~obj ~rows ~cmps ~rhs ())
+let solve ?max_pivots ?start ~obj ~rows ~cmps ~rhs () =
+  Rev.first_solve ?start (Rev.build ?max_pivots ~obj ~rows ~cmps ~rhs ())
 
 let reference_solve = Reference.solve
 

@@ -40,9 +40,20 @@ type outcome = {
 
 (** [solve ~obj ~rows ~cmps ~rhs] where [rows.(i)] is the sparse row
     [(indices, coefficients)] of constraint [i]. All variable indices must
-    be in [0, Array.length obj). [max_pivots] caps total pivots. *)
+    be in [0, Array.length obj). [max_pivots] caps total pivots.
+
+    [start] is a start basis: each [(i, j)] makes column [j] basic in
+    row [i] in place of that row's slack or artificial (each row and
+    column at most once, else [Invalid_argument]). The solve then takes
+    the basis-repair path: rank-deficient positions go back to their
+    row's slack or artificial, negative basic values are lifted by one
+    composite artificial, and phase 1 runs only when an artificial is
+    above 0. A triangular, primal-feasible start therefore goes straight
+    to phase 2. Without [start] the solve begins at the slack and
+    artificial basis. *)
 val solve :
   ?max_pivots:int ->
+  ?start:(int * int) list ->
   obj:float array ->
   rows:(int array * float array) array ->
   cmps:cmp array ->

@@ -3,23 +3,25 @@
     Garg–Könemann / Fleischer multiplicative-weights FPTAS: repeatedly route
     each commodity along its current shortest path under exponential link
     lengths. The maximum concurrent throughput λ* satisfies
-    [min-MLU = 1 / λ*], so this gives a (1+ε)-approximate optimal MLU — the
-    "optimal flow-based routing" normalizer that the paper's performance
-    ratio divides by, computed once per failure scenario.
+    [min-MLU = 1 / λ*], so this gives a (1+ε)-approximate optimal MLU and,
+    with {!min_mlu_routing}, a near-optimal flow routing: MPLS-ff+R3's base
+    at evaluation scale and the experiments' traffic scaling. The
+    performance ratio's normalizer is the exact
+    {!Flow_lp.min_mlu_dest}.
 
     Accuracy: [mlu] is the MLU of a feasible routing, so it is never below
     the exact optimum ({!min_mlu_exact}), and the FPTAS guarantee bounds
-    it by exact / (1 − ε)³, 1.204× at the evaluation's ε 0.06 — the bound
-    the [mcf-bounds] fuzz oracle checks. Over 1,200 solves of 4–9-node
-    fuzz cases at ε 0.06 it was at most 1.181× exact (+18.1%, a 7-node
-    case with no failure), so ratios can read that much low.
+    it by exact / (1 − ε)³, 1.204× at ε 0.06 — the bound the
+    [mcf-bounds] fuzz oracle checks. Over 1,200 solves of 4–9-node fuzz
+    cases at ε 0.06 it was at most 1.181× exact (+18.1%, a 7-node case
+    with no failure).
 
     Cost: a solve builds one shortest-path tree per source per phase,
     plus one per extra path a commodity needs, and allocates nothing per
     tree or path. On the 2-vCPU host one SBC scenario (19 nodes, 342
-    commodities, about 35,000 trees) takes 54–91 ms at ε 0.06, where
-    {!min_mlu_exact} takes 10 s; pop36 scenarios take 1.0–1.5 s
-    (DESIGN.md §5). *)
+    commodities, about 35,000 trees) takes 61 ms at ε 0.06 (median over
+    Fig 6's quick-mode scenarios), where {!min_mlu_exact} takes 10 s and
+    {!Flow_lp.min_mlu_dest} 6.6 ms (DESIGN.md §5). *)
 
 type result = {
   mlu : float;  (** approximately optimal maximum link utilization *)
@@ -64,9 +66,10 @@ val min_mlu_routing :
 
 (** Exact min-MLU: {!Flow_lp.min_mlu} with zero background, over the
     commodities with positive demand that [failed] leaves reachable.
-    Dropped commodities get all-zero rows in the routing. The reference
-    for tests and small instances: one column per (commodity, link), so a
-    solve took 0.05 s on Abilene and 10 s on SBC (about 23,000
+    Dropped commodities get all-zero rows in the routing. The per-pair
+    reference that tests and the [mcf-bounds] oracle check
+    {!Flow_lp.min_mlu_dest} against: one column per (commodity, link), so
+    a solve took 0.05 s on Abilene and 10 s on SBC (about 23,000
     columns). *)
 val min_mlu_exact :
   R3_net.Graph.t ->

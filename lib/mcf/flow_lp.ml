@@ -3,6 +3,20 @@ module G = R3_net.Graph
 
 type t = P.var option array array
 
+(* [coef] times each column of [x] on [links], where one exists. *)
+let terms x coef links =
+  Array.to_list links |> List.filter_map (fun e -> Option.map (fun v -> (coef, v)) x.(e))
+
+(* Flow out of [v] minus flow into it. *)
+let out_minus_in g x v = terms x 1.0 (G.out_links g v) @ terms x (-1.0) (G.in_links g v)
+
+let solved ?start lp value =
+  match P.solve ?start lp with
+  | P.Optimal sol -> Ok (value sol)
+  | P.Infeasible -> Error "infeasible"
+  | P.Unbounded -> Error "unbounded"
+  | P.Iteration_limit -> Error "pivot budget exhausted"
+
 let add lp g ~failed ~pairs =
   let n = G.num_nodes g and m = G.num_links g in
   Array.init (Array.length pairs) (fun k ->
@@ -12,15 +26,11 @@ let add lp g ~failed ~pairs =
         Array.init m (fun e ->
             if failed.(e) || G.dst g e = a then None else Some (P.var lp))
       in
-      let terms coef links =
-        Array.to_list links |> List.filter_map (fun e -> Option.map (fun v -> (coef, v)) x.(e))
-      in
       (* [R2]: the origin emits exactly one unit. *)
-      P.constr lp (terms 1.0 (G.out_links g a)) P.Eq 1.0;
+      P.constr lp (terms x 1.0 (G.out_links g a)) P.Eq 1.0;
       (* [R1]: conservation at every intermediate node. *)
       for v = 0 to n - 1 do
-        if v <> a && v <> b then
-          P.constr lp (terms 1.0 (G.out_links g v) @ terms (-1.0) (G.in_links g v)) P.Eq 0.0
+        if v <> a && v <> b then P.constr lp (out_minus_in g x v) P.Eq 0.0
       done;
       x)
 
@@ -67,10 +77,96 @@ let min_mlu g ~failed ~pairs ~demands ~background =
   done;
   P.minimize lp [ (1.0, mlu) ];
   add_penalty lp 1e-7 x;
-  match P.solve lp with
-  | P.Optimal sol ->
-    let value = function Some v -> sol.P.value v | None -> 0.0 in
-    Ok (sol.P.value mlu, Array.map (Array.map value) x)
-  | P.Infeasible -> Error "infeasible"
-  | P.Unbounded -> Error "unbounded"
-  | P.Iteration_limit -> Error "pivot budget exhausted"
+  solved lp (fun sol ->
+      let value = function Some v -> sol.P.value v | None -> 0.0 in
+      (sol.P.value mlu, Array.map (Array.map value) x))
+
+(* ---- the per-destination shape ---- *)
+
+module Obs = struct
+  let solves = R3_util.Metrics.counter "mcf.dest_solves"
+end
+
+let min_mlu_dest g ~failed ~pairs ~demands =
+  R3_util.Metrics.incr Obs.solves;
+  R3_util.Trace.with_span "mcf.dest_solve" @@ fun () ->
+  let n = G.num_nodes g and m = G.num_links g in
+  (* hops.(t).(v): hop count from v to t over the surviving links,
+     infinite where t is out of reach. *)
+  let hops =
+    let unit = Array.make m 1.0 in
+    Array.init n (fun t -> R3_net.Spf.distances_to g ~failed ~weights:unit ~dst:t ())
+  in
+  let reaches t v = hops.(t).(v) > 0.0 && hops.(t).(v) < infinity in
+  (* dem.(t).(v) = D(v, t), summed over the pairs that still connect. *)
+  let dem = Array.make_matrix n n 0.0 in
+  Array.iteri
+    (fun k (a, b) ->
+      if demands.(k) > 0.0 && reaches b a then dem.(b).(a) <- dem.(b).(a) +. demands.(k))
+    pairs;
+  let dests = List.filter (fun t -> Array.exists (fun d -> d > 0.0) dem.(t)) (List.init n Fun.id) in
+  R3_util.Trace.add_attr "destinations" (R3_util.Trace.Int (List.length dests));
+  if dests = [] then Ok 0.0
+  else begin
+    let lp = P.create () in
+    let mlu = P.var lp in
+    let start = ref [] in
+    let load = Array.make m 0.0 in
+    let blocks =
+      List.map
+        (fun t ->
+          let dist = hops.(t) in
+          (* No flow out of [t], and none on a failed link. *)
+          let x =
+            Array.init m (fun e -> if failed.(e) || G.src g e = t then None else Some (P.var lp))
+          in
+          (* The tree arc of a node that reaches [t]: its first surviving
+             link one hop closer. *)
+          let parent = Array.make n (-1) in
+          for e = m - 1 downto 0 do
+            let v = G.src g e in
+            if (not failed.(e)) && reaches t v && dist.(G.dst g e) = dist.(v) -. 1.0 then
+              parent.(v) <- e
+          done;
+          (* Conservation at every v <> t. The tree arc starts basic in
+             its node's row; a node that cannot reach [t] keeps its
+             artificial, at right-hand side 0. *)
+          for v = 0 to n - 1 do
+            if v <> t then begin
+              if parent.(v) >= 0 then
+                start := (P.num_constraints lp, Option.get x.(parent.(v))) :: !start;
+              P.constr lp (out_minus_in g x v) P.Eq dem.(t).(v)
+            end
+          done;
+          (* Each tree arc carries its subtree's demand, deepest node first. *)
+          let sub = Array.copy dem.(t) in
+          List.init n Fun.id
+          |> List.filter (reaches t)
+          |> List.stable_sort (fun u v -> Float.compare dist.(v) dist.(u))
+          |> List.iter (fun v ->
+                 let e = parent.(v) in
+                 load.(e) <- load.(e) +. sub.(v);
+                 sub.(G.dst g e) <- sub.(G.dst g e) +. sub.(v));
+          x)
+        dests
+    in
+    (* The MLU starts basic in the row of the link the trees load most
+       (the first on ties), every other capacity row on its slack: the
+       start is triangular and primal feasible. *)
+    let util e = load.(e) /. G.capacity g e in
+    let worst = ref (-1) in
+    for e = 0 to m - 1 do
+      if (not failed.(e)) && (!worst < 0 || util e > util !worst) then worst := e
+    done;
+    for e = 0 to m - 1 do
+      if not failed.(e) then begin
+        if e = !worst then start := (P.num_constraints lp, mlu) :: !start;
+        P.constr lp
+          ((-.G.capacity g e, mlu)
+          :: List.filter_map (fun x -> Option.map (fun v -> (1.0, v)) x.(e)) blocks)
+          P.Le 0.0
+      end
+    done;
+    P.minimize lp [ (1.0, mlu) ];
+    solved ~start:!start lp (fun sol -> sol.P.value mlu)
+  end

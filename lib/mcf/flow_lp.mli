@@ -1,14 +1,18 @@
 (** The unit-flow LP block: the one builder of flow columns and their
     rows, shared by R3's base routing [r] and protection routing [p]
     (conditions [R1]–[R3] of (1)), the [opt] detour baseline and the
-    exact min-MLU LP.
+    exact min-MLU LPs. It has two shapes.
 
-    Commodity [k] routes one unit from its origin [a] to its
-    destination [b]. It has one column per link, in link order, except on
-    failed links and on links into [a], which condition [R3] forces to
-    zero; those columns are not created. Its rows are the [R2] emit row
-    at [a], then one [R1] conservation row per node other than [a] and
-    [b], in node order. *)
+    Per pair ({!add}): commodity [k] routes one unit from its origin [a]
+    to its destination [b]. It has one column per link, in link order,
+    except on failed links and on links into [a], which condition [R3]
+    forces to zero; those columns are not created. Its rows are the [R2]
+    emit row at [a], then one [R1] conservation row per node other than
+    [a] and [b], in node order.
+
+    Per destination ({!min_mlu_dest}): one flow per destination [t] that
+    carries every origin's demand toward [t] at once. It is exact
+    wherever an LP reads only the link loads. *)
 
 type t = R3_lp.Problem.var option array array
 (** [x.(k).(e)] is commodity [k]'s fraction on link [e]; [None] exactly
@@ -61,3 +65,27 @@ val min_mlu :
   demands:float array ->
   background:float array ->
   (float * float array array, string) result
+
+(** The exact optimal flow-based MLU over the links that survive
+    [failed] — the normalizer of the paper's performance ratio. Demand
+    of a pair that [failed] disconnects is dropped; with none left the
+    MLU is 0.
+
+    The per-destination LP: one column [f_t(e)] per destination [t] with
+    demand and per surviving link [e] not leaving [t]; for every node
+    [v <> t] one row [out - in = D(v, t)], the demand of [v] toward [t];
+    then one capacity row [sum_t f_t(e) - c_e MLU <= 0] per surviving
+    link. It minimizes the MLU alone, with no loop penalty.
+
+    It starts from a triangular, primal-feasible basis: each node's
+    first link (in link order) on a hop-count shortest path toward [t],
+    carrying its subtree's demand; the MLU in the capacity row of the
+    link those trees load most; slacks elsewhere. Counted by
+    [mcf.dest_solves] and traced as [mcf.dest_solve]. Returns the LP
+    status when it is not optimal. *)
+val min_mlu_dest :
+  R3_net.Graph.t ->
+  failed:R3_net.Graph.link_set ->
+  pairs:(R3_net.Graph.node * R3_net.Graph.node) array ->
+  demands:float array ->
+  (float, string) result

@@ -33,15 +33,12 @@ type env = {
   mplsff_r3 : R3_core.Offline.plan option;
 }
 
-let mcf_epsilon = 0.06
-
 let make_env g ~weights ~pairs ~demands ?ospf_r3 ?mplsff_r3 () =
   let ospf_base = R3_net.Ospf.routing g ~weights ~pairs () in
   { graph = g; weights; pairs; demands; ospf_base; ospf_r3; mplsff_r3 }
 
 let mcf_cache ?dir env =
-  Mcf_cache.create ?dir ~graph:env.graph ~pairs:env.pairs ~demands:env.demands
-    ~epsilon:mcf_epsilon ()
+  Mcf_cache.create ?dir ~graph:env.graph ~pairs:env.pairs ~demands:env.demands ()
 
 let r3_root_of_plan env plan =
   (* Evaluate the plan's routing against the env's demands (the plan may
@@ -94,6 +91,20 @@ let reachable_fraction env ~failed =
     !got /. total
   end
 
+(* An LP that did not reach an optimum: say so, naming the failed links
+   and the LP status, and never report another number under its label. *)
+let unsolved g what scenario status =
+  failwith
+    (Printf.sprintf "Eval: %s on failed links [%s]: %s" what
+       (String.concat "; "
+          (List.map
+             (fun e ->
+               Printf.sprintf "%d %s-%s" e
+                 (G.node_name g (G.src g e))
+                 (G.node_name g (G.dst g e)))
+             scenario))
+       status)
+
 (* Bottleneck intensity and delivered fraction of one algorithm under one
    scenario given as directed failed links. *)
 let outcome_links env alg scenario =
@@ -122,18 +133,8 @@ let outcome_links env alg scenario =
     | Ok u -> (u, reachable_fraction env ~failed)
     | Error status ->
       (* Every commodity is reachable and the MLU has no upper bound, so
-         only a pivot-budget stop lands here: say so, never report
-         another algorithm's number under this label. *)
-      failwith
-        (Printf.sprintf "Eval: OSPF+opt on failed links [%s]: %s"
-           (String.concat "; "
-              (List.map
-                 (fun e ->
-                   Printf.sprintf "%d %s-%s" e
-                     (G.node_name g (G.src g e))
-                     (G.node_name g (G.dst g e)))
-                 scenario))
-           status)
+         only a pivot-budget stop lands here. *)
+      unsolved g "OSPF+opt" scenario status
   end
   | Ospf_r3 | Mplsff_r3 ->
     let st = Option.get (r3_root env alg) in
@@ -144,12 +145,13 @@ let scenario_bottleneck env alg scenario =
   fst (outcome_links env alg (Scenario.links scenario))
 
 let solve_optimal env scenario =
-  let failed = G.fail_links env.graph (Scenario.links scenario) in
-  let r =
-    R3_mcf.Concurrent_flow.min_mlu env.graph ~failed ~epsilon:mcf_epsilon
-      ~pairs:env.pairs ~demands:env.demands ()
-  in
-  r.R3_mcf.Concurrent_flow.mlu
+  let links = Scenario.links scenario in
+  let failed = G.fail_links env.graph links in
+  match
+    R3_mcf.Flow_lp.min_mlu_dest env.graph ~failed ~pairs:env.pairs ~demands:env.demands
+  with
+  | Ok u -> u
+  | Error status -> unsolved env.graph "optimal MCF" links status
 
 let optimal ?cache env scenario =
   match cache with

@@ -5,8 +5,9 @@
 
     Single scenarios go through {!evaluate}; bulk sweeps (thousands of
     scenarios) go through [Sweep], which shares reconfiguration prefixes
-    and memoizes the MCF normalizer. The normalizer's accuracy is the
-    constant {!mcf_epsilon}, so an environment is just its inputs. *)
+    and memoizes the MCF normalizer. The normalizer is the exact
+    per-destination LP {!R3_mcf.Flow_lp.min_mlu_dest}, so an environment
+    is just its inputs. *)
 
 type algorithm =
   | Ospf_cspf_detour  (** OSPF base + CSPF fast-reroute bypasses *)
@@ -31,10 +32,6 @@ type env = {
   ospf_r3 : R3_core.Offline.plan option;  (** plan with the OSPF base *)
   mplsff_r3 : R3_core.Offline.plan option;  (** plan with optimized base *)
 }
-
-(** The accuracy parameter (0.06) of the Garg–Könemann solve behind
-    {!optimal} and {!mcf_cache}. *)
-val mcf_epsilon : float
 
 (** Build an environment: computes the OSPF routing; R3 plans are supplied
     by the caller (they may be shared across intervals). *)
@@ -71,8 +68,11 @@ type result = {
 val evaluate :
   ?cache:Mcf_cache.t -> ?with_optimal:bool -> env -> algorithm -> Scenario.t -> result
 
-(** Approximately optimal bottleneck intensity (flow-based optimal routing
-    on the surviving topology), optionally memoized. *)
+(** Optimal bottleneck intensity: the exact minimum MLU of flow-based
+    routing on the surviving topology ({!R3_mcf.Flow_lp.min_mlu_dest}),
+    with the demand of disconnected pairs dropped; optionally memoized.
+    Raises [Failure], naming the failed links and the LP status, when
+    the LP does not reach an optimum. *)
 val optimal : ?cache:Mcf_cache.t -> env -> Scenario.t -> float
 
 (** {2 Building blocks for the bulk sweep engine}

@@ -1,10 +1,9 @@
 (* Memo table for the optimal-MCF normalizer. The key scheme has two
-   levels: a context digest (MD5 over the topology, commodities, demands,
-   solver epsilon and iteration cap — everything the solve depends on
-   besides the failure set) selects the table, and Scenario.key selects
-   the entry. Values
-   round-trip through the disk file as hex floats, so cache hits are
-   bit-identical to the cold solves that produced them. *)
+   levels: a context digest (MD5 over the topology, commodities, demands
+   and the solver's tag — everything the solve depends on besides the
+   failure set) selects the table, and Scenario.key selects the entry.
+   Values round-trip through the disk file as hex floats, so cache hits
+   are bit-identical to the cold solves that produced them. *)
 
 module G = R3_net.Graph
 
@@ -24,7 +23,11 @@ type t = {
   mutable dirty : bool;
 }
 
-let context_digest ~graph ~pairs ~demands ~epsilon =
+(* Names the solver whose values a table holds. Change it whenever the
+   normalizer changes, so no file of an older solver is read back. *)
+let solver_tag = "Flow_lp.min_mlu_dest: exact per-destination LP"
+
+let context_digest ~graph ~pairs ~demands =
   let buf = Buffer.create 4096 in
   let add_int i = Buffer.add_string buf (string_of_int i); Buffer.add_char buf ';' in
   let add_float f = Buffer.add_int64_le buf (Int64.bits_of_float f) in
@@ -38,8 +41,7 @@ let context_digest ~graph ~pairs ~demands ~epsilon =
   add_int (Array.length pairs);
   Array.iter (fun (a, b) -> add_int a; add_int b) pairs;
   Array.iter add_float demands;
-  add_float epsilon;
-  add_int R3_mcf.Concurrent_flow.max_iterations;
+  Buffer.add_string buf solver_tag;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let load_file table path =
@@ -61,8 +63,8 @@ let load_file table path =
     close_in ic
   end
 
-let create ?dir ~graph ~pairs ~demands ~epsilon () =
-  let context = context_digest ~graph ~pairs ~demands ~epsilon in
+let create ?dir ~graph ~pairs ~demands () =
+  let context = context_digest ~graph ~pairs ~demands in
   let table = Hashtbl.create 256 in
   let file =
     match dir with

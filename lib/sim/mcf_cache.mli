@@ -1,13 +1,13 @@
 (** Memo cache for the optimal-MCF normalizer.
 
-    The per-scenario optimal bottleneck ([Eval.optimal]) is by far the most
-    expensive quantity a sweep computes, and it is a pure function of
-    (topology, commodities, demands, epsilon, failure set) under one
-    solver iteration cap ([Concurrent_flow.max_iterations]). This cache
-    keys on exactly that: a {e context digest} over everything but the
-    failure set, the cap included, picks the table (and the on-disk
-    file), and {!Scenario.key} picks the entry. Values survive the disk round-trip bit-identically (hex
-    floats), so warm runs reproduce cold runs exactly.
+    The per-scenario optimal bottleneck ([Eval.optimal]) is a pure
+    function of (topology, commodities, demands, failure set) under one
+    solver, the exact per-destination LP. This cache keys on exactly
+    that: a {e context digest} over everything but the failure set, a
+    fixed tag naming the solver included, picks the table (and the
+    on-disk file), and {!Scenario.key} picks the entry. Values survive
+    the disk round-trip bit-identically (hex floats), so warm runs
+    reproduce cold runs exactly.
 
     Concurrency: {!find} is safe from parallel sweep workers {e only while
     no writer runs}; {!add}/{!flush} must be called from a single domain
@@ -15,7 +15,7 @@
 
 type t
 
-(** [create ?dir ~graph ~pairs ~demands ~epsilon ()] — in-memory table,
+(** [create ?dir ~graph ~pairs ~demands ()] — in-memory table,
     optionally backed by [dir/mcf-<context>.cache] (created by {!flush};
     loaded eagerly if present). The conventional [dir] is [".bench-cache"]. *)
 val create :
@@ -23,7 +23,6 @@ val create :
   graph:R3_net.Graph.t ->
   pairs:(R3_net.Graph.node * R3_net.Graph.node) array ->
   demands:float array ->
-  epsilon:float ->
   unit ->
   t
 

@@ -4,8 +4,9 @@
     The paper's evaluation replays thousands of failure scenarios (all one-
     and two-link failures plus sampled three/four-link ones). Evaluating
     each scenario independently rebuilds the R3 reconfiguration state from
-    the pristine plan and re-solves the optimal-MCF normalizer every time.
-    This engine instead:
+    the pristine plan and re-solves the optimal-MCF normalizer (the exact
+    per-destination LP behind {!Eval.optimal}) every time. This engine
+    instead:
 
     - organizes the canonical scenarios ({!Scenario.t}) into a prefix tree
       over sorted physical-link combinations and walks it depth-first,
@@ -19,8 +20,8 @@
       domain, and concatenating the subtrees in child order reproduces
       the serial DFS preorder — results never depend on the pool size;
     - memoizes optimal-MCF solves in an {!Mcf_cache.t} (optionally disk-
-      backed under [.bench-cache/]), reading it concurrently during the
-      sweep and updating it once afterwards;
+      backed under [.bench-cache/], keyed on the solver too), reading it
+      concurrently during the sweep and updating it once afterwards;
     - streams per-algorithm aggregates (sorted curves, undefined-ratio
       counts, worst-case witnesses) without retaining per-scenario states.
 

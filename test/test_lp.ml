@@ -600,11 +600,14 @@ let test_lu_hypersparse () =
       solves "eta" lu cols ~tol:1e-8)
     [ 8; 31; 32; 33; 63; 64; 65; 300; 1500 ]
 
-(* Engine agreement: on random LPs the revised engine and the dense
-   reference tableau must report the same status, and at [Optimal] the
-   same objective (within tolerance) at primal-feasible points. The LPs
-   are max c.x over x >= 0; the engines minimize, so the objective is
-   negated. *)
+(* Engine agreement: on random LPs the revised engine, cold and from a
+   random start basis, and the dense reference tableau must report the
+   same status, and at [Optimal] the same objective (within tolerance)
+   at primal-feasible points. The LPs are max c.x over x >= 0; the
+   engines minimize, so the objective is negated. The start puts random
+   columns basic in random rows: dense random coefficients make it
+   nonsingular, and its basic values may be negative, which the
+   composite artificial and phase 1 repair. *)
 let reference_agree_prop =
   QCheck.Test.make ~count:100 ~name:"reference and revised agree"
     QCheck.(int_bound 100_000)
@@ -645,12 +648,60 @@ let reference_agree_prop =
           ()
       in
       let reference = solve (S.reference_solve ?max_pivots:None) in
-      let revised = solve (S.solve ?max_pivots:None) in
-      match (reference.S.status, revised.S.status) with
-      | S.Optimal, S.Optimal ->
-        close ~tol:1e-6 reference.S.objective revised.S.objective
-        && feasible reference && feasible revised
-      | a, b -> a = b)
+      let revised = solve (S.solve ?max_pivots:None ?start:None) in
+      let k = 1 + R3_util.Prng.int rng (Int.min nv nc) in
+      let start =
+        Array.to_list
+          (Array.combine
+             (R3_util.Prng.sample rng k (Array.init nc Fun.id))
+             (R3_util.Prng.sample rng k (Array.init nv Fun.id)))
+      in
+      let started = solve (S.solve ?max_pivots:None ~start) in
+      let agrees (o : S.outcome) =
+        match (reference.S.status, o.S.status) with
+        | S.Optimal, S.Optimal ->
+          close ~tol:1e-6 reference.S.objective o.S.objective
+          && feasible reference && feasible o
+        | a, b -> a = b
+      in
+      agrees revised && agrees started)
+
+(* [min obj] over [rows] on both engines, the revised one from [start]. *)
+let started_vs_reference ~obj ~rows ~cmps ~rhs ~start =
+  let reference = S.reference_solve ~obj ~rows ~cmps ~rhs () in
+  let started = S.solve ~start ~obj ~rows ~cmps ~rhs () in
+  (match (reference.S.status, started.S.status) with
+  | S.Optimal, S.Optimal -> ()
+  | _ -> Alcotest.fail "both solves should reach an optimum");
+  check_close "objective" reference.S.objective started.S.objective
+
+(* Two identical columns started in two rows make a singular basis: the
+   factorization gives one position back to its row's slack, counts the
+   swap on [lp.rev.fallbacks], and the solve still ends at the optimum. *)
+let test_start_singular () =
+  let fallbacks () = R3_util.Metrics.counter_value "lp.rev.fallbacks" in
+  let before = fallbacks () in
+  (* min -x - y - 2z  s.t.  x + y + z <= 4;  x + y + 3z <= 6;  z <= 1.
+     Columns x and y are equal. *)
+  let rows =
+    [|
+      ([| 0; 1; 2 |], [| 1.0; 1.0; 1.0 |]); ([| 0; 1; 2 |], [| 1.0; 1.0; 3.0 |]); ([| 2 |], [| 1.0 |]);
+    |]
+  in
+  started_vs_reference ~obj:[| -1.0; -1.0; -2.0 |] ~rows ~cmps:[| S.Le; S.Le; S.Le |]
+    ~rhs:[| 4.0; 6.0; 1.0 |] ~start:[ (0, 0); (1, 1) ];
+  if fallbacks () <= before then Alcotest.fail "the singular start was not repaired"
+
+(* A start whose basic values are negative: y basic in [x - y <= 1]
+   reads y = -1. One composite artificial lifts it, phase 1 drives that
+   out, and phase 2 reaches the optimum (-5, on x + y = 5). *)
+let test_start_negative () =
+  let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
+  let before = phase1 () in
+  started_vs_reference ~obj:[| -1.0; -1.0 |]
+    ~rows:[| ([| 0; 1 |], [| 1.0; -1.0 |]); ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 1 |], [| 1.0 |]) |]
+    ~cmps:[| S.Le; S.Le; S.Le |] ~rhs:[| 1.0; 5.0; 3.0 |] ~start:[ (0, 1) ];
+  if phase1 () <= before then Alcotest.fail "the negative start ran no phase 1"
 
 (* Warm-started sessions: after any number of added cut rows, a warm
    [resolve] must agree (status and objective) with a cold solve of the
@@ -821,6 +872,8 @@ let suite =
     Alcotest.test_case "transportation instance" `Quick test_transportation;
     Alcotest.test_case "incremental session (Problem API)" `Quick
       test_problem_session;
+    Alcotest.test_case "singular start basis is repaired" `Quick test_start_singular;
+    Alcotest.test_case "negative start basis runs phase 1" `Quick test_start_negative;
     QCheck_alcotest.to_alcotest feasibility_prop;
     QCheck_alcotest.to_alcotest duality_prop;
     QCheck_alcotest.to_alcotest reference_agree_prop;

@@ -170,6 +170,61 @@ let test_golden_exact () =
         "474dc62370c0cb817738ac178db596ad");
     ]
 
+(* The per-destination normalizer on SBC (the GK goldens' matrix and
+   failure sets): its MLU bits and its pivots, read off [lp.pivots]. The
+   shortest-path-tree start leaves nothing for phase 1, so a change of
+   start or of pivoting rule shows up here. *)
+let test_golden_dest_sbc () =
+  let g = Topology.sbc_like () in
+  let pairs, demands = scaled_commodities g ~seed:1001 ~target:0.3 in
+  let pivots () = R3_util.Metrics.counter_value "lp.pivots" in
+  let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
+  List.iter
+    (fun (links, mlu, n_pivots) ->
+      let what = "sbc [" ^ String.concat ";" (List.map string_of_int links) ^ "]" in
+      let failed = G.fail_bidir g links in
+      let p0 = pivots () and q0 = phase1 () in
+      match R3_mcf.Flow_lp.min_mlu_dest g ~failed ~pairs ~demands with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok u ->
+        Alcotest.(check string) (what ^ ": mlu bits") mlu (Printf.sprintf "%h" u);
+        Alcotest.(check int) (what ^ ": pivots") n_pivots (pivots () - p0);
+        Alcotest.(check int) (what ^ ": phase-1 pivots") 0 (phase1 () - q0))
+    [
+      ([], "0x1.6f535b1b56c82p-3", 101);
+      ([ 6; 34 ], "0x1.24654a9071bc3p-2", 19);
+      ([ 16; 60 ], "0x1.cb2831e22c7a3p-3", 59);
+      ([ 0; 24; 48 ], "0x1.16e2ca113b6aep-3", 132);
+    ]
+
+(* The per-destination normalizer against the per-pair exact LP on
+   Abilene's 2-failure sets: every set that partitions the network (its
+   cut-off demand is dropped and its unreachable nodes keep their
+   artificials) and every third connected one. *)
+let test_dest_vs_exact_abilene () =
+  let g = Topology.abilene () in
+  let pairs, demands = scaled_commodities g ~seed:5 ~target:0.5 in
+  let partitioned = ref 0 in
+  List.iteri
+    (fun i sc ->
+      let links = R3_core.Scenario.links sc in
+      let failed = G.fail_links g links in
+      let connected = G.strongly_connected g ~failed () in
+      if (not connected) || i mod 3 = 0 then begin
+        if not connected then incr partitioned;
+        let what = R3_core.Scenario.describe g sc in
+        match
+          (R3_mcf.Flow_lp.min_mlu_dest g ~failed ~pairs ~demands,
+           Cf.min_mlu_exact g ~failed ~pairs ~demands ())
+        with
+        | Ok u, Ok (exact, _) ->
+          if Float.abs (u -. exact) > 1e-9 *. exact then
+            Alcotest.failf "%s: per-destination %.17g, exact %.17g" what u exact
+        | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" what e
+      end)
+    (R3_sim.Scenarios.enumerate g ~k:2);
+  Alcotest.(check int) "partitioning 2-failure sets" 11 !partitioned
+
 (* Abilene at epsilon 0.005 needs about 2.0M trees to converge (1,976,458
    with this matrix): the solve stops at the cap and says so. *)
 let test_cap_reported () =
@@ -213,5 +268,7 @@ let suite =
     Alcotest.test_case "golden bits: pop36 GK base" `Quick test_golden_pop36_base;
     Alcotest.test_case "golden bits: exact LP" `Quick test_golden_exact;
     Alcotest.test_case "iteration cap is reported" `Quick test_cap_reported;
+    Alcotest.test_case "golden bits: per-destination LP on sbc" `Quick test_golden_dest_sbc;
+    Alcotest.test_case "per-destination LP = exact (abilene)" `Quick test_dest_vs_exact_abilene;
     QCheck_alcotest.to_alcotest scaling_prop;
   ]

@@ -176,7 +176,7 @@ let test_cache_flush_atomic () =
   let dir =
     scratch_cache_dir (Filename.concat "r3-cache-flush-test" "nested")
   in
-  let fresh () = Mcf_cache.create ~dir ~graph:g ~pairs ~demands ~epsilon:0.05 () in
+  let fresh () = Mcf_cache.create ~dir ~graph:g ~pairs ~demands () in
   let c = fresh () in
   let sc = Sc.of_links g [ (S.physical_links g).(0) ] in
   Mcf_cache.add c sc 1.25;
@@ -199,7 +199,7 @@ let test_cache_nan_dirty_regression () =
   let g = Topology.abilene () in
   let pairs = [| (0, 1) |] and demands = [| 1.0 |] in
   let dir = scratch_cache_dir "r3-cache-nan-test" in
-  let fresh () = Mcf_cache.create ~dir ~graph:g ~pairs ~demands ~epsilon:0.05 () in
+  let fresh () = Mcf_cache.create ~dir ~graph:g ~pairs ~demands () in
   let c = fresh () in
   let sc = Sc.of_links g [ (S.physical_links g).(0) ] in
   Mcf_cache.add c sc Float.nan;
