@@ -453,7 +453,7 @@ let profile tag ks count seed load () out trace_out =
       "lp.degenerate_pivots"; "lp.harris_rejections"; "lp.rev.refactorizations";
       "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
       "offline.cg.cuts"; "offline.cg.budget_exhausted"; "mcf.dest_solves";
-      "sweep.scenarios";
+      "mcf.reroute_solves"; "sweep.scenarios";
       "sweep.tree_nodes"; "sweep.cow_steps"; "sweep.cache.hits";
       "sweep.cache.misses"; "r3.reconfig.base_forces";
     ];

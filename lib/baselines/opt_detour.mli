@@ -11,9 +11,12 @@
 
     The LP is {!R3_mcf.Flow_lp.min_mlu}: one commodity per loaded,
     reachable failed link, in link order, carrying that link's base load,
-    over the base loads of the surviving links as background. The
-    outcome's loads add each commodity's raw LP flows to the base loads
-    in that order. *)
+    over the base loads of the surviving links as background. It starts
+    from each failed link's hop-count shortest detour, so it spends no
+    phase-1 pivot. The outcome's loads add each commodity's raw LP flows
+    to the base loads in that order. The [mcf-bounds] fuzz oracle checks
+    the LP against a two-phase build of it, and a detour that loses no
+    failed link against the exact optimum, which it cannot beat. *)
 
 val evaluate :
   R3_net.Graph.t ->

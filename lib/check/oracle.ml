@@ -673,7 +673,7 @@ let stats_prng =
     check;
   }
 
-(* ---- 11. the normalizer is exact; GK within its bound ---- *)
+(* ---- 11. the normalizer is exact; GK and the opt detour above it ---- *)
 
 (* The normalizer, the per-destination LP, must equal the per-pair exact
    min-MLU LP within 1e-9 relative: with no failure, one sampled
@@ -682,17 +682,29 @@ let stats_prng =
    epsilon 0.06 returns the MLU of a feasible routing, so it cannot beat
    the exact optimum, and the FPTAS guarantee puts it within
    1/(1-eps)^3 of it (1.204). It must also converge before its
-   iteration cap. *)
+   iteration cap.
+
+   On an OSPF base, the opt detour's reroute LP, started from shortest
+   detours, must reach the MLU of its two-phase reference build
+   ({!Reroute_ref}) within 1e-9 relative, and [Opt_detour.evaluate]'s
+   bottleneck must be that MLU. When the detour loses no failed link it
+   delivers all demand, so its bottleneck cannot beat the exact
+   optimum: the lower half of the sandwich exact <= opt detour <= R3. *)
 let mcf_bounds =
   let epsilon = 0.06 in
   let check (case : Case.t) =
     let g = Case.graph case in
     let pairs, demands = Case.commodities case in
+    let base = ospf_base g pairs in
     let bound = 1.0 /. ((1.0 -. epsilon) ** 3.0) in
     let phys = Scenarios.physical_links g in
     let rng = Prng.create case.sub_seed in
     let down = phys.(Prng.int rng (Array.length phys)) in
     let two = Array.to_list (Prng.sample rng (Int.min 2 (Array.length phys)) phys) in
+    let within what u reference =
+      if Float.abs (u -. reference) > 1e-9 *. reference then
+        failf "%s: %.17g differs from the two-phase reroute LP's %.17g" what u reference
+    in
     List.iter
       (fun (what, failed) ->
         let gk = Cf.min_mlu g ~failed ~epsilon ~pairs ~demands () in
@@ -700,7 +712,7 @@ let mcf_bounds =
           failf "%s: GK stopped at its %d-iteration cap" what Cf.max_iterations;
         match Cf.min_mlu_exact g ~failed ~pairs ~demands () with
         | Error e -> failf "%s: exact LP failed: %s" what e
-        | Ok (exact, _) ->
+        | Ok (exact, _) -> (
           (match R3_mcf.Flow_lp.min_mlu_dest g ~failed ~pairs ~demands with
           | Error e -> failf "%s: per-destination LP failed: %s" what e
           | Ok u ->
@@ -711,7 +723,32 @@ let mcf_bounds =
             failf "%s: GK MLU %.9g below the exact optimum %.9g" what gk.Cf.mlu exact;
           if gk.Cf.mlu > exact *. bound then
             failf "%s: GK MLU %.9g above exact %.9g / (1 - %g)^3 = %.9g" what gk.Cf.mlu
-              exact epsilon (exact *. bound))
+              exact epsilon (exact *. bound);
+          let lp_pairs, lp_demands, background =
+            Reroute_ref.opt_detour_lp g ~failed ~base ~demands
+          in
+          let reference =
+            match
+              Reroute_ref.min_mlu g ~failed ~pairs:lp_pairs ~demands:lp_demands ~background
+            with
+            | Error e -> failf "%s: two-phase reroute LP failed: %s" what e
+            | Ok u -> u
+          in
+          (match
+             R3_mcf.Flow_lp.min_mlu g ~failed ~pairs:lp_pairs ~demands:lp_demands ~background
+           with
+          | Error e -> failf "%s: started reroute LP failed: %s" what e
+          | Ok (u, _) -> within (what ^ ": started reroute LP") u reference);
+          match R3_baselines.Opt_detour.evaluate g ~failed ~base ~demands () with
+          | Error e -> failf "%s: %s" what e
+          | Ok outcome ->
+            let b = R3_baselines.Types.bottleneck g ~failed outcome in
+            within (what ^ ": opt detour bottleneck") b reference;
+            (* Lossless: every loaded failed link became a commodity. *)
+            let loaded = List.filter (fun e -> background.(e) > 0.0) (G.failed_list failed) in
+            if List.length loaded = Array.length lp_pairs && b < exact *. (1.0 -. 1e-9) then
+              failf "%s: opt detour bottleneck %.17g below the exact optimum %.17g" what b
+                exact))
       [
         ("no failure", G.no_failures g);
         (Printf.sprintf "physical link %d failed" down, G.fail_bidir g [ down ]);
@@ -723,8 +760,9 @@ let mcf_bounds =
   {
     name = "mcf-bounds";
     doc =
-      "the per-destination normalizer equals the exact min-MLU LP, and \
-       Garg-Konemann converges between exact and exact / (1 - eps)^3";
+      "the per-destination normalizer equals the exact min-MLU LP; Garg-Konemann \
+       converges between exact and exact / (1 - eps)^3; the started opt-detour LP \
+       equals its two-phase build, and a lossless detour is no better than exact";
     check;
   }
 

@@ -29,7 +29,13 @@
       per-pair exact min-MLU LP within 1e-9 relative, and Garg–Könemann
       at ε 0.06 converges before its iteration cap and lies between the
       exact optimum and exact / (1 − ε)³, with no failure, under one
-      physical failure and under two (which may partition).
+      physical failure and under two (which may partition). On the same
+      scenarios and an OSPF base, the [opt] detour's reroute LP
+      ({!R3_mcf.Flow_lp.min_mlu}, started from shortest detours) equals
+      its two-phase build ({!Reroute_ref}) within 1e-9 relative, so does
+      {!R3_baselines.Opt_detour.evaluate}'s bottleneck, and a detour
+      that loses no failed link has a bottleneck of at least the exact
+      optimum × (1 − 1e-9).
 
     Oracles are deterministic in the case: the fuzz runner and the corpus
     replay both call {!run} and expect the same verdict. *)

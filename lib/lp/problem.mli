@@ -57,7 +57,9 @@ val num_constraints : t -> int
     [max_pivots] defaults to a budget proportional to the problem size.
     [start] is a start basis of [(row, var)] pairs, where [row] is the
     row's index in creation order ({!num_constraints} just before its
-    {!constr}); a free variable enters on its positive part. See
+    {!constr}); a free variable enters on its positive part. Every
+    inequality row it does not list starts on its own slack or surplus,
+    and only an unlisted equality row on its artificial. See
     {!Simplex.solve} for how the basis is repaired and completed. *)
 val solve : ?max_pivots:int -> ?start:(int * var) list -> t -> result
 

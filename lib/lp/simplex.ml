@@ -494,6 +494,7 @@ module Rev = struct
     mutable basis : int array;  (* basis position -> column *)
     mutable pos_of : int array;  (* column -> basis position, or -1 *)
     mutable logical : int array;  (* row -> its +1 unit column *)
+    surplus : int array;  (* built row -> its -1 surplus column, or -1 *)
     mutable barred : int list;  (* displaced by a repair, see [run_phase] *)
     mutable xb : float array;  (* basic values by position *)
     (* Rows that may hold [xb < -Tol.dual_feas]: every such row is listed
@@ -1154,6 +1155,7 @@ module Rev = struct
         basis = Array.make cap_m (-1);
         pos_of = Array.make cap_w (-1);
         logical = Array.make cap_m (-1);
+        surplus = Array.make m (-1);
         barred = [];
         xb = Array.make cap_m 0.0;
         infeas = Array.make cap_m 0;
@@ -1210,6 +1212,7 @@ module Rev = struct
       | Ge ->
         R.set arow !next_slack (-1.0);
         R.set st.cols.(!next_slack) i (-1.0);
+        st.surplus.(i) <- !next_slack;
         incr next_slack
       | Eq -> ());
       if needs_art.(i) then begin
@@ -1322,18 +1325,28 @@ module Rev = struct
       ~refreshes:(st.cand_refreshes - refr0)
 
   (* Each (row, structural column) pair of a start basis replaces that
-     row's logical (slack or artificial) in the basis. *)
+     row's logical (slack or artificial) in the basis. A >= row the
+     start does not list begins on its surplus instead of its
+     artificial: a unit column either way, so the basis stays as
+     triangular as the start, and only equality rows keep an artificial.
+     A negative surplus is lifted like any negative basic value. *)
   let set_start st start =
+    let enter i j =
+      st.pos_of.(st.basis.(i)) <- -1;
+      st.basis.(i) <- j;
+      st.pos_of.(j) <- i
+    in
     List.iter
       (fun (i, j) ->
         if i < 0 || i >= st.m || j < 0 || j >= st.n_struct then
           invalid_arg "Simplex: start basis entry out of range";
         if st.pos_of.(j) >= 0 || st.basis.(i) <> st.logical.(i) then
           invalid_arg "Simplex: start basis repeats a row or a column";
-        st.pos_of.(st.logical.(i)) <- -1;
-        st.basis.(i) <- j;
-        st.pos_of.(j) <- i)
-      start
+        enter i j)
+      start;
+    Array.iteri
+      (fun i s -> if s >= 0 && st.basis.(i) = st.logical.(i) then enter i s)
+      st.surplus
 
   let first_solve ?start st =
     T.with_span "lp.rev.solve"
@@ -1359,10 +1372,11 @@ module Rev = struct
         | out -> out
         | exception Repaired -> after_repair st ~max_pivots ~p1)
     | Some start ->
-      (* A given basis goes through the repair path: the factorization
-         swaps rank-deficient positions for their row's logical, negative
-         rows are lifted by one composite artificial, and phase 1 runs
-         only when an artificial is above 0. *)
+      (* A given basis, completed by the surplus of every uncovered >=
+         row, goes through the repair path: the factorization swaps
+         rank-deficient positions for their row's logical, negative rows
+         are lifted by one composite artificial, and phase 1 runs only
+         when an artificial is above 0. *)
       set_start st start;
       st.in_phase1 <- false;
       (try refactor_lu st with Repaired -> ());

@@ -44,13 +44,17 @@ type outcome = {
 
     [start] is a start basis: each [(i, j)] makes column [j] basic in
     row [i] in place of that row's slack or artificial (each row and
-    column at most once, else [Invalid_argument]). The solve then takes
-    the basis-repair path: rank-deficient positions go back to their
-    row's slack or artificial, negative basic values are lifted by one
-    composite artificial, and phase 1 runs only when an artificial is
-    above 0. A triangular, primal-feasible start therefore goes straight
-    to phase 2. Without [start] the solve begins at the slack and
-    artificial basis. *)
+    column at most once, else [Invalid_argument]). Every inequality row
+    the start does not list begins on its own slack or surplus (after a
+    negative right-hand side flips it), so only an unlisted equality row
+    keeps its artificial; that adds unit columns, so a triangular start
+    stays triangular. The solve then takes the basis-repair path:
+    rank-deficient positions go back to their row's slack or artificial,
+    negative basic values (a negative surplus among them) are lifted by
+    one composite artificial, and phase 1 runs only when an artificial
+    is above 0. A triangular, primal-feasible start therefore goes
+    straight to phase 2. Without [start] the solve begins at the slack
+    and artificial basis: every [>=] and [=] row on its artificial. *)
 val solve :
   ?max_pivots:int ->
   ?start:(int * int) list ->

@@ -67,37 +67,97 @@ let routing sol g ~pairs x =
 
 let link_pairs g = Array.init (G.num_links g) (fun e -> (G.src g e, G.dst g e))
 
+module Obs = struct
+  let reroute_solves = R3_util.Metrics.counter "mcf.reroute_solves"
+  let dest_solves = R3_util.Metrics.counter "mcf.dest_solves"
+end
+
+(* The hop-count in-tree toward [dst] over the links that survive
+   [failed]: each node's hop count to [dst] (infinite out of reach) and
+   its tree arc, its first such link in link order that is one hop
+   closer (-1 at [dst] and wherever [dst] is out of reach). *)
+let in_tree g ~failed ~dst =
+  let m = G.num_links g in
+  let dist = R3_net.Spf.distances_to g ~failed ~weights:(Array.make m 1.0) ~dst () in
+  let parent = Array.make (G.num_nodes g) (-1) in
+  for e = m - 1 downto 0 do
+    let v = G.src g e in
+    if (not failed.(e)) && dist.(v) < infinity && dist.(G.dst g e) = dist.(v) -. 1.0 then
+      parent.(v) <- e
+  done;
+  (dist, parent)
+
+(* The surviving link with the largest [load / capacity], the first on
+   ties: the capacity row the MLU starts basic in. -1 when none
+   survives. *)
+let busiest g ~failed load =
+  let util e = load.(e) /. G.capacity g e in
+  let worst = ref (-1) in
+  Array.iteri
+    (fun e down -> if (not down) && (!worst < 0 || util e > util !worst) then worst := e)
+    failed;
+  !worst
+
 let min_mlu g ~failed ~pairs ~demands ~background =
+  R3_util.Metrics.incr Obs.reroute_solves;
+  R3_util.Trace.with_span "mcf.reroute_solve"
+    ~attrs:[ ("commodities", R3_util.Trace.Int (Array.length pairs)) ]
+  @@ fun () ->
+  let n = G.num_nodes g and m = G.num_links g in
   let lp = P.create () in
   let mlu = P.var lp in
   let x = add lp g ~failed ~pairs in
-  for e = 0 to G.num_links g - 1 do
-    if not failed.(e) then
+  (* Start: each commodity's hop-count in-tree toward [b] over the links
+     it has columns on. [a]'s tree arc is basic in the emit row, every
+     other node's in its conservation row (rows in [add]'s order); a
+     node that cannot reach [b] keeps its artificial, at right-hand side
+     0. The unit rides the [a]-[b] tree path, every other tree arc
+     carries 0. *)
+  let start = ref [] and load = Array.copy background and row = ref 0 in
+  Array.iteri
+    (fun k (a, b) ->
+      let _, parent =
+        in_tree g ~failed:(Array.init m (fun e -> failed.(e) || G.dst g e = a)) ~dst:b
+      in
+      let next v =
+        if parent.(v) >= 0 then start := (!row, Option.get x.(k).(parent.(v))) :: !start;
+        incr row
+      in
+      next a;
+      for v = 0 to n - 1 do
+        if v <> a && v <> b then next v
+      done;
+      let v = ref a in
+      while parent.(!v) >= 0 do
+        let e = parent.(!v) in
+        load.(e) <- load.(e) +. demands.(k);
+        v := G.dst g e
+      done)
+    pairs;
+  (* The MLU starts basic in the row of the link the start loads most,
+     every other capacity row on its slack or surplus: the start is
+     triangular and primal feasible. *)
+  let worst = busiest g ~failed load in
+  for e = 0 to m - 1 do
+    if not failed.(e) then begin
+      if e = worst then start := (P.num_constraints lp, mlu) :: !start;
       P.constr lp ((-.G.capacity g e, mlu) :: load_terms x demands e) P.Le (-.background.(e))
+    end
   done;
   P.minimize lp [ (1.0, mlu) ];
   add_penalty lp 1e-7 x;
-  solved lp (fun sol ->
+  solved ~start:!start lp (fun sol ->
       let value = function Some v -> sol.P.value v | None -> 0.0 in
       (sol.P.value mlu, Array.map (Array.map value) x))
 
 (* ---- the per-destination shape ---- *)
 
-module Obs = struct
-  let solves = R3_util.Metrics.counter "mcf.dest_solves"
-end
-
 let min_mlu_dest g ~failed ~pairs ~demands =
-  R3_util.Metrics.incr Obs.solves;
+  R3_util.Metrics.incr Obs.dest_solves;
   R3_util.Trace.with_span "mcf.dest_solve" @@ fun () ->
   let n = G.num_nodes g and m = G.num_links g in
-  (* hops.(t).(v): hop count from v to t over the surviving links,
-     infinite where t is out of reach. *)
-  let hops =
-    let unit = Array.make m 1.0 in
-    Array.init n (fun t -> R3_net.Spf.distances_to g ~failed ~weights:unit ~dst:t ())
-  in
-  let reaches t v = hops.(t).(v) > 0.0 && hops.(t).(v) < infinity in
+  let trees = Array.init n (fun t -> in_tree g ~failed ~dst:t) in
+  let reaches t v = (snd trees.(t)).(v) >= 0 in
   (* dem.(t).(v) = D(v, t), summed over the pairs that still connect. *)
   let dem = Array.make_matrix n n 0.0 in
   Array.iteri
@@ -115,19 +175,11 @@ let min_mlu_dest g ~failed ~pairs ~demands =
     let blocks =
       List.map
         (fun t ->
-          let dist = hops.(t) in
+          let dist, parent = trees.(t) in
           (* No flow out of [t], and none on a failed link. *)
           let x =
             Array.init m (fun e -> if failed.(e) || G.src g e = t then None else Some (P.var lp))
           in
-          (* The tree arc of a node that reaches [t]: its first surviving
-             link one hop closer. *)
-          let parent = Array.make n (-1) in
-          for e = m - 1 downto 0 do
-            let v = G.src g e in
-            if (not failed.(e)) && reaches t v && dist.(G.dst g e) = dist.(v) -. 1.0 then
-              parent.(v) <- e
-          done;
           (* Conservation at every v <> t. The tree arc starts basic in
              its node's row; a node that cannot reach [t] keeps its
              artificial, at right-hand side 0. *)
@@ -150,17 +202,13 @@ let min_mlu_dest g ~failed ~pairs ~demands =
           x)
         dests
     in
-    (* The MLU starts basic in the row of the link the trees load most
-       (the first on ties), every other capacity row on its slack: the
-       start is triangular and primal feasible. *)
-    let util e = load.(e) /. G.capacity g e in
-    let worst = ref (-1) in
-    for e = 0 to m - 1 do
-      if (not failed.(e)) && (!worst < 0 || util e > util !worst) then worst := e
-    done;
+    (* The MLU starts basic in the row of the link the trees load most,
+       every other capacity row on its slack: the start is triangular
+       and primal feasible. *)
+    let worst = busiest g ~failed load in
     for e = 0 to m - 1 do
       if not failed.(e) then begin
-        if e = !worst then start := (P.num_constraints lp, mlu) :: !start;
+        if e = worst then start := (P.num_constraints lp, mlu) :: !start;
         P.constr lp
           ((-.G.capacity g e, mlu)
           :: List.filter_map (fun x -> Option.map (fun v -> (1.0, v)) x.(e)) blocks)

@@ -57,7 +57,21 @@ val link_pairs : R3_net.Graph.t -> (R3_net.Graph.node * R3_net.Graph.node) array
     terms. Every flow column carries a 1e-7 loop penalty. Returns the MLU
     and each commodity's raw LP value per link (0 where no column
     exists), or the LP status when it is not optimal. Every commodity
-    must be reachable from its origin over the surviving links. *)
+    must be reachable from its origin over the surviving links.
+
+    It starts from a triangular, primal-feasible basis built from
+    shortest detours: per commodity [(a, b)], the hop-count in-tree
+    toward [b] over the links it has columns on, each node's tree arc
+    its first link (in link order) one hop closer, as in
+    {!min_mlu_dest}. [a]'s tree arc is basic in the emit row and every
+    other node's in its conservation row; the unit rides the [a]-to-[b]
+    tree path and the other tree arcs carry 0. A node that cannot reach
+    [b] keeps its artificial at 0. The MLU is basic in the capacity row
+    of the link with the largest (background + start load) / capacity,
+    the first on ties, and every other capacity row starts on its slack
+    or surplus. Phase 1 then has nothing to do. Counted by
+    [mcf.reroute_solves] and traced as [mcf.reroute_solve], with the
+    commodity count as an attribute. *)
 val min_mlu :
   R3_net.Graph.t ->
   failed:R3_net.Graph.link_set ->

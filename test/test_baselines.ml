@@ -123,11 +123,10 @@ let test_opt_detour_no_failures_is_base () =
           Alcotest.failf "link %d: %g vs base %g" e l base_loads.(e))
       o.B.Types.loads
 
-(* Golden bits of the detour LP over many scenarios: SBC, gravity seed
-   1001 scaled to unit-weight OSPF MLU 0.3, the first 40 connected
-   2-failure sets and 20 sampled 3-failure sets. One digest covers each
-   outcome's load bits and then its delivered bits. *)
-let test_opt_detour_golden () =
+(* The detour LP's golden scenarios: SBC, gravity seed 1001 scaled to
+   unit-weight OSPF MLU 0.3, the first 40 connected 2-failure sets and
+   20 sampled 3-failure sets. *)
+let sbc_detour_env () =
   let g = Topology.sbc_like () in
   let weights = Ospf.unit_weights g in
   let tm = Traffic.gravity (R3_util.Prng.create 1001) g ~load_factor:0.4 () in
@@ -141,6 +140,12 @@ let test_opt_detour_golden () =
       (R3_sim.Scenarios.connected g (R3_sim.Scenarios.enumerate g ~k:2))
     @ R3_sim.Scenarios.sample g ~k:3 ~count:20 ~seed:9
   in
+  (g, base, demands, scenarios)
+
+(* Golden bits of the detour LP over {!sbc_detour_env}. One digest
+   covers each outcome's load bits and then its delivered bits. *)
+let test_opt_detour_golden () =
+  let g, base, demands, scenarios = sbc_detour_env () in
   let buf = Buffer.create 65536 in
   let worst = ref 0.0 in
   List.iter
@@ -154,10 +159,48 @@ let test_opt_detour_golden () =
         worst := Float.max !worst (B.Types.bottleneck g ~failed o))
     scenarios;
   Alcotest.(check int) "scenarios" 60 (List.length scenarios);
-  Alcotest.(check string) "outcome bits" "2c0fc42f6dc3a23753287d963eb0abad"
+  Alcotest.(check string) "outcome bits" "162f5bd57f882e6a3e93aa1254ced218"
     (Digest.to_hex (Digest.string (Buffer.contents buf)));
   Alcotest.(check string) "worst bottleneck bits" "0x1.9b3448780c0a7p-2"
     (Printf.sprintf "%h" !worst)
+
+(* The reroute LP starts from shortest detours
+   ({!R3_mcf.Flow_lp.min_mlu}). On every LP behind the two golden pins
+   it re-recorded, the exact min-MLU cases and the SBC detour
+   scenarios above, it must reach the MLU of the two-phase reference
+   build of the same LP within 1e-9 relative, and spend no phase-1
+   pivot. *)
+let test_reroute_start_vs_reference () =
+  let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
+  let agree what g ~failed ~pairs ~demands ~background =
+    let q0 = phase1 () in
+    let started = R3_mcf.Flow_lp.min_mlu g ~failed ~pairs ~demands ~background in
+    Alcotest.(check int) (what ^ ": phase-1 pivots") 0 (phase1 () - q0);
+    match (started, R3_check.Reroute_ref.min_mlu g ~failed ~pairs ~demands ~background) with
+    | Ok (u, _), Ok reference ->
+      if Float.abs (u -. reference) > 1e-9 *. reference then
+        Alcotest.failf "%s: started %.17g, two-phase %.17g" what u reference
+    | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" what e
+  in
+  List.iter
+    (fun (what, g, failed, pairs, demands) ->
+      let live =
+        List.filter
+          (fun k -> demands.(k) > 0.0 && (G.reachable g ~failed (fst pairs.(k))).(snd pairs.(k)))
+          (List.init (Array.length pairs) Fun.id)
+      in
+      agree what g ~failed
+        ~pairs:(Array.of_list (List.map (Array.get pairs) live))
+        ~demands:(Array.of_list (List.map (Array.get demands) live))
+        ~background:(Array.make (G.num_links g) 0.0))
+    (Test_mcf.exact_cases ());
+  let g, base, demands, scenarios = sbc_detour_env () in
+  List.iter
+    (fun sc ->
+      let failed = G.fail_links g (R3_sim.Scenario.links sc) in
+      let pairs, demands, background = R3_check.Reroute_ref.opt_detour_lp g ~failed ~base ~demands in
+      agree (R3_core.Scenario.describe g sc) g ~failed ~pairs ~demands ~background)
+    scenarios
 
 (* Ordering property the paper relies on throughout Figs 3-7:
    opt detour <= any specific detour scheme on the same base. *)
@@ -189,5 +232,7 @@ let suite =
     Alcotest.test_case "opt detour beats cspf" `Quick test_opt_detour_beats_cspf;
     Alcotest.test_case "opt detour = base when no failure" `Quick test_opt_detour_no_failures_is_base;
     Alcotest.test_case "golden bits: opt detour on SBC" `Quick test_opt_detour_golden;
+    Alcotest.test_case "reroute LP start = two-phase reference" `Quick
+      test_reroute_start_vs_reference;
     QCheck_alcotest.to_alcotest opt_lower_bound_prop;
   ]

@@ -666,14 +666,20 @@ let reference_agree_prop =
       in
       agrees revised && agrees started)
 
-(* [min obj] over [rows] on both engines, the revised one from [start]. *)
+(* [min obj] over [rows] on both engines, the revised one from [start].
+   Returns the phase-1 pivots of the started solve alone (the reference
+   counts on [lp.phase1_pivots] too). *)
 let started_vs_reference ~obj ~rows ~cmps ~rhs ~start =
+  let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
   let reference = S.reference_solve ~obj ~rows ~cmps ~rhs () in
+  let before = phase1 () in
   let started = S.solve ~start ~obj ~rows ~cmps ~rhs () in
+  let p1 = phase1 () - before in
   (match (reference.S.status, started.S.status) with
   | S.Optimal, S.Optimal -> ()
   | _ -> Alcotest.fail "both solves should reach an optimum");
-  check_close "objective" reference.S.objective started.S.objective
+  check_close "objective" reference.S.objective started.S.objective;
+  p1
 
 (* Two identical columns started in two rows make a singular basis: the
    factorization gives one position back to its row's slack, counts the
@@ -688,20 +694,113 @@ let test_start_singular () =
       ([| 0; 1; 2 |], [| 1.0; 1.0; 1.0 |]); ([| 0; 1; 2 |], [| 1.0; 1.0; 3.0 |]); ([| 2 |], [| 1.0 |]);
     |]
   in
-  started_vs_reference ~obj:[| -1.0; -1.0; -2.0 |] ~rows ~cmps:[| S.Le; S.Le; S.Le |]
-    ~rhs:[| 4.0; 6.0; 1.0 |] ~start:[ (0, 0); (1, 1) ];
+  ignore
+    (started_vs_reference ~obj:[| -1.0; -1.0; -2.0 |] ~rows ~cmps:[| S.Le; S.Le; S.Le |]
+       ~rhs:[| 4.0; 6.0; 1.0 |] ~start:[ (0, 0); (1, 1) ]);
   if fallbacks () <= before then Alcotest.fail "the singular start was not repaired"
 
 (* A start whose basic values are negative: y basic in [x - y <= 1]
    reads y = -1. One composite artificial lifts it, phase 1 drives that
    out, and phase 2 reaches the optimum (-5, on x + y = 5). *)
 let test_start_negative () =
-  let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
-  let before = phase1 () in
-  started_vs_reference ~obj:[| -1.0; -1.0 |]
-    ~rows:[| ([| 0; 1 |], [| 1.0; -1.0 |]); ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 1 |], [| 1.0 |]) |]
-    ~cmps:[| S.Le; S.Le; S.Le |] ~rhs:[| 1.0; 5.0; 3.0 |] ~start:[ (0, 1) ];
-  if phase1 () <= before then Alcotest.fail "the negative start ran no phase 1"
+  if
+    started_vs_reference ~obj:[| -1.0; -1.0 |]
+      ~rows:[| ([| 0; 1 |], [| 1.0; -1.0 |]); ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 1 |], [| 1.0 |]) |]
+      ~cmps:[| S.Le; S.Le; S.Le |] ~rhs:[| 1.0; 5.0; 3.0 |] ~start:[ (0, 1) ]
+    = 0
+  then Alcotest.fail "the negative start ran no phase 1"
+
+(* Uncovered inequality rows start on their own slack or surplus. Here
+   x is started basic in [x <= 3], so the uncovered [x + y >= 2] starts
+   on its surplus at 1: the start is feasible and phase 1 has nothing
+   to do. (On its artificial, the row would read 2 - 3 < 0 and need
+   phase 1.) *)
+let test_start_surplus () =
+  Alcotest.(check int) "phase-1 pivots" 0
+    (started_vs_reference ~obj:[| 1.0; 2.0 |]
+       ~rows:[| ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 0 |], [| 1.0 |]) |]
+       ~cmps:[| S.Ge; S.Le |] ~rhs:[| 2.0; 3.0 |] ~start:[ (1, 0) ])
+
+(* An uncovered surplus can start negative: x basic in [x - y <= 1]
+   reads 1, so the surplus of the uncovered [x + y >= 4] reads -3. The
+   composite artificial lifts it, phase 1 runs, and the solve still
+   ends at the optimum (4). *)
+let test_start_negative_surplus () =
+  if
+    started_vs_reference ~obj:[| 1.0; 1.0 |]
+      ~rows:[| ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 0; 1 |], [| 1.0; -1.0 |]) |]
+      ~cmps:[| S.Ge; S.Le |] ~rhs:[| 4.0; 1.0 |] ~start:[ (1, 0) ]
+    = 0
+  then Alcotest.fail "the negative surplus ran no phase 1"
+
+(* An equality row the start does not list keeps its artificial: with x
+   basic in [x <= 2], the artificial of [x + y = 3] starts at 1, so
+   phase 1 runs before phase 2 reaches the optimum (-3). *)
+let test_start_equality_artificial () =
+  if
+    started_vs_reference ~obj:[| -1.0; -1.0 |]
+      ~rows:[| ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 0 |], [| 1.0 |]) |]
+      ~cmps:[| S.Eq; S.Le |] ~rhs:[| 3.0; 2.0 |] ~start:[ (1, 0) ]
+    = 0
+  then Alcotest.fail "the equality row's artificial ran no phase 1"
+
+(* Random feasible, bounded LPs whose rows mix >= and <= with either
+   sign of right-hand side (so >= rows with positive rhs and <= rows
+   with negative rhs, which both become >= rows, and the odd equality),
+   solved from a start that lists fewer rows than there are: each
+   uncovered inequality row starts on its slack or surplus, which may
+   be negative. Every solve must match the dense reference tableau. *)
+let uncovered_rows_prop =
+  QCheck.Test.make ~count:150 ~name:"starts with uncovered rows agree with the reference"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R3_util.Prng.create (seed + 977) in
+      let nv = 2 + R3_util.Prng.int rng 5 and nc = 2 + R3_util.Prng.int rng 6 in
+      (* Every row holds at x0, so the LP is feasible; costs are
+         positive, so it is bounded. *)
+      let x0 = Array.init nv (fun _ -> R3_util.Prng.uniform rng 0.0 2.0) in
+      let rows =
+        Array.init nc (fun _ ->
+            let coef = Array.init nv (fun _ -> R3_util.Prng.uniform rng (-2.0) 3.0) in
+            let at_x0 = ref 0.0 in
+            Array.iteri (fun j c -> at_x0 := !at_x0 +. (c *. x0.(j))) coef;
+            let gap = R3_util.Prng.uniform rng 0.0 1.0 in
+            match R3_util.Prng.int rng 7 with
+            | 0 -> (coef, S.Eq, !at_x0)
+            | 1 | 2 | 3 -> (coef, S.Ge, !at_x0 -. gap)
+            | _ -> (coef, S.Le, !at_x0 +. gap))
+      in
+      let obj = Array.init nv (fun _ -> R3_util.Prng.uniform rng 0.1 2.0) in
+      let k = 1 + R3_util.Prng.int rng (Int.min nv (nc - 1)) in
+      let start =
+        Array.to_list
+          (Array.combine
+             (R3_util.Prng.sample rng k (Array.init nc Fun.id))
+             (R3_util.Prng.sample rng k (Array.init nv Fun.id)))
+      in
+      let args f =
+        f ~obj
+          ~rows:(Array.map (fun (c, _, _) -> (Array.init nv Fun.id, c)) rows)
+          ~cmps:(Array.map (fun (_, c, _) -> c) rows)
+          ~rhs:(Array.map (fun (_, _, b) -> b) rows)
+          ()
+      in
+      let reference = args (S.reference_solve ?max_pivots:None) in
+      let started = args (S.solve ?max_pivots:None ~start) in
+      reference.S.status = S.Optimal
+      && started.S.status = S.Optimal
+      && close ~tol:1e-6 reference.S.objective started.S.objective
+      && Array.for_all (fun v -> v >= -1e-9) started.S.x
+      && Array.for_all
+           (fun (coef, cmp, rhs) ->
+             let lhs = ref 0.0 in
+             Array.iteri (fun j c -> lhs := !lhs +. (c *. started.S.x.(j))) coef;
+             let tol = 1e-6 *. (1.0 +. Float.abs rhs) in
+             match cmp with
+             | S.Le -> !lhs <= rhs +. tol
+             | S.Ge -> !lhs >= rhs -. tol
+             | S.Eq -> Float.abs (!lhs -. rhs) <= tol)
+           rows)
 
 (* Warm-started sessions: after any number of added cut rows, a warm
    [resolve] must agree (status and objective) with a cold solve of the
@@ -874,8 +973,14 @@ let suite =
       test_problem_session;
     Alcotest.test_case "singular start basis is repaired" `Quick test_start_singular;
     Alcotest.test_case "negative start basis runs phase 1" `Quick test_start_negative;
+    Alcotest.test_case "uncovered >= row starts on its surplus" `Quick test_start_surplus;
+    Alcotest.test_case "negative uncovered surplus runs phase 1" `Quick
+      test_start_negative_surplus;
+    Alcotest.test_case "uncovered equality row keeps its artificial" `Quick
+      test_start_equality_artificial;
     QCheck_alcotest.to_alcotest feasibility_prop;
     QCheck_alcotest.to_alcotest duality_prop;
     QCheck_alcotest.to_alcotest reference_agree_prop;
+    QCheck_alcotest.to_alcotest uncovered_rows_prop;
     QCheck_alcotest.to_alcotest warm_equals_cold_prop;
   ]

@@ -145,29 +145,38 @@ let test_golden_pop36_base () =
   Alcotest.(check string) "pop36 base: routing bits" "5c7f7e199643b7ea804d89c3a4af3803"
     (routing_md5 routing)
 
-(* Golden bits of the exact min-MLU LP: its MLU and the routing it
-   extracts (hashed row by row, as the plan goldens are), on the triangle and on Abilene (gravity seed 5 scaled to
-   OSPF MLU 0.5) with no failure, one and two bidirectional failures. *)
-let test_golden_exact () =
+(* The exact min-MLU LP's golden cases: the triangle, and Abilene
+   (gravity seed 5 scaled to OSPF MLU 0.5) with no failure, one and two
+   bidirectional failures. *)
+let exact_cases () =
   let g = Topology.abilene () in
   let pairs, demands = scaled_commodities g ~seed:5 ~target:0.5 in
   let tri = Topology.triangle () in
-  List.iter
-    (fun (what, g, failed, pairs, demands, mlu, md5) ->
+  [
+    ("triangle", tri, G.no_failures tri, [| (0, 1) |], [| 15.0 |]);
+    ("abilene", g, G.no_failures g, pairs, demands);
+    ("abilene [0]", g, G.fail_bidir g [ 0 ], pairs, demands);
+    ("abilene [0;5]", g, G.fail_bidir g [ 0; 5 ], pairs, demands);
+  ]
+
+(* Golden bits of the exact min-MLU LP on {!exact_cases}: its MLU and
+   the routing it extracts (hashed row by row, as the plan goldens
+   are). *)
+let test_golden_exact () =
+  List.iter2
+    (fun (what, g, failed, pairs, demands) (mlu, md5) ->
       match Cf.min_mlu_exact g ~failed ~pairs ~demands () with
       | Error e -> Alcotest.failf "%s: %s" what e
       | Ok (u, routing) ->
         Alcotest.(check string) (what ^ ": mlu bits") mlu (Printf.sprintf "%h" u);
         Alcotest.(check string) (what ^ ": routing bits") md5
           (Test_core.protection_md5 routing))
+    (exact_cases ())
     [
-      ("triangle", tri, G.no_failures tri, [| (0, 1) |], [| 15.0 |], "0x1.8000000000001p-1", "53bc642fcfed55e3c4c9d07342be5263");
-      ("abilene", g, G.no_failures g, pairs, demands, "0x1.7c01a63d26c61p-2",
-        "e5c0f11f965c4161a46f3ef1deefc12b");
-      ("abilene [0]", g, G.fail_bidir g [ 0 ], pairs, demands, "0x1.7c01a63d26c64p-2",
-        "390358a36a05d70a89f383354109918f");
-      ("abilene [0;5]", g, G.fail_bidir g [ 0; 5 ], pairs, demands, "0x1.57502fc5c2fdbp-1",
-        "474dc62370c0cb817738ac178db596ad");
+      ("0x1.8p-1", "53bc642fcfed55e3c4c9d07342be5263");
+      ("0x1.7c01a63d26c61p-2", "3ccf9eea68e31164b836cdff124989ef");
+      ("0x1.7c01a63d26c64p-2", "9e0b7b6e934cae16f5e2084e55cf08dc");
+      ("0x1.57502fc5c2fdcp-1", "aa7e852ede7402a71e25d060425f5ffa");
     ]
 
 (* The per-destination normalizer on SBC (the GK goldens' matrix and
