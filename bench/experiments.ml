@@ -36,18 +36,21 @@ let sbc_ctx = lazy (H.make_context ~target_mlu:0.3 ~tag:"sbc" ~seed:103 (Topolog
 let level3_ctx = lazy (H.make_context ~target_mlu:0.3 ~tag:"level3" ~seed:105 (Topology.level3_like ()))
 
 (* Failure events for the US-ISP-style experiments: synthetic SRLGs and
-   MLGs plus every single physical link (Section 5.1). Events are kept
-   within the plans' protection envelope (k = 2 physical pairs), matching
-   the paper, where protection is computed for the same SRLG/MLG risk
-   model the evaluation replays; larger groups are exercised by
-   examples/srlg_maintenance.exe and the structured test suite. *)
+   MLGs plus every single physical link (Section 5.1), each distinct
+   failure set once (a group of one physical link is that link's
+   single-link event). Events are kept within the plans' protection
+   envelope (k = 2 physical pairs), matching the paper, where protection
+   is computed for the same SRLG/MLG risk model the evaluation replays;
+   larger groups are exercised by examples/srlg_maintenance.exe and the
+   structured test suite. *)
 let usisp_events ctx =
   let srlgs = Topology.synthetic_srlgs ~seed:11 ctx.H.g ~count:8 in
   let mlgs = Topology.synthetic_mlgs ~seed:12 ctx.H.g ~count:5 in
   let groups =
     List.filter (fun grp -> List.length grp <= 2 * ctx.H.plan_k) (srlgs @ mlgs)
   in
-  Scenarios.of_groups ctx.H.g groups @ Scenarios.enumerate ctx.H.g ~k:1
+  List.sort_uniq Scenario.compare
+    (Scenarios.of_groups ctx.H.g groups @ Scenarios.enumerate ctx.H.g ~k:1)
 
 let usisp_env ctx ~interval = H.env_for ctx ~interval ()
 
@@ -124,14 +127,13 @@ let fig4 () =
   let events = usisp_events ctx in
   let step = if !H.quick then 12 else 1 in
   let intervals = List.init (168 / step) (fun i -> i * step) in
-  (* One env (and one memoized optimum per event) per interval, shared by
-     all algorithms — the optimum is a pure function of the interval. *)
+  (* One env and one optimum per event per interval, shared by all
+     algorithms — the optimum is a pure function of the interval. *)
   let rows =
     intervals
     |> List.map (fun interval ->
            let env = usisp_env ctx ~interval in
-           let cache = Eval.mcf_cache env in
-           let opts = List.map (fun ev -> Eval.optimal ~cache env ev) events in
+           let opts = List.map (fun ev -> Eval.optimal env ev) events in
            List.map
              (fun alg ->
                List.fold_left2
@@ -175,13 +177,9 @@ let multi_failure_figure ~title ~ctx ?env ~two_count ~three_count () =
     Scenarios.connected g (Scenarios.sample g ~k:3 ~count:(2 * three_count) ~seed:22)
     |> List.filteri (fun i _ -> i < three_count)
   in
-  (* Prefix-sharing sweep; the optimal-MCF normalizer is memoized across
-     the two-failure and three-failure passes (shared one-failure prefixes
-     do not arise here, but the plan states and the cache context do). *)
-  let cache = Eval.mcf_cache env in
   let run tagname scenarios =
     Printf.printf "\n(%s: %d scenarios)\n" tagname (List.length scenarios);
-    let s = Sweep.run ~cache env ~algorithms scenarios in
+    let s = Sweep.run env ~algorithms scenarios in
     H.print_sorted_curves ~label:"algorithm" alg_names s.Sweep.curves;
     let undef = Array.fold_left ( + ) 0 s.Sweep.undefined in
     if undef > 0 then

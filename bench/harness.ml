@@ -186,8 +186,8 @@ let note fmt = Printf.printf ("note: " ^^ fmt ^^ "\n%!")
 (* ---------- metrics ---------- *)
 
 (* The BENCH_*.json `metrics` section: whatever the instrumented hot paths
-   recorded while the bench ran (pivot counts, CG rounds, MCF phases,
-   sweep cache traffic). Build the doc's field list with this last, after
+   recorded while the bench ran (pivot counts, CG rounds, MCF solves,
+   sweep scenarios). Build the doc's field list with this last, after
    every case has run. *)
 let metrics_section () = ("metrics", R3_util.Metrics.to_json ())
 

@@ -1,9 +1,9 @@
 (* Scenario-sweep benchmark: the prefix-sharing engine (Sweep.run) against
    the naive per-scenario path it replaces ([naive_curves] below, which
-   rebuilds every R3 state from the pristine plan and re-solves every
-   optimal MCF from scratch). The two must agree bit-for-bit; the engine
-   must be decisively faster. Results go to stdout and to BENCH_sweep.json
-   so the perf trajectory is tracked in-repo.
+   rebuilds every R3 state from the pristine plan). The two must agree
+   bit-for-bit under both metrics; the engine must be decisively faster.
+   Results go to stdout and to BENCH_sweep.json so the perf trajectory is
+   tracked in-repo.
 
    Run as:  dune exec bench/main.exe -- sweep
             dune exec bench/main.exe -- --smoke sweep   (tiny, no JSON) *)
@@ -152,38 +152,24 @@ let headline_case ~repeats ~iters g env scenarios =
       ("metrics_overhead_pct", J.Float m_pct);
     ]
 
-(* ---- ratio metric: the MCF memo cache, cold vs warm ---- *)
-let ratio_case g env scenarios =
+(* ---- ratio metric: one MCF normalizer solve per scenario ---- *)
+let ratio_case env scenarios =
   let algorithms = Eval.[ Ospf_r3; Ospf_opt ] in
   let naive, t_naive =
     R3_util.Timer.time (fun () -> naive_curves env ~algorithms ~metric:`Ratio scenarios)
   in
-  let cache = Eval.mcf_cache env in
-  let cold, t_cold =
-    R3_util.Timer.time (fun () -> Sweep.run ~cache env ~algorithms scenarios)
-  in
-  let warm, t_warm =
-    R3_util.Timer.time (fun () -> Sweep.run ~cache env ~algorithms scenarios)
-  in
-  check "ratio curves" (bits_equal naive cold.Sweep.curves);
-  check "warm cache curves" (bits_equal cold.Sweep.curves warm.Sweep.curves);
-  check "cold misses" (cold.Sweep.mcf_misses = List.length scenarios);
-  check "warm hits" (warm.Sweep.mcf_hits = List.length scenarios && warm.Sweep.mcf_misses = 0);
+  let sweep, t_sweep = R3_util.Timer.time (fun () -> Sweep.curves env ~algorithms scenarios) in
+  check "ratio curves" (bits_equal naive sweep);
   Printf.printf
-    "  ratio sweep, %d scenarios (MCF normalizer): naive %.3fs | cold %.3fs | \
-     warm %.3fs (%d cache hits, bit-identical)\n%!"
-    (List.length scenarios) t_naive t_cold t_warm warm.Sweep.mcf_hits;
-  ignore g;
+    "  ratio sweep, %d scenarios (MCF normalizer): naive %.3fs | sweep %.3fs (bit-identical)\n%!"
+    (List.length scenarios) t_naive t_sweep;
   J.Obj
     [
       ("scenarios", J.Int (List.length scenarios));
       ("metric", J.String "ratio");
       ("bit_identical", J.Bool true);
       ("naive_seconds", J.Float t_naive);
-      ("sweep_cold_seconds", J.Float t_cold);
-      ("sweep_warm_seconds", J.Float t_warm);
-      ("warm_cache_hits", J.Int warm.Sweep.mcf_hits);
-      ("warm_speedup", J.Float (t_cold /. Float.max t_warm 1e-9));
+      ("sweep_seconds", J.Float t_sweep);
     ]
 
 (* ---- executor counters ----
@@ -211,15 +197,13 @@ let run () =
     let env = setup ~tag:"triangle" ~seed:7 ~load:0.3 g in
     let scenarios = Scenarios.enumerate g ~k:1 in
     ignore (headline_case ~repeats:1 ~iters:1 g env scenarios);
-    ignore (ratio_case g env scenarios);
+    ignore (ratio_case env scenarios);
     (* The instrumented hot paths must have recorded something by now:
        catches a metrics layer that silently stopped counting. *)
     let module M = R3_util.Metrics in
     check "metrics: lp pivots recorded" (M.counter_value "lp.pivots" > 0);
     check "metrics: mcf runs recorded" (M.counter_value "mcf.runs" > 0);
     check "metrics: sweep scenarios recorded" (M.counter_value "sweep.scenarios" > 0);
-    check "metrics: cache hits recorded" (M.counter_value "sweep.cache.hits" > 0);
-    check "metrics: cache misses recorded" (M.counter_value "sweep.cache.misses" > 0);
     check "metrics: re-enabled after overhead run" (M.enabled () && R3_util.Trace.enabled ());
     H.note "smoke mode: no %s written" output_path
   end
@@ -230,7 +214,7 @@ let run () =
        failure. *)
     let scenarios = Scenarios.enumerate g ~k:1 @ Scenarios.enumerate g ~k:2 in
     let headline = headline_case ~repeats:3 ~iters:10 g env scenarios in
-    let ratio = ratio_case g env (Scenarios.enumerate g ~k:1) in
+    let ratio = ratio_case env (Scenarios.enumerate g ~k:1) in
     let pool = pool_stats () in
     let doc =
       J.Obj
@@ -240,7 +224,7 @@ let run () =
           ("nodes", J.Int (G.num_nodes g));
           ("links", J.Int (G.num_links g));
           ("headline", headline);
-          ("mcf_cache", ratio);
+          ("ratio", ratio);
           ("pool", pool);
           (* Last: the counters the cases above accumulated. *)
           H.metrics_section ();

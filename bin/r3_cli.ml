@@ -320,7 +320,7 @@ let parse_ks spec =
     Printf.eprintf "bad -k list %S (use e.g. 1,2,3)\n" spec;
     exit 2
 
-let sweep_run tag ks count seed load metric use_cache () metrics plan_path =
+let sweep_run tag ks count seed load metric () metrics plan_path =
   let module Eval = R3_sim.Eval in
   let module Sweep = R3_sim.Sweep in
   let module Scenarios = R3_sim.Scenarios in
@@ -344,12 +344,11 @@ let sweep_run tag ks count seed load metric use_cache () metrics plan_path =
         else Scenarios.sample g ~k ~count ~seed)
       ks
   in
-  let cache = if use_cache then Some (Eval.mcf_cache ~dir:".bench-cache" env) else None in
   let algorithms =
     Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
   in
   let s, dt =
-    R3_util.Timer.time (fun () -> Sweep.run ?cache ~metric env ~algorithms scenarios)
+    R3_util.Timer.time (fun () -> Sweep.run ~metric env ~algorithms scenarios)
   in
   Printf.printf "%s over %d scenarios (k in {%s}), %.2fs:\n"
     (match metric with `Ratio -> "performance ratio vs optimal" | `Bottleneck -> "bottleneck intensity")
@@ -376,10 +375,6 @@ let sweep_run tag ks count seed load metric use_cache () metrics plan_path =
         | _ -> assert false
       end)
     s.Sweep.algorithms;
-  if metric = `Ratio then
-    Printf.printf "optimal-MCF solves: %d fresh, %d from cache%s\n" s.Sweep.mcf_misses
-      s.Sweep.mcf_hits
-      (if use_cache then " (.bench-cache)" else "");
   emit_metrics metrics
 
 let sweep_cmd =
@@ -391,9 +386,6 @@ let sweep_cmd =
   in
   let metric_arg =
     Arg.(value & opt string "ratio" & info [ "metric" ] ~docv:"ratio|bottleneck" ~doc:"Metric to aggregate.")
-  in
-  let cache_arg =
-    Arg.(value & flag & info [ "cache" ] ~doc:"Persist optimal-MCF solves under .bench-cache/.")
   in
   let plan_arg =
     Arg.(
@@ -408,16 +400,15 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Bulk scenario sweep (prefix-sharing engine)")
     Term.(
       const sweep_run $ topology_arg $ ks_arg $ count_arg $ seed_arg $ load_arg
-      $ metric_arg $ cache_arg $ domains_term $ metrics_arg $ plan_arg)
+      $ metric_arg $ domains_term $ metrics_arg $ plan_arg)
 
 (* ---- profile ---- *)
 
 (* End-to-end instrumented run: offline precompute (constraint generation,
-   so the LP session counters move) followed by two ratio sweeps against
-   one in-memory MCF cache — the first pass misses every optimal-MCF
-   lookup, the second hits them all, so both sides of the cache show up in
-   the exported metrics. The metrics/trace JSON goes to stdout (or a
-   file); the human-readable digest goes to stderr. *)
+   so the LP session counters move) followed by one ratio sweep, which
+   solves the optimal-MCF normalizer and the opt detour per scenario. The
+   metrics/trace JSON goes to stdout (or a file); the human-readable
+   digest goes to stderr. *)
 let profile tag ks count seed load () out trace_out =
   let module Eval = R3_sim.Eval in
   let module Sweep = R3_sim.Sweep in
@@ -435,13 +426,11 @@ let profile tag ks count seed load () out trace_out =
         else Scenarios.sample g ~k ~count ~seed)
       ks
   in
-  let cache = Eval.mcf_cache env in
   let algorithms =
     Eval.[ Ospf_cspf_detour; Ospf_recon; Fcp; Path_splice; Ospf_r3; Ospf_opt ]
   in
-  let _cold = Sweep.run ~cache ~metric:`Ratio env ~algorithms scenarios in
-  let s = Sweep.run ~cache ~metric:`Ratio env ~algorithms scenarios in
-  Printf.eprintf "profiled %s: %d scenarios x 2 sweep passes (k in {%s})\n" tag
+  let s = Sweep.run ~metric:`Ratio env ~algorithms scenarios in
+  Printf.eprintf "profiled %s: %d scenarios, one sweep (k in {%s})\n" tag
     s.Sweep.scenario_count
     (String.concat "," (List.map string_of_int ks));
   Printf.eprintf "key counters:\n";
@@ -454,8 +443,7 @@ let profile tag ks count seed load () out trace_out =
       "lp.session.cold_starts"; "lp.session.warm_resolves"; "offline.cg.rounds";
       "offline.cg.cuts"; "offline.cg.budget_exhausted"; "mcf.dest_solves";
       "mcf.reroute_solves"; "sweep.scenarios";
-      "sweep.tree_nodes"; "sweep.cow_steps"; "sweep.cache.hits";
-      "sweep.cache.misses"; "r3.reconfig.base_forces";
+      "sweep.tree_nodes"; "sweep.cow_steps"; "r3.reconfig.base_forces";
     ];
   Printf.eprintf "spans (heaviest first):\n";
   List.iter

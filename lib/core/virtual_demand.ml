@@ -129,7 +129,7 @@ let worst_group_lp groups weights =
   let lp = P.create () in
   let y =
     Array.init m (fun l ->
-        if covered.(l) && weights.(l) > 0.0 then Some (P.var lp ~ub:1.0) else None)
+        if covered.(l) && weights.(l) > 0.0 then Some (P.var lp) else None)
   in
   let group_vars gs = List.map (fun _ -> P.var lp) gs in
   let srlg_vars = group_vars groups.srlgs in
@@ -155,6 +155,8 @@ let worst_group_lp groups weights =
           ((1.0, yv) :: List.map (fun v -> (-1.0, v)) cover)
           P.Le 0.0)
     y;
+  (* y_l <= 1 *)
+  Array.iter (Option.iter (fun yv -> P.constr lp [ (1.0, yv) ] P.Le 1.0)) y;
   let obj =
     Array.to_list y
     |> List.mapi (fun l yv -> Option.map (fun v -> (weights.(l), v)) yv)

@@ -4,11 +4,13 @@
 
     {v  min/max  c . x
         s.t.     sum_j a_ij x_j  (<= | = | >=)  b_i     for each row i
-                 lb_j <= x_j <= ub_j                     for each var j  v}
+                 x_j >= 0                                for each var j  v}
 
-    Variables default to [lb = 0], [ub = +inf]. The builder is mutable and
-    append-only; [solve] snapshots it. Duplicate variables inside one term
-    list are summed, so callers may emit terms incrementally. *)
+    This is {!Simplex}'s own standard form: variable [j] is the solver's
+    column [j] and row [i] its row [i], so a bound is a row like any
+    other. The builder is mutable and append-only; [solve] snapshots it.
+    Duplicate variables inside one term list are summed, so callers may
+    emit terms incrementally. *)
 
 type t
 
@@ -31,12 +33,8 @@ type result =
 
 val create : unit -> t
 
-(** [var t] adds a variable. Default bounds [0, +inf).
-    Raises [Invalid_argument] if [lb > ub]. *)
-val var : ?lb:float -> ?ub:float -> t -> var
-
-(** A variable unbounded in both directions. *)
-val free_var : t -> var
+(** [var t] adds a nonnegative variable. *)
+val var : t -> var
 
 (** [constr t terms cmp rhs] adds the row [sum terms cmp rhs]. *)
 val constr : t -> (float * var) list -> cmp -> float -> unit
@@ -57,10 +55,11 @@ val num_constraints : t -> int
     [max_pivots] defaults to a budget proportional to the problem size.
     [start] is a start basis of [(row, var)] pairs, where [row] is the
     row's index in creation order ({!num_constraints} just before its
-    {!constr}); a free variable enters on its positive part. Every
-    inequality row it does not list starts on its own slack or surplus,
-    and only an unlisted equality row on its artificial. See
-    {!Simplex.solve} for how the basis is repaired and completed. *)
+    {!constr}). Every inequality row it does not list starts on its own
+    slack or surplus, and only an unlisted equality row on its
+    artificial. See {!Simplex.solve} for how the basis is repaired and
+    completed; a row or a variable outside the problem raises
+    [Invalid_argument]. *)
 val solve : ?max_pivots:int -> ?start:(int * var) list -> t -> result
 
 (** {2 Incremental solving}

@@ -37,9 +37,6 @@ let make_env g ~weights ~pairs ~demands ?ospf_r3 ?mplsff_r3 () =
   let ospf_base = R3_net.Ospf.routing g ~weights ~pairs () in
   { graph = g; weights; pairs; demands; ospf_base; ospf_r3; mplsff_r3 }
 
-let mcf_cache ?dir env =
-  Mcf_cache.create ?dir ~graph:env.graph ~pairs:env.pairs ~demands:env.demands ()
-
 let r3_root_of_plan env plan =
   (* Evaluate the plan's routing against the env's demands (the plan may
      have been computed for a different - e.g. peak - matrix). *)
@@ -144,7 +141,7 @@ let outcome_links env alg scenario =
 let scenario_bottleneck env alg scenario =
   fst (outcome_links env alg (Scenario.links scenario))
 
-let solve_optimal env scenario =
+let optimal env scenario =
   let links = Scenario.links scenario in
   let failed = G.fail_links env.graph links in
   match
@@ -153,18 +150,6 @@ let solve_optimal env scenario =
   | Ok u -> u
   | Error status -> unsolved env.graph "optimal MCF" links status
 
-let optimal ?cache env scenario =
-  match cache with
-  | None -> solve_optimal env scenario
-  | Some c -> begin
-    match Mcf_cache.find c scenario with
-    | Some v -> v
-    | None ->
-      let v = solve_optimal env scenario in
-      Mcf_cache.add c scenario v;
-      v
-  end
-
 type result = {
   bottleneck : float;
   optimal : float;
@@ -172,10 +157,10 @@ type result = {
   delivered : float;
 }
 
-let evaluate ?cache ?(with_optimal = true) env alg scenario =
+let evaluate ?(with_optimal = true) env alg scenario =
   let b, d = outcome_links env alg (Scenario.links scenario) in
   if with_optimal then begin
-    let opt = optimal ?cache env scenario in
+    let opt = optimal env scenario in
     {
       bottleneck = b;
       optimal = opt;

@@ -29,8 +29,6 @@ module Obs = struct
   (* Incremented in the executing domain, one per depth-1 subtree. The
      per-shard breakdown is the per-domain task count. *)
   let tasks = M.counter "sweep.tasks"
-  let cache_hits = M.counter "sweep.cache.hits"
-  let cache_misses = M.counter "sweep.cache.misses"
   let run_seconds = M.histogram "sweep.run.seconds"
 end
 
@@ -41,8 +39,6 @@ type summary = {
   curves : float array array;
   undefined : int array;
   worst : (Scenario.t * float) option array;
-  mcf_hits : int;
-  mcf_misses : int;
 }
 
 (* ---- scenario prefix tree ---- *)
@@ -86,10 +82,9 @@ type cell = {
   scenario : Scenario.t;
   values : float array;  (* bottleneck intensity per algorithm *)
   opt : float;  (* nan under `Bottleneck *)
-  fresh_opt : bool;  (* true when this run solved the MCF (cache miss) *)
 }
 
-let eval_cell env algs metric cache sc states =
+let eval_cell env algs metric sc states =
   let values =
     Array.mapi
       (fun i alg ->
@@ -98,16 +93,8 @@ let eval_cell env algs metric cache sc states =
         | None -> Eval.scenario_bottleneck env alg sc)
       algs
   in
-  let opt, fresh_opt =
-    match metric with
-    | `Bottleneck -> (nan, false)
-    | `Ratio -> begin
-      match Option.bind cache (fun c -> Mcf_cache.find c sc) with
-      | Some v -> (v, false)
-      | None -> (Eval.optimal env sc, true)
-    end
-  in
-  { scenario = sc; values; opt; fresh_opt }
+  let opt = match metric with `Bottleneck -> nan | `Ratio -> Eval.optimal env sc in
+  { scenario = sc; values; opt }
 
 (* Advance the R3 algorithms' states across one tree edge: COW-fail the
    node's singleton delta into every stateful slot ([None] slots are
@@ -129,14 +116,14 @@ let advance_states env node states =
 (* Depth-first walk of one depth-1 subtree: at most one root-to-leaf
    path of states is live at a time. COW states are safe to fold from a
    shared parent concurrently (DESIGN.md §9: sealing is an atomic
-   generation bump), and the cache is read-only here. *)
-let eval_subtree env algs metric cache root_states subtree =
+   generation bump). *)
+let eval_subtree env algs metric root_states subtree =
   R3_util.Metrics.incr Obs.tasks;
   let out = ref [] in
   let rec walk node states =
     let states = advance_states env node states in
     (match node.terminal with
-    | Some sc -> out := eval_cell env algs metric cache sc states :: !out
+    | Some sc -> out := eval_cell env algs metric sc states :: !out
     | None -> ());
     List.iter (fun c -> walk c states) node.children
   in
@@ -145,7 +132,7 @@ let eval_subtree env algs metric cache root_states subtree =
 
 (* ---- the sweep ---- *)
 
-let run ?cache ?(metric = `Ratio) env ~algorithms scenarios =
+let run ?(metric = `Ratio) env ~algorithms scenarios =
   R3_util.Metrics.incr Obs.runs;
   R3_util.Metrics.time Obs.run_seconds @@ fun () ->
   R3_util.Trace.with_span "sweep.run" @@ fun () ->
@@ -154,37 +141,17 @@ let run ?cache ?(metric = `Ratio) env ~algorithms scenarios =
   let root_states = Array.map (fun alg -> Eval.r3_root env alg) algs in
   let subtree_cells =
     R3_util.Parallel.map
-      (eval_subtree env algs metric cache root_states)
+      (eval_subtree env algs metric root_states)
       (Array.of_list forest.children)
   in
   let empty_cells =
     match forest.terminal with
-    | Some sc -> [| eval_cell env algs metric cache sc root_states |]
+    | Some sc -> [| eval_cell env algs metric sc root_states |]
     | None -> [||]
   in
   let cells = Array.concat (empty_cells :: Array.to_list subtree_cells) in
-  (* Single-domain cache update after the parallel section. *)
-  let hits = ref 0 and misses = ref 0 in
-  (match metric with
-  | `Ratio ->
-    Array.iter
-      (fun c ->
-        if c.fresh_opt then begin
-          incr misses;
-          match cache with
-          | Some cch -> Mcf_cache.add cch c.scenario c.opt
-          | None -> ()
-        end
-        else incr hits)
-      cells;
-    Option.iter Mcf_cache.flush cache
-  | `Bottleneck -> ());
   R3_util.Metrics.add Obs.scenarios (Array.length cells);
-  R3_util.Metrics.add Obs.cache_hits !hits;
-  R3_util.Metrics.add Obs.cache_misses !misses;
   R3_util.Trace.add_attr "scenarios" (R3_util.Trace.Int (Array.length cells));
-  R3_util.Trace.add_attr "mcf_hits" (R3_util.Trace.Int !hits);
-  R3_util.Trace.add_attr "mcf_misses" (R3_util.Trace.Int !misses);
   let n_alg = Array.length algs in
   let curves = Array.make n_alg [||] in
   let undefined = Array.make n_alg 0 in
@@ -221,9 +188,7 @@ let run ?cache ?(metric = `Ratio) env ~algorithms scenarios =
     curves;
     undefined;
     worst;
-    mcf_hits = !hits;
-    mcf_misses = !misses;
   }
 
-let curves ?cache ?metric env ~algorithms scenarios =
-  (run ?cache ?metric env ~algorithms scenarios).curves
+let curves ?metric env ~algorithms scenarios =
+  (run ?metric env ~algorithms scenarios).curves

@@ -4,9 +4,7 @@
     The paper's evaluation replays thousands of failure scenarios (all one-
     and two-link failures plus sampled three/four-link ones). Evaluating
     each scenario independently rebuilds the R3 reconfiguration state from
-    the pristine plan and re-solves the optimal-MCF normalizer (the exact
-    per-destination LP behind {!Eval.optimal}) every time. This engine
-    instead:
+    the pristine plan. This engine instead:
 
     - organizes the canonical scenarios ({!Scenario.t}) into a prefix tree
       over sorted physical-link combinations and walks it depth-first,
@@ -19,11 +17,12 @@
       walk, so at most one root-to-leaf path of states is live per
       domain, and concatenating the subtrees in child order reproduces
       the serial DFS preorder — results never depend on the pool size;
-    - memoizes optimal-MCF solves in an {!Mcf_cache.t} (optionally disk-
-      backed under [.bench-cache/], keyed on the solver too), reading it
-      concurrently during the sweep and updating it once afterwards;
     - streams per-algorithm aggregates (sorted curves, undefined-ratio
       counts, worst-case witnesses) without retaining per-scenario states.
+
+    Under [`Ratio] each distinct scenario solves the optimal-MCF
+    normalizer (the exact per-destination LP behind {!Eval.optimal}) once,
+    inside the walk.
 
     Output is bit-identical to the naive serial path (per-scenario
     {!Eval.evaluate}) for any pool size. *)
@@ -44,18 +43,14 @@ type summary = {
   worst : (Scenario.t * float) option array;
       (** per algorithm: a scenario attaining the worst (largest) value —
           the earliest one in tree order on ties *)
-  mcf_hits : int;  (** optimal-MCF lookups served by the cache *)
-  mcf_misses : int;  (** optimal-MCF solves performed by this run *)
 }
 
 (** [run env ~algorithms scenarios] sweeps the deduplicated canonical
     scenario set. [metric] defaults to [`Ratio] (which is what solves the
-    MCF normalizer; [`Bottleneck] never does). [cache] memoizes those
-    solves across runs. The walk runs on the shared pool at its current
-    size ({!R3_util.Parallel.set_domains}). Duplicate scenarios are
-    evaluated once. *)
+    MCF normalizer; [`Bottleneck] never does). The walk runs on the
+    shared pool at its current size ({!R3_util.Parallel.set_domains}).
+    Duplicate scenarios are evaluated once. *)
 val run :
-  ?cache:Mcf_cache.t ->
   ?metric:metric ->
   Eval.env ->
   algorithms:Eval.algorithm list ->
@@ -65,7 +60,6 @@ val run :
 (** The sorted curves alone: for each algorithm, its per-scenario values
     sorted ascending (undefined ratios dropped; {!run} counts them). *)
 val curves :
-  ?cache:Mcf_cache.t ->
   ?metric:metric ->
   Eval.env ->
   algorithms:Eval.algorithm list ->

@@ -1,6 +1,5 @@
 (* The sweep engine's contract: bit-identical to the naive per-scenario
-   path, for any domain count, cold or warm cache, in memory or through
-   the disk round-trip. *)
+   path, for any domain count and either metric. *)
 
 module G = R3_net.Graph
 module Topology = R3_net.Topology
@@ -9,7 +8,6 @@ module Sc = R3_sim.Scenario
 module S = R3_sim.Scenarios
 module E = R3_sim.Eval
 module Sweep = R3_sim.Sweep
-module Mcf_cache = R3_sim.Mcf_cache
 
 let abilene_env ?(demands_scale = 1.0) () =
   let g = Topology.abilene () in
@@ -87,14 +85,19 @@ let test_bottleneck_identity_k12 () =
       check_bits (Printf.sprintf "k=%d bottleneck" k) slow fast)
     [ 1; 2 ]
 
+(* Ratio sweeps solve the exact normalizer inside pool workers. *)
 let test_ratio_identity_sampled_k3 () =
   let g, env = Lazy.force env in
   let scenarios = S.sample g ~k:3 ~count:6 ~seed:9 in
-  let fast =
-    Test_pool.with_domains 1 (fun () -> Sweep.curves env ~algorithms:r3_algorithms scenarios)
-  in
   let slow = naive_curves env ~algorithms:r3_algorithms ~metric:`Ratio scenarios in
-  check_bits "sampled k=3 ratio" slow fast
+  List.iter
+    (fun d ->
+      let fast =
+        Test_pool.with_domains d (fun () ->
+            Sweep.curves env ~algorithms:r3_algorithms scenarios)
+      in
+      check_bits (Printf.sprintf "sampled k=3 ratio, %d domains" d) slow fast)
+    [ 1; 2; 4 ]
 
 let test_domains_agree () =
   let g, env = Lazy.force env in
@@ -120,107 +123,6 @@ let test_domains_agree () =
   Alcotest.(check int) "scenario count" (List.length scenarios) one.Sweep.scenario_count;
   (* subtree fan-out across the domain ladder *)
   List.iter (fun d -> check_against (Printf.sprintf "1 vs %d domains" d) (run d)) [ 2; 4; 8 ]
-
-let test_cache_warm_identical () =
-  let g, env = Lazy.force env in
-  let scenarios = S.enumerate g ~k:1 in
-  let cache = E.mcf_cache env in
-  let cold = Sweep.run ~cache env ~algorithms:r3_algorithms scenarios in
-  let warm = Sweep.run ~cache env ~algorithms:r3_algorithms scenarios in
-  check_bits "cold vs warm" cold.Sweep.curves warm.Sweep.curves;
-  Alcotest.(check int) "cold misses" (List.length scenarios) cold.Sweep.mcf_misses;
-  Alcotest.(check int) "warm hits" (List.length scenarios) warm.Sweep.mcf_hits;
-  Alcotest.(check int) "warm misses" 0 warm.Sweep.mcf_misses
-
-let test_cache_disk_roundtrip () =
-  let g, env = Lazy.force env in
-  let scenarios = S.enumerate g ~k:1 in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "r3-sweep-cache-test" in
-  (* stale files from earlier runs would pre-warm the "cold" side *)
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  let disk () = E.mcf_cache ~dir env in
-  let c1 = disk () in
-  let cold = Sweep.run ~cache:c1 env ~algorithms:r3_algorithms scenarios in
-  (* a fresh cache object reloads the flushed file *)
-  let c2 = disk () in
-  Alcotest.(check int) "entries reloaded" (List.length scenarios) (Mcf_cache.size c2);
-  Alcotest.(check string) "same context" (Mcf_cache.context c1) (Mcf_cache.context c2);
-  let warm = Sweep.run ~cache:c2 env ~algorithms:r3_algorithms scenarios in
-  check_bits "disk round-trip" cold.Sweep.curves warm.Sweep.curves;
-  Alcotest.(check int) "served from disk" (List.length scenarios) warm.Sweep.mcf_hits;
-  (* exact float round-trip, entry by entry *)
-  List.iter
-    (fun sc ->
-      match (Mcf_cache.find c1 sc, Mcf_cache.find c2 sc) with
-      | Some a, Some b ->
-        if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
-          Alcotest.failf "entry %s: %h <> %h" (Sc.key sc) a b
-      | _ -> Alcotest.failf "entry %s missing" (Sc.key sc))
-    scenarios
-
-(* Direct cache behaviors: atomic flush discipline and the NaN dirty-bit
-   regression (value equality must be bit-level, or NaN entries re-dirty
-   the table on every add and force a rewrite per sweep). *)
-
-let scratch_cache_dir name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  dir
-
-let test_cache_flush_atomic () =
-  let g = Topology.abilene () in
-  let pairs = [| (0, 1) |] and demands = [| 1.0 |] in
-  (* nested path: exercises the recursive mkdir *)
-  let dir =
-    scratch_cache_dir (Filename.concat "r3-cache-flush-test" "nested")
-  in
-  let fresh () = Mcf_cache.create ~dir ~graph:g ~pairs ~demands () in
-  let c = fresh () in
-  let sc = Sc.of_links g [ (S.physical_links g).(0) ] in
-  Mcf_cache.add c sc 1.25;
-  Mcf_cache.flush c;
-  let files = Sys.readdir dir in
-  Array.iter
-    (fun f ->
-      Alcotest.(check bool) ("no tmp litter: " ^ f) false
-        (Filename.check_suffix f ".tmp"))
-    files;
-  Alcotest.(check int) "exactly the cache file" 1 (Array.length files);
-  Alcotest.(check bool) "reloaded bit-exact" true (Mcf_cache.find (fresh ()) sc = Some 1.25);
-  (* clean table: a second flush must not rewrite the file *)
-  let path = Filename.concat dir files.(0) in
-  Sys.remove path;
-  Mcf_cache.flush c;
-  Alcotest.(check bool) "clean cache does not rewrite" false (Sys.file_exists path)
-
-let test_cache_nan_dirty_regression () =
-  let g = Topology.abilene () in
-  let pairs = [| (0, 1) |] and demands = [| 1.0 |] in
-  let dir = scratch_cache_dir "r3-cache-nan-test" in
-  let fresh () = Mcf_cache.create ~dir ~graph:g ~pairs ~demands () in
-  let c = fresh () in
-  let sc = Sc.of_links g [ (S.physical_links g).(0) ] in
-  Mcf_cache.add c sc Float.nan;
-  Mcf_cache.flush c;
-  let files = Sys.readdir dir in
-  Alcotest.(check int) "NaN entry flushed" 1 (Array.length files);
-  let path = Filename.concat dir files.(0) in
-  Sys.remove path;
-  (* Re-adding the identical NaN must be a no-op: under [=] it would look
-     unequal to itself, re-dirty the table, and rewrite the file. *)
-  Mcf_cache.add c sc Float.nan;
-  Mcf_cache.flush c;
-  Alcotest.(check bool) "identical NaN re-add stays clean" false
-    (Sys.file_exists path);
-  (* and the NaN value itself survives a disk round-trip as NaN *)
-  Mcf_cache.add c sc 2.0;
-  Mcf_cache.add c sc Float.nan;
-  Mcf_cache.flush c;
-  (match Mcf_cache.find (fresh ()) sc with
-  | Some v -> Alcotest.(check bool) "NaN reloads as NaN" true (Float.is_nan v)
-  | None -> Alcotest.fail "NaN entry missing after reload")
 
 let test_undefined_ratios_counted () =
   (* Zero demand makes the optimum 0 on every scenario: every ratio is
@@ -302,11 +204,6 @@ let suite =
     Alcotest.test_case "bottleneck identity k=1,2" `Slow test_bottleneck_identity_k12;
     Alcotest.test_case "ratio identity sampled k=3" `Slow test_ratio_identity_sampled_k3;
     Alcotest.test_case "domain count independence" `Slow test_domains_agree;
-    Alcotest.test_case "mcf cache warm = cold" `Slow test_cache_warm_identical;
-    Alcotest.test_case "mcf cache disk round-trip" `Slow test_cache_disk_roundtrip;
-    Alcotest.test_case "mcf cache atomic flush" `Quick test_cache_flush_atomic;
-    Alcotest.test_case "mcf cache NaN dirty bit" `Quick
-      test_cache_nan_dirty_regression;
     Alcotest.test_case "undefined ratios counted" `Quick test_undefined_ratios_counted;
     Alcotest.test_case "legacy wrappers agree" `Quick test_legacy_wrappers_agree;
     Alcotest.test_case "bottleneck sweep forces no base" `Quick
