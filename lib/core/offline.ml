@@ -289,7 +289,7 @@ let compute_classes ?spread (cfg : config) g classes base_spec =
         P.constr lp ((-.G.capacity g e, mlu) :: terms) P.Le (-.const)
     done
   done;
-  (* Warm start: translate the LP once and repair the basis after each
+  (* Warm start: solve the LP once and repair the basis after each
      batch of cuts. *)
   let sess = P.session ?max_pivots:cfg.max_pivots lp in
   let seen = Hashtbl.create 256 in

@@ -1,12 +1,16 @@
+module R = R3_util.Rowvec
+
 type var = int
 
-type cmp = Le | Ge | Eq
+type cmp = Simplex.cmp = Le | Ge | Eq
 
-type row = { terms : (float * var) list; cmp : cmp; rhs : float }
-
+(* Rows, comparators and right-hand sides in creation order: row i is
+   the solver's row i. The first [nrows] slots of each array are live. *)
 type t = {
   mutable nvars : int;
-  mutable rows : row list;  (* reversed *)
+  mutable rows : R.t array;
+  mutable cmps : cmp array;
+  mutable rhs : float array;
   mutable nrows : int;
   mutable sense_minimize : bool;
   mutable obj_terms : (float * var) list;
@@ -21,72 +25,65 @@ type result =
   | Iteration_limit
 
 let create () =
-  { nvars = 0; rows = []; nrows = 0; sense_minimize = true; obj_terms = [] }
+  { nvars = 0; rows = [||]; cmps = [||]; rhs = [||]; nrows = 0;
+    sense_minimize = true; obj_terms = [] }
 
 let var t =
   let v = t.nvars in
   t.nvars <- v + 1;
   v
 
+let check_term t (c, v) =
+  if v < 0 || v >= t.nvars then invalid_arg "Problem: variable out of range";
+  if not (Float.is_finite c) then invalid_arg "Problem: non-finite coefficient"
+
+(* [a] with [x] stored at [n], grown first when [n] is its length. *)
+let push a n x =
+  let a = if n < Array.length a then a else Array.append a (Array.make (Int.max 16 n) x) in
+  a.(n) <- x;
+  a
+
+(* The row is compacted here, once: [Rowvec.of_pairs] sums duplicate
+   variables in term order and drops entries that sum to zero. *)
 let constr t terms cmp rhs =
-  t.rows <- { terms; cmp; rhs } :: t.rows;
-  t.nrows <- t.nrows + 1
+  if not (Float.is_finite rhs) then invalid_arg "Problem: non-finite right-hand side";
+  let k = List.length terms in
+  let idx = Array.make k 0 and coef = Array.make k 0.0 in
+  List.iteri (fun s ((c, v) as term) -> check_term t term; idx.(s) <- v; coef.(s) <- c) terms;
+  let i = t.nrows in
+  t.rows <- push t.rows i (R.of_pairs idx coef);
+  t.cmps <- push t.cmps i cmp;
+  t.rhs <- push t.rhs i rhs;
+  t.nrows <- i + 1
 
 let minimize t terms =
+  List.iter (check_term t) terms;
   t.sense_minimize <- true;
   t.obj_terms <- terms
 
 let maximize t terms =
+  List.iter (check_term t) terms;
   t.sense_minimize <- false;
   t.obj_terms <- terms
 
-let add_objective_term t coef v = t.obj_terms <- (coef, v) :: t.obj_terms
+let add_objective_term t coef v =
+  check_term t (coef, v);
+  t.obj_terms <- (coef, v) :: t.obj_terms
 
 let num_vars t = t.nvars
 let num_constraints t = t.nrows
 
-(* Combine duplicate variables in a term list into a sparse (idx, coef)
-   pair of arrays, dropping exact zeros. *)
-let compact_terms nvars terms =
-  let acc = Hashtbl.create 16 in
-  List.iter
-    (fun (c, v) ->
-      if v < 0 || v >= nvars then invalid_arg "Problem: variable out of range";
-      let prev = Option.value (Hashtbl.find_opt acc v) ~default:0.0 in
-      Hashtbl.replace acc v (prev +. c))
-    terms;
-  let pairs =
-    Hashtbl.fold (fun v c l -> if c <> 0.0 then (v, c) :: l else l) acc []
-  in
-  let pairs = List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs in
-  (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+let sense t = if t.sense_minimize then 1.0 else -1.0
 
-let simplex_cmp = function Le -> Simplex.Le | Ge -> Simplex.Ge | Eq -> Simplex.Eq
-
-(* The problem in the solver's terms: variable v is column v, and row i
-   is the i-th row created. Shared by [solve] and [session]. *)
-type translated = {
-  obj : float array;
-  sense : float;
-  lp_rows : (int array * float array) array;
-  cmps : Simplex.cmp array;
-  rhs : float array;
-}
-
-let translate t =
-  let n = t.nvars in
-  let sense = if t.sense_minimize then 1.0 else -1.0 in
-  let obj = Array.make n 0.0 in
-  let idx, coef = compact_terms n t.obj_terms in
-  Array.iteri (fun k v -> obj.(v) <- coef.(k) *. sense) idx;
-  let rows = Array.of_list (List.rev t.rows) in
-  {
-    obj;
-    sense;
-    lp_rows = Array.map (fun r -> compact_terms n r.terms) rows;
-    cmps = Array.map (fun r -> simplex_cmp r.cmp) rows;
-    rhs = Array.map (fun (r : row) -> r.rhs) rows;
-  }
+(* The objective in the solver's terms: each variable's terms summed in
+   list order from +0.0 (DESIGN §6 says why the order is part of the
+   bits), then times the sense. A variable whose terms sum to zero,
+   or that has none, keeps +0.0, also in a maximization. *)
+let objective t =
+  let sense = sense t in
+  let obj = Array.make t.nvars 0.0 in
+  List.iter (fun (c, v) -> obj.(v) <- obj.(v) +. c) t.obj_terms;
+  Array.map (fun c -> if c <> 0.0 then c *. sense else 0.0) obj
 
 (* A variable outside the solved problem fails [x]'s bounds check. *)
 let wrap sense (out : Simplex.outcome) =
@@ -102,13 +99,16 @@ let wrap sense (out : Simplex.outcome) =
         pivots = out.Simplex.pivots;
       }
 
+(* [f] applied to the problem in the solver's terms: the objective and
+   the live prefix of the rows. *)
+let live t f =
+  let m = t.nrows in
+  f ~obj:(objective t) ~rows:(Array.sub t.rows 0 m) ~cmps:(Array.sub t.cmps 0 m)
+    ~rhs:(Array.sub t.rhs 0 m) ()
+
 (* The start's rows and variables are the solver's, so [Simplex.solve]
    range-checks them. *)
-let solve ?max_pivots ?start t =
-  let tr = translate t in
-  wrap tr.sense
-    (Simplex.solve ?max_pivots ?start ~obj:tr.obj ~rows:tr.lp_rows ~cmps:tr.cmps
-       ~rhs:tr.rhs ())
+let solve ?max_pivots ?start t = wrap (sense t) (live t (Simplex.solve ?max_pivots ?start))
 
 (* ---- incremental solve handle ---- *)
 
@@ -143,43 +143,29 @@ let retire s =
   | None -> ());
   s.core <- None
 
-(* Full cold (re)build: translate the whole problem and run two-phase. *)
+(* Full cold (re)build of the whole problem, run two-phase. *)
 let cold_start s =
-  let t = s.sp in
+  let t = s.sp and sense = sense s.sp in
   R3_util.Metrics.incr Obs.cold_starts;
-  let tr = translate t in
-  let core =
-    Simplex.Session.create ?max_pivots:s.smax_pivots
-      ~obj:tr.obj ~rows:tr.lp_rows ~cmps:tr.cmps ~rhs:tr.rhs ()
-  in
-  s.core <- Some (core, tr.sense);
+  let core = live t (Simplex.Session.create ?max_pivots:s.smax_pivots) in
+  s.core <- Some (core, sense);
   s.seen_rows <- t.nrows;
   s.seen_vars <- t.nvars;
-  wrap tr.sense (Simplex.Session.outcome core)
+  wrap sense (Simplex.Session.outcome core)
 
 let resolve s =
   let t = s.sp in
   match s.core with
   | None -> cold_start s
   | Some _ when t.nvars <> s.seen_vars ->
-    (* New variables (or a changed objective shape) need a fresh build. *)
-    retire s;
-    cold_start s
+    invalid_arg "Problem.resolve: variables added after the session's first solve"
   | Some (core, sense) ->
     let fresh = t.nrows - s.seen_rows in
     if fresh = 0 then wrap sense (Simplex.Session.outcome core)
     else begin
-      (* [t.rows] is reversed: the first [fresh] entries are the new rows. *)
-      let rec take k acc = function
-        | r :: rest when k > 0 -> take (k - 1) (r :: acc) rest
-        | _ -> acc
-      in
-      let new_rows = take fresh [] t.rows in
-      List.iter
-        (fun r ->
-          Simplex.Session.add_row core (compact_terms t.nvars r.terms)
-            (simplex_cmp r.cmp) r.rhs)
-        new_rows;
+      for i = s.seen_rows to t.nrows - 1 do
+        Simplex.Session.add_row core t.rows.(i) t.cmps.(i) t.rhs.(i)
+      done;
       s.seen_rows <- t.nrows;
       R3_util.Metrics.incr Obs.warm_resolves;
       R3_util.Metrics.add Obs.rows_added fresh;

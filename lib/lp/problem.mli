@@ -8,16 +8,20 @@
 
     This is {!Simplex}'s own standard form: variable [j] is the solver's
     column [j] and row [i] its row [i], so a bound is a row like any
-    other. The builder is mutable and append-only; [solve] snapshots it.
-    Duplicate variables inside one term list are summed, so callers may
-    emit terms incrementally. *)
+    other. The builder is mutable and append-only. {!constr} compacts
+    each row once into the solver's {!R3_util.Rowvec.t}: duplicate
+    variables are summed in term order, so callers may emit terms
+    incrementally, and zero sums are dropped. Solves and sessions read
+    the rows and never mutate them. {!constr} and the objective's
+    setters raise [Invalid_argument] on another problem's variable or a
+    non-finite coefficient, and {!constr} on a non-finite rhs. *)
 
 type t
 
 (** Opaque variable handle, valid only for the problem that created it. *)
 type var
 
-type cmp = Le | Ge | Eq
+type cmp = Simplex.cmp = Le | Ge | Eq
 
 type solution = {
   objective : float;  (** optimal objective value, in the user's sense *)
@@ -39,13 +43,14 @@ val var : t -> var
 (** [constr t terms cmp rhs] adds the row [sum terms cmp rhs]. *)
 val constr : t -> (float * var) list -> cmp -> float -> unit
 
-(** Set the objective (replacing any previous one). *)
+(** Set the objective (replacing any previous one). Each solve sums a
+    variable's terms in list order. *)
 val minimize : t -> (float * var) list -> unit
 
 val maximize : t -> (float * var) list -> unit
 
 (** [add_objective_term t coef v] adds [coef * v] to the current objective
-    without changing its sense. *)
+    without changing its sense, at the front of the term list. *)
 val add_objective_term : t -> float -> var -> unit
 
 val num_vars : t -> int
@@ -64,13 +69,13 @@ val solve : ?max_pivots:int -> ?start:(int * var) list -> t -> result
 
 (** {2 Incremental solving}
 
-    A session translates the problem once, solves it, and keeps the final
-    simplex basis alive. Rows appended to the problem with {!constr} after
-    a solve are picked up by the next {!resolve} and repaired with
-    dual-simplex pivots instead of a from-scratch two-phase solve - the
-    work-loop of cutting-plane methods like {!R3_core.Offline}'s
-    constraint generation. Adding {e variables} after the first solve
-    forces a transparent cold rebuild (still correct, just not warm). *)
+    A session hands the rows to the solver once, solves it, and keeps
+    the final simplex basis alive. Rows appended to the problem with
+    {!constr} after a solve are picked up by the next {!resolve} and
+    repaired with dual-simplex pivots instead of a from-scratch
+    two-phase solve - the work-loop of cutting-plane methods like
+    {!R3_core.Offline}'s constraint generation. A variable added after
+    the first solve makes the next {!resolve} raise [Invalid_argument]. *)
 
 (** Incremental solve handle over a problem. All row additions must go
     through the underlying problem's {!constr}; the session notices them

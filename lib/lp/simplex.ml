@@ -94,54 +94,68 @@ end
    huge ratios wreck primal feasibility of the excluded rows. Each column
    is scaled by 1/sqrt(max.min) of its nonzero magnitudes (geometric
    equilibration); the caller multiplies objective coefficients by
-   [col_scale] and recovers [x_j = y_j * col_scale.(j)].
+   [col_scale] and recovers [x_j = y_j * col_scale.(j)]. The given rows
+   are read, never written: {!Problem} keeps them for later solves. *)
 
-   Returns the scaled rows, the (possibly flipped) comparators, the scaled
-   rhs, the slack count, the per-row artificial-variable flags, the
-   artificial count and the column scales. *)
+module R = R3_util.Rowvec
+
+(* [sign] times [row] with each column's scale applied, times [k scale]
+   for its largest magnitude [scale] (1 if empty): a fresh row without
+   the entries that scale to exactly 0, with two spare slots for the
+   logicals {!Rev} appends, and [k scale]. *)
+let equilibrate col_scale ~sign row k =
+  let idx = R.indices row and v = R.values row and n = R.nnz row in
+  let ri = Array.make (n + 2) 0 and rv = Array.make (n + 2) 0.0 in
+  let scale = ref 0.0 in
+  for t = 0 to n - 1 do
+    ri.(t) <- idx.(t);
+    rv.(t) <- sign *. v.(t) *. col_scale.(idx.(t));
+    scale := Float.max !scale (Float.abs rv.(t))
+  done;
+  let k = k (if !scale > 0.0 then !scale else 1.0) in
+  let row = R.of_sorted ri rv n in
+  R.scale row k;
+  (row, k)
+
+(* Returns the scaled rows, the (possibly flipped) comparators, the
+   scaled rhs, the slack and artificial counts and the column scales. *)
 let prepare ~n ~rows ~cmps ~rhs =
   let m = Array.length rows in
   if Array.length cmps <> m || Array.length rhs <> m then
     invalid_arg "Simplex: rows/cmps/rhs length mismatch";
   let col_max = Array.make n 0.0 and col_min = Array.make n infinity in
   Array.iter
-    (fun (idx, coef) ->
-      Array.iteri
-        (fun t j ->
-          let a = Float.abs coef.(t) in
-          if a > 0.0 then begin
-            if a > col_max.(j) then col_max.(j) <- a;
-            if a < col_min.(j) then col_min.(j) <- a
-          end)
-        idx)
+    (R.iter (fun j c ->
+         let a = Float.abs c in
+         if a > 0.0 then begin
+           if a > col_max.(j) then col_max.(j) <- a;
+           if a < col_min.(j) then col_min.(j) <- a
+         end))
     rows;
   let col_scale =
     Array.init n (fun j ->
         if col_max.(j) > 0.0 then 1.0 /. sqrt (col_max.(j) *. col_min.(j))
         else 1.0)
   in
-  let scaled_rows = Array.make m ([||], [||]) in
   let cmps = Array.copy cmps in
   let b0 = Array.copy rhs in
-  let n_slack = ref 0 in
-  for i = 0 to m - 1 do
-    let idx, coef = rows.(i) in
-    let coef = Array.mapi (fun t c -> c *. col_scale.(idx.(t))) coef in
-    let scale = Array.fold_left (fun a c -> Float.max a (Float.abs c)) 0.0 coef in
-    let scale = if scale > 0.0 then scale else 1.0 in
-    let flip = b0.(i) /. scale < 0.0 in
-    let k = if flip then -1.0 /. scale else 1.0 /. scale in
-    Array.iteri (fun t c -> coef.(t) <- c *. k) coef;
-    b0.(i) <- b0.(i) *. k;
-    if flip then
-      cmps.(i) <- (match cmps.(i) with Le -> Ge | Ge -> Le | Eq -> Eq);
-    scaled_rows.(i) <- (idx, coef);
-    (match cmps.(i) with Le | Ge -> incr n_slack | Eq -> ())
-  done;
-  (* A row needs an artificial unless its (+1) slack can start basic. *)
-  let needs_art = Array.map (fun c -> c <> Le) cmps in
-  let n_art = Array.fold_left (fun a v -> if v then a + 1 else a) 0 needs_art in
-  (scaled_rows, cmps, b0, !n_slack, needs_art, n_art, col_scale)
+  let scaled_rows =
+    Array.mapi
+      (fun i row ->
+        let row, k =
+          equilibrate col_scale ~sign:1.0 row (fun scale ->
+              if b0.(i) /. scale < 0.0 then -1.0 /. scale else 1.0 /. scale)
+        in
+        b0.(i) <- b0.(i) *. k;
+        if k < 0.0 (* flipped *) then
+          cmps.(i) <- (match cmps.(i) with Le -> Ge | Ge -> Le | Eq -> Eq);
+        row)
+      rows
+  in
+  (* Every inequality row has a slack or surplus, and a row needs an
+     artificial unless its (+1) slack can start basic. *)
+  let count p = Array.fold_left (fun a c -> if p c then a + 1 else a) 0 cmps in
+  (scaled_rows, cmps, b0, count (fun c -> c <> Eq), count (fun c -> c <> Le), col_scale)
 
 (* ==================================================================== *)
 (* Reference engine: the original dense full tableau, reachable only
@@ -357,7 +371,7 @@ module Reference = struct
   let solve ?max_pivots ~obj ~rows ~cmps ~rhs () =
     let n = Array.length obj in
     let m = Array.length rows in
-    let scaled_rows, cmps, b0, n_slack, needs_art, n_art, col_scale =
+    let scaled_rows, cmps, b0, n_slack, n_art, col_scale =
       prepare ~n ~rows ~cmps ~rhs
     in
     let width = n + n_slack + n_art in
@@ -388,9 +402,8 @@ module Reference = struct
     done;
     let next_slack = ref n and next_art = ref (n + n_slack) in
     for i = 0 to m - 1 do
-      let idx, coef = scaled_rows.(i) in
       let row = st.tab.(i) in
-      Array.iteri (fun t j -> row.(j) <- row.(j) +. coef.(t)) idx;
+      R.iter (fun j c -> row.(j) <- row.(j) +. c) scaled_rows.(i);
       (match cmps.(i) with
       | Le ->
         row.(!next_slack) <- 1.0;
@@ -400,7 +413,7 @@ module Reference = struct
         row.(!next_slack) <- -1.0;
         incr next_slack
       | Eq -> ());
-      if needs_art.(i) then begin
+      if cmps.(i) <> Le then begin
         row.(!next_art) <- 1.0;
         st.basis.(i) <- !next_art;
         (* Phase-1 reduced costs: c1_j - (row sums over artificial rows). *)
@@ -471,7 +484,6 @@ end
 (* ==================================================================== *)
 
 module Rev = struct
-  module R = R3_util.Rowvec
   module T = R3_util.Trace
 
   (* Entering candidates retained by one pricing refresh. *)
@@ -1132,7 +1144,7 @@ module Rev = struct
   let build ?max_pivots ~obj ~rows ~cmps ~rhs () =
     let n = Array.length obj in
     let m = Array.length rows in
-    let scaled_rows, cmps, b0, n_slack, needs_art, n_art, col_scale =
+    let scaled_rows, cmps, b0, n_slack, n_art, col_scale =
       prepare ~n ~rows ~cmps ~rhs
     in
     let width = n + n_slack + n_art in
@@ -1150,7 +1162,7 @@ module Rev = struct
         m;
         width;
         cols = Array.init cap_w (fun _ -> R.create ~cap:4 ());
-        arows = Array.init cap_m (fun _ -> R.create ~cap:1 ());
+        arows = (if m > 0 then scaled_rows else [| R.create ~cap:1 () |]);
         b0 = (let b = Array.make cap_m 0.0 in Array.blit b0 0 b 0 m; b);
         basis = Array.make cap_m (-1);
         pos_of = Array.make cap_w (-1);
@@ -1196,10 +1208,10 @@ module Rev = struct
     done;
     let next_slack = ref n and next_art = ref (n + n_slack) in
     for i = 0 to m - 1 do
-      let idx, coef = scaled_rows.(i) in
-      let arow = R.of_pairs idx coef in
-      (* Mirror the (duplicate-merged) row into the column store; row
-         index [i] is the highest so far, so [R.set] appends. *)
+      (* The scaled row joins the row store with its logicals. Mirror it
+         into the column store; row [i] is the highest so far, so
+         [R.set] appends. *)
+      let arow = scaled_rows.(i) in
       R.iter (fun j v -> R.set st.cols.(j) i v) arow;
       (match cmps.(i) with
       | Le ->
@@ -1215,15 +1227,14 @@ module Rev = struct
         st.surplus.(i) <- !next_slack;
         incr next_slack
       | Eq -> ());
-      if needs_art.(i) then begin
+      if cmps.(i) <> Le then begin
         R.set arow !next_art 1.0;
         R.set st.cols.(!next_art) i 1.0;
         st.basis.(i) <- !next_art;
         st.pos_of.(!next_art) <- i;
         st.logical.(i) <- !next_art;
         incr next_art
-      end;
-      st.arows.(i) <- arow
+      end
     done;
     st
 
@@ -1382,42 +1393,35 @@ module Rev = struct
       (try refactor_lu st with Repaired -> ());
       finish (after_repair st ~max_pivots ~p1)
 
-  (* Append [lhs <= rhs] with a fresh basic slack. Nothing is eliminated
+  (* Append [sign * row <= sign * rhs], scaled as {!prepare} scales an
+     unflipped row, with a fresh basic slack. Nothing is eliminated
      against the basis: the revised method works off original rows, so
      appending is O(nnz row). The factorization is stale afterwards;
      {!resolve} refactorizes first. *)
-  let append_le st (idx, coef) rhs =
-    let coef = Array.mapi (fun t c -> c *. st.col_scale.(idx.(t))) coef in
-    let scale = Array.fold_left (fun a c -> Float.max a (Float.abs c)) 0.0 coef in
-    let scale = if scale > 0.0 then scale else 1.0 in
-    let k = 1.0 /. scale in
-    Array.iteri (fun t c -> coef.(t) <- c *. k) coef;
+  let append_le st row ~sign rhs =
+    let arow, k = equilibrate st.col_scale ~sign row (fun scale -> 1.0 /. scale) in
     grow_cols st 1;
     grow_rows st 1;
     let s = st.width and i = st.m in
     st.width <- st.width + 1;
     st.m <- st.m + 1;
-    let arow = R.of_pairs idx coef in
     R.iter (fun j v -> R.set st.cols.(j) i v) arow;
     R.set arow s 1.0;
     st.arows.(i) <- arow;
-    st.cols.(s) <- R.of_pairs [| i |] [| 1.0 |];
+    st.cols.(s) <- R.of_sorted [| i |] [| 1.0 |] 1;
     st.cost2.(s) <- 0.0;
     st.dj.(s) <- 0.0;
     st.devex.(s) <- 1.0;
-    st.b0.(i) <- rhs *. k;
+    st.b0.(i) <- sign *. rhs *. k;
     st.basis.(i) <- s;
     st.pos_of.(s) <- i;
     st.logical.(i) <- s;
     st.xb.(i) <- 0.0
 
-  let add_row st (idx, coef) cmp rhs =
-    match cmp with
-    | Le -> append_le st (idx, coef) rhs
-    | Ge -> append_le st (idx, Array.map Float.neg coef) (-.rhs)
-    | Eq ->
-      append_le st (idx, coef) rhs;
-      append_le st (idx, Array.map Float.neg coef) (-.rhs)
+  (* An [Eq] row is a [Le] row and a [Ge] row, in that order. *)
+  let add_row st row cmp rhs =
+    if cmp <> Ge then append_le st row ~sign:1.0 rhs;
+    if cmp <> Le then append_le st row ~sign:(-1.0) rhs
 
   (* Warm re-solve after appended rows: refactorize (the dimension
      changed) and reprice - the previous optimum keeps every reduced

@@ -38,9 +38,10 @@ type outcome = {
   pivots : int;  (** total pivot count across both phases *)
 }
 
-(** [solve ~obj ~rows ~cmps ~rhs] where [rows.(i)] is the sparse row
-    [(indices, coefficients)] of constraint [i]. All variable indices must
-    be in [0, Array.length obj). [max_pivots] caps total pivots.
+(** [solve ~obj ~rows ~cmps ~rhs] where [rows.(i)] is constraint [i]'s
+    {!R3_util.Rowvec.t} (sorted, unique, nonzero entries) over variable
+    indices in [0, Array.length obj). Rows are read, never mutated.
+    [max_pivots] caps total pivots.
 
     [start] is a start basis: each [(i, j)] makes column [j] basic in
     row [i] in place of that row's slack or artificial (each row and
@@ -59,7 +60,7 @@ val solve :
   ?max_pivots:int ->
   ?start:(int * int) list ->
   obj:float array ->
-  rows:(int array * float array) array ->
+  rows:R3_util.Rowvec.t array ->
   cmps:cmp array ->
   rhs:float array ->
   unit ->
@@ -72,7 +73,7 @@ val solve :
 val reference_solve :
   ?max_pivots:int ->
   obj:float array ->
-  rows:(int array * float array) array ->
+  rows:R3_util.Rowvec.t array ->
   cmps:cmp array ->
   rhs:float array ->
   unit ->
@@ -97,7 +98,7 @@ module Session : sig
   val create :
     ?max_pivots:int ->
     obj:float array ->
-    rows:(int array * float array) array ->
+    rows:R3_util.Rowvec.t array ->
     cmps:cmp array ->
     rhs:float array ->
     unit ->
@@ -106,10 +107,10 @@ module Session : sig
   (** Result of the last (re-)solve. *)
   val outcome : t -> outcome
 
-  (** [add_row s (idx, coef) cmp rhs] appends a constraint over existing
+  (** [add_row s row cmp rhs] appends a constraint over existing
       variables. [Eq] rows are added as a [Le]/[Ge] pair. Takes effect at
       the next {!resolve}. *)
-  val add_row : t -> int array * float array -> cmp -> float -> unit
+  val add_row : t -> R3_util.Rowvec.t -> cmp -> float -> unit
 
   (** Re-solve after {!add_row}s, reusing the current basis. Returns
       [Iteration_limit] when the warm state is unusable (initial solve was

@@ -31,7 +31,7 @@ let of_pairs idx v =
   let k = Array.length idx in
   if Array.length v <> k then invalid_arg "Rowvec.of_pairs: length mismatch";
   let order = Array.init k Fun.id in
-  Array.sort (fun a b -> Int.compare idx.(a) idx.(b)) order;
+  Array.stable_sort (fun a b -> Int.compare idx.(a) idx.(b)) order;
   let r = create ~cap:(Int.max k 1) () in
   Array.iter
     (fun s ->

@@ -17,8 +17,10 @@ type t
 val create : ?cap:int -> unit -> t
 
 (** [of_pairs idx v] builds a row from parallel index/value arrays.
-    Indices need not be sorted or unique: duplicates are summed, entries
-    summing to zero removed. The input arrays are not retained. *)
+    Indices need not be sorted or unique: duplicates are summed in input
+    order (a stable sort), entries summing to zero removed, and so is a
+    NaN ([Float.abs nan > 0.0] is false). The input arrays are not
+    retained. *)
 val of_pairs : int array -> float array -> t
 
 (** [of_dense a] keeps every nonzero entry of [a], dropping exact zeros

@@ -357,10 +357,48 @@ let structured_dominance_prop =
       in
       lp_val >= best_integral -. 1e-6)
 
+(* Golden bits of the structured oracle's LP ([Virtual_demand]'s path
+   for overlapping SRLGs or any MLG), which no plan golden reaches with
+   bits that move. Seeded envelopes on Abilene and the US-ISP stand-in,
+   k = 1-3, half of them with MLGs, under random weights with some
+   zeros: one digest over each case's value and support, in [%h], and
+   its pivot count. The optima are mostly integral, so their bits
+   survive a change of pivot path; the count does not. Every case must
+   reach the LP, so [lp.solves] has to move. *)
+let test_golden_group_lp () =
+  let solves () = R3_util.Metrics.counter_value "lp.solves" in
+  let pivots () = R3_util.Metrics.counter_value "lp.pivots" in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (tag, g) ->
+      let m = G.num_links g in
+      for k = 1 to 3 do
+        for seed = 1 to 4 do
+          let srlgs = Topology.synthetic_srlgs ~seed g ~count:(3 + (2 * k)) in
+          let mlgs = if seed mod 2 = 0 then Topology.synthetic_mlgs ~seed g ~count:3 else [] in
+          let rng = R3_util.Prng.create ((100 * k) + seed) in
+          let weights =
+            Array.init m (fun _ ->
+                if R3_util.Prng.int rng 4 = 0 then 0.0 else R3_util.Prng.float rng 5.0)
+          in
+          let before = solves () and pivots0 = pivots () in
+          let value, support = Vd.worst_load (Vd.Groups { srlgs; mlgs; k }) weights in
+          if solves () = before then
+            Alcotest.failf "%s k=%d seed %d: the oracle solved no LP" tag k seed;
+          Buffer.add_string buf (Printf.sprintf "%h" value);
+          List.iter (fun (l, y) -> Buffer.add_string buf (Printf.sprintf " %d:%h" l y)) support;
+          Buffer.add_string buf (Printf.sprintf " pivots %d\n" (pivots () - pivots0))
+        done
+      done)
+    [ ("abilene", Topology.abilene ()); ("usisp", Topology.usisp_like ()) ];
+  Alcotest.(check string) "values, supports and pivots" "6d1e9433f053ae8f1d39ea38373f6799"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "structured oracle = knapsack (singletons)" `Quick
       test_structured_oracle_vs_knapsack;
+    Alcotest.test_case "golden bits: structured oracle LP" `Quick test_golden_group_lp;
     Alcotest.test_case "structured oracle disjoint pairs + MLG" `Quick
       test_structured_oracle_disjoint_pairs;
     Alcotest.test_case "MLG budget is one" `Quick test_structured_mlg_budget;

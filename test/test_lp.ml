@@ -7,6 +7,9 @@
 module P = R3_lp.Problem
 module S = R3_lp.Simplex
 
+(* A solver row from parallel index and coefficient arrays. *)
+let rv idx v = R3_util.Rowvec.of_pairs idx v
+
 let close ?(tol = 1e-6) a b = Float.abs (a -. b) <= tol *. (1.0 +. Float.abs b)
 
 let check_close name expected actual =
@@ -95,9 +98,9 @@ let test_bounds () =
    must terminate. *)
 let beale_rows =
   [|
-    ([| 0; 1; 2 |], [| 0.25; -8.0; -1.0 |]);
-    ([| 0; 1; 2 |], [| 0.5; -12.0; -0.5 |]);
-    ([| 2 |], [| 1.0 |]);
+    rv [| 0; 1; 2 |] [| 0.25; -8.0; -1.0 |];
+    rv [| 0; 1; 2 |] [| 0.5; -12.0; -0.5 |];
+    rv [| 2 |] [| 1.0 |];
   |]
 
 (* The reference tableau must survive the trap too: it is the oracle the
@@ -126,6 +129,11 @@ let test_degenerate_revised () =
   | P.Infeasible -> Alcotest.fail "beale/revised: reported infeasible"
   | P.Iteration_limit -> Alcotest.fail "beale/revised: cycled to iteration limit"
 
+(* Duplicates are summed in term order, so the order is part of a
+   row's bits. The triple [1 + 1e16 - 1e16] is 0 in term order (the 1
+   is lost to rounding), but 1 summed from the back. *)
+let cancelling x = [ (1.0, x); (1e16, x); (-1e16, x) ]
+
 let test_duplicate_terms () =
   let p = P.create () in
   let x = P.var p in
@@ -133,7 +141,54 @@ let test_duplicate_terms () =
   P.constr p [ (1.0, x); (2.0, x) ] P.Le 9.0;
   P.maximize p [ (1.0, x) ];
   let s = solve_exn p in
-  check_close "x" 3.0 (s.P.value x)
+  check_close "x" 3.0 (s.P.value x);
+  (* The triple's row is empty, so only x <= 10 binds. *)
+  let p = P.create () in
+  let x = P.var p in
+  P.constr p (cancelling x) P.Le 4.0;
+  P.constr p [ (1.0, x) ] P.Le 10.0;
+  P.maximize p [ (1.0, x) ];
+  check_close "row summed in term order" 10.0 (solve_exn p).P.objective;
+  (* In the objective the triple costs nothing; added one term at a
+     time, the prepended terms are summed from the back and cost 1. *)
+  let p = P.create () in
+  let x = P.var p in
+  P.constr p [ (1.0, x) ] P.Ge 3.0;
+  P.minimize p (cancelling x);
+  check_close "objective summed in term order" 0.0 (solve_exn p).P.objective;
+  P.minimize p [];
+  List.iter (fun (c, v) -> P.add_objective_term p c v) (cancelling x);
+  check_close "prepended terms" 3.0 (solve_exn p).P.objective
+
+(* Malformed input fails where it is made: a non-finite coefficient or
+   right-hand side, or a variable of another problem, raises at
+   [constr] or at the objective's setter, and a rejected row is not
+   added. *)
+let test_malformed_input () =
+  let p = P.create () in
+  let x = P.var p in
+  let larger = P.create () in
+  let _ = P.var larger in
+  let z = P.var larger in
+  let rejected label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: accepted" label
+  in
+  List.iter
+    (fun (what, bad) ->
+      rejected (what ^ " coefficient") (fun () -> P.constr p [ (1.0, x); (bad, x) ] P.Le 1.0);
+      rejected (what ^ " right-hand side") (fun () -> P.constr p [ (1.0, x) ] P.Le bad);
+      rejected (what ^ " in minimize") (fun () -> P.minimize p [ (bad, x) ]);
+      rejected (what ^ " in maximize") (fun () -> P.maximize p [ (bad, x) ]);
+      rejected (what ^ " objective term") (fun () -> P.add_objective_term p bad x))
+    [ ("NaN", Float.nan); ("infinite", Float.infinity); ("negative infinite", Float.neg_infinity) ];
+  rejected "variable of a larger problem" (fun () -> P.constr p [ (1.0, z) ] P.Le 1.0);
+  rejected "objective variable of a larger problem" (fun () -> P.minimize p [ (1.0, z) ]);
+  Alcotest.(check int) "no row added" 0 (P.num_constraints p);
+  P.constr p [ (1.0, x) ] P.Le 2.0;
+  P.maximize p [ (1.0, x) ];
+  check_close "objective" 2.0 (solve_exn p).P.objective
 
 let test_zero_objective () =
   let p = P.create () in
@@ -633,7 +688,7 @@ let reference_agree_prop =
       in
       let solve f =
         f ~obj
-          ~rows:(Array.map (fun (c, _, _) -> (Array.init nv Fun.id, c)) rows)
+          ~rows:(Array.map (fun (c, _, _) -> R3_util.Rowvec.of_dense c) rows)
           ~cmps:(Array.map (fun (_, c, _) -> c) rows)
           ~rhs:(Array.map (fun (_, _, b) -> b) rows)
           ()
@@ -661,6 +716,7 @@ let reference_agree_prop =
    Returns the phase-1 pivots of the started solve alone (the reference
    counts on [lp.phase1_pivots] too). *)
 let started_vs_reference ~obj ~rows ~cmps ~rhs ~start =
+  let rows = Array.map (fun (idx, v) -> rv idx v) rows in
   let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
   let reference = S.reference_solve ~obj ~rows ~cmps ~rhs () in
   let before = phase1 () in
@@ -799,7 +855,7 @@ let uncovered_rows_prop =
       in
       let args f =
         f ~obj
-          ~rows:(Array.map (fun (c, _, _) -> (Array.init nv Fun.id, c)) rows)
+          ~rows:(Array.map (fun (c, _, _) -> R3_util.Rowvec.of_dense c) rows)
           ~cmps:(Array.map (fun (_, c, _) -> c) rows)
           ~rhs:(Array.map (fun (_, _, b) -> b) rows)
           ()
@@ -838,14 +894,14 @@ let warm_equals_cold_prop =
       let random_row () =
         let idx = Array.init nv Fun.id in
         let coef = Array.init nv (fun _ -> R3_util.Prng.uniform rng (-1.0) 2.0) in
-        ((idx, coef), S.Le, R3_util.Prng.uniform rng 0.5 10.0)
+        (rv idx coef, S.Le, R3_util.Prng.uniform rng 0.5 10.0)
       in
       (* A couple of Ge rows with positive coefficients push the optimum
          away from the origin so cuts have something to fight. *)
       let ge_row () =
         let idx = Array.init nv Fun.id in
         let coef = Array.init nv (fun _ -> R3_util.Prng.uniform rng 0.1 1.0) in
-        ((idx, coef), S.Ge, R3_util.Prng.uniform rng 0.5 5.0)
+        (rv idx coef, S.Ge, R3_util.Prng.uniform rng 0.5 5.0)
       in
       let base =
         List.init nc0 (fun i -> if i mod 2 = 0 then ge_row () else random_row ())
@@ -894,7 +950,7 @@ let test_warm_fewer_pivots_revised () =
   let nv = 40 in
   let obj = Array.init nv (fun _ -> Prng.uniform rng 0.5 2.0) in
   let row lo hi =
-    (Array.init nv Fun.id, Array.init nv (fun _ -> Prng.uniform rng lo hi))
+    rv (Array.init nv Fun.id) (Array.init nv (fun _ -> Prng.uniform rng lo hi))
   in
   (* Ge rows with positive coefficients keep the optimum off the origin,
      so the added cuts have an active solution to invalidate. *)
@@ -965,6 +1021,23 @@ let test_problem_session () =
   | _ -> Alcotest.fail "resolve after cut 2 not optimal");
   if P.session_pivots s <= 0 then Alcotest.fail "session spent no pivots"
 
+(* A session's columns are fixed at its first solve: a variable added
+   later makes the next resolve raise instead of rebuilding cold. *)
+let test_session_new_variable () =
+  let p = P.create () in
+  let x = P.var p in
+  P.constr p [ (1.0, x) ] P.Le 4.0;
+  P.maximize p [ (1.0, x) ];
+  let s = P.session p in
+  (match P.resolve s with
+  | P.Optimal sol -> check_close "objective" 4.0 sol.P.objective
+  | _ -> Alcotest.fail "initial solve not optimal");
+  let y = P.var p in
+  P.constr p [ (1.0, x); (1.0, y) ] P.Le 3.0;
+  match P.resolve s with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a variable added after the first solve was accepted"
+
 let suite =
   [
     Alcotest.test_case "textbook max" `Quick test_textbook_max;
@@ -985,10 +1058,12 @@ let suite =
     Alcotest.test_case "warm revised session beats cold" `Quick
       test_warm_fewer_pivots_revised;
     Alcotest.test_case "duplicate terms summed" `Quick test_duplicate_terms;
+    Alcotest.test_case "malformed input rejected" `Quick test_malformed_input;
     Alcotest.test_case "zero objective / pure feasibility" `Quick test_zero_objective;
     Alcotest.test_case "transportation instance" `Quick test_transportation;
     Alcotest.test_case "incremental session (Problem API)" `Quick
       test_problem_session;
+    Alcotest.test_case "session rejects new variables" `Quick test_session_new_variable;
     Alcotest.test_case "singular start basis is repaired" `Quick test_start_singular;
     Alcotest.test_case "negative start basis runs phase 1" `Quick test_start_negative;
     Alcotest.test_case "start basis out of range" `Quick test_start_out_of_range;

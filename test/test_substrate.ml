@@ -43,7 +43,14 @@ let test_rowvec_basics () =
   Alcotest.(check (list (pair int (float 0.0))))
     "of_pairs sums duplicates, sorted"
     [ (0, 2.0); (2, 3.0); (4, 1.5) ]
-    (List.rev !order)
+    (List.rev !order);
+  (* Duplicates are summed in input order: 1 + 1e16 - 1e16 is 0 (the 1
+     is lost to rounding) and drops out; summed from the back it is 1. *)
+  let r = Rowvec.of_pairs [| 3; 3; 3; 1 |] [| 1.0; 1e16; -1e16; 5.0 |] in
+  let order = ref [] in
+  Rowvec.iter (fun j x -> order := (j, x) :: !order) r;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "of_pairs sums in input order" [ (1, 5.0) ] (List.rev !order)
 
 let test_rowvec_dense_round_trip () =
   (* Exact-zero drop keeps denormals and negatives, drops both zeros. *)
