@@ -258,10 +258,7 @@ let fig8 () =
   match (prioritized, general) with
   | Error e, _ | _, Error e -> Printf.printf "fig8 failed: %s\n" e
   | Ok prio_plan, Ok gen_plan ->
-    let normalizer =
-      (R3_mcf.Concurrent_flow.min_mlu g ~pairs:ctx.H.pairs ~demands:ctx.H.demands ())
-        .R3_mcf.Concurrent_flow.mlu
-    in
+    let normalizer = no_failure_optimum g ~pairs:ctx.H.pairs ~demands:ctx.H.demands in
     let class_demands tm = Array.map (fun (a, b) -> tm.(a).(b)) in
     (* Per-scenario per-class bottleneck: class i is congested only by
        traffic of its own priority or higher (strict-priority queueing). *)
@@ -351,10 +348,7 @@ let fig9 () =
   let cfg_nope =
     { (Offline.default_config ~f:2) with solve_method = Offline.Constraint_gen }
   in
-  let opt_peak =
-    (R3_mcf.Concurrent_flow.min_mlu g ~epsilon:0.03 ~pairs ~demands:ctx.H.demands ())
-      .R3_mcf.Concurrent_flow.mlu
-  in
+  let opt_peak = no_failure_optimum g ~pairs ~demands:ctx.H.demands in
   let groups = { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs g; mlgs = []; k = 2 } in
   let no_pe =
     H.cached_plan "abilene9-nope" cfg_nope (fun cfg ->
@@ -373,10 +367,7 @@ let fig9 () =
     in
     let opt0 =
       List.map
-        (fun interval ->
-          let demands = H.interval_demands ctx ~interval in
-          (R3_mcf.Concurrent_flow.min_mlu g ~epsilon:0.03 ~pairs ~demands ())
-            .R3_mcf.Concurrent_flow.mlu)
+        (fun interval -> no_failure_optimum g ~pairs ~demands:(H.interval_demands ctx ~interval))
         intervals
     in
     let normalizer = List.fold_left Float.max 1e-9 opt0 in

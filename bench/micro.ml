@@ -68,11 +68,11 @@ let test_knapsack_oracle =
          let weights = Array.init 28 (fun i -> float_of_int ((i * 37) mod 23)) in
          ignore (R3_core.Virtual_demand.worst_virtual_load_set ~f:3 weights)))
 
-let test_gk_normalizer =
-  Test.make ~name:"figs: GK optimal-MLU normalizer (Abilene)"
+let test_normalizer =
+  Test.make ~name:"figs: exact optimal-MLU normalizer (Abilene)"
     (Staged.stage (fun () ->
          let g, _, pairs, demands = Lazy.force abilene_plan in
-         ignore (R3_mcf.Concurrent_flow.min_mlu g ~epsilon:0.1 ~pairs ~demands ())))
+         ignore (R3_mcf.Flow_lp.min_mlu_dest g ~failed:(G.no_failures g) ~pairs ~demands)))
 
 let test_fib_storage =
   Test.make ~name:"table3: FIB build + storage accounting (Abilene)"
@@ -87,7 +87,7 @@ let benchmarks =
       test_rescaling;
       test_scenario_mlu;
       test_knapsack_oracle;
-      test_gk_normalizer;
+      test_normalizer;
       test_fib_storage;
     ]
 

@@ -21,8 +21,9 @@ let () =
   let pairs, demands = Traffic.commodities tm in
   (* Optimal no-failure MLU (the envelope's reference point). *)
   let opt =
-    (R3_mcf.Concurrent_flow.min_mlu g ~epsilon:0.03 ~pairs ~demands ())
-      .R3_mcf.Concurrent_flow.mlu
+    match R3_mcf.Flow_lp.min_mlu_dest g ~failed:(G.no_failures g) ~pairs ~demands with
+    | Ok u -> u
+    | Error status -> failwith ("optimal MCF with no failure: " ^ status)
   in
   Format.printf "optimal no-failure MLU: %.3f@.@." opt;
   Format.printf "%-10s %14s %18s@." "beta" "normal MLU" "MLU over d + X_1";

@@ -1,20 +1,22 @@
 module G = R3_net.Graph
 
-type config = { slices : int; b : float; seed : int }
-
-let default_config = { slices = 10; b = 3.0; seed = 97 }
+(* The paper's evaluation parameters: k = 10 slices, perturbation
+   strength b = 3, and the seed of the slices' perturbations. *)
+let slices = 10
+let b = 3.0
+let seed = 97
 
 (* Degree-based perturbation from the paper: Weight(a,b,i,j) =
    (degree i + degree j) / degree_max, with a = 0. *)
-let slice_weights cfg g base =
+let slice_weights g base =
   let n = G.num_nodes g in
   let degree = Array.make n 0 in
   for e = 0 to G.num_links g - 1 do
     degree.(G.src g e) <- degree.(G.src g e) + 1
   done;
   let deg_max = Array.fold_left Int.max 1 degree in
-  let rng = R3_util.Prng.create cfg.seed in
-  List.init cfg.slices (fun s ->
+  let rng = R3_util.Prng.create seed in
+  List.init slices (fun s ->
       if s = 0 then Array.copy base
       else
         Array.mapi
@@ -25,7 +27,7 @@ let slice_weights cfg g base =
                let slices genuinely reorder paths (a floor keeps weights
                positive). *)
             let u = R3_util.Prng.float rng 1.0 in
-            w *. Float.max 0.5 (u *. cfg.b *. wt))
+            w *. Float.max 0.5 (u *. b *. wt))
           base)
 
 (* Per-slice, per-destination single next hop (lowest link id on the
@@ -53,12 +55,12 @@ let next_hop_tables g slice_ws ~dst =
           end))
     slice_ws
 
-let evaluate ?(config = default_config) g ~failed ~weights ~pairs ~demands () =
+let evaluate g ~failed ~weights ~pairs ~demands () =
   let m = G.num_links g in
   let loads = Array.make m 0.0 in
   let total = Array.fold_left ( +. ) 0.0 demands in
   let delivered = ref 0.0 in
-  let slice_ws = slice_weights config g weights in
+  let slice_ws = slice_weights g weights in
   (* Group OD pairs by destination: next-hop tables are per destination. *)
   let by_dst = Hashtbl.create 16 in
   Array.iteri

@@ -10,16 +10,7 @@
     uniformly across the other slices whose next hop there is alive. Flow
     that exceeds the hop budget (loops between slices) is counted as lost. *)
 
-type config = {
-  slices : int;  (** k, default 10 *)
-  b : float;  (** perturbation strength, default 3.0 *)
-  seed : int;
-}
-
-val default_config : config
-
 val evaluate :
-  ?config:config ->
   R3_net.Graph.t ->
   failed:R3_net.Graph.link_set ->
   weights:float array ->

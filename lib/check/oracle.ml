@@ -707,7 +707,7 @@ let mcf_bounds =
     in
     List.iter
       (fun (what, failed) ->
-        let gk = Cf.min_mlu g ~failed ~epsilon ~pairs ~demands () in
+        let gk = fst (Cf.min_mlu_routing g ~failed ~epsilon ~pairs ~demands ()) in
         if gk.Cf.capped then
           failf "%s: GK stopped at its %d-iteration cap" what Cf.max_iterations;
         match Cf.min_mlu_exact g ~failed ~pairs ~demands () with

@@ -37,7 +37,6 @@ module R = R3_util.Rowvec
 
 type t = {
   mutable m : int;  (* dimension of the factored basis; 0 = empty *)
-  mutable factored : bool;
   (* Elimination step [k] pivots original row [pivrow.(k)] for basis
      position [colorder.(k)]; [rowpos] is the inverse of [pivrow] and
      [posstep] the inverse of [colorder]. *)
@@ -100,7 +99,6 @@ type t = {
 let create () =
   {
     m = 0;
-    factored = false;
     pivrow = [||];
     rowpos = [||];
     colorder = [||];
@@ -141,7 +139,6 @@ let create () =
     qn = 0;
   }
 
-let factored t = t.factored
 let eta_count t = t.n_eta
 let eta_entries t = t.eta_nnz
 let needs_refactor t = t.n_eta >= Tol.refactor_every
@@ -262,7 +259,6 @@ let qpop t =
    basis with the pairs swapped in. Clears the eta file. *)
 let refactor t ~m ~cols ~basis =
   ensure_dim t m;
-  t.factored <- false;
   t.n_eta <- 0;
   t.eta_nnz <- 0;
   let rowpos = t.rowpos and rcount = t.rcount and colnnz = t.colnnz in
@@ -469,7 +465,6 @@ let refactor t ~m ~cols ~basis =
     ~tv:t.ur_v;
   transpose ~ptr:l_ptr ~idx:t.l_idx ~v:t.l_v ~nnz:lnnz ~tptr:t.lr_ptr ~tidx:t.lr_idx
     ~tv:t.lr_v;
-  t.factored <- true;
   List.rev !pairs
 
 (* The queued sweeps win when the right-hand side touches few

@@ -77,8 +77,6 @@ val update_pat : t -> r:int -> w:float array -> pat:int array -> n:int -> unit
 (** As {!update_pat}, recovering the pattern with an O(m) scan. *)
 val update : t -> r:int -> w:float array -> unit
 
-val factored : t -> bool
-
 (** Eta columns since the last {!refactor}. *)
 val eta_count : t -> int
 

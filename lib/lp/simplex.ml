@@ -158,316 +158,142 @@ let prepare ~n ~rows ~cmps ~rhs =
   (scaled_rows, cmps, b0, count (fun c -> c <> Eq), count (fun c -> c <> Le), col_scale)
 
 (* ==================================================================== *)
-(* Reference engine: the original dense full tableau, reachable only
-   through {!reference_solve} as the independent oracle tests compare
-   the revised engine against.                                          *)
+(* Reference engine: a textbook dense two-phase tableau under Bland's
+   rule, reachable only through {!reference_solve} as the independent
+   oracle tests compare the revised engine against. It shares only
+   {!prepare}'s equilibration with {!Rev}: no pricing heuristic, no
+   ratio-test window and no metric.                                     *)
 (* ==================================================================== *)
 
 module Reference = struct
-  (* Mutable solver state. The tableau stores, for each active row, the full
-     dense row over [width] columns (structural + slack + artificial). Two
-     reduced-cost rows are maintained simultaneously so that phase 2 can start
-     immediately once phase 1 ends. *)
+  (* [tab.(i)] is row i over the [width] columns (structural, then slack
+     or surplus, then artificial) with its right-hand side in entry
+     [width]; a cost row holds the reduced costs with minus the objective
+     in entry [width]. [basis.(i)] is row i's basic column, or -1 once
+     the row is dropped as redundant. *)
   type state = {
-    m : int;
-    width : int;
-    n_struct : int;
-    n_art : int;  (* artificial columns occupy [width - n_art, width) *)
     tab : float array array;
-    b : float array;
     basis : int array;
-    active : bool array;
-    cost1 : float array;  (* phase-1 reduced costs *)
-    cost2 : float array;  (* phase-2 reduced costs *)
-    devex : float array;  (* Devex reference weights for pricing *)
-    mutable obj1 : float;  (* phase-1 objective (sum of artificials) *)
-    mutable obj2 : float;  (* phase-2 objective (c . x) *)
+    width : int;
     mutable pivots : int;
-    mutable degenerate_run : int;
-    mutable degen : int;  (* total degenerate (ratio ~ 0) pivots *)
-    mutable harris_rej : int;  (* rows rejected by the Harris pass-2 window *)
-    mutable devex_resets : int;  (* reference-framework resets *)
   }
 
-  let is_artificial st j = j >= st.width - st.n_art
-
-  (* Pivot on (row [ip], column [jp]): normalize the pivot row, eliminate the
-     column from every other active row and from both cost rows. *)
-  let pivot st ip jp =
-    let tab = st.tab and b = st.b in
-    let prow = tab.(ip) in
+  (* Pivot on (row [ip], column [jp]): scale the row to a unit pivot,
+     then eliminate the column from every other live row and from each
+     of [costs]. *)
+  let pivot st costs ip jp =
+    let prow = st.tab.(ip) in
     let piv = prow.(jp) in
-    let inv = 1.0 /. piv in
-    let width = st.width in
-    for j = 0 to width - 1 do
-      Array.unsafe_set prow j (Array.unsafe_get prow j *. inv)
-    done;
-    prow.(jp) <- 1.0;
-    b.(ip) <- b.(ip) *. inv;
-    let brow = b.(ip) in
-    for i = 0 to st.m - 1 do
-      if i <> ip && st.active.(i) then begin
-        let row = Array.unsafe_get tab i in
-        let factor = Array.unsafe_get row jp in
-        if Float.abs factor > Tol.pivot_drop then begin
-          for j = 0 to width - 1 do
-            Array.unsafe_set row j
-              (Array.unsafe_get row j -. (factor *. Array.unsafe_get prow j))
-          done;
-          row.(jp) <- 0.0;
-          b.(i) <- b.(i) -. (factor *. brow);
-          if b.(i) < 0.0 && b.(i) > -.Tol.rhs_snap then b.(i) <- 0.0
-        end
-      end
-    done;
-    let eliminate cost =
-      let factor = cost.(jp) in
-      if Float.abs factor > Tol.pivot_drop then begin
-        for j = 0 to width - 1 do
-          Array.unsafe_set cost j
-            (Array.unsafe_get cost j -. (factor *. Array.unsafe_get prow j))
-        done;
-        cost.(jp) <- 0.0
-      end;
-      factor
+    Array.iteri (fun j a -> prow.(j) <- a /. piv) prow;
+    let eliminate row =
+      let f = row.(jp) in
+      if f <> 0.0 then Array.iteri (fun j a -> row.(j) <- row.(j) -. (f *. a)) prow
     in
-    let f1 = eliminate st.cost1 in
-    st.obj1 <- st.obj1 +. (f1 *. brow);
-    let f2 = eliminate st.cost2 in
-    st.obj2 <- st.obj2 +. (f2 *. brow);
-    (* Devex weight update over the (normalized) pivot row. *)
-    let wq = Float.max st.devex.(jp) 1.0 in
-    for j = 0 to width - 1 do
-      let a = Array.unsafe_get prow j in
-      if a <> 0.0 then begin
-        let cand = a *. a *. wq in
-        if cand > Array.unsafe_get st.devex j then Array.unsafe_set st.devex j cand
-      end
-    done;
-    st.devex.(jp) <- Float.max (wq /. (piv *. piv)) 1.0;
-    (* Reset the reference framework when weights blow up. *)
-    if st.devex.(jp) > Tol.devex_reset || wq > Tol.devex_reset then begin
-      Array.fill st.devex 0 width 1.0;
-      st.devex_resets <- st.devex_resets + 1
-    end;
+    Array.iteri (fun i row -> if i <> ip && st.basis.(i) >= 0 then eliminate row) st.tab;
+    List.iter eliminate costs;
     st.basis.(ip) <- jp;
     st.pivots <- st.pivots + 1
 
-  (* Entering column: Devex pricing, switching to Bland's rule (lowest
-     eligible index) after a long degenerate run. [allow] filters columns
-     (artificials are barred in phase 2). *)
-  let entering st cost ~allow =
-    if st.degenerate_run > 100 then begin
-      let rec first j =
-        if j >= st.width then None
-        else if cost.(j) < -.eps && allow j then Some j
-        else first (j + 1)
-      in
-      first 0
-    end
-    else begin
-      (* Devex pricing: maximize d_j^2 / w_j over eligible columns. *)
-      let best = ref (-1) and best_score = ref 0.0 in
-      for j = 0 to st.width - 1 do
-        let c = Array.unsafe_get cost j in
-        if c < -.eps && allow j then begin
-          let score = c *. c /. Array.unsafe_get st.devex j in
-          if score > !best_score then begin
-            best := j;
-            best_score := score
-          end
-        end
-      done;
-      if !best < 0 then None else Some !best
-    end
-
-  (* Leaving row for entering column [jp]: Harris-style two-pass ratio test.
-     Pass 1 finds the tightest ratio; pass 2 picks, among rows whose ratio is
-     within a *relative* tolerance of it, the one with the largest pivot
-     element (smallest basis index on exact ties, an anti-cycling aid).
-     An absolute tie window is useless here: at ratios of 1e6 it degenerates
-     to "first minimum", which happily pivots on near-[eps] elements and
-     destroys the tableau. Negative basic values (numerical drift) are
-     treated as zero, so their rows surface as degenerate ratio-0 pivots
-     that restore feasibility instead of producing negative ratios. *)
-  let leaving st jp =
-    let theta = ref infinity in
-    for i = 0 to st.m - 1 do
-      if st.active.(i) then begin
-        let a = st.tab.(i).(jp) in
-        if a > eps then begin
-          let ratio = Float.max st.b.(i) 0.0 /. a in
-          if ratio < !theta then theta := ratio
-        end
-      end
-    done;
-    if !theta = infinity then None
-    else begin
-      let lim = !theta +. (Tol.harris_rel *. (1.0 +. !theta)) in
-      let best = ref (-1) and best_piv = ref 0.0 in
-      for i = 0 to st.m - 1 do
-        if st.active.(i) then begin
-          let a = st.tab.(i).(jp) in
-          if a > eps then
-            if Float.max st.b.(i) 0.0 /. a <= lim then begin
-              if
-                a > !best_piv
-                || (a = !best_piv && !best >= 0 && st.basis.(i) < st.basis.(!best))
-              then begin
-                best := i;
-                best_piv := a
-              end
+  (* Bland's rule. Entering: the lowest-index column below [limit] whose
+     reduced cost is below [-eps]. Leaving: the minimum ratio over the
+     rows with an entry above [eps] in that column, and among the rows
+     at exactly that ratio, the one whose basic column has the lowest
+     index. A basic value that drifted below 0 counts as 0. *)
+  let run_phase st costs ~limit ~max_pivots =
+    let cost = List.hd costs in
+    let rec entering j =
+      if j >= limit then None else if cost.(j) < -.eps then Some j else entering (j + 1)
+    in
+    let leaving jp =
+      let best = ref (-1) and best_ratio = ref infinity in
+      Array.iteri
+        (fun i row ->
+          if st.basis.(i) >= 0 && row.(jp) > eps then begin
+            let ratio = Float.max row.(st.width) 0.0 /. row.(jp) in
+            if ratio < !best_ratio || (ratio = !best_ratio && st.basis.(i) < st.basis.(!best))
+            then begin
+              best := i;
+              best_ratio := ratio
             end
-            else st.harris_rej <- st.harris_rej + 1
-        end
-      done;
-      Some (!best, Float.max st.b.(!best) 0.0 /. !best_piv)
-    end
-
-  let run_phase st cost ~allow ~max_pivots =
+          end)
+        st.tab;
+      !best
+    in
     let rec loop () =
       if st.pivots >= max_pivots then Phase_limit
-      else begin
-        match entering st cost ~allow with
+      else
+        match entering 0 with
         | None -> Phase_optimal
-        | Some jp -> begin
-            match leaving st jp with
-            | None -> Phase_unbounded
-            | Some (ip, ratio) ->
-              if ratio < Tol.degenerate_ratio then begin
-                st.degenerate_run <- st.degenerate_run + 1;
-                st.degen <- st.degen + 1
-              end
-              else st.degenerate_run <- 0;
-              (* A drifted-negative basic value leaves on a ratio-0 pivot;
-                 make the repair exact. *)
-              if st.b.(ip) < 0.0 then st.b.(ip) <- 0.0;
-              pivot st ip jp;
-              loop ()
+        | Some jp ->
+          let ip = leaving jp in
+          if ip < 0 then Phase_unbounded
+          else begin
+            pivot st costs ip jp;
+            loop ()
           end
-      end
     in
     loop ()
 
-  (* After phase 1, no artificial variable may remain basic with a nonzero
-     value. Basic artificials at zero are pivoted out on any usable column;
-     if the whole row is zero over real columns the constraint was redundant
-     and the row is deactivated. *)
-  let purge_artificials st =
-    for i = 0 to st.m - 1 do
-      if st.active.(i) && is_artificial st st.basis.(i) then begin
-        let row = st.tab.(i) in
-        let jp = ref (-1) in
-        let j = ref 0 in
-        let real_width = st.width - st.n_art in
-        while !jp < 0 && !j < real_width do
-          if Float.abs row.(!j) > Tol.purge then jp := !j;
-          incr j
-        done;
-        if !jp >= 0 then pivot st i !jp else st.active.(i) <- false
-      end
-    done
-
   let solve ?max_pivots ~obj ~rows ~cmps ~rhs () =
-    let n = Array.length obj in
-    let m = Array.length rows in
-    let scaled_rows, cmps, b0, n_slack, n_art, col_scale =
-      prepare ~n ~rows ~cmps ~rhs
-    in
-    let width = n + n_slack + n_art in
-    let st =
-      {
-        m;
-        width;
-        n_struct = n;
-        n_art;
-        tab = Array.init m (fun _ -> Array.make width 0.0);
-        b = b0;
-        basis = Array.make m (-1);
-        active = Array.make m true;
-        cost1 = Array.make width 0.0;
-        cost2 = Array.make width 0.0;
-        devex = Array.make width 1.0;
-        obj1 = 0.0;
-        obj2 = 0.0;
-        pivots = 0;
-        degenerate_run = 0;
-        degen = 0;
-        harris_rej = 0;
-        devex_resets = 0;
-      }
-    in
-    for j = 0 to n - 1 do
-      st.cost2.(j) <- obj.(j) *. col_scale.(j)
-    done;
-    let next_slack = ref n and next_art = ref (n + n_slack) in
-    for i = 0 to m - 1 do
-      let row = st.tab.(i) in
-      R.iter (fun j c -> row.(j) <- row.(j) +. c) scaled_rows.(i);
-      (match cmps.(i) with
-      | Le ->
-        row.(!next_slack) <- 1.0;
-        st.basis.(i) <- !next_slack;
-        incr next_slack
-      | Ge ->
-        row.(!next_slack) <- -1.0;
-        incr next_slack
-      | Eq -> ());
-      if cmps.(i) <> Le then begin
-        row.(!next_art) <- 1.0;
-        st.basis.(i) <- !next_art;
-        (* Phase-1 reduced costs: c1_j - (row sums over artificial rows). *)
-        for j = 0 to width - 1 do
-          if j <> !next_art then st.cost1.(j) <- st.cost1.(j) -. row.(j)
-        done;
-        st.obj1 <- st.obj1 +. st.b.(i);
-        incr next_art
-      end
-    done;
-    let max_pivots =
-      match max_pivots with Some k -> k | None -> default_budget m n
-    in
-    let elapsed = R3_util.Timer.stopwatch () in
-    let p1 = ref 0 in
-    let finish out =
-      Obs.record_solve ~pivots:st.pivots ~p1:!p1 ~degen:st.degen
-        ~harris:st.harris_rej ~resets:st.devex_resets ~dt:(elapsed ());
-      out
-    in
-    let allow_all _ = true in
-    let fail status =
-      finish { status; x = Array.make n 0.0; objective = 0.0; pivots = st.pivots }
-    in
-    let phase1 =
-      if n_art = 0 then Phase_optimal
-      else run_phase st st.cost1 ~allow:allow_all ~max_pivots
-    in
-    p1 := st.pivots;
-    match phase1 with
+    let n = Array.length obj and m = Array.length rows in
+    let rows, cmps, b, n_slack, n_art, col_scale = prepare ~n ~rows ~cmps ~rhs in
+    let art_lo = n + n_slack in
+    let width = art_lo + n_art in
+    let tab = Array.init m (fun _ -> Array.make (width + 1) 0.0) in
+    let st = { tab; basis = Array.make m (-1); width; pivots = 0 } in
+    (* Phase 1 minimizes the sum of the artificials: its cost row is
+       [-(sum of the rows that start on an artificial)] outside the
+       artificial columns. Phase 2's row rides along. *)
+    let cost1 = Array.make (width + 1) 0.0 and cost2 = Array.make (width + 1) 0.0 in
+    Array.iteri (fun j c -> cost2.(j) <- c *. col_scale.(j)) obj;
+    let slack = ref n and art = ref art_lo in
+    Array.iteri
+      (fun i row ->
+        R.iter (fun j c -> row.(j) <- c) rows.(i);
+        row.(width) <- b.(i);
+        if cmps.(i) <> Eq then begin
+          row.(!slack) <- (if cmps.(i) = Le then 1.0 else -1.0);
+          st.basis.(i) <- !slack;
+          incr slack
+        end;
+        if cmps.(i) <> Le then begin
+          row.(!art) <- 1.0;
+          st.basis.(i) <- !art;
+          incr art;
+          Array.iteri (fun j a -> if j < art_lo || j = width then cost1.(j) <- cost1.(j) -. a) row
+        end)
+      st.tab;
+    let max_pivots = Option.value max_pivots ~default:(default_budget m n) in
+    let fail status = { status; x = Array.make n 0.0; objective = 0.0; pivots = st.pivots } in
+    match run_phase st [ cost1; cost2 ] ~limit:width ~max_pivots with
     | Phase_limit -> fail Iteration_limit
-    | Phase_unbounded ->
-      (* Phase-1 objective is bounded below by 0; cannot be unbounded. *)
-      fail Infeasible
-    | Phase_optimal ->
-      if st.obj1 > feas_tol then fail Infeasible
-      else begin
-        purge_artificials st;
-        st.degenerate_run <- 0;
-        let allow j = not (is_artificial st j) in
-        match run_phase st st.cost2 ~allow ~max_pivots with
-        | Phase_limit -> fail Iteration_limit
-        | Phase_unbounded -> fail Unbounded
-        | Phase_optimal ->
-          let x = Array.make n 0.0 in
-          for i = 0 to m - 1 do
-            if st.active.(i) && st.basis.(i) < n then
-              x.(st.basis.(i)) <- st.b.(i) *. col_scale.(st.basis.(i))
-          done;
-          let objective =
-            Array.fold_left ( +. ) 0.0 (Array.mapi (fun j c -> c *. x.(j)) obj)
-          in
-          finish { status = Optimal; x; objective; pivots = st.pivots }
-      end
+    | Phase_unbounded -> fail Infeasible (* the sum of artificials is bounded below by 0 *)
+    | Phase_optimal when -.cost1.(width) > feas_tol -> fail Infeasible
+    | Phase_optimal -> (
+      (* A basic artificial left at 0 leaves on the first real column of
+         its row; a row with none is redundant and is dropped. *)
+      Array.iteri
+        (fun i row ->
+          if st.basis.(i) >= art_lo then begin
+            let rec real j =
+              if j >= art_lo then st.basis.(i) <- -1
+              else if Float.abs row.(j) > Tol.purge then pivot st [ cost2 ] i j
+              else real (j + 1)
+            in
+            real 0
+          end)
+        st.tab;
+      match run_phase st [ cost2 ] ~limit:art_lo ~max_pivots with
+      | Phase_limit -> fail Iteration_limit
+      | Phase_unbounded -> fail Unbounded
+      | Phase_optimal ->
+        let x = Array.make n 0.0 in
+        Array.iteri
+          (fun i j -> if j >= 0 && j < n then x.(j) <- tab.(i).(width) *. col_scale.(j))
+          st.basis;
+        let objective = ref 0.0 in
+        Array.iteri (fun j c -> objective := !objective +. (c *. x.(j))) obj;
+        { status = Optimal; x; objective = !objective; pivots = st.pivots })
 end
 
 (* ==================================================================== *)
@@ -992,9 +818,16 @@ module Rev = struct
       end
     end
 
-  (* Harris two-pass ratio test on the FTRAN'd column; see
-     {!Reference.leaving} for the rationale. One extra rule: a row holding a
-     basic artificial at (numerical) zero whose coefficient is negative
+  (* Harris two-pass ratio test on the FTRAN'd column. Pass 1 finds the
+     tightest ratio; pass 2 picks, among rows whose ratio is within a
+     *relative* tolerance of it, the one with the largest pivot element
+     (smallest basis index on exact ties). An absolute tie window is
+     useless here: at ratios of 1e6 it degenerates to "first minimum",
+     which happily pivots on near-[eps] elements and wrecks the basis.
+     Negative basic values (numerical drift) count as zero, so their
+     rows surface as degenerate ratio-0 pivots that restore feasibility
+     instead of producing negative ratios. One extra rule: a row holding
+     a basic artificial at (numerical) zero whose coefficient is negative
      is eligible at ratio 0 - the exchange drives the artificial out
      nonbasic instead of letting its value grow. *)
   let leaving st =

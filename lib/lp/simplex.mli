@@ -20,8 +20,10 @@
     column turns nonbasic at 0, and the solve resumes from a restored
     phase-1 start. Each swap counts on the [lp.rev.fallbacks] metric.
 
-    {!reference_solve} is the original dense full tableau, kept only as
-    the independent oracle tests compare this engine against. *)
+    {!reference_solve} is a textbook dense two-phase tableau under
+    Bland's rule, kept only as the independent oracle tests compare this
+    engine against. It shares the equilibration and nothing else: no
+    Devex, no Harris window, no degenerate-run switch, no metric. *)
 
 type cmp = Le | Ge | Eq
 
@@ -66,10 +68,17 @@ val solve :
   unit ->
   outcome
 
-(** Same contract as {!solve}, on the dense full-tableau reference
-    engine. For tests only: it is the oracle the revised engine is
-    checked against, O(rows x columns) per pivot, and no production
-    code path calls it. *)
+(** Same contract as {!solve} without [start], on a textbook dense
+    two-phase tableau: the equilibrated rows, a slack and artificial
+    start, and Bland's rule in both phases (the lowest-index column with
+    reduced cost below [-eps] enters; among the rows at the exact
+    minimum ratio, the one whose basic column has the lowest index
+    leaves), so it cannot cycle. Phase 1 minimizes the sum of the
+    artificials; an artificial still basic at 0 after it leaves on the
+    first real column of its row, or the row is dropped as redundant.
+    For tests only: it is the oracle the revised engine is checked
+    against, O(rows x columns) per pivot, it writes no metric, and no
+    production code path calls it. *)
 val reference_solve :
   ?max_pivots:int ->
   obj:float array ->

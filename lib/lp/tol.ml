@@ -1,9 +1,9 @@
-(* Single home for every numeric tolerance in the LP stack. The revised
-   engine, its LU factorization and the dense reference tableau all read
-   from here, so the thresholds cannot silently diverge between them
-   (they used to be scattered magic literals). A root-dune grep guard
-   forbids new bare negative-exponent float literals anywhere else under
-   lib/lp/. *)
+(* Single home for every numeric tolerance in the LP stack (they used to
+   be scattered magic literals). The revised engine and its LU
+   factorization read from here; the textbook reference tableau reads
+   only [eps], [feas] and [purge], its Bland rule needing no other
+   threshold. A root-dune grep guard forbids new bare negative-exponent
+   float literals anywhere else under lib/lp/. *)
 
 (* Reduced-cost / pivot-element significance: entries smaller than this
    are treated as zero by pricing and the ratio test. *)
@@ -12,8 +12,8 @@ let eps = 1e-9
 (* Phase-1 objective above this value means primal infeasible. *)
 let feas = 1e-7
 
-(* Skip eliminating a row (or cost row) when the factor is below this;
-   also the drop threshold for stored eta-file entries. *)
+(* LU: entries at or below this are not stored in the factors or the
+   eta file. *)
 let pivot_drop = 1e-13
 
 (* Basic values in (-rhs_snap, 0) are numerical drift; snap them to 0. *)

@@ -95,7 +95,7 @@ let shortest_tree k lengths src =
     u := !best
   done
 
-let run_gk_body g ?failed ~epsilon ~track ~pairs ~demands () =
+let run_gk_body g ?failed ~epsilon ~pairs ~demands () =
   let failed = match failed with Some f -> f | None -> G.no_failures g in
   let m = G.num_links g in
   (* Keep only routable commodities with positive demand. *)
@@ -138,7 +138,7 @@ let run_gk_body g ?failed ~epsilon ~track ~pairs ~demands () =
       let lengths = Array.init m (fun e -> delta /. cap.(e)) in
       let flows = Array.make m 0.0 in
       let nlive = Array.length pre_pairs in
-      let kflows = if track then Array.make_matrix nlive m 0.0 else [||] in
+      let kflows = Array.make_matrix nlive m 0.0 in
       let iterations = ref 0 in
       let dual () =
         let acc = ref 0.0 in
@@ -198,7 +198,7 @@ let run_gk_body g ?failed ~epsilon ~track ~pairs ~demands () =
                 while !v <> src do
                   let e = k.pred.(!v) in
                   flows.(e) <- flows.(e) +. gamma;
-                  if track then kflows.(c).(e) <- kflows.(c).(e) +. gamma;
+                  kflows.(c).(e) <- kflows.(c).(e) +. gamma;
                   lengths.(e) <- lengths.(e) *. (1.0 +. (epsilon *. gamma /. cap.(e)));
                   v := k.link_src.(e)
                 done;
@@ -223,18 +223,14 @@ let run_gk_body g ?failed ~epsilon ~track ~pairs ~demands () =
       (* flows route t * dem; divide by t for one unit of dem, then undo the
          pre-scaling. *)
       let routing = zero_routing () in
-      if track then begin
-        List.iteri
-          (fun i (orig_k, _, _) ->
-            if dem.(i) > 0.0 then begin
-              let denom = t *. dem.(i) in
-              R3_net.Routing.set_row_dense routing orig_k
-                (Array.map
-                   (fun f -> Float.max 0.0 (Float.min 1.0 (f /. denom)))
-                   kflows.(i))
-            end)
-          live
-      end;
+      List.iteri
+        (fun i (orig_k, _, _) ->
+          if dem.(i) > 0.0 then begin
+            let denom = t *. dem.(i) in
+            R3_net.Routing.set_row_dense routing orig_k
+              (Array.map (fun f -> Float.max 0.0 (Float.min 1.0 (f /. denom))) kflows.(i))
+          end)
+        live;
       let mlu = !worst /. t /. scale in
       R3_util.Metrics.add Obs.phases !phases;
       R3_util.Metrics.add Obs.iterations !iterations;
@@ -247,18 +243,12 @@ let run_gk_body g ?failed ~epsilon ~track ~pairs ~demands () =
     end
   end
 
-let run_gk g ?failed ?(epsilon = 0.05) ~track ~pairs ~demands () =
+let min_mlu_routing g ?failed ?(epsilon = 0.05) ~pairs ~demands () =
   R3_util.Metrics.incr Obs.runs;
   R3_util.Metrics.time Obs.solve_seconds (fun () ->
       R3_util.Trace.with_span "mcf.solve"
         ~attrs:[ ("epsilon", R3_util.Trace.Float epsilon) ]
-        (fun () -> run_gk_body g ?failed ~epsilon ~track ~pairs ~demands ()))
-
-let min_mlu g ?failed ?epsilon ~pairs ~demands () =
-  fst (run_gk g ?failed ?epsilon ~track:false ~pairs ~demands ())
-
-let min_mlu_routing g ?failed ?epsilon ~pairs ~demands () =
-  run_gk g ?failed ?epsilon ~track:true ~pairs ~demands ()
+        (fun () -> run_gk_body g ?failed ~epsilon ~pairs ~demands ()))
 
 let min_mlu_exact g ?failed ~pairs ~demands () =
   R3_util.Metrics.incr Obs.exact_solves;

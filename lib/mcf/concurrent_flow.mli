@@ -3,11 +3,10 @@
     Garg–Könemann / Fleischer multiplicative-weights FPTAS: repeatedly route
     each commodity along its current shortest path under exponential link
     lengths. The maximum concurrent throughput λ* satisfies
-    [min-MLU = 1 / λ*], so this gives a (1+ε)-approximate optimal MLU and,
-    with {!min_mlu_routing}, a near-optimal flow routing: MPLS-ff+R3's base
-    at evaluation scale and the experiments' traffic scaling. The
-    performance ratio's normalizer is the exact
-    {!Flow_lp.min_mlu_dest}.
+    [min-MLU = 1 / λ*], so this gives a (1+ε)-approximate optimal MLU and
+    the near-optimal flow routing that is GK's one job here: MPLS-ff+R3's
+    base at evaluation scale. The performance ratio's normalizer and the
+    figures' no-failure optimum are the exact {!Flow_lp.min_mlu_dest}.
 
     Accuracy: [mlu] is the MLU of a feasible routing, so it is never below
     the exact optimum ({!min_mlu_exact}), and the FPTAS guarantee bounds
@@ -37,24 +36,15 @@ type result = {
     one phase. *)
 val max_iterations : int
 
-(** [min_mlu g ?failed ?epsilon ~pairs ~demands ()] ignores commodities made
+(** [min_mlu_routing g ?failed ?epsilon ~pairs ~demands ()] returns the
+    approximate min MLU and the (1+ε)-optimal fractional routing the
+    algorithm accumulates — a cheap near-optimal flow-based base routing
+    (used as the MPLS-ff base where the joint LP (7) exceeds the simplex's
+    practical range; see DESIGN.md §5). It ignores commodities made
     unreachable by [failed] (as the paper's optimal baseline does after a
-    partition). [epsilon] defaults to 0.05. Returns [mlu = 0] when no
-    demand is routable. *)
-val min_mlu :
-  R3_net.Graph.t ->
-  ?failed:R3_net.Graph.link_set ->
-  ?epsilon:float ->
-  pairs:(R3_net.Graph.node * R3_net.Graph.node) array ->
-  demands:float array ->
-  unit ->
-  result
-
-(** As {!min_mlu}, additionally extracting the (1+ε)-optimal fractional
-    routing accumulated by the algorithm — a cheap near-optimal flow-based
-    base routing (used as the MPLS-ff base where the joint LP (7) exceeds
-    the simplex's practical range; see DESIGN.md §5). Unreachable or
-    zero-demand commodities get all-zero rows. *)
+    partition); they, and zero-demand commodities, get all-zero rows.
+    [epsilon] defaults to 0.05. Returns [mlu = 0] when no demand is
+    routable. *)
 val min_mlu_routing :
   R3_net.Graph.t ->
   ?failed:R3_net.Graph.link_set ->

@@ -3,11 +3,9 @@ module Traffic = R3_net.Traffic
 module Ospf = R3_net.Ospf
 module Routing = R3_net.Routing
 
-type objective = Cost | Mlu
+type config = { iterations : int; max_weight : int; seed : int }
 
-type config = { iterations : int; max_weight : int; objective : objective; seed : int }
-
-let default_config = { iterations = 600; max_weight = 20; objective = Cost; seed = 1 }
+let default_config = { iterations = 600; max_weight = 20; seed = 1 }
 
 (* Fortz-Thorup piecewise-linear increasing cost Phi(load/cap). *)
 let link_cost ~load ~capacity =
@@ -24,23 +22,17 @@ let link_cost ~load ~capacity =
   in
   go 0.0 0.0 seg
 
-let tm_cost g weights objective tm =
+let routing_cost g ~weights tm =
   let pairs, demands = Traffic.commodities tm in
   let routing = Ospf.routing g ~weights ~pairs () in
   let loads = Routing.loads g ~demands routing in
-  match objective with
-  | Mlu -> Routing.mlu g ~loads
-  | Cost ->
-    let acc = ref 0.0 in
-    for e = 0 to G.num_links g - 1 do
-      acc := !acc +. link_cost ~load:loads.(e) ~capacity:(G.capacity g e)
-    done;
-    !acc
+  let acc = ref 0.0 in
+  for e = 0 to G.num_links g - 1 do
+    acc := !acc +. link_cost ~load:loads.(e) ~capacity:(G.capacity g e)
+  done;
+  !acc
 
-let routing_cost g ~weights tm = tm_cost g weights Cost tm
-
-let total_cost g weights objective tms =
-  List.fold_left (fun a tm -> a +. tm_cost g weights objective tm) 0.0 tms
+let total_cost g weights tms = List.fold_left (fun a tm -> a +. routing_cost g ~weights tm) 0.0 tms
 
 let optimize ?(config = default_config) g tms =
   let m = G.num_links g in
@@ -55,7 +47,7 @@ let optimize ?(config = default_config) g tms =
         Float.max 1.0 q)
       inv
   in
-  let best_cost = ref (total_cost g weights config.objective tms) in
+  let best_cost = ref (total_cost g weights tms) in
   for _ = 1 to config.iterations do
     let e = R3_util.Prng.int rng m in
     let old_w = weights.(e) in
@@ -67,7 +59,7 @@ let optimize ?(config = default_config) g tms =
       let old_rev = Option.map (fun r -> weights.(r)) rev in
       weights.(e) <- new_w;
       (match rev with Some r -> weights.(r) <- new_w | None -> ());
-      let cost = total_cost g weights config.objective tms in
+      let cost = total_cost g weights tms in
       if cost < !best_cost -. 1e-12 then best_cost := cost
       else begin
         weights.(e) <- old_w;

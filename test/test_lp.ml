@@ -1,8 +1,10 @@
 (* Tests for the LP substrate: the two-phase revised simplex, its LU
    factorization and the problem builder. Includes hand-checked
-   instances and randomized property tests against the dense reference
-   tableau ({!R3_lp.Simplex.reference_solve}) and a dense Gaussian
-   solver. *)
+   instances and randomized property tests against a dense Gaussian
+   solver and against the textbook reference tableau
+   ({!R3_lp.Simplex.reference_solve}: dense, two-phase, Bland's rule and
+   nothing else), on continuous feasible LPs and on degenerate integer
+   LPs that are often infeasible or unbounded. *)
 
 module P = R3_lp.Problem
 module S = R3_lp.Simplex
@@ -103,8 +105,8 @@ let beale_rows =
     rv [| 2 |] [| 1.0 |];
   |]
 
-(* The reference tableau must survive the trap too: it is the oracle the
-   revised engine is checked against. *)
+(* The reference must survive the trap too: it is the oracle the revised
+   engine is checked against, and under Bland's rule it cannot cycle. *)
 let test_degenerate () =
   let out =
     S.reference_solve ~obj:[| -0.75; 150.0; -0.02 |] ~rows:beale_rows
@@ -713,8 +715,7 @@ let reference_agree_prop =
       agrees revised && agrees started)
 
 (* [min obj] over [rows] on both engines, the revised one from [start].
-   Returns the phase-1 pivots of the started solve alone (the reference
-   counts on [lp.phase1_pivots] too). *)
+   Returns the phase-1 pivots of the started solve alone. *)
 let started_vs_reference ~obj ~rows ~cmps ~rhs ~start =
   let rows = Array.map (fun (idx, v) -> rv idx v) rows in
   let phase1 () = R3_util.Metrics.counter_value "lp.phase1_pivots" in
@@ -876,6 +877,31 @@ let uncovered_rows_prop =
              | S.Ge -> !lhs >= rhs -. tol
              | S.Eq -> Float.abs (!lhs -. rhs) <= tol)
            rows)
+
+(* Degenerate LPs, which the properties above never build: theirs come
+   from continuous data and are feasible at a known point. Here the
+   coefficients are integers in -1..2, about 70% of the right-hand sides
+   are 0, rows mix <=, >= and =, and costs are integers, so ratio ties
+   are exact and many LPs are infeasible or unbounded. The reference and
+   the revised engine must report the same status, and at [Optimal]
+   the same objective. *)
+let degenerate_agree_prop =
+  QCheck.Test.make ~count:500 ~name:"degenerate LPs agree with the reference"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = R3_util.Prng.create (seed + 4409) in
+      let int lo hi = float_of_int (lo + R3_util.Prng.int rng (hi - lo + 1)) in
+      let nv = 2 + R3_util.Prng.int rng 10 and nc = 2 + R3_util.Prng.int rng 10 in
+      let row () = R3_util.Rowvec.of_dense (Array.init nv (fun _ -> int (-1) 2)) in
+      let rows = Array.init nc (fun _ -> row ()) in
+      let cmps = Array.init nc (fun _ -> [| S.Le; S.Ge; S.Eq |].(R3_util.Prng.int rng 3)) in
+      let rhs = Array.init nc (fun _ -> if R3_util.Prng.int rng 10 < 7 then 0.0 else int (-2) 4) in
+      let obj = Array.init nv (fun _ -> int (-2) 3) in
+      let reference = S.reference_solve ~obj ~rows ~cmps ~rhs () in
+      let revised = S.solve ~obj ~rows ~cmps ~rhs () in
+      match (reference.S.status, revised.S.status) with
+      | S.Optimal, S.Optimal -> close ~tol:1e-6 reference.S.objective revised.S.objective
+      | a, b -> a = b)
 
 (* Warm-started sessions: after any number of added cut rows, a warm
    [resolve] must agree (status and objective) with a cold solve of the
@@ -1077,4 +1103,5 @@ let suite =
     QCheck_alcotest.to_alcotest reference_agree_prop;
     QCheck_alcotest.to_alcotest uncovered_rows_prop;
     QCheck_alcotest.to_alcotest warm_equals_cold_prop;
+    QCheck_alcotest.to_alcotest degenerate_agree_prop;
   ]

@@ -33,7 +33,7 @@ let test_approx_close_to_exact_abilene () =
     | Ok (m, _) -> m
     | Error e -> Alcotest.fail e
   in
-  let approx = Cf.min_mlu g ~epsilon:0.05 ~pairs ~demands () in
+  let approx = fst (Cf.min_mlu_routing g ~epsilon:0.05 ~pairs ~demands ()) in
   (* Upper bound by construction, and within ~2 epsilon of optimal. *)
   Alcotest.(check bool)
     (Printf.sprintf "approx %.4f >= exact %.4f" approx.Cf.mlu exact)
@@ -55,7 +55,7 @@ let test_approx_under_failure () =
     | Ok (m, _) -> m
     | Error e -> Alcotest.fail e
   in
-  let approx = Cf.min_mlu g ~failed ~epsilon:0.05 ~pairs ~demands () in
+  let approx = fst (Cf.min_mlu_routing g ~failed ~epsilon:0.05 ~pairs ~demands ()) in
   Alcotest.(check bool)
     (Printf.sprintf "failure: approx %.4f vs exact %.4f" approx.Cf.mlu exact)
     true
@@ -70,14 +70,14 @@ let test_partition_drops_lost_demand () =
   let failed = G.fail_bidir g [ e1; e2 ] in
   let pairs = [| (id "Seattle", id "NewYork"); (id "Denver", id "Houston") |] in
   let demands = [| 50.0; 10.0 |] in
-  let r = Cf.min_mlu g ~failed ~pairs ~demands () in
+  let r = fst (Cf.min_mlu_routing g ~failed ~pairs ~demands ()) in
   (* Only the Denver->Houston demand survives; it fits easily. *)
   Alcotest.(check bool) "positive" true (r.Cf.mlu > 0.0);
   Alcotest.(check bool) "small (lost demand dropped)" true (r.Cf.mlu < 0.5)
 
 let test_zero_demand () =
   let g = Topology.triangle () in
-  let r = Cf.min_mlu g ~pairs:[| (0, 1) |] ~demands:[| 0.0 |] () in
+  let r = fst (Cf.min_mlu_routing g ~pairs:[| (0, 1) |] ~demands:[| 0.0 |] ()) in
   Alcotest.(check (float 0.0)) "zero" 0.0 r.Cf.mlu
 
 (* Gravity matrix scaled so unit-weight OSPF routes it at MLU [target],
@@ -107,7 +107,7 @@ let test_golden_abilene () =
   let g = Topology.abilene () in
   let pairs, demands = commodities_of g ~seed:5 ~load:0.5 in
   check_golden "abilene"
-    (Cf.min_mlu g ~epsilon:0.05 ~pairs ~demands ())
+    (fst (Cf.min_mlu_routing g ~epsilon:0.05 ~pairs ~demands ()))
     ~mlu:"0x1.4839676ba7072p-1" ~iterations:19690
 
 (* SBC at the normalizer's epsilon: no failure, two connected physical
@@ -121,7 +121,9 @@ let test_golden_sbc () =
       let what = "sbc [" ^ String.concat ";" (List.map string_of_int links) ^ "]" in
       let failed = G.fail_bidir g links in
       Alcotest.(check bool) (what ^ ": connected") connected (G.strongly_connected g ~failed ());
-      check_golden what (Cf.min_mlu g ~failed ~epsilon:0.06 ~pairs ~demands ()) ~mlu ~iterations)
+      check_golden what
+        (fst (Cf.min_mlu_routing g ~failed ~epsilon:0.06 ~pairs ~demands ()))
+        ~mlu ~iterations)
     [
       ([], true, "0x1.728956a5f8ad2p-3", 36803);
       ([ 6; 34 ], true, "0x1.247e6df54a406p-2", 34352);
@@ -240,7 +242,7 @@ let test_cap_reported () =
   let g = Topology.abilene () in
   let pairs, demands = commodities_of g ~seed:5 ~load:0.5 in
   let before = R3_util.Metrics.counter_value "mcf.capped" in
-  let r = Cf.min_mlu g ~epsilon:0.005 ~pairs ~demands () in
+  let r = fst (Cf.min_mlu_routing g ~epsilon:0.005 ~pairs ~demands ()) in
   Alcotest.(check bool) "capped" true r.Cf.capped;
   Alcotest.(check bool)
     (Printf.sprintf "%d iterations reach the cap" r.Cf.iterations)

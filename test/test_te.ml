@@ -35,21 +35,25 @@ let test_optimize_improves () =
     true
     (cost1 <= cost0 +. 1e-6)
 
-let test_optimize_mlu_objective () =
+(* The search keeps a move only if it lowers the cost, so the cost never
+   rises from its start (the quantized inverse-capacity weights, which
+   [iterations = 0] returns). A longer run with the same seed continues
+   a shorter one, so the cost is nonincreasing in [iterations]. *)
+let test_optimize_cost_never_rises () =
   let g = Topology.usisp_like () in
   let rng = R3_util.Prng.create 72 in
   let tm = Traffic.gravity rng g ~load_factor:0.5 () in
-  let pairs, demands = Traffic.commodities tm in
-  let mlu_of weights =
-    let r = R3_net.Ospf.routing g ~weights ~pairs () in
-    R3_net.Routing.mlu g ~loads:(R3_net.Routing.loads g ~demands r)
+  let cost_after iterations =
+    let config = { Igp.default_config with Igp.iterations; seed = 6 } in
+    Igp.routing_cost g ~weights:(Igp.optimize ~config g [ tm ]) tm
   in
-  let config =
-    { Igp.default_config with Igp.iterations = 250; objective = Igp.Mlu; seed = 6 }
-  in
-  let weights = Igp.optimize ~config g [ tm ] in
-  Alcotest.(check bool) "opt mlu <= invcap mlu" true
-    (mlu_of weights <= mlu_of (R3_net.Ospf.inv_cap_weights g) +. 1e-9)
+  ignore
+    (List.fold_left
+       (fun prev iterations ->
+         let c = cost_after iterations in
+         if c > prev then Alcotest.failf "cost rose to %.6g after %d moves" c iterations;
+         c)
+       (cost_after 0) [ 50; 100; 250 ])
 
 let test_weights_positive_symmetric () =
   let g = Topology.abilene () in
@@ -70,6 +74,6 @@ let suite =
   [
     Alcotest.test_case "link cost convex increasing" `Quick test_link_cost_convex_increasing;
     Alcotest.test_case "local search improves cost" `Quick test_optimize_improves;
-    Alcotest.test_case "MLU objective" `Quick test_optimize_mlu_objective;
+    Alcotest.test_case "cost never rises from the start" `Quick test_optimize_cost_never_rises;
     Alcotest.test_case "weights positive and symmetric" `Quick test_weights_positive_symmetric;
   ]
