@@ -16,7 +16,7 @@ let slice_weights g base =
   done;
   let deg_max = Array.fold_left Int.max 1 degree in
   let rng = R3_util.Prng.create seed in
-  List.init slices (fun s ->
+  Array.init slices (fun s ->
       if s = 0 then Array.copy base
       else
         Array.mapi
@@ -30,37 +30,45 @@ let slice_weights g base =
             w *. Float.max 0.5 (u *. b *. wt))
           base)
 
-(* Per-slice, per-destination single next hop (lowest link id on the
-   shortest-path DAG of the slice, computed on the original topology). *)
-let next_hop_tables g slice_ws ~dst =
-  List.map
-    (fun weights ->
-      let dist = R3_net.Spf.distances_to g ~weights ~dst () in
-      Array.init (G.num_nodes g) (fun v ->
-          if v = dst || dist.(v) = infinity then None
-          else begin
-            let best = ref None in
-            Array.iter
-              (fun e ->
-                if !best = None then begin
-                  let w = G.dst g e in
-                  if
-                    dist.(w) < infinity
-                    && Float.abs (weights.(e) +. dist.(w) -. dist.(v))
-                       <= 1e-9 *. (1.0 +. dist.(v))
-                  then best := Some e
-                end)
-              (G.out_links g v);
-            !best
-          end))
-    slice_ws
+(* [tables.(dst).(s).(v)]: slice [s]'s single next hop from [v] toward
+   [dst], the lowest link id on the slice's shortest-path DAG on the
+   unfailed topology; -1 at [dst] and where [dst] is out of reach. *)
+type t = { graph : G.t; tables : int array array array }
 
-let evaluate g ~failed ~weights ~pairs ~demands () =
+let next_hops g weights ~dst =
+  let dist = R3_net.Spf.distances_to g ~weights ~dst () in
+  Array.init (G.num_nodes g) (fun v ->
+      if v = dst || dist.(v) = infinity then -1
+      else begin
+        let best = ref (-1) in
+        Array.iter
+          (fun e ->
+            if !best < 0 then begin
+              let w = G.dst g e in
+              if
+                dist.(w) < infinity
+                && Float.abs (weights.(e) +. dist.(w) -. dist.(v))
+                   <= 1e-9 *. (1.0 +. dist.(v))
+              then best := e
+            end)
+          (G.out_links g v);
+        !best
+      end)
+
+let create g ~weights =
+  let slice_ws = slice_weights g weights in
+  {
+    graph = g;
+    tables =
+      Array.init (G.num_nodes g) (fun dst -> Array.map (fun w -> next_hops g w ~dst) slice_ws);
+  }
+
+let evaluate t ~failed ~pairs ~demands =
+  let g = t.graph in
   let m = G.num_links g in
   let loads = Array.make m 0.0 in
   let total = Array.fold_left ( +. ) 0.0 demands in
   let delivered = ref 0.0 in
-  let slice_ws = slice_weights g weights in
   (* Group OD pairs by destination: next-hop tables are per destination. *)
   let by_dst = Hashtbl.create 16 in
   Array.iteri
@@ -72,13 +80,12 @@ let evaluate g ~failed ~weights ~pairs ~demands () =
   let min_flow = 1e-9 in
   Hashtbl.iter
     (fun b ks ->
-      let tables = next_hop_tables g slice_ws ~dst:b in
-      let tables = Array.of_list tables in
+      let tables = t.tables.(b) in
       let nslices = Array.length tables in
+      (* Slice [s]'s next hop at [v] if it is alive, else -1. *)
       let alive_hop s v =
-        match tables.(s).(v) with
-        | Some e when not failed.(e) -> Some e
-        | Some _ | None -> None
+        let e = tables.(s).(v) in
+        if e >= 0 && not failed.(e) then e else -1
       in
       List.iter
         (fun k ->
@@ -96,34 +103,30 @@ let evaluate g ~failed ~weights ~pairs ~demands () =
                 let prev = Option.value (Hashtbl.find_opt next key) ~default:0.0 in
                 Hashtbl.replace next key (prev +. flow)
               in
+              let forward s e flow =
+                loads.(e) <- loads.(e) +. flow;
+                push (G.dst g e, s) flow
+              in
               Hashtbl.iter
                 (fun (v, s) flow ->
                   if flow >= min_flow then begin
                     if v = b then delivered := !delivered +. flow
                     else begin
-                      match alive_hop s v with
-                      | Some e ->
-                        loads.(e) <- loads.(e) +. flow;
-                        push (G.dst g e, s) flow
-                      | None ->
+                      let e = alive_hop s v in
+                      if e >= 0 then forward s e flow
+                      else begin
                         (* Splice: uniform split across other slices with a
                            live next hop here. *)
                         let alts =
-                          List.init nslices (fun s' -> s')
-                          |> List.filter (fun s' -> s' <> s && alive_hop s' v <> None)
+                          List.init nslices Fun.id
+                          |> List.filter (fun s' -> s' <> s && alive_hop s' v >= 0)
                         in
                         let n_alt = List.length alts in
                         if n_alt > 0 then begin
                           let share = flow /. float_of_int n_alt in
-                          List.iter
-                            (fun s' ->
-                              match alive_hop s' v with
-                              | Some e ->
-                                loads.(e) <- loads.(e) +. share;
-                                push (G.dst g e, s') share
-                              | None -> ())
-                            alts
+                          List.iter (fun s' -> forward s' (alive_hop s' v) share) alts
                         end
+                      end
                     end
                   end)
                 frontier;

@@ -29,13 +29,15 @@ type env = {
   pairs : (G.node * G.node) array;
   demands : float array;
   ospf_base : Routing.t;
+  path_splice : B.Path_splicing.t;
   ospf_r3 : R3_core.Offline.plan option;
   mplsff_r3 : R3_core.Offline.plan option;
 }
 
 let make_env g ~weights ~pairs ~demands ?ospf_r3 ?mplsff_r3 () =
   let ospf_base = R3_net.Ospf.routing g ~weights ~pairs () in
-  { graph = g; weights; pairs; demands; ospf_base; ospf_r3; mplsff_r3 }
+  let path_splice = B.Path_splicing.create g ~weights in
+  { graph = g; weights; pairs; demands; ospf_base; path_splice; ospf_r3; mplsff_r3 }
 
 let r3_root_of_plan env plan =
   (* Evaluate the plan's routing against the env's demands (the plan may
@@ -123,8 +125,7 @@ let outcome_links env alg scenario =
          ~demands:env.demands ())
   | Path_splice ->
     of_baseline
-      (B.Path_splicing.evaluate g ~failed ~weights:env.weights ~pairs:env.pairs
-         ~demands:env.demands ())
+      (B.Path_splicing.evaluate env.path_splice ~failed ~pairs:env.pairs ~demands:env.demands)
   | Ospf_opt -> begin
     match B.Opt_detour.mlu g ~failed ~base:env.ospf_base ~demands:env.demands () with
     | Ok u -> (u, reachable_fraction env ~failed)
