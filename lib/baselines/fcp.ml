@@ -6,7 +6,8 @@ let evaluate g ~failed ~weights ~pairs ~demands () =
   let total = Array.fold_left ( +. ) 0.0 demands in
   let delivered = ref 0.0 in
   (* Distance tables keyed by (destination, known failure set): packets
-     sharing knowledge share routes. *)
+     sharing knowledge share routes. [Spf] only reads [known] and keeps
+     no reference to it, so it is passed uncopied. *)
   let cache = Hashtbl.create 64 in
   let dist_to b known known_list =
     let key = (b, known_list) in
@@ -41,7 +42,7 @@ let evaluate g ~failed ~weights ~pairs ~demands () =
           if v = b then Some path
           else if steps > max_steps then None
           else begin
-            let dist = dist_to b (Array.copy known) !known_list in
+            let dist = dist_to b known !known_list in
             if dist.(v) = infinity then None
             else begin
               (* Lowest-id outgoing link on the shortest-path DAG. *)
