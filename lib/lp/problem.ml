@@ -33,7 +33,7 @@ let var t =
   t.nvars <- v + 1;
   v
 
-let check_term t (c, v) =
+let check_term t c v =
   if v < 0 || v >= t.nvars then invalid_arg "Problem: variable out of range";
   if not (Float.is_finite c) then invalid_arg "Problem: non-finite coefficient"
 
@@ -45,29 +45,32 @@ let push a n x =
 
 (* The row is compacted here, once: [Rowvec.of_pairs] sums duplicate
    variables in term order and drops entries that sum to zero. *)
-let constr t terms cmp rhs =
+let constr_array t vars coefs cmp rhs =
   if not (Float.is_finite rhs) then invalid_arg "Problem: non-finite right-hand side";
-  let k = List.length terms in
-  let idx = Array.make k 0 and coef = Array.make k 0.0 in
-  List.iteri (fun s ((c, v) as term) -> check_term t term; idx.(s) <- v; coef.(s) <- c) terms;
+  let row = R.of_pairs vars coefs in
+  Array.iteri (fun s v -> check_term t coefs.(s) v) vars;
   let i = t.nrows in
-  t.rows <- push t.rows i (R.of_pairs idx coef);
+  t.rows <- push t.rows i row;
   t.cmps <- push t.cmps i cmp;
   t.rhs <- push t.rhs i rhs;
   t.nrows <- i + 1
 
+let constr t terms cmp rhs =
+  let terms = Array.of_list terms in
+  constr_array t (Array.map snd terms) (Array.map fst terms) cmp rhs
+
 let minimize t terms =
-  List.iter (check_term t) terms;
+  List.iter (fun (c, v) -> check_term t c v) terms;
   t.sense_minimize <- true;
   t.obj_terms <- terms
 
 let maximize t terms =
-  List.iter (check_term t) terms;
+  List.iter (fun (c, v) -> check_term t c v) terms;
   t.sense_minimize <- false;
   t.obj_terms <- terms
 
 let add_objective_term t coef v =
-  check_term t (coef, v);
+  check_term t coef v;
   t.obj_terms <- (coef, v) :: t.obj_terms
 
 let num_vars t = t.nvars

@@ -40,8 +40,11 @@ val create : unit -> t
 (** [var t] adds a nonnegative variable. *)
 val var : t -> var
 
-(** [constr t terms cmp rhs] adds the row [sum terms cmp rhs]. *)
+(** [constr t terms cmp rhs] adds the row [sum terms cmp rhs], and
+    [constr_array t vars coefs cmp rhs] the row of the terms
+    [(coefs.(s), vars.(s))], without a list. *)
 val constr : t -> (float * var) list -> cmp -> float -> unit
+val constr_array : t -> var array -> float array -> cmp -> float -> unit
 
 (** Set the objective (replacing any previous one). Each solve sums a
     variable's terms in list order. *)

@@ -3,12 +3,59 @@ module G = R3_net.Graph
 
 type t = P.var option array array
 
-(* [coef] times each column of [x] on [links], where one exists. *)
-let terms x coef links =
-  Array.to_list links |> List.filter_map (fun e -> Option.map (fun v -> (coef, v)) x.(e))
+(* Every node's links in link order, each with its sign in the node's
+   conservation row: +1 out of the node, -1 into it. *)
+let incident g =
+  let n = G.num_nodes g in
+  let links = Array.make n [] in
+  for e = G.num_links g - 1 downto 0 do
+    links.(G.src g e) <- (e, 1.0) :: links.(G.src g e);
+    links.(G.dst g e) <- (e, -1.0) :: links.(G.dst g e)
+  done;
+  Array.map (fun l -> Array.split (Array.of_list l)) links
 
-(* Flow out of [v] minus flow into it. *)
-let out_minus_in g x v = terms x 1.0 (G.out_links g v) @ terms x (-1.0) (G.in_links g v)
+(* Flow out of a node minus flow into it, over the node's [links] (from
+   {!incident}, ascending) where [x] has a column. A block creates its
+   columns in link order, so the variables ascend with the links and
+   the row needs no sort. *)
+let conservation lp x (links, signs) rhs =
+  match Array.find_map (fun e -> x.(e)) links with
+  | None -> P.constr_array lp [||] [||] P.Eq rhs
+  | Some first ->
+    let k = Array.fold_left (fun k e -> if Option.is_some x.(e) then k + 1 else k) 0 links in
+    let vars = Array.make k first and coefs = Array.make k 0.0 and s = ref 0 in
+    Array.iteri
+      (fun t e ->
+        match x.(e) with
+        | Some v ->
+          vars.(!s) <- v;
+          coefs.(!s) <- signs.(t);
+          incr s
+        | None -> ())
+      links;
+    P.constr_array lp vars coefs P.Eq rhs
+
+(* Link [e]'s capacity row [sum_k coefs.(k) x_k(e) - c_e MLU <= rhs],
+   over the blocks [xs] with a positive coefficient and a column on [e].
+   The MLU is created before the blocks, and the blocks one after the
+   other, so the variables ascend and the row needs no sort. *)
+let capacity lp g mlu xs coefs e rhs =
+  let live k = coefs.(k) > 0.0 && Option.is_some xs.(k).(e) in
+  let n = Array.length xs in
+  let k = ref 1 in
+  for b = 0 to n - 1 do
+    if live b then incr k
+  done;
+  let vars = Array.make !k mlu and cs = Array.make !k (-.G.capacity g e) in
+  k := 1;
+  for b = 0 to n - 1 do
+    if live b then begin
+      vars.(!k) <- Option.get xs.(b).(e);
+      cs.(!k) <- coefs.(b);
+      incr k
+    end
+  done;
+  P.constr_array lp vars cs P.Le rhs
 
 let solved ?start lp value =
   match P.solve ?start lp with
@@ -19,6 +66,7 @@ let solved ?start lp value =
 
 let add lp g ~failed ~pairs =
   let n = G.num_nodes g and m = G.num_links g in
+  let inc = incident g in
   Array.init (Array.length pairs) (fun k ->
       let a, b = pairs.(k) in
       (* [R3]: no flow back into the origin, and none on a failed link. *)
@@ -26,11 +74,11 @@ let add lp g ~failed ~pairs =
         Array.init m (fun e ->
             if failed.(e) || G.dst g e = a then None else Some (P.var lp))
       in
-      (* [R2]: the origin emits exactly one unit. *)
-      P.constr lp (terms x 1.0 (G.out_links g a)) P.Eq 1.0;
+      (* [R2]: the origin emits exactly one unit (no column enters it). *)
+      conservation lp x inc.(a) 1.0;
       (* [R1]: conservation at every intermediate node. *)
       for v = 0 to n - 1 do
-        if v <> a && v <> b then P.constr lp (out_minus_in g x v) P.Eq 0.0
+        if v <> a && v <> b then conservation lp x inc.(v) 0.0
       done;
       x)
 
@@ -141,7 +189,7 @@ let min_mlu g ~failed ~pairs ~demands ~background =
   for e = 0 to m - 1 do
     if not failed.(e) then begin
       if e = worst then start := (P.num_constraints lp, mlu) :: !start;
-      P.constr lp ((-.G.capacity g e, mlu) :: load_terms x demands e) P.Le (-.background.(e))
+      capacity lp g mlu x demands e (-.background.(e))
     end
   done;
   P.minimize lp [ (1.0, mlu) ];
@@ -157,6 +205,7 @@ let min_mlu_dest g ~failed ~pairs ~demands =
   R3_util.Trace.with_span "mcf.dest_solve" @@ fun () ->
   let n = G.num_nodes g and m = G.num_links g in
   let trees = Array.init n (fun t -> in_tree g ~failed ~dst:t) in
+  let inc = incident g in
   let reaches t v = (snd trees.(t)).(v) >= 0 in
   (* dem.(t).(v) = D(v, t), summed over the pairs that still connect. *)
   let dem = Array.make_matrix n n 0.0 in
@@ -187,7 +236,7 @@ let min_mlu_dest g ~failed ~pairs ~demands =
             if v <> t then begin
               if parent.(v) >= 0 then
                 start := (P.num_constraints lp, Option.get x.(parent.(v))) :: !start;
-              P.constr lp (out_minus_in g x v) P.Eq dem.(t).(v)
+              conservation lp x inc.(v) dem.(t).(v)
             end
           done;
           (* Each tree arc carries its subtree's demand, deepest node first. *)
@@ -201,18 +250,17 @@ let min_mlu_dest g ~failed ~pairs ~demands =
                  sub.(G.dst g e) <- sub.(G.dst g e) +. sub.(v));
           x)
         dests
+      |> Array.of_list
     in
     (* The MLU starts basic in the row of the link the trees load most,
        every other capacity row on its slack: the start is triangular
        and primal feasible. *)
     let worst = busiest g ~failed load in
+    let ones = Array.make (Array.length blocks) 1.0 in
     for e = 0 to m - 1 do
       if not failed.(e) then begin
         if e = worst then start := (P.num_constraints lp, mlu) :: !start;
-        P.constr lp
-          ((-.G.capacity g e, mlu)
-          :: List.filter_map (fun x -> Option.map (fun v -> (1.0, v)) x.(e)) blocks)
-          P.Le 0.0
+        capacity lp g mlu blocks ones e 0.0
       end
     done;
     P.minimize lp [ (1.0, mlu) ];

@@ -30,29 +30,37 @@ let copy r =
 let of_pairs idx v =
   let k = Array.length idx in
   if Array.length v <> k then invalid_arg "Rowvec.of_pairs: length mismatch";
-  let order = Array.init k Fun.id in
-  Array.stable_sort (fun a b -> Int.compare idx.(a) idx.(b)) order;
+  let sorted = ref true in
+  for s = 1 to k - 1 do
+    if idx.(s - 1) > idx.(s) then sorted := false
+  done;
+  (* A stable sort, skipped when the indices already ascend: the order
+     is then the identity either way. *)
+  let idx, v =
+    if !sorted then (idx, v)
+    else begin
+      let order = Array.init k Fun.id in
+      Array.stable_sort (fun a b -> Int.compare idx.(a) idx.(b)) order;
+      (Array.map (Array.get idx) order, Array.map (Array.get v) order)
+    end
+  in
+  (* One pass: each run of equal indices sums in input order and is kept
+     unless the sum is zero (or NaN). *)
   let r = create ~cap:(Int.max k 1) () in
-  Array.iter
-    (fun s ->
-      let j = idx.(s) and x = v.(s) in
-      if r.n > 0 && r.idx.(r.n - 1) = j then r.v.(r.n - 1) <- r.v.(r.n - 1) +. x
-      else begin
-        r.idx.(r.n) <- j;
-        r.v.(r.n) <- x;
-        r.n <- r.n + 1
-      end)
-    order;
-  (* squeeze out entries that summed to zero *)
-  let w = ref 0 in
-  for s = 0 to r.n - 1 do
-    if Float.abs r.v.(s) > 0.0 then begin
-      r.idx.(!w) <- r.idx.(s);
-      r.v.(!w) <- r.v.(s);
-      incr w
+  let s = ref 0 in
+  while !s < k do
+    let j = idx.(!s) and x = ref v.(!s) in
+    incr s;
+    while !s < k && idx.(!s) = j do
+      x := !x +. v.(!s);
+      incr s
+    done;
+    if Float.abs !x > 0.0 then begin
+      r.idx.(r.n) <- j;
+      r.v.(r.n) <- !x;
+      r.n <- r.n + 1
     end
   done;
-  r.n <- !w;
   r
 
 let of_dense a =

@@ -19,7 +19,8 @@ val create : ?cap:int -> unit -> t
 (** [of_pairs idx v] builds a row from parallel index/value arrays.
     Indices need not be sorted or unique: duplicates are summed in input
     order (a stable sort), entries summing to zero removed, and so is a
-    NaN ([Float.abs nan > 0.0] is false). The input arrays are not
+    NaN ([Float.abs nan > 0.0] is false). Indices that already ascend
+    take one linear pass and no sort. The input arrays are not
     retained. *)
 val of_pairs : int array -> float array -> t
 
