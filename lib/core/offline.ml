@@ -121,12 +121,18 @@ let add_delay_rows lp g (cfg : config) r_vars pairs =
         end)
       pairs
 
-(* Extra penalty on each protection commodity's {e self} term [p_l(l)].
-   Routing a link's virtual demand over itself is the cheapest way to
-   satisfy the constraints when the MLU cannot be driven below 1, but it
-   means dropping the link's traffic on failure; pricing the self term
-   above any multi-hop detour makes the LP choose real detours whenever
-   they exist, without affecting feasibility or the optimal MLU. *)
+(* Extra penalty of [4n] loop penalties on each protection commodity's
+   {e self} term [p_l(l)]. Routing a link's virtual demand over itself
+   is the cheapest way to satisfy the constraints when the MLU cannot be
+   driven below 1, but it means dropping the link's traffic on failure.
+   On its own this prices the self term (1 + 4n loop penalties) above
+   any detour (h for h hops), so the LP takes real detours whenever
+   they exist, without affecting feasibility or the optimal MLU. With
+   the {!penalize_virtual_concentration} tie-break that no longer
+   holds: under uniform capacities the self term costs 51 + 4n and an
+   h-hop detour 51h, so any detour longer than 1 + 4n/51 hops costs
+   more (95e-6 against h x 51e-6 on Abilene's 11 nodes: two hops or
+   more). ROADMAP item 15 tracks it; changing a weight moves plans. *)
 let penalize_self_protection lp g p_vars =
   let weight = loop_penalty *. float_of_int (4 * G.num_nodes g) in
   Array.iteri (fun l row -> Option.iter (P.add_objective_term lp weight) row.(l)) p_vars
