@@ -96,12 +96,10 @@ let test_path_splicing_reroutes () =
     (fun l v -> if failed.(l) && v > 1e-9 then Alcotest.failf "load on failed %d" l)
     o.B.Types.loads
 
-(* PathSplice's golden failure sets on [g]: every directed link alone,
-   the first four connected physical 2-failure sets, the physical link
-   slice 0 loads most with nothing failed (its traffic must splice),
-   and every link at the first node of least degree (its pairs
-   partition). *)
-let splice_sets g outcome =
+(* The golden failure sets on [g]: every directed link alone and the
+   first four connected physical 2-failure sets; then every link at the
+   first node of least degree, whose pairs it partitions. *)
+let golden_sets g =
   let m = G.num_links g in
   let singles = List.init m (fun e -> [ e ]) in
   let pairs2 =
@@ -109,10 +107,6 @@ let splice_sets g outcome =
     |> List.filteri (fun i _ -> i < 4)
     |> List.map R3_sim.Scenario.links
   in
-  let loads = (outcome (G.no_failures g)).B.Types.loads in
-  let busiest = ref 0 in
-  Array.iteri (fun e l -> if l > loads.(!busiest) then busiest := e) loads;
-  let splice = R3_sim.Scenario.links (R3_sim.Scenario.of_links g [ !busiest ]) in
   let degree v = Array.length (G.out_links g v) in
   let lonely = ref 0 in
   for v = 1 to G.num_nodes g - 1 do
@@ -121,29 +115,43 @@ let splice_sets g outcome =
   let partition =
     Array.to_list (G.out_links g !lonely) @ Array.to_list (G.in_links g !lonely)
   in
-  (singles @ pairs2, splice, partition)
+  (singles @ pairs2, partition)
 
-(* Digest of each outcome's load bits then its delivered bits, over
-   {!splice_sets}. Checks that splicing saves some of the traffic that
-   slice 0 sends over the splice set (without it, all of that would be
-   lost), and that the partition set loses demand. *)
-let splice_digest g ~total outcome =
+(* An outcome's load bits, then its delivered bits. *)
+let add_outcome buf o =
+  Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) o.B.Types.loads;
+  Buffer.add_int64_le buf (Int64.bits_of_float o.B.Types.delivered)
+
+(* Digest of each outcome over {!golden_sets}, in order. [splice] is a
+   set run between the two groups: PathSplice's pin checks its
+   splicing there. The partition set must lose demand. *)
+let golden_digest ?(splice = fun _ -> ()) g outcome =
   let buf = Buffer.create 65536 in
   let run links =
     let o = outcome (G.fail_links g links) in
-    Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) o.B.Types.loads;
-    Buffer.add_int64_le buf (Int64.bits_of_float o.B.Types.delivered);
+    add_outcome buf o;
     o
   in
-  let sets, splice, partition = splice_sets g outcome in
+  let sets, partition = golden_sets g in
   List.iter (fun links -> ignore (run links)) sets;
-  let before = (outcome (G.no_failures g)).B.Types.loads in
-  let crossing = List.fold_left (fun acc e -> acc +. before.(e)) 0.0 splice in
-  Alcotest.(check bool) "splicing saves traffic" true
-    ((run splice).B.Types.delivered > 1.0 -. (crossing /. total) +. 1e-9);
+  splice run;
   Alcotest.(check bool) "partition set loses demand" true
     ((run partition).B.Types.delivered < 1.0);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* PathSplice's digest runs the physical link slice 0 loads most with
+   nothing failed between the groups, and checks that splicing saves
+   some of the traffic slice 0 sends over it (without it, all of that
+   would be lost). *)
+let splice_digest g ~total outcome =
+  let before = (outcome (G.no_failures g)).B.Types.loads in
+  let busiest = ref 0 in
+  Array.iteri (fun e l -> if l > before.(!busiest) then busiest := e) before;
+  let splice = R3_sim.Scenario.links (R3_sim.Scenario.of_links g [ !busiest ]) in
+  let crossing = List.fold_left (fun acc e -> acc +. before.(e)) 0.0 splice in
+  golden_digest g outcome ~splice:(fun run ->
+      Alcotest.(check bool) "splicing saves traffic" true
+        ((run splice).B.Types.delivered > 1.0 -. (crossing /. total) +. 1e-9))
 
 (* The PathSplice pin's environments: Abilene with unit weights
    (gravity seed 4, load 0.3), and SBC with weights 1 to 4, link id mod
@@ -169,6 +177,27 @@ let test_path_splicing_golden () =
       Alcotest.(check string) (name ^ " outcome bits") expected (splice_digest g ~total outcome))
     (splice_envs ())
     [ "268e797913e20850f083e6265e97955c"; "3eeb7bcda6c50a79a961a4fd6c0c1c63" ]
+
+(* Golden bits of FCP's and OSPF+CSPF-detour's loads and delivered
+   fraction over {!golden_sets}, on the PathSplice pin's environments.
+   CSPF's base is ECMP OSPF on the environment's weights. *)
+let test_fcp_golden () =
+  List.iter2
+    (fun (name, g, weights, pairs, demands) expected ->
+      Alcotest.(check string) (name ^ " outcome bits") expected
+        (golden_digest g (fun failed -> B.Fcp.evaluate g ~failed ~weights ~pairs ~demands ())))
+    (splice_envs ())
+    [ "663351fac197c6cefa23b9c559503904"; "aef61a54a9e31bb26f6a05c5da32d3f1" ]
+
+let test_cspf_golden () =
+  List.iter2
+    (fun (name, g, weights, pairs, demands) expected ->
+      let base = Ospf.routing g ~weights ~pairs () in
+      Alcotest.(check string) (name ^ " outcome bits") expected
+        (golden_digest g (fun failed ->
+             B.Cspf_detour.evaluate g ~failed ~weights ~base ~demands ())))
+    (splice_envs ())
+    [ "16f8f7b2ccab63771da41d0758fb822b"; "dbc01a29246c1a348d95b887196f066a" ]
 
 (* An env's PathSplice tables are its own weights': two SBC envs, on
    unit weights and on the pin's, each give the load and delivered bits
@@ -259,8 +288,7 @@ let test_opt_detour_golden () =
       match B.Opt_detour.evaluate g ~failed ~base ~demands () with
       | Error m -> Alcotest.fail m
       | Ok o ->
-        Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) o.B.Types.loads;
-        Buffer.add_int64_le buf (Int64.bits_of_float o.B.Types.delivered);
+        add_outcome buf o;
         worst := Float.max !worst (B.Types.bottleneck g ~failed o))
     scenarios;
   Alcotest.(check int) "scenarios" 60 (List.length scenarios);
@@ -343,4 +371,6 @@ let suite =
     Alcotest.test_case "reroute LP start = two-phase reference" `Quick
       test_reroute_start_vs_reference;
     QCheck_alcotest.to_alcotest opt_lower_bound_prop;
+    Alcotest.test_case "golden bits: fcp" `Quick test_fcp_golden;
+    Alcotest.test_case "golden bits: cspf detour" `Quick test_cspf_golden;
   ]
