@@ -1,8 +1,8 @@
 (* Online-engine benchmark: event-processing throughput and per-event
    convergence latency of the event-driven reconfiguration runtime, under
    the ideal channel and the fault-injected one (jitter + duplication +
-   drop-with-retry). The protection routing is synthetic (one SPF detour
-   per link, no LP solve — shared with Reconfig_bench) so the bench
+   drop-with-retry). The protection routing is the static CSPF bypass
+   (one SPF detour per link, no LP solve — shared with Reconfig_bench) so the bench
    isolates the engine: delivery expansion, per-router version tracking,
    and the memoized canonical-state folds. Every timed run also asserts
    the terminal state is bit-identical to the batch replay.

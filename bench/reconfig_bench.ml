@@ -1,6 +1,7 @@
 (* Online-reconfiguration benchmark: the copy-on-write failure-folding
    kernel (Reconfig.fail / apply_failures) on the sparse routing rows.
-   The protection routing is synthetic (one SPF detour path per link, no
+   The protection routing is the static CSPF bypass
+   (R3_baselines.Cspf_detour.protection: one SPF detour path per link, no
    LP solve) so the bench isolates the substrate, and every scenario's
    folded state is checked bit for bit against the naive dense reference
    fold (R3_check.Dense_ref). Results go to stdout and
@@ -13,7 +14,6 @@ module G = R3_net.Graph
 module Topology = R3_net.Topology
 module Traffic = R3_net.Traffic
 module Routing = R3_net.Routing
-module Spf = R3_net.Spf
 module Reconfig = R3_core.Reconfig
 module Scenario = R3_core.Scenario
 module Dense_ref = R3_check.Dense_ref
@@ -24,28 +24,13 @@ let output_path = "BENCH_reconfig.json"
 
 let check name ok = if not ok then failwith ("reconfig bench: " ^ name ^ " MISMATCH")
 
-(* One detour path per link: the SPF route around the link itself, or the
-   self row (traffic dropped) when removing the link disconnects its
-   endpoints. Row support is one path — the shape LP protections have. *)
-let synthetic_protection g =
-  let weights = R3_net.Ospf.unit_weights g in
-  let m = G.num_links g in
-  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
-  for l = 0 to m - 1 do
-    let failed = G.fail_links g [ l ] in
-    match Spf.shortest_path g ~failed ~weights ~src:(G.src g l) ~dst:(G.dst g l) () with
-    | Some path -> List.iter (fun e -> Routing.set p l e 1.0) path
-    | None -> Routing.set p l l 1.0
-  done;
-  p
-
 let make_state g ~seed =
   let rng = R3_util.Prng.create seed in
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
   let base = R3_net.Ospf.routing g ~weights ~pairs () in
-  let protection = synthetic_protection g in
+  let protection = R3_baselines.Cspf_detour.protection g in
   Reconfig.make g ~pairs ~demands ~base ~protection
 
 (* Deterministic 2-physical-failure scenarios (distinct undirected links),

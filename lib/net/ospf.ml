@@ -7,17 +7,6 @@ let inv_cap_weights g =
   done;
   Array.init (Graph.num_links g) (fun e -> !max_cap /. Graph.capacity g e)
 
-let dag_tol = 1e-9
-
-(* Per-destination shortest-path DAG membership: live link e = (i,j) is on a
-   shortest path to dst iff dist_to(i) = w(e) + dist_to(j). *)
-let on_dag g failed weights dist_to e =
-  (not failed.(e))
-  && dist_to.(Graph.src g e) < infinity
-  && dist_to.(Graph.dst g e) < infinity
-  && Float.abs (weights.(e) +. dist_to.(Graph.dst g e) -. dist_to.(Graph.src g e))
-     <= dag_tol *. (1.0 +. dist_to.(Graph.src g e))
-
 let routing g ?failed ~weights ~pairs () =
   let failed = match failed with Some f -> f | None -> Graph.no_failures g in
   let n = Graph.num_nodes g and m = Graph.num_links g in
@@ -52,7 +41,7 @@ let routing g ?failed ~weights ~pairs () =
         if v <> b && dist_to.(v) < infinity then
           Array.iter
             (fun e ->
-              if on_dag g failed weights dist_to e then begin
+              if Spf.on_dag g failed weights dist_to e then begin
                 hop.(!fill) <- e;
                 hop_head.(!fill) <- Graph.dst g e;
                 incr fill

@@ -13,28 +13,11 @@ module G = R3_net.Graph
 module Routing = R3_net.Routing
 module Topology = R3_net.Topology
 module Traffic = R3_net.Traffic
-module Spf = R3_net.Spf
 module Reconfig = R3_core.Reconfig
 module Scenario = R3_core.Scenario
 module Online = R3_sim.Online
 module Fib = R3_mplsff.Fib
 module Dense_ref = R3_check.Dense_ref
-
-(* Synthetic protection (one SPF detour per link, no LP) — same shape as
-   the bench fixtures; isolates the engine from the offline phase. *)
-let synthetic_protection g =
-  let weights = R3_net.Ospf.unit_weights g in
-  let m = G.num_links g in
-  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
-  for l = 0 to m - 1 do
-    let failed = G.fail_links g [ l ] in
-    match
-      Spf.shortest_path g ~failed ~weights ~src:(G.src g l) ~dst:(G.dst g l) ()
-    with
-    | Some path -> List.iter (fun e -> Routing.set p l e 1.0) path
-    | None -> Routing.set p l l 1.0
-  done;
-  p
 
 let make_state ?(seed = 11) g =
   let rng = R3_util.Prng.create seed in
@@ -42,7 +25,7 @@ let make_state ?(seed = 11) g =
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
   let base = R3_net.Ospf.routing g ~weights ~pairs () in
-  let protection = synthetic_protection g in
+  let protection = R3_baselines.Cspf_detour.protection g in
   Reconfig.make g ~pairs ~demands ~base ~protection
 
 let gen20 () =
@@ -218,7 +201,7 @@ let test_fib_maintenance () =
   (* A routing written in place after a FIB was derived from it: the
      FIB's source copy sealed it, so the write un-shares the row and the
      update sees it. Built fresh, so the routing owns its rows. *)
-  let p = synthetic_protection g in
+  let p = R3_baselines.Cspf_detour.protection g in
   let fib0 = Fib.of_protection g p in
   Alcotest.(check bool) "no row changed: the same FIB back" true
     (Fib.update_router fib0 ~router:0 p == fib0);
@@ -540,7 +523,7 @@ let gk_state g =
   let pairs, demands = Traffic.commodities tm in
   let _, base = R3_mcf.Concurrent_flow.min_mlu_routing g ~epsilon:0.2 ~pairs ~demands () in
   Reconfig.make g ~pairs ~demands ~base
-    ~protection:(synthetic_protection g)
+    ~protection:(R3_baselines.Cspf_detour.protection g)
 
 let phys_links g = R3_sim.Scenarios.physical_links g
 

@@ -394,18 +394,7 @@ let online_root () =
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
   let base = R3_net.Ospf.routing g ~weights ~pairs () in
-  let m = G.num_links g in
-  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
-  for l = 0 to m - 1 do
-    let failed = G.fail_links g [ l ] in
-    (match
-       R3_net.Spf.shortest_path g ~failed ~weights ~src:(G.src g l)
-         ~dst:(G.dst g l) ()
-     with
-    | Some path -> List.iter (fun e -> Routing.set p l e 1.0) path
-    | None -> Routing.set p l l 1.0)
-  done;
-  (g, Reconfig.make g ~pairs ~demands ~base ~protection:p)
+  (g, Reconfig.make g ~pairs ~demands ~base ~protection:(R3_baselines.Cspf_detour.protection g))
 
 let stats_equal_modulo_distinct (a : Online.stats) (b : Online.stats) =
   a.Online.events = b.Online.events

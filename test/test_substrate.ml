@@ -8,7 +8,6 @@ module G = R3_net.Graph
 module Routing = R3_net.Routing
 module Topology = R3_net.Topology
 module Traffic = R3_net.Traffic
-module Spf = R3_net.Spf
 module Reconfig = R3_core.Reconfig
 module Scenario = R3_core.Scenario
 module Dense_ref = R3_check.Dense_ref
@@ -103,29 +102,13 @@ let test_rowvec_merged_matches_dense () =
 
 (* ---- failure folding against the dense reference ---- *)
 
-(* Same synthetic protection shape as the reconfig bench: the SPF detour
-   path around each link, or the self row when the failure disconnects. *)
-let synthetic_protection g =
-  let weights = R3_net.Ospf.unit_weights g in
-  let m = G.num_links g in
-  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
-  for l = 0 to m - 1 do
-    let failed = G.fail_links g [ l ] in
-    match
-      Spf.shortest_path g ~failed ~weights ~src:(G.src g l) ~dst:(G.dst g l) ()
-    with
-    | Some path -> List.iter (fun e -> Routing.set p l e 1.0) path
-    | None -> Routing.set p l l 1.0
-  done;
-  p
-
 let make_state g ~seed =
   let rng = Prng.create seed in
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
   let base = R3_net.Ospf.routing g ~weights ~pairs () in
-  let protection = synthetic_protection g in
+  let protection = R3_baselines.Cspf_detour.protection g in
   Reconfig.make g ~pairs ~demands ~base ~protection
 
 let agrees what st want =
