@@ -100,24 +100,25 @@ let interval_tm ctx ~interval =
    latter). Like the paper, the protection envelope carries the
    operational risk model: per-pair SRLGs (any k physical failures) plus
    whatever fiber-sharing SRLGs and maintenance groups the context
-   declares - the events the figures then replay. *)
+   declares - the events the figures then replay. [base ()] is the fixed
+   base routing; it runs on a cache miss only. *)
 let structured_plan ?(extra_srlgs = []) ?(mlgs = []) ~key ~k ctx base =
   let cfg = { (Offline.default_config ~f:k) with solve_method = Offline.Constraint_gen } in
   cached_plan key cfg (fun cfg ->
       let groups =
         { R3_core.Structured.srlgs = R3_core.Structured.physical_srlgs ctx.g @ extra_srlgs; mlgs; k }
       in
-      R3_core.Structured.compute cfg ctx.g ctx.base_tm groups (Offline.Fixed base))
+      R3_core.Structured.compute cfg ctx.g ctx.base_tm groups (Offline.Fixed (base ())))
 
 (* OSPF+R3 plan over the context's peak matrix. *)
 let ospf_r3_plan ?k ?(extra_srlgs = []) ?(mlgs = []) ctx =
   let k = Option.value k ~default:ctx.plan_k in
-  let base = R3_net.Ospf.routing ctx.g ~weights:ctx.weights ~pairs:ctx.pairs () in
   structured_plan ~extra_srlgs ~mlgs
     ~key:
       (Printf.sprintf "%s-ospfr3-k%d-s%dm%d" ctx.tag k (List.length extra_srlgs)
          (List.length mlgs))
-    ~k ctx base
+    ~k ctx
+    (fun () -> R3_net.Ospf.routing ctx.g ~weights:ctx.weights ~pairs:ctx.pairs ())
 
 (* MPLS-ff+R3: near-optimal flow base (GK) + protection LP. The paper's
    joint LP (7) is used verbatim on small fixtures (see tests); at
@@ -125,15 +126,15 @@ let ospf_r3_plan ?k ?(extra_srlgs = []) ?(mlgs = []) ctx =
    "better base => better protected performance" relationship (DESIGN §5). *)
 let mplsff_r3_plan ?k ?(extra_srlgs = []) ?(mlgs = []) ctx =
   let k = Option.value k ~default:ctx.plan_k in
-  let _, base =
-    R3_mcf.Concurrent_flow.min_mlu_routing ctx.g ~epsilon:0.04 ~pairs:ctx.pairs
-      ~demands:ctx.demands ()
-  in
   structured_plan ~extra_srlgs ~mlgs
     ~key:
       (Printf.sprintf "%s-mplsffr3-k%d-s%dm%d" ctx.tag k (List.length extra_srlgs)
          (List.length mlgs))
-    ~k ctx base
+    ~k ctx
+    (fun () ->
+      snd
+        (R3_mcf.Concurrent_flow.min_mlu_routing ctx.g ~epsilon:0.04 ~pairs:ctx.pairs
+           ~demands:ctx.demands ()))
 
 let env_for ctx ?(interval = 14) ?(extra_srlgs = []) ?(mlgs = []) () =
   let demands = interval_demands ctx ~interval in

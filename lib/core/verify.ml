@@ -22,12 +22,9 @@ let subsets_upto m k =
   !acc
 
 let count_subsets m k =
-  let rec binom n r =
-    if r = 0 || r = n then 1.0 else binom (n - 1) (r - 1) +. binom (n - 1) r
-  in
   let total = ref 0.0 in
   for i = 1 to Int.min k m do
-    total := !total +. binom m i
+    total := !total +. R3_util.Stats.binom m i
   done;
   !total
 

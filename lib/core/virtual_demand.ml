@@ -26,14 +26,13 @@ let member g ~f x =
 let extreme_points ?(limit = 200_000) g ~f =
   let m = G.num_links g in
   (* Count subsets of size <= f before materializing. *)
-  let count = ref 0 in
-  let rec binom n k = if k = 0 || k = n then 1 else binom (n - 1) (k - 1) + binom (n - 1) k in
+  let count = ref 0.0 in
   for k = 0 to Int.min f m do
-    count := !count + binom m k
+    count := !count +. R3_util.Stats.binom m k
   done;
-  if !count > limit then
+  if !count > float_of_int limit then
     invalid_arg
-      (Printf.sprintf "Virtual_demand.extreme_points: %d points exceeds limit %d" !count limit);
+      (Printf.sprintf "Virtual_demand.extreme_points: %.0f points exceeds limit %d" !count limit);
   let acc = ref [] in
   let x = Array.make m 0.0 in
   let rec enumerate start remaining =

@@ -33,6 +33,17 @@ let max xs =
   reject_nan "Stats.max" xs;
   Array.fold_left Float.max neg_infinity xs
 
+let binom n k =
+  if k < 0 || k > n then 0.0
+  else begin
+    let k = Int.min k (n - k) in
+    let acc = ref 1.0 in
+    for i = 1 to k do
+      acc := !acc *. float_of_int (n - k + i) /. float_of_int i
+    done;
+    !acc
+  end
+
 let sorted xs =
   let out = Array.copy xs in
   Array.sort Float.compare out;

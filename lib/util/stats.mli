@@ -35,6 +35,13 @@ val quantiles : ps:float list -> float array -> float list
 
 val median : float array -> float
 
+(** [binom n k] is C(n, k), 0 when [k < 0] or [k > n], by the
+    multiplicative formula: O(k) float operations. Step [i] multiplies
+    C(n-k+i-1, i-1) by [n-k+i] and then divides by [i], so the result is
+    exact while [k * C(n, k)] stays below 2^53; past the float range it
+    is [infinity]. *)
+val binom : int -> int -> float
+
 (** Sorted copy, ascending. *)
 val sorted : float array -> float array
 
