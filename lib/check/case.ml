@@ -36,13 +36,10 @@ let schedule t g =
       match G.find_link g ev.a ev.b with
       | None -> None
       | Some e ->
-        let rep =
-          match G.reverse_link g e with Some r -> Int.min e r | None -> e
-        in
         Some
           {
             R3_sim.Online.at_ms = ev.at_ms;
-            link = rep;
+            link = G.physical_rep g e;
             kind = (if ev.fail then R3_sim.Online.Fail else R3_sim.Online.Recover);
           })
     t.events

@@ -124,7 +124,7 @@ let fail_one st e =
    path into the folding kernel sorts by this key, so a state's float
    bits are a function of its failed set alone. *)
 let canonical_key g e =
-  let rep = match G.reverse_link g e with Some r when r < e -> r | _ -> e in
+  let rep = G.physical_rep g e in
   (rep * 2) + if e = rep then 0 else 1
 
 let pristine st =

@@ -10,9 +10,6 @@ type t = {
   links : G.link list;  (* directed expansion, canonical order *)
 }
 
-let rep g e =
-  match G.reverse_link g e with Some r when r < e -> r | _ -> e
-
 let expand_phys g phys =
   Array.to_list phys
   |> List.concat_map (fun e ->
@@ -22,7 +19,7 @@ let expand_phys g phys =
 let of_sorted_phys g phys = { phys; links = expand_phys g phys }
 
 let of_links g links =
-  let canon = List.sort_uniq Int.compare (List.map (rep g) links) in
+  let canon = List.sort_uniq Int.compare (List.map (G.physical_rep g) links) in
   of_sorted_phys g (Array.of_list canon)
 
 let of_physical = of_links

@@ -8,10 +8,8 @@ type groups = Virtual_demand.groups = {
 
 let physical_srlgs g =
   List.init (G.num_links g) Fun.id
-  |> List.filter_map (fun e ->
-         match G.reverse_link g e with
-         | Some r -> if e < r then Some [ e; r ] else None
-         | None -> Some [ e ])
+  |> List.filter (fun e -> G.physical_rep g e = e)
+  |> List.map (fun e -> e :: Option.to_list (G.reverse_link g e))
 
 let worst_structured_load = Virtual_demand.worst_group_load
 

@@ -116,6 +116,10 @@ let reverse_link t e =
   let r = t.reverse.(e) in
   if r < 0 then None else Some r
 
+let physical_rep t e =
+  let r = t.reverse.(e) in
+  if r >= 0 && r < e then r else e
+
 type link_set = bool array
 
 let no_failures t = Array.make (num_links t) false

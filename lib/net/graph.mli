@@ -40,6 +40,12 @@ val find_link : t -> node -> node -> link option
 (** The opposite-direction link, if the topology has one. *)
 val reverse_link : t -> link -> link option
 
+(** The physical link's representative: the lower id of [e] and its
+    reverse, or [e] when it has no reverse. A physical failure takes
+    both directions down, and scenarios, online events and fold orders
+    name it by this id. *)
+val physical_rep : t -> link -> link
+
 (** {2 Failure sets}
 
     A link set marks failed links by id; the graph itself is immutable. *)

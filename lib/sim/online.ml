@@ -10,9 +10,6 @@ type event_kind = Fail | Recover
 
 type event = { at_ms : float; link : G.link; kind : event_kind }
 
-let phys_rep g e =
-  match G.reverse_link g e with Some r when r < e -> r | _ -> e
-
 (* ---- seeded schedule generation ---- *)
 
 (* Mean gap between events, and the chance of a recovery when a failure
@@ -431,7 +428,7 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
   Array.iteri
     (fun i ev ->
       if ev.link < 0 || ev.link >= m then invalid_arg "Online.run: bad link";
-      if ev.link <> phys_rep g ev.link then
+      if ev.link <> G.physical_rep g ev.link then
         invalid_arg "Online.run: event links must be physical representatives";
       ignore i)
     events;
