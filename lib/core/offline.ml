@@ -13,7 +13,6 @@ module Obs = struct
   let cg_rounds = M.counter "offline.cg.rounds"
   let cg_cuts = M.counter "offline.cg.cuts"
   let budget_exhausted = M.counter "offline.cg.budget_exhausted"
-  let compute_seconds = M.histogram "offline.compute.seconds"
 end
 
 type base_spec = Joint | Fixed of Routing.t
@@ -202,7 +201,6 @@ let extract sol g pairs base_load p_vars =
 
 let instrumented ~f ~method_ k =
   Obs.M.incr Obs.computes;
-  Obs.M.time Obs.compute_seconds @@ fun () ->
   Obs.T.with_span "offline.compute"
     ~attrs:[ ("f", Obs.T.Int f); ("method", Obs.T.String method_) ]
     k

@@ -37,7 +37,6 @@ module Obs = struct
   let phase2_pivots = M.counter "lp.phase2_pivots"
   let dual_pivots = M.counter "lp.dual_pivots"
   let resolves = M.counter "lp.resolves"
-  let solve_seconds = M.histogram "lp.solve.seconds"
   let rev_refactors = M.counter "lp.rev.refactorizations"
   let rev_eta_entries = M.counter "lp.rev.eta_entries"
   let rev_ftran_nnz = M.counter "lp.rev.ftran_nnz"
@@ -55,7 +54,7 @@ module Obs = struct
      ({!Rev.tally}) grew across it: a two-phase solve, whose first
      [split] pivots were phase 1, or a warm re-solve ([warm]), whose
      first [split] pivots were dual. *)
-  let record ~warm ~split ~dt d =
+  let record ~warm ~split d =
     M.incr (if warm then resolves else solves);
     M.add pivots d.(0);
     M.add (if warm then dual_pivots else phase1_pivots) split;
@@ -63,8 +62,7 @@ module Obs = struct
     List.iteri
       (fun k c -> M.add c d.(k + 1))
       [ degenerate; harris_rejections; devex_resets; rev_refactors; rev_eta_entries;
-        rev_ftran_nnz; rev_btran_nnz; rev_cand_hits; rev_cand_refreshes ];
-    M.observe solve_seconds dt
+        rev_ftran_nnz; rev_btran_nnz; rev_cand_hits; rev_cand_refreshes ]
 end
 
 (* ---- shared preprocessing ----
@@ -1166,8 +1164,8 @@ module Rev = struct
     [| st.pivots; st.degen; st.harris_rej; st.devex_resets; st.refactors; st.eta_app;
        st.ftran_nnz; st.btran_nnz; st.cand_hits; st.cand_refreshes |]
 
-  let record st ~warm ~split ~dt t0 =
-    Obs.record ~warm ~split ~dt (Array.map2 ( - ) (tally st) t0)
+  let record st ~warm ~split t0 =
+    Obs.record ~warm ~split (Array.map2 ( - ) (tally st) t0)
 
   (* Each (row, structural column) pair of a start basis replaces that
      row's logical (slack or artificial) in the basis. A >= row the
@@ -1198,10 +1196,10 @@ module Rev = struct
       ~attrs:[ ("rows", T.Int st.m); ("cols", T.Int st.width) ]
     @@ fun () ->
     let max_pivots = st.budget in
-    let elapsed = R3_util.Timer.stopwatch () and t0 = tally st in
+    let t0 = tally st in
     let p1 = ref 0 in
     let finish out =
-      record st ~warm:false ~split:!p1 ~dt:(elapsed ()) t0;
+      record st ~warm:false ~split:!p1 t0;
       T.add_attr "pivots" (T.Int st.pivots);
       T.add_attr "refactorizations" (T.Int st.refactors);
       out
@@ -1264,10 +1262,10 @@ module Rev = struct
     T.with_span "lp.rev.resolve"
       ~attrs:[ ("rows", T.Int st.m); ("cols", T.Int st.width) ]
     @@ fun () ->
-    let elapsed = R3_util.Timer.stopwatch () and t0 = tally st in
+    let t0 = tally st in
     let dual = ref 0 in
     let finish out =
-      record st ~warm:true ~split:!dual ~dt:(elapsed ()) t0;
+      record st ~warm:true ~split:!dual t0;
       out
     in
     if not st.valid then finish (fail st Iteration_limit)

@@ -12,7 +12,6 @@ module Obs = struct
   let iterations = M.counter "mcf.iterations"
   let capped = M.counter "mcf.capped"
   let exact_solves = M.counter "mcf.exact_solves"
-  let solve_seconds = M.histogram "mcf.solve.seconds"
 end
 
 (* The surviving links as flat arrays, and one Dijkstra scratch reused
@@ -245,10 +244,9 @@ let run_gk_body g ?failed ~epsilon ~pairs ~demands () =
 
 let min_mlu_routing g ?failed ?(epsilon = 0.05) ~pairs ~demands () =
   R3_util.Metrics.incr Obs.runs;
-  R3_util.Metrics.time Obs.solve_seconds (fun () ->
-      R3_util.Trace.with_span "mcf.solve"
-        ~attrs:[ ("epsilon", R3_util.Trace.Float epsilon) ]
-        (fun () -> run_gk_body g ?failed ~epsilon ~pairs ~demands ()))
+  R3_util.Trace.with_span "mcf.solve"
+    ~attrs:[ ("epsilon", R3_util.Trace.Float epsilon) ]
+    (fun () -> run_gk_body g ?failed ~epsilon ~pairs ~demands ())
 
 let min_mlu_exact g ?failed ~pairs ~demands () =
   R3_util.Metrics.incr Obs.exact_solves;

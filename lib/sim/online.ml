@@ -137,16 +137,6 @@ let c_drops = Metrics.counter "r3.online.drops"
 let c_retries = Metrics.counter "r3.online.retries"
 let c_states = Metrics.counter "r3.online.states"
 
-let h_convergence =
-  Metrics.histogram
-    ~bounds:[| 10.0; 30.0; 60.0; 100.0; 200.0; 400.0; 800.0; 1600.0 |]
-    "r3.online.convergence_ms"
-
-let h_violation =
-  Metrics.histogram
-    ~bounds:[| 1.0; 10.0; 30.0; 100.0; 300.0; 1000.0 |]
-    "r3.online.violation_ms"
-
 let g_quiescent = Metrics.gauge "r3.online.quiescent_mlu"
 
 (* Deterministic per-(event, router) fault stream, independent of how many
@@ -507,7 +497,6 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
     | None, true -> violation_start := Some now
     | Some t0, false ->
       violations := (t0, now) :: !violations;
-      Metrics.observe h_violation (now -. t0);
       violation_start := None
     | None, false | Some _, true -> ()
   in
@@ -598,10 +587,7 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
               let vj = j + 1 in
               if vj > prev && vj <= ver && pending.(j) > 0 then begin
                 pending.(j) <- pending.(j) - 1;
-                if pending.(j) = 0 then begin
-                  convergence.(j) <- d.at -. events.(j).at_ms;
-                  Metrics.observe h_convergence convergence.(j)
-                end
+                if pending.(j) = 0 then convergence.(j) <- d.at -. events.(j).at_ms
               end)
             events_by_link.(rep);
           view.(v) <- canonical (believed belief.(v));
@@ -637,9 +623,7 @@ let run_to ?(channel = Channel.ideal ()) ?(seed = 0) ?(mlu_bound = infinity)
         }
   else begin
   (match !violation_start with
-  | Some t0 when !last_at > t0 ->
-    violations := (t0, !last_at) :: !violations;
-    Metrics.observe h_violation (!last_at -. t0)
+  | Some t0 when !last_at > t0 -> violations := (t0, !last_at) :: !violations
   | _ -> ());
   Metrics.add c_stale !stat_stale;
   Metrics.add c_drops stat_drops;

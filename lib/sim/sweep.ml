@@ -29,7 +29,6 @@ module Obs = struct
   (* Incremented in the executing domain, one per depth-1 subtree. The
      per-shard breakdown is the per-domain task count. *)
   let tasks = M.counter "sweep.tasks"
-  let run_seconds = M.histogram "sweep.run.seconds"
 end
 
 type summary = {
@@ -134,7 +133,6 @@ let eval_subtree env algs metric root_states subtree =
 
 let run ?(metric = `Ratio) env ~algorithms scenarios =
   R3_util.Metrics.incr Obs.runs;
-  R3_util.Metrics.time Obs.run_seconds @@ fun () ->
   R3_util.Trace.with_span "sweep.run" @@ fun () ->
   let algs = Array.of_list algorithms in
   let forest = build_forest scenarios in

@@ -1,10 +1,11 @@
-(** Process-wide, domain-safe metrics: counters, gauges and histograms.
+(** Process-wide, domain-safe metrics: counters and gauges.
 
     Built for the R3 hot paths (simplex pivots, constraint-generation
-    rounds, MCF phases, sweep cache traffic): every instrument is sharded
-    into {!n_shards} cells and a writer touches only the cell indexed by
-    its own domain id, so parallel sweep workers never contend. Readers
-    ({!snapshot}, {!to_json}) merge the shards on demand.
+    rounds, MCF phases, sweep cache traffic): every counter is sharded
+    into one cell per domain slot and a writer touches only the cell
+    indexed by its own domain id, so parallel sweep workers never
+    contend. Readers ({!snapshot}, {!to_json}) merge the shards on
+    demand. Wall time is not a metric: {!Trace} spans record it.
 
     Instruments are interned by name — [counter "lp.pivots"] returns the
     same counter everywhere — so producers resolve handles at module
@@ -15,9 +16,6 @@
     atomic add per event; {!set_enabled}[ false] reduces every instrument
     to the atomic load alone (the bench harness measures exactly this
     delta). *)
-
-(** Number of shards per instrument (>= the Parallel domain cap). *)
-val n_shards : int
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
@@ -38,7 +36,7 @@ val add : counter -> int -> unit
 (** Merged total across shards. *)
 val counter_total : counter -> int
 
-(** Raw per-shard values (index = domain id mod {!n_shards}) — the
+(** Raw per-shard values (index = domain id mod the shard count) — the
     per-domain breakdown the sweep engine reports as task counts. *)
 val counter_shards : counter -> int array
 
@@ -55,33 +53,6 @@ val set_gauge : gauge -> float -> unit
 (** [None] until the first {!set_gauge}. *)
 val gauge_value : gauge -> float option
 
-(** {2 Histograms} *)
-
-type histogram
-
-type hist_snapshot = {
-  hist_bounds : float array;  (** bucket upper bounds, ascending *)
-  hist_counts : int array;  (** per bucket; overflow bucket last *)
-  hist_count : int;
-  hist_sum : float;
-  hist_min : float;  (** [infinity] when empty *)
-  hist_max : float;  (** [neg_infinity] when empty *)
-}
-
-(** Intern a histogram. Default [bounds] are wall-time friendly
-    (1us..100s, half-decade steps). [bounds] is only honoured on first
-    creation of the name. *)
-val histogram : ?bounds:float array -> string -> histogram
-
-(** Record one observation; NaN observations are dropped. *)
-val observe : histogram -> float -> unit
-
-(** [time h f] runs [f] and observes its wall time in [h] (even when [f]
-    raises). When disabled, just runs [f] — no clock calls. *)
-val time : histogram -> (unit -> 'a) -> 'a
-
-val hist_snapshot : histogram -> hist_snapshot
-
 (** {2 Export} *)
 
 type snapshot = {
@@ -89,12 +60,11 @@ type snapshot = {
   snap_shards : (string * (int * int) list) list;
       (** per counter with >1 populated shard: (shard, count) pairs *)
   snap_gauges : (string * float) list;
-  snap_histograms : (string * hist_snapshot) list;  (** non-empty only *)
 }
 
 val snapshot : unit -> snapshot
 
-(** The whole registry as one JSON object with [counters], [per_domain],
-    [gauges] and [histograms] sections (see DESIGN.md §8 for the schema).
-    Floats round-trip bit-exactly through {!Json}. *)
+(** The whole registry as one JSON object with [counters], [per_domain]
+    and [gauges] sections (see DESIGN.md §8 for the schema). Floats
+    round-trip bit-exactly through {!Json}. *)
 val to_json : unit -> Json.t

@@ -5,14 +5,6 @@
 (** [time f] runs [f ()] and returns its result with the elapsed seconds. *)
 val time : (unit -> 'a) -> 'a * float
 
-(** [time_only f] runs [f ()] for effects and returns the elapsed seconds. *)
-val time_only : (unit -> unit) -> float
-
-(** [stopwatch ()] returns a function yielding the seconds elapsed since
-    the stopwatch was created — for accumulating phase timings without
-    nesting {!time} closures. *)
-val stopwatch : unit -> unit -> float
-
 (** [best_of ~repeats f] runs [f ()] [repeats] times (default 3) and
     returns the fastest elapsed seconds — the standard low-noise
     measurement for short benchmark sections. Raises [Invalid_argument]

@@ -9,7 +9,9 @@
    per-solve/per-round granularity, never per-pivot).
 
    The ring keeps the most recent [capacity] spans; [dropped] counts the
-   overwritten ones so exports are honest about truncation. *)
+   overwritten ones so exports are honest about truncation. Beside the
+   ring, a per-name (count, seconds) table takes every span, so [summary]
+   loses nothing to the wrap-around. *)
 
 type attr =
   | Int of int
@@ -40,9 +42,11 @@ let default_capacity = 8192
 type ring = {
   mutable slots : span option array;
   mutable next : int;  (* total spans ever recorded *)
+  totals : (string, int * float) Hashtbl.t;  (* per name, every span *)
 }
 
-let ring = { slots = Array.make default_capacity None; next = 0 }
+let ring =
+  { slots = Array.make default_capacity None; next = 0; totals = Hashtbl.create 32 }
 let ring_mutex = Mutex.create ()
 
 let with_ring f =
@@ -53,19 +57,23 @@ let set_capacity cap =
   if cap < 1 then invalid_arg "Trace.set_capacity";
   with_ring (fun () ->
       ring.slots <- Array.make cap None;
-      ring.next <- 0)
+      ring.next <- 0;
+      Hashtbl.reset ring.totals)
 
 let reset () =
   with_ring (fun () ->
       Array.fill ring.slots 0 (Array.length ring.slots) None;
-      ring.next <- 0)
+      ring.next <- 0;
+      Hashtbl.reset ring.totals)
 
 let record span =
   with_ring (fun () ->
       let cap = Array.length ring.slots in
       let seq = ring.next in
       ring.slots.(seq mod cap) <- Some { span with seq };
-      ring.next <- seq + 1)
+      ring.next <- seq + 1;
+      let c, t = Option.value (Hashtbl.find_opt ring.totals span.name) ~default:(0, 0.0) in
+      Hashtbl.replace ring.totals span.name (c + 1, t +. span.duration))
 
 let recorded () = with_ring (fun () -> ring.next)
 
@@ -173,14 +181,10 @@ let export_ndjson path =
           output_char oc '\n')
         (spans ()))
 
-(* Aggregate by span name: (count, total seconds), sorted by total time
-   descending — the "where did the wall time go" report. *)
+(* Per span name: (count, total seconds) over every span since the last
+   reset, sorted by total time descending — the "where did the wall time
+   go" report. *)
 let summary () =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      let c, t = Option.value (Hashtbl.find_opt tbl s.name) ~default:(0, 0.0) in
-      Hashtbl.replace tbl s.name (c + 1, t +. s.duration))
-    (spans ());
-  Hashtbl.fold (fun name (c, t) acc -> (name, c, t) :: acc) tbl []
+  with_ring (fun () ->
+      Hashtbl.fold (fun name (c, t) acc -> (name, c, t) :: acc) ring.totals [])
   |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)

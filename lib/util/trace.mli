@@ -3,7 +3,8 @@
     [with_span "lp.solve" ~attrs f] times [f] and records a completed span
     on exit (even when [f] raises). Spans nest lexically per domain — each
     span knows its depth and parent — and land in one global ring that
-    keeps the most recent {!set_capacity} spans. Export as a JSON document
+    keeps the most recent {!set_capacity} spans; {!summary} counts every
+    span, the overwritten ones too. Export as a JSON document
     ({!to_json}) or newline-delimited JSON ({!export_ndjson}); both print
     floats with bit-exact round-trip (see {!Json}).
 
@@ -31,9 +32,11 @@ type span = {
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
-(** Replace the ring (default capacity 8192 spans) and clear it. *)
+(** Replace the ring (default capacity 8192 spans) and clear it and the
+    {!summary} totals. *)
 val set_capacity : int -> unit
 
+(** Clear the ring and the {!summary} totals. *)
 val reset : unit -> unit
 
 (** Run [f] inside a named span. When tracing is disabled this is [f ()]
@@ -52,7 +55,9 @@ val recorded : unit -> int
 
 val dropped : unit -> int
 
-(** [(name, count, total_seconds)] per span name, heaviest first. *)
+(** [(name, count, total_seconds)] per span name over every span since
+    the last {!reset} or {!set_capacity}, {!dropped} ones included;
+    heaviest first. *)
 val summary : unit -> (string * int * float) list
 
 (** [{recorded; dropped; spans}] as one JSON document. *)

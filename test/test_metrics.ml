@@ -1,5 +1,5 @@
 (* Tests for the observability layer: R3_util.Metrics (sharded counters,
-   gauges, histograms) and R3_util.Trace (nested spans, ring buffer). *)
+   gauges) and R3_util.Trace (nested spans, ring buffer, span totals). *)
 
 module M = R3_util.Metrics
 module T = R3_util.Trace
@@ -47,19 +47,6 @@ let test_gauge () =
   M.set_gauge g 7.25;
   Alcotest.(check bool) "last write wins" true (M.gauge_value g = Some 7.25)
 
-let test_histogram () =
-  M.reset ();
-  let h = M.histogram ~bounds:[| 1.0; 10.0 |] "test.hist" in
-  List.iter (M.observe h) [ 0.5; 5.0; 50.0; 2.0 ];
-  M.observe h Float.nan;
-  (* dropped *)
-  let s = M.hist_snapshot h in
-  Alcotest.(check int) "count (NaN dropped)" 4 s.M.hist_count;
-  Alcotest.(check (float 1e-9)) "sum" 57.5 s.M.hist_sum;
-  Alcotest.(check (float 1e-9)) "min" 0.5 s.M.hist_min;
-  Alcotest.(check (float 1e-9)) "max" 50.0 s.M.hist_max;
-  Alcotest.(check (array int)) "bucketing" [| 1; 2; 1 |] s.M.hist_counts
-
 let test_disabled_records_nothing () =
   M.reset ();
   let c = M.counter "test.disabled" in
@@ -73,14 +60,10 @@ let test_metrics_json_shape () =
   M.reset ();
   M.incr (M.counter "test.json.counter");
   M.set_gauge (M.gauge "test.json.gauge") 1.5;
-  M.observe (M.histogram "test.json.hist") 0.01;
   (match M.to_json () with
   | J.Obj fields ->
-    List.iter
-      (fun k ->
-        Alcotest.(check bool) (k ^ " section present") true
-          (List.mem_assoc k fields))
-      [ "counters"; "per_domain"; "gauges"; "histograms" ]
+    Alcotest.(check (list string)) "exactly these sections"
+      [ "counters"; "per_domain"; "gauges" ] (List.map fst fields)
   | _ -> Alcotest.fail "to_json must be an object");
   (* and the whole document must survive the JSON round-trip *)
   let s = J.to_string (M.to_json ()) in
@@ -133,7 +116,9 @@ let test_ring_wraparound () =
   Alcotest.(check int) "dropped = overflow" 6 (T.dropped ());
   Alcotest.(check (list string)) "newest 4 kept, oldest first"
     [ "s7"; "s8"; "s9"; "s10" ]
-    (List.map (fun s -> s.T.name) (T.spans ()))
+    (List.map (fun s -> s.T.name) (T.spans ()));
+  Alcotest.(check int) "summary counts every span, dropped ones too" 10
+    (List.fold_left (fun acc (_, c, _) -> acc + c) 0 (T.summary ()))
 
 let test_trace_disabled () =
   T.reset ();
@@ -154,7 +139,9 @@ let test_trace_summary () =
     List.find_map (fun (name, c, _) -> if name = n then Some c else None) summary
   in
   Alcotest.(check bool) "a counted twice" true (count_of "a" = Some 2);
-  Alcotest.(check bool) "b counted once" true (count_of "b" = Some 1)
+  Alcotest.(check bool) "b counted once" true (count_of "b" = Some 1);
+  T.reset ();
+  Alcotest.(check int) "reset clears the totals" 0 (List.length (T.summary ()))
 
 let test_spans_across_domains () =
   T.reset ();
@@ -172,7 +159,6 @@ let suite =
     Alcotest.test_case "counter merge order-independent" `Quick
       test_counter_merge_order_independent;
     Alcotest.test_case "gauge" `Quick test_gauge;
-    Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "disabled records nothing" `Quick
       test_disabled_records_nothing;
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
