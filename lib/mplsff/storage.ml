@@ -10,17 +10,15 @@ let nhlfe_entry_bytes = 96
 let rib_entry_bytes = 104
 let fib_overhead_bytes = 256
 
-let of_fib fib =
-  let ilm, nhlfe = Fib.max_table_sizes fib in
-  let m = R3_net.Graph.num_links fib.Fib.graph in
+let of_protection g p =
+  let ilm, nhlfe = Fib.max_table_sizes (Fib.of_protection g p) in
+  let m = R3_net.Graph.num_links g in
   {
     ilm_entries = ilm;
     nhlfe_entries = nhlfe;
     fib_bytes = (ilm * ilm_entry_bytes) + (nhlfe * nhlfe_entry_bytes) + fib_overhead_bytes;
     rib_bytes = m * m * rib_entry_bytes;
   }
-
-let of_protection g p = of_fib (Fib.of_protection g p)
 
 let human_bytes b =
   if b >= 1_048_576 then Printf.sprintf "%.1f MB" (float_of_int b /. 1_048_576.0)

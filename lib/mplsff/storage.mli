@@ -18,14 +18,7 @@ type report = {
   rib_bytes : int;  (** per-router protection RIB *)
 }
 
-val ilm_entry_bytes : int
-val nhlfe_entry_bytes : int
-val rib_entry_bytes : int
-
-(** Account a built forwarding state. *)
-val of_fib : Fib.t -> report
-
-(** Account a protection plan directly (builds the FIB internally). *)
+(** Account a protection plan (builds its FIB). *)
 val of_protection : R3_net.Graph.t -> R3_net.Routing.t -> report
 
 val pp : Format.formatter -> report -> unit

@@ -145,8 +145,6 @@ let fold_row t k ~init ~f =
   iter_row t k (fun e x -> acc := f !acc e x);
   !acc
 
-let row_nnz t k = Rowvec.nnz (rget t.rows k)
-
 let row_dense t k = Rowvec.to_dense t.m (rget t.rows k)
 
 let row_vec t k = Rowvec.copy (rget t.rows k)
@@ -203,7 +201,7 @@ let shares_row a b k =
 let nnz t =
   let acc = ref 0 in
   for k = 0 to num_commodities t - 1 do
-    acc := !acc + row_nnz t k
+    acc := !acc + Rowvec.nnz (rget t.rows k)
   done;
   !acc
 
@@ -372,19 +370,14 @@ let validate g ?(tol = 1e-6) ?failed ?(partial = false) t =
   in
   check 0
 
-let add_loads g ~demands t ~into =
-  if Array.length into <> Graph.num_links g then
-    invalid_arg "Routing.add_loads: bad accumulator";
+let loads g ~demands t =
   if Array.length demands <> num_commodities t then
-    invalid_arg "Routing.add_loads: demands length mismatch";
+    invalid_arg "Routing.loads: demands length mismatch";
+  let into = Array.make (Graph.num_links g) 0.0 in
   Array.iteri
     (fun k d -> if d <> 0.0 then Rowvec.scatter_add ~scale:d (rget t.rows k) ~into)
-    demands
-
-let loads g ~demands t =
-  let acc = Array.make (Graph.num_links g) 0.0 in
-  add_loads g ~demands t ~into:acc;
-  acc
+    demands;
+  into
 
 let mlu g ~loads =
   let u = ref 0.0 in

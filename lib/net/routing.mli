@@ -11,7 +11,7 @@
     order. Rows are short — a protection or detour row is about one path
     (8 of pop36's 160 links), an OSPF base row 5, a Garg–Könemann base
     row 43 — so the online reconfiguration kernels ({!fold_failure},
-    {!add_loads}) cost O(nnz) per row, not O(m). Read whole rows with
+    {!loads}) cost O(nnz) per row, not O(m). Read whole rows with
     {!iter_row} (or a helper built on it), not with a loop of {!get}:
     [get] is a search of the row.
 
@@ -62,9 +62,6 @@ val set : t -> int -> Graph.link -> float -> unit
 val iter_row : t -> int -> (Graph.link -> float -> unit) -> unit
 
 val fold_row : t -> int -> init:'a -> f:('a -> Graph.link -> float -> 'a) -> 'a
-
-(** Stored entries of row [k]. *)
-val row_nnz : t -> int -> int
 
 (** Fresh dense copy of row [k]. *)
 val row_dense : t -> int -> float array
@@ -173,9 +170,6 @@ val validate :
 (** [loads g ~demands t] sums [demands.(k) *. get t k e] per link.
     [demands] must be parallel to the commodity array. *)
 val loads : Graph.t -> demands:float array -> t -> float array
-
-(** Add [loads] of this routing into an accumulator array; O(nnz). *)
-val add_loads : Graph.t -> demands:float array -> t -> into:float array -> unit
 
 (** Maximum link utilization given per-link loads. *)
 val mlu : Graph.t -> loads:float array -> float

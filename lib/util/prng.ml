@@ -52,13 +52,6 @@ let exponential t ~mean =
   in
   -.mean *. log (nonzero ())
 
-let pareto t ~alpha ~xmin =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  xmin /. (nonzero () ** (1.0 /. alpha))
-
 let bool t p = float t 1.0 < p
 
 let shuffle t arr =

@@ -34,9 +34,6 @@ val gaussian : t -> float
 (** Exponential with the given [mean]. *)
 val exponential : t -> mean:float -> float
 
-(** Pareto with shape [alpha] and scale [xmin] (heavy-tailed flow sizes). *)
-val pareto : t -> alpha:float -> xmin:float -> float
-
 (** [bool t p] is [true] with probability [p]. *)
 val bool : t -> float -> bool
 

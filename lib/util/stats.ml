@@ -72,12 +72,6 @@ let quantiles ~ps xs =
 
 let median xs = percentile 50.0 xs
 
-let cdf_points xs =
-  reject_nan "Stats.cdf_points" xs;
-  let s = sorted xs in
-  let n = Array.length s in
-  Array.mapi (fun i v -> (v, float_of_int (i + 1) /. float_of_int n)) s
-
 let histogram ~bins ~lo ~hi xs =
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
   reject_nan "Stats.histogram" xs;

@@ -45,11 +45,6 @@ val binom : int -> int -> float
 (** Sorted copy, ascending. *)
 val sorted : float array -> float array
 
-(** [cdf_points xs] returns the array of [(value, fraction <= value)] pairs
-    of the empirical CDF, sorted by value. Raises [Invalid_argument] on NaN
-    samples (they have no position in the CDF). *)
-val cdf_points : float array -> (float * float) array
-
 (** [histogram ~bins ~lo ~hi xs] counts values per equal-width bin; values
     outside [lo,hi] are clamped to the boundary bins, so the counts always
     sum to [Array.length xs]. A degenerate range ([hi <= lo], zero bin
