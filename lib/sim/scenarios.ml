@@ -6,6 +6,7 @@ let physical_links g =
   |> Array.of_list
 
 let enumerate g ~k =
+  if k < 0 then invalid_arg "Scenarios.enumerate: k < 0";
   let phys = physical_links g in
   let n = Array.length phys in
   let acc = ref [] in
@@ -23,6 +24,7 @@ let enumerate g ~k =
 let shortfall_counter = R3_util.Metrics.counter "sim.scenarios.sample_shortfall"
 
 let sample g ~k ~count ~seed =
+  if k < 0 then invalid_arg "Scenarios.sample: k < 0";
   let phys = physical_links g in
   let n = Array.length phys in
   let total = R3_util.Stats.binom n k in

@@ -11,7 +11,7 @@ val physical_links : R3_net.Graph.t -> R3_net.Graph.link array
 
 (** All scenarios failing exactly [k] physical links, in lexicographic
     (sweep-tree DFS) order. Scenarios that partition the graph are kept —
-    algorithms must cope. *)
+    algorithms must cope. Raises [Invalid_argument] if [k < 0]. *)
 val enumerate : R3_net.Graph.t -> k:int -> Scenario.t list
 
 (** [sample g ~k ~count ~seed] distinct random scenarios of [k] physical
@@ -20,7 +20,8 @@ val enumerate : R3_net.Graph.t -> k:int -> Scenario.t list
     rejection sampling exhausts its [100 * count]-attempt guard (possible
     only when [count] is close to [C(n,k)]), the result is shorter. Such
     a shortfall is never silent — the missing scenario count is added to
-    the [sim.scenarios.sample_shortfall] metrics counter. *)
+    the [sim.scenarios.sample_shortfall] metrics counter. Raises
+    [Invalid_argument] if [k < 0]. *)
 val sample :
   R3_net.Graph.t -> k:int -> count:int -> seed:int -> Scenario.t list
 

@@ -23,6 +23,13 @@ let test_all_k_counts () =
   Alcotest.(check int) "single failures" 14 (List.length (S.enumerate g ~k:1));
   Alcotest.(check int) "pairs" (14 * 13 / 2) (List.length (S.enumerate g ~k:2))
 
+let test_negative_k_rejected () =
+  let g = Topology.abilene () in
+  Alcotest.check_raises "enumerate" (Invalid_argument "Scenarios.enumerate: k < 0")
+    (fun () -> ignore (S.enumerate g ~k:(-1)));
+  Alcotest.check_raises "sample" (Invalid_argument "Scenarios.sample: k < 0")
+    (fun () -> ignore (S.sample g ~k:(-1) ~count:5 ~seed:1))
+
 let test_sample_distinct () =
   let g = Topology.uunet_like () in
   let samples = S.sample g ~k:3 ~count:100 ~seed:5 in
@@ -227,6 +234,7 @@ let suite =
   [
     Alcotest.test_case "physical links" `Quick test_physical_links;
     Alcotest.test_case "all_k counts" `Quick test_all_k_counts;
+    Alcotest.test_case "negative k rejected" `Quick test_negative_k_rejected;
     Alcotest.test_case "sampling distinct" `Quick test_sample_distinct;
     Alcotest.test_case "sampling caps at the space" `Quick
       test_sample_exceeds_total;
