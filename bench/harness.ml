@@ -23,7 +23,9 @@ let cache_dir = ".bench-cache"
 (* Cached plans live in the Plan_store snapshot format (versioned,
    CRC-checked — see DESIGN.md §16), so a stale or torn cache entry is
    detected and recomputed instead of misread. [solve cfg] computes the
-   plan, and the snapshot records [cfg] as its configuration. *)
+   plan, and the snapshot records [cfg] as its configuration. Smoke mode
+   neither reads nor writes the cache: it leaves no artifacts, and every
+   smoke run solves (and so counts the LP work of) the plans it checks. *)
 let cached_plan key cfg (solve : Offline.config -> (Offline.plan, string) result) =
   let path = Filename.concat cache_dir (Printf.sprintf "v%d-%s.plan" cache_version key) in
   let recompute () =
@@ -33,7 +35,8 @@ let cached_plan key cfg (solve : Offline.config -> (Offline.plan, string) result
       Ok plan
     | Error _ as e -> e
   in
-  if Sys.file_exists path then
+  if !smoke then solve cfg
+  else if Sys.file_exists path then
     match R3_core.Plan_store.load path with
     | Ok (plan, _config) -> Ok plan
     | Error _ -> recompute ()
