@@ -12,6 +12,7 @@ type t = {
   fibs : router_fib array;
   protected_links : G.link array;
   sources : Routing.t array;
+  origins : Routing.t array;
 }
 
 let label_base = 100
@@ -69,14 +70,42 @@ let of_protection g p =
     fibs;
     protected_links = Array.init (G.num_links g) (fun e -> e);
     sources = Array.make n (Routing.copy p);
+    origins = Array.make n p;
   }
 
 let update t p = of_protection t.graph p
 
+let fwd_equal a b =
+  a.label = b.label
+  && Array.length a.nhlfes = Array.length b.nhlfes
+  && Array.for_all2
+       (fun x y ->
+         x.out_link = y.out_link
+         && Int64.equal (Int64.bits_of_float x.ratio) (Int64.bits_of_float y.ratio))
+       a.nhlfes b.nhlfes
+
+(* A sealed copy of [p] for a router's source: the one another router
+   took of [p] while every row of [p] is still the payload it copied
+   (a row written in place since is un-shared first, so it fails the
+   test), else a fresh [Routing.copy]. Routers that catch up to the same
+   routing then hold one copy between them, not one each. *)
+let source_of t p =
+  let m = G.num_links t.graph in
+  let rec same s l = l = m || (Routing.shares_row s p l && same s (l + 1)) in
+  let n = Array.length t.sources in
+  let rec find r =
+    if r = n then Routing.copy p
+    else if t.origins.(r) == p && same t.sources.(r) 0 then t.sources.(r)
+    else find (r + 1)
+  in
+  find 0
+
 (* Only the labels whose protection row is not the payload the router's
    table was built from can have changed: a shared payload holds the
    same bits (the rule of Routing's bit-level comparison), and the
-   source is a copy, which seals [p] against later in-place writes. *)
+   source is a copy, which seals [p] against later in-place writes. The
+   router's table is copied only when one of those labels' entries
+   differs: most rows a failure refolds do not reach a given router. *)
 let update_router t ~router p =
   if Routing.num_commodities p <> G.num_links t.graph then
     invalid_arg "Fib.update_router: protection must cover every link";
@@ -88,26 +117,32 @@ let update_router t ~router p =
   match !changed with
   | [] -> t
   | changed ->
-    let ilm = Hashtbl.copy t.fibs.(router).ilm in
-    List.iter
-      (fun l ->
-        match label_fwd t.graph p router l with
-        | Some fwd -> Hashtbl.replace ilm fwd.label fwd
-        | None -> Hashtbl.remove ilm (label_of_link l))
-      changed;
-    let fibs = Array.copy t.fibs and sources = Array.copy t.sources in
-    fibs.(router) <- { router; ilm };
-    sources.(router) <- Routing.copy p;
-    { t with fibs; sources }
-
-let fwd_equal a b =
-  a.label = b.label
-  && Array.length a.nhlfes = Array.length b.nhlfes
-  && Array.for_all2
-       (fun x y ->
-         x.out_link = y.out_link
-         && Int64.equal (Int64.bits_of_float x.ratio) (Int64.bits_of_float y.ratio))
-       a.nhlfes b.nhlfes
+    let old = t.fibs.(router).ilm in
+    let edits =
+      List.filter_map
+        (fun l ->
+          let label = label_of_link l in
+          match (label_fwd t.graph p router l, Hashtbl.find_opt old label) with
+          | None, None -> None
+          | Some fwd, Some cur when fwd_equal fwd cur -> None
+          | fwd, _ -> Some (label, fwd))
+        changed
+    in
+    let fibs = Array.copy t.fibs
+    and sources = Array.copy t.sources
+    and origins = Array.copy t.origins in
+    if edits <> [] then begin
+      let ilm = Hashtbl.copy old in
+      List.iter
+        (function
+          | label, Some fwd -> Hashtbl.replace ilm label fwd
+          | label, None -> Hashtbl.remove ilm label)
+        edits;
+      fibs.(router) <- { router; ilm }
+    end;
+    sources.(router) <- source_of t p;
+    origins.(router) <- p;
+    { t with fibs; sources; origins }
 
 let router_fib_equal a b =
   a.router = b.router

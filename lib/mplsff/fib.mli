@@ -26,8 +26,11 @@ type t = {
   sources : R3_net.Routing.t array;
       (** indexed by router id: a {!R3_net.Routing.copy} of the
           protection routing that router's table was derived from, what
-          {!update_router} compares a new routing with. Not part of
-          {!equal}. *)
+          {!update_router} compares a new routing with; routers derived
+          from one routing may share one copy. Not part of {!equal}. *)
+  origins : R3_net.Routing.t array;
+      (** indexed by router id: the routing [sources] was copied from.
+          Not part of {!equal}. *)
 }
 
 (** Protection label of a link (stable, network-wide). *)
@@ -54,10 +57,12 @@ val update : t -> R3_net.Routing.t -> t
     row payload [p] shares with the routing the table was derived from
     holds the same bits ({!R3_net.Routing.shares_row}), so only the labels
     of the other rows are re-derived, by the same per-label function the
-    full build uses; [t] itself comes back when every row is shared. The
+    full build uses; [t] itself comes back when every row is shared, and
+    the router's table when no re-derived entry differs. The
     result equals (by {!equal}) the router's table in
-    [of_protection g p]. The new source is stored as a
-    {!R3_net.Routing.copy} of [p], which seals [p]: a later
+    [of_protection g p]. The new source is a {!R3_net.Routing.copy} of
+    [p] — another router's, when that router's copy still shares every
+    row with [p] — which seals [p]: a later
     {!R3_net.Routing.set} on [p] copies the row instead of writing the
     payload the table was compared with. Other routers' tables are shared
     with [t] untouched, so applying per-router updates in {e any} order,

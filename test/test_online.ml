@@ -187,17 +187,31 @@ let test_fib_maintenance () =
   let st = Reconfig.fail root (sc g [ 4; 9 ]) in
   let full = Fib.of_protection g st.Reconfig.protection in
   let n = G.num_nodes g in
-  let forward = ref (Fib.of_protection g root.Reconfig.protection) in
+  let fib_root = Fib.of_protection g root.Reconfig.protection in
+  let forward = ref fib_root in
   for v = 0 to n - 1 do
     forward := Fib.update_router !forward ~router:v st.Reconfig.protection
   done;
-  let backward = ref (Fib.of_protection g root.Reconfig.protection) in
+  let backward = ref fib_root in
   for v = n - 1 downto 0 do
     backward := Fib.update_router !backward ~router:v st.Reconfig.protection
   done;
   Alcotest.(check bool) "ascending order = rebuild" true (Fib.equal !forward full);
   Alcotest.(check bool) "descending order = rebuild" true (Fib.equal !backward full);
   let router_table f v = { f with Fib.fibs = [| f.Fib.fibs.(v) |] } in
+  (* Routers caught up to one routing hold one copy of it, and a router
+     whose entries the failures left alone keeps its table. *)
+  Alcotest.(check bool) "one source copy per routing" true
+    (Array.for_all (fun s -> s == !forward.Fib.sources.(0)) !forward.Fib.sources);
+  let kept = ref 0 in
+  for v = 0 to n - 1 do
+    if Fib.equal (router_table fib_root v) (router_table full v) then begin
+      incr kept;
+      Alcotest.(check bool) "unchanged table kept" true
+        (!forward.Fib.fibs.(v) == fib_root.Fib.fibs.(v))
+    end
+  done;
+  Alcotest.(check bool) "some table kept" true (!kept > 0);
   (* A routing written in place after a FIB was derived from it: the
      FIB's source copy sealed it, so the write un-shares the row and the
      update sees it. Built fresh, so the routing owns its rows. *)
@@ -212,10 +226,13 @@ let test_fib_maintenance () =
   (* Link 0's detour leaves [v] over [e] alone: dropping it removes the
      label from [v]'s table. *)
   Routing.set p 0 e 0.0;
+  let fib1 = Fib.update_router fib0 ~router:v p in
   Alcotest.(check bool) "in-place write seen by the update" true
-    (Fib.equal
-       (router_table (Fib.update_router fib0 ~router:v p) v)
-       (router_table (Fib.of_protection g p) v));
+    (Fib.equal (router_table fib1 v) (router_table (Fib.of_protection g p) v));
+  (* Every router's source was copied from [p], before the write: the
+     updated router takes a fresh copy, not one without the write. *)
+  Alcotest.(check bool) "source holds the written row" true
+    (Routing.shares_row fib1.Fib.sources.(v) p 0);
   (* Step by step over seeded fail/recover sequences: at every step each
      router catches up with probability 3/4, in a seeded order, so some
      update across several steps at once. After every step, every
